@@ -19,7 +19,7 @@ from scipy.optimize import minimize
 from scipy.special import ndtri
 
 from .errors import DataError, FitError
-from .lawtable import CategoricalLaw, ObservedLawTable, observable_axes
+from .lawtable import CategoricalLaw, ObservedLawTable, coarsening_map, observable_axes
 from .mdgraph import MissingDataGraph, VertexRole
 
 _THETA_BOUND = 40.0
@@ -103,20 +103,16 @@ class Dataset:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def na_level(self, column: str) -> int:
-        axes = observable_axes(self.graph)
-        for a in axes:
-            if a.name == column and a.kind == "proxy":
-                return a.size - 1
-        raise DataError(f"column {column!r} is not a partially observed variable")
-
     def patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Unique rows and their aggregated weights."""
+        """Distinct rows in ascending order, and the summed weight of each."""
         if not len(self.rows):
             return self.rows, self.weights
-        uniq, inverse = np.unique(self.rows, axis=0, return_inverse=True)
-        w = np.bincount(inverse, weights=self.weights, minlength=len(uniq))
-        return uniq, w
+        shape = [a.size for a in observable_axes(self.graph)]
+        size = int(np.prod(shape))
+        cells = np.ravel_multi_index(self.rows.T, shape)
+        present = np.flatnonzero(np.bincount(cells, minlength=size))
+        weights = np.bincount(cells, weights=self.weights, minlength=size)[present]
+        return np.stack(np.unravel_index(present, shape), axis=1), weights
 
     def permuted(self, order) -> "Dataset":
         return Dataset(self.graph, self.rows[order], self.weights[order])
@@ -303,24 +299,25 @@ class LikelihoodModel:
     # -- data binding ---------------------------------------------------------
 
     def bind(self, data: Dataset) -> "_BoundData":
-        if data.graph is not self.graph and data.columns != tuple(
-                a.name for a in observable_axes(self.graph)):
-            raise FitError("dataset columns do not match the model graph")
+        """Aggregate the data into patterns, each with its completion set.
+
+        A pattern's completions are the full cells the coarsening map sends
+        to it, as ascending flat indices into the joint.
+        """
+        axes = observable_axes(self.graph)
+        if observable_axes(data.graph) != axes:
+            raise FitError("dataset columns, level counts or kinds do not match "
+                           "the model graph")
         patterns, weights = data.patterns()
         if not len(patterns):
             raise FitError("empty dataset")
-        axes = observable_axes(self.graph)
-        completions = []
-        for row in patterns:
-            allowed = []
-            for a, v in zip(axes, row):
-                if a.kind == "proxy" and v == a.size - 1:
-                    allowed.append(np.arange(a.size - 1))
-                else:
-                    allowed.append(np.array([v]))
-            mesh = np.meshgrid(*allowed, indexing="ij")
-            completions.append(np.ravel_multi_index([m.ravel() for m in mesh], self.shape))
-        return _BoundData(patterns, weights, completions)
+        cells = coarsening_map(self.graph).reshape(-1)
+        order = np.argsort(cells, kind="stable")
+        grouped = cells[order]
+        flat = np.ravel_multi_index(patterns.T, [a.size for a in axes])
+        lo = np.searchsorted(grouped, flat, side="left")
+        hi = np.searchsorted(grouped, flat, side="right")
+        return _BoundData(patterns, weights, [order[a:b] for a, b in zip(lo, hi)])
 
     # -- objective -------------------------------------------------------------
 
@@ -596,14 +593,16 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
         total_iters += int(res.nit)
         ll = -float(res.fun)
         if best is None or ll > best[0]:
-            best = (ll, i, res.x)
+            best = (ll, i, res)
 
-    _, best_i, theta = best
-    theta, hess = _newton_polish(model, bound, theta, config)
+    _, best_i, best_res = best
+    theta, hess = _newton_polish(model, bound, best_res.x, config)
     ll = model.log_likelihood(theta, bound)
     grad = model.gradient(theta, bound)
     grad_norm = float(np.linalg.norm(grad))
-    converged = grad_norm <= config.grad_tol and total_iters < config.max_iterations
+    # L-BFGS-B status 1: the best restart stopped at its own iteration or
+    # evaluation cap, so its optimum is unconfirmed whatever the polish did.
+    converged = grad_norm <= config.grad_tol and best_res.status != 1
 
     cpts = model.theta_to_cpts(theta)
     parameters: list[ParameterEstimate] = []

@@ -318,30 +318,42 @@ def joint_probability(law: CategoricalLaw, assignment: Mapping[str, int]):
     return prob
 
 
-def observed_law(law: CategoricalLaw) -> ObservedLawTable:
-    """Apply the proxy mechanism and sum out hidden true values where R = 0."""
-    graph = law.graph
-    joint = law.joint_table()
+def coarsening_map(graph: MissingDataGraph) -> np.ndarray:
+    """The observation process as an array: full cell -> flat observed cell.
+
+    An integer array over the full-joint shape (non-proxy vertices in
+    declaration order).  Each entry is the row-major flat index, in the
+    shape of :func:`observable_axes`, of the observed cell that full cell
+    produces: a proxy takes the true value when its indicator is 1 and its
+    NA level otherwise; every other vertex is copied.
+    """
     axes = observable_axes(graph)
-    exact = law.is_exact()
-    out = (np.full([a.size for a in axes], Fraction(0), dtype=object) if exact
-           else np.zeros([a.size for a in axes], dtype=float))
+    full = np.indices([v.levels for v in graph.non_proxy_vertices()])
+    pos = {a.name: i for i, a in enumerate(axes)}
+    observed = list(full)
+    for p in graph.pairs:
+        x, r = pos[p.true], pos[p.indicator]
+        observed[x] = np.where(full[r] == 1, full[x], axes[x].size - 1)
+    return np.ravel_multi_index(observed, [a.size for a in axes])
 
-    names = joint.names
-    pos = {n: i for i, n in enumerate(names)}
-    pair_of_true = {p.true: p.indicator for p in graph.pairs}
-    na_level = {p.true: graph.vertex(p.true).levels for p in graph.pairs}
 
-    for idx in np.ndindex(*joint.values.shape):
-        obs_idx = []
-        for a in axes:
-            v = idx[pos[a.name]]
-            if a.kind == "proxy":
-                r = idx[pos[pair_of_true[a.name]]]
-                v = v if r == 1 else na_level[a.name]
-            obs_idx.append(v)
-        out[tuple(obs_idx)] += joint.values[idx]
-    return ObservedLawTable(graph, out)
+def observed_law(law: CategoricalLaw) -> ObservedLawTable:
+    """Apply the proxy mechanism and sum out hidden true values where R = 0.
+
+    Full cells are added into their observed cells in row-major order, so
+    float totals are summed in a fixed order and rational ones exactly.
+    """
+    graph = law.graph
+    joint = law.joint_table().values.reshape(-1)
+    cells = coarsening_map(graph).reshape(-1)
+    shape = [a.size for a in observable_axes(graph)]
+    size = int(np.prod(shape))
+    if joint.dtype == object:
+        out = np.full(size, Fraction(0), dtype=object)
+        np.add.at(out, cells, joint)
+    else:
+        out = np.bincount(cells, weights=joint, minlength=size)
+    return ObservedLawTable(graph, out.reshape(shape))
 
 
 # -- random law generation -----------------------------------------------------

@@ -7,6 +7,9 @@ aggregation is a deterministic fold in replication order.
 
 from __future__ import annotations
 
+import ctypes
+import itertools
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -15,38 +18,46 @@ import numpy as np
 from .errors import ColluderLabError, LawError
 from .estimate import Dataset, FitConfig, LikelihoodModel, fit
 from .fixtures import ccm_graph
-from .lawtable import CategoricalLaw, SimConstraints, observable_axes, random_law
+from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map, observable_axes,
+                       random_law)
 from .mdgraph import MissingDataGraph, VertexRole, load_json_source
+
+
+def _full_counts(law: CategoricalLaw, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Multinomial counts of ``n`` i.i.d. draws over the flattened full joint."""
+    if n < 1:
+        raise LawError("sample size must be positive")
+    probs = law.joint_table().values.astype(float).reshape(-1)
+    return rng.multinomial(n, probs / probs.sum())
+
+
+def _observed_rows(cells: np.ndarray, graph: MissingDataGraph) -> np.ndarray:
+    """Records, one per flat observed-cell index."""
+    shape = [a.size for a in observable_axes(graph)]
+    return np.stack(np.unravel_index(cells, shape), axis=1)
 
 
 def sample_dataset(law: CategoricalLaw, n: int, seed=None) -> Dataset:
     """Draw ``n`` i.i.d. records by forward sampling and masking the proxies."""
-    if n < 1:
-        raise LawError("sample size must be positive")
     rng = np.random.default_rng(seed)
-    joint = law.joint_table()
-    probs = joint.values.astype(float).reshape(-1)
-    probs = probs / probs.sum()
-    counts = rng.multinomial(n, probs)
-
-    graph = law.graph
-    axes = observable_axes(graph)
-    names = joint.names
-    pos = {name: i for i, name in enumerate(names)}
-    pair_of_true = {p.true: p.indicator for p in graph.pairs}
-
-    full = np.array(list(np.ndindex(*joint.values.shape)), dtype=np.int64)
-    observed = np.empty((len(full), len(axes)), dtype=np.int64)
-    for j, a in enumerate(axes):
-        col = full[:, pos[a.name]]
-        if a.kind == "proxy":
-            r = full[:, pos[pair_of_true[a.name]]]
-            col = np.where(r == 1, col, a.size - 1)
-        observed[:, j] = col
-
+    counts = _full_counts(law, n, rng)
+    observed = _observed_rows(coarsening_map(law.graph).reshape(-1), law.graph)
     rows = np.repeat(observed, counts, axis=0)
     rng.shuffle(rows, axis=0)
-    return Dataset(graph, rows)
+    return Dataset(law.graph, rows)
+
+
+def sample_counts(law: CategoricalLaw, n: int, seed=None) -> Dataset:
+    """The records :func:`sample_dataset` draws for ``seed``, as observed-cell counts.
+
+    One record per observed cell that occurs, in ascending cell order, with
+    its count as weight.  Fitting it gives the same result as fitting the
+    records, without building them.
+    """
+    counts = _full_counts(law, n, np.random.default_rng(seed))
+    cells = np.bincount(coarsening_map(law.graph).reshape(-1), weights=counts)
+    seen = np.flatnonzero(cells)
+    return Dataset(law.graph, _observed_rows(seen, law.graph), cells[seen])
 
 
 @dataclass(frozen=True)
@@ -127,7 +138,7 @@ def _run_cell(scenario: SimScenario, n_idx: int, rep: int):
     ss = np.random.SeedSequence((scenario.seed, n_idx, rep))
     law_seed, data_seed, fit_seed = ss.spawn(3)
     law = random_law(graph, scenario.constraints, law_seed)
-    data = sample_dataset(law, scenario.sample_sizes[n_idx], data_seed)
+    data = sample_counts(law, scenario.sample_sizes[n_idx], data_seed)
     config = FitConfig(restarts=scenario.restarts, compute_ci=False,
                        seed=int(fit_seed.generate_state(1)[0]))
     result = fit(data, graph, config)
@@ -204,12 +215,55 @@ class SimReport:
         return "\n".join(lines)
 
 
+def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
+    """``(set_num_threads, get_num_threads)`` of each OpenBLAS mapped into this process.
+
+    numpy and scipy wheels each bundle their own OpenBLAS under its own
+    symbol prefix.  Empty where ``/proc/self/maps`` is unreadable or no
+    loaded library exports the functions.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for stem, suffix in itertools.product(("scipy_openblas", "openblas"), ("64_", "")):
+            setter = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                controls.append((setter, getter))
+                break
+    return controls
+
+
+def _one_blas_thread() -> None:
+    """Pool worker initializer: run every loaded OpenBLAS on one thread.
+
+    Each worker is one of ``threads`` processes, so a BLAS thread pool per
+    worker would oversubscribe the cores the pool already fills.
+    """
+    for set_threads, _ in _openblas_thread_controls():
+        set_threads(1)
+
+
 def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     """Run every (sample size, replication) cell and aggregate bias and RMSE by group.
 
-    Non-convergent fits are excluded from the aggregates and counted; the
-    scenario fails if more than ``max_failure_rate`` of the replications at
-    any sample size did not converge.
+    ``threads`` greater than 1 runs the cells on that many worker
+    processes, each with its BLAS limited to one thread; the report is the
+    same for any value.  Non-convergent fits are excluded from the
+    aggregates and counted; the scenario fails if more than
+    ``max_failure_rate`` of the replications at any sample size did not
+    converge.
     """
     graph = scenario.graph()
     _, coords = _parameter_layout(graph)
@@ -219,7 +273,7 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     cells = [(n_idx, rep) for n_idx in range(len(scenario.sample_sizes))
              for rep in range(scenario.replications)]
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
             results = list(pool.map(_run_cell, [scenario] * len(cells),
                                     [c[0] for c in cells], [c[1] for c in cells],
                                     chunksize=8))

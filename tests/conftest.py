@@ -143,3 +143,22 @@ def mechanism_oracle(law, response: str):
         return num / (num + values[tuple(idx)])
 
     return prob
+
+
+def loop_observed_law(law) -> np.ndarray:
+    """The observed law by visiting every full cell in row-major order and
+    adding its mass into the observed cell it produces."""
+    graph = law.graph
+    joint = law.joint_table()
+    names = list(joint.names)
+    indicator = {p.true: p.indicator for p in graph.pairs}
+    shape = [graph.vertex(n).levels + (n in indicator) for n in names]
+    out = np.zeros(shape, dtype=joint.values.dtype)
+    if out.dtype == object:
+        out[...] = 0
+    for idx in np.ndindex(*joint.values.shape):
+        cell = dict(zip(names, idx))
+        obs = tuple(cell[n] if n not in indicator or cell[indicator[n]] == 1
+                    else graph.vertex(n).levels for n in names)
+        out[obs] += joint.values[idx]
+    return out

@@ -7,9 +7,9 @@ import pytest
 from colluder_lab import (CategoricalLaw, DataError, Dataset, FitConfig,
                           FitError, LikelihoodModel, MissingDataGraph, Vertex,
                           VertexRole, appendix_b_pair, ccm_graph, completion_set,
-                          fit, grad_log_likelihood, log_likelihood, observed_law,
-                          population_dataset, random_law)
-from colluder_lab.simstudy import sample_dataset
+                          example_graph, fit, grad_log_likelihood, log_likelihood,
+                          observed_law, population_dataset, random_law)
+from colluder_lab.simstudy import sample_counts, sample_dataset
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -102,6 +102,34 @@ class TestDataset:
         path.write_text("X,Y,R_X,R_Y\nNA,0,NA,1\n")
         with pytest.raises(DataError, match="NA not allowed"):
             Dataset.from_csv(path, fig1b)
+
+
+class TestBind:
+    def test_dataset_from_another_graph_rejected(self):
+        data = sample_dataset(random_law(ccm_graph(2, 2), seed=35), 500, seed=36)
+        with pytest.raises(FitError, match="do not match the model graph"):
+            fit(data, ccm_graph(3, 3))
+
+    @pytest.mark.parametrize("graph", [ccm_graph(3, 3), example_graph("d", 2)])
+    def test_completions_equal_completion_set(self, graph):
+        data = sample_dataset(random_law(graph, seed=37), 3000, seed=38)
+        model = LikelihoodModel(graph)
+        bound = model.bind(data)
+        assert len(bound.patterns) > 1
+        for row, cells in zip(bound.patterns.tolist(), bound.completions):
+            want = [np.ravel_multi_index([full[n] for n in model.names], model.shape)
+                    for full in completion_set(dict(zip(data.columns, row)), graph)]
+            assert cells.tolist() == sorted(want)
+
+    def test_count_dataset_fits_like_its_records(self, fig1b):
+        law = random_law(fig1b, seed=39)
+        records = sample_dataset(law, 20_000, seed=40)
+        counts = sample_counts(law, 20_000, seed=40)
+        assert counts.n_records <= 36 and counts.total_weight == 20_000
+        config = FitConfig(restarts=2, seed=41, compute_ci=False)
+        a, b = fit(records, fig1b, config), fit(counts, fig1b, config)
+        assert np.array_equal(a.theta, b.theta)
+        assert a.log_likelihood == b.log_likelihood
 
 
 class TestLogLikelihood:
@@ -349,6 +377,18 @@ class TestFit:
             true_val = float(row[idx])
             if param.reliable:
                 assert abs(param.estimate - true_val) <= 3.5 * param.se + 1e-9
+
+    def test_converged_judges_the_best_restart_alone(self, fig1b):
+        # The restarts together take more than max_iterations, none alone does.
+        law = random_law(fig1b, seed=1)
+        data = sample_dataset(law, 1000, seed=101)
+        res = fit(data, fig1b, FitConfig(restarts=5, max_iterations=150, seed=1,
+                                         compute_ci=False))
+        assert res.iterations > 150 and res.grad_norm <= 1e-8
+        assert res.converged
+        capped = fit(data, fig1b, FitConfig(restarts=5, max_iterations=3, seed=1,
+                                            compute_ci=False))
+        assert not capped.converged
 
     def test_monotone_improvement_across_restarts(self, fig1b):
         # the reported optimum dominates every restart's own outcome

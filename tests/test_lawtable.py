@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colluder_lab import (CategoricalLaw, LawError, MissingDataGraph,
                           PositivityError, SimConstraints, Vertex, VertexRole,
                           appendix_a_law, ccm_graph, conditional, joint_probability,
                           kahan_sum, observed_law, random_law)
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
-from conftest import brute_joint_probability
+from conftest import brute_joint_probability, loop_observed_law
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -114,6 +116,51 @@ class TestObservedLaw:
         reduced_obs = observed_law(reduced)
         marg = obs.marginal(["X", "R_X"])
         assert np.allclose(marg.values, reduced_obs.values, atol=1e-14)
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to two fully observed vertices and one to two partially observed
+    pairs, 2-3 levels each, with random edges along declaration order."""
+    observed = [Vertex(f"W{i}", O, draw(st.integers(2, 3)))
+                for i in range(draw(st.integers(0, 2)))]
+    n_pairs = draw(st.integers(1, 2))
+    true = [Vertex(f"X{i}", X1, draw(st.integers(2, 3))) for i in range(n_pairs)]
+    indicators = [Vertex(f"R_X{i}", R, 2) for i in range(n_pairs)]
+    vertices = observed + true + indicators
+    names = [v.name for v in vertices]
+    edges = [(u, w) for i, u in enumerate(names) for w in names[i + 1:] if draw(st.booleans())]
+    return MissingDataGraph(vertices, edges,
+                            pairs=[(t.name, r.name) for t, r in zip(true, indicators)])
+
+
+def exact_random_law(graph, rng) -> CategoricalLaw:
+    """A strictly positive law whose CPT rows are rationals with small denominators."""
+    cpts = {}
+    for v in graph.non_proxy_vertices():
+        parents = CategoricalLaw.parent_order(graph, v.name)
+        shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
+        ticks = rng.integers(1, 20, size=shape)
+        arr = np.empty(shape, dtype=object)
+        for idx in np.ndindex(*shape):
+            arr[idx] = Fraction(int(ticks[idx]), int(ticks[idx[:-1]].sum()))
+        cpts[v.name] = arr
+    return CategoricalLaw(graph, cpts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_observed_law_float_and_exact_paths_agree(graph, seed):
+    exact = exact_random_law(graph, np.random.default_rng(seed))
+    approx = CategoricalLaw(graph, {k: v.astype(float) for k, v in exact.cpts.items()})
+    obs_exact, obs_float = observed_law(exact), observed_law(approx)
+    assert obs_exact.values.dtype == object and obs_float.values.dtype == float
+    assert np.array_equal(obs_exact.values, loop_observed_law(exact))
+    assert np.array_equal(obs_float.values, loop_observed_law(approx))
+    assert np.allclose(obs_float.values, obs_exact.values.astype(float), rtol=1e-12, atol=0)
+    assert obs_exact.total() == 1
+    assert abs(obs_float.total() - 1.0) <= 1e-12
+    assert obs_exact.consistent() and obs_float.consistent()
 
 
 class TestConditional:

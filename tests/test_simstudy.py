@@ -6,7 +6,7 @@ import pytest
 
 from colluder_lab import (CategoricalLaw, LawError, SimConstraints,
                           SimReport, SimScenario, VertexRole, ccm_graph,
-                          random_law, run_scenario, sample_dataset)
+                          random_law, run_scenario, sample_dataset, simstudy)
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 
 O = VertexRole.FULLY_OBSERVED
@@ -108,6 +108,14 @@ class TestRunScenario:
         assert json.dumps(seq.to_json(), sort_keys=True) == \
             json.dumps(par.to_json(), sort_keys=True)
 
+    @pytest.mark.skipif(not simstudy._openblas_thread_controls(),
+                        reason="no OpenBLAS thread control symbol is loaded")
+    def test_pool_workers_run_one_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(simstudy, "_run_cell", _cell_reporting_blas_threads)
+        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+        rep = run_scenario(sc, threads=2)
+        assert {v["bias"] for v in rep.per_parameter[300].values()} == {1.0}
+
     def test_quaternary_rmse_shrinks_with_sample_size(self):
         sc = SimScenario(m=4, q=4, sample_sizes=(1000, 100000), replications=3,
                          seed=10, constraints=SimConstraints(dependency_gap=0.3))
@@ -120,3 +128,11 @@ class TestRunScenario:
         rep = run_scenario(sc)
         assert rep.summary("colluder", 1000).rmse_mean >= \
             rep.summary("other", 1000).rmse_mean
+
+
+def _cell_reporting_blas_threads(scenario, n_idx, rep):
+    """Stands in for a simulation cell: every error entry is the worker's
+    largest OpenBLAS thread count."""
+    threads = max(get() for _, get in simstudy._openblas_thread_controls())
+    n_params = len(simstudy._parameter_layout(scenario.graph())[1])
+    return np.full(n_params, float(threads))
