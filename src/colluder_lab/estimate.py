@@ -1,9 +1,10 @@
 """Maximum likelihood for the categorical full law from incomplete records.
 
-The likelihood marginalizes each record over its completion set (all full
-configurations compatible with the observed values).  CPT rows are mapped to
-unconstrained parameters by exponential normalization with the first level
-pinned as reference, gradients are exact via posterior expected counts, and
+A record's probability is the mass of its observed cell: the sum of the
+full-joint cells that :func:`~colluder_lab.lawtable.coarsening_map` sends
+there (the record's completion set).  CPT rows are mapped to unconstrained
+parameters by exponential normalization with the first level pinned as
+reference, gradients are exact via posterior expected counts, and
 optimization is limited-memory quasi-Newton with a Newton polishing stage.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from string import ascii_lowercase
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,10 +19,21 @@ from scipy.optimize import minimize
 from scipy.special import ndtri
 
 from .errors import DataError, FitError
-from .lawtable import CategoricalLaw, ObservedLawTable, coarsening_map, observable_axes
+from .lawtable import (CategoricalLaw, ObservedLawTable, coarsening_map, cpt_subscripts,
+                       joint_from_cpts, observable_axes)
 from .mdgraph import MissingDataGraph, VertexRole
 
 _THETA_BOUND = 40.0
+#: A fit has converged when the final gradient norm is at most this.
+_GRAD_TOL = 1e-8
+#: Estimates this close to 0 or 1 are flagged as on the boundary.
+_BOUNDARY_TOL = 1e-6
+#: Information eigenvalues at most this fraction of the largest span the null space.
+_INFO_REL_TOL = 1e-8
+#: Coverage of the Wald intervals.
+_CI_LEVEL = 0.95
+#: At most this many Newton steps polish the best L-BFGS-B optimum.
+_POLISH_STEPS = 60
 
 
 # -- datasets -------------------------------------------------------------------
@@ -46,9 +57,11 @@ class Dataset:
         axes = observable_axes(graph)
         names = [a.name for a in axes]
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim == 1:
+        if rows.size == 0:
+            rows = rows.reshape(0, len(names))
+        elif rows.ndim == 1:
             rows = rows.reshape(1, -1)
-        if rows.size and rows.shape[1] != len(names):
+        if rows.shape[1] != len(names):
             raise DataError(f"records have {rows.shape[1]} columns, expected {len(names)}")
         if columns is not None:
             columns = list(columns)
@@ -66,7 +79,7 @@ class Dataset:
                 col[col == self.NA] = na
                 na_axis[i] = na
         for i, a in enumerate(axes):
-            col = rows[:, i] if rows.size else np.empty(0, dtype=np.int64)
+            col = rows[:, i]
             bad = np.nonzero((col < 0) | (col >= a.size))[0]
             if bad.size:
                 raise DataError(f"value {rows[bad[0], i]} out of range for column {a.name!r}",
@@ -74,13 +87,11 @@ class Dataset:
         for p in graph.pairs:
             xi = names.index(p.true)
             ri = names.index(p.indicator)
-            na = na_axis[xi]
-            if rows.size:
-                bad = np.nonzero((rows[:, xi] == na) != (rows[:, ri] == 0))[0]
-                if bad.size:
-                    raise DataError(
-                        f"inconsistent record: {p.true} must be NA exactly when {p.indicator}=0",
-                        line=int(bad[0]) + 2)
+            bad = np.nonzero((rows[:, xi] == na_axis[xi]) != (rows[:, ri] == 0))[0]
+            if bad.size:
+                raise DataError(
+                    f"inconsistent record: {p.true} must be NA exactly when {p.indicator}=0",
+                    line=int(bad[0]) + 2)
 
         if weights is None:
             weights = np.ones(len(rows))
@@ -105,14 +116,25 @@ class Dataset:
 
     def patterns(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rows in ascending order, and the summed weight of each."""
-        if not len(self.rows):
-            return self.rows, self.weights
         shape = [a.size for a in observable_axes(self.graph)]
         size = int(np.prod(shape))
         cells = np.ravel_multi_index(self.rows.T, shape)
-        present = np.flatnonzero(np.bincount(cells, minlength=size))
-        weights = np.bincount(cells, weights=self.weights, minlength=size)[present]
-        return np.stack(np.unravel_index(present, shape), axis=1), weights
+        present = np.bincount(cells, minlength=size).reshape(shape) > 0
+        weights = np.bincount(cells, weights=self.weights, minlength=size).reshape(shape)
+        return np.argwhere(present), weights[present]
+
+    @classmethod
+    def from_cell_weights(cls, graph: MissingDataGraph, weights) -> "Dataset":
+        """One record per observed cell of positive weight, in ascending cell order.
+
+        ``weights`` has one entry per cell of the observed table (the shape
+        of :func:`~colluder_lab.lawtable.observable_axes`, or flat in
+        row-major order), such as counts or probabilities.
+        """
+        weights = np.asarray(weights, dtype=float).reshape(
+            [a.size for a in observable_axes(graph)])
+        positive = weights > 0
+        return cls(graph, np.argwhere(positive), weights[positive])
 
     def permuted(self, order) -> "Dataset":
         return Dataset(self.graph, self.rows[order], self.weights[order])
@@ -184,13 +206,7 @@ class Dataset:
 
 def population_dataset(obs: ObservedLawTable) -> Dataset:
     """A weighted dataset carrying the exact observed law (one record per positive cell)."""
-    rows, weights = [], []
-    for idx in np.ndindex(*obs.values.shape):
-        p = float(obs.values[idx])
-        if p > 0.0:
-            rows.append(idx)
-            weights.append(p)
-    return Dataset(obs.graph, np.array(rows, dtype=np.int64), np.array(weights))
+    return Dataset.from_cell_weights(obs.graph, obs.values)
 
 
 def completion_set(record: Mapping[str, int], graph: MissingDataGraph) -> list[dict]:
@@ -239,16 +255,12 @@ class LikelihoodModel:
         self.pos = {n: i for i, n in enumerate(self.names)}
         self.parents = {v.name: CategoricalLaw.parent_order(graph, v.name) for v in verts}
         self.shape = tuple(self.levels)
-
-        if len(self.names) > len(ascii_lowercase):
-            raise FitError("too many vertices for the table-based likelihood")
-        letters = {n: ascii_lowercase[i] for i, n in enumerate(self.names)}
-        self._subs = [
-            "".join(letters[p] for p in self.parents[n]) + letters[n] for n in self.names
-        ]
-        all_letters = "".join(letters[n] for n in self.names)
-        self._joint_sub = ",".join(self._subs) + "->" + all_letters
+        self._subs = cpt_subscripts(graph)
+        all_letters = "".join(s[-1] for s in self._subs)
         self._count_subs = [all_letters + "->" + s for s in self._subs]
+        # The observation process: each full cell's flat observed-cell index.
+        self._cells = coarsening_map(graph).reshape(-1)
+        self._n_obs = int(np.prod([a.size for a in observable_axes(graph)]))
 
         self._blocks = []  # (name, offset, n_rows, levels, cpt_shape)
         off = 0
@@ -293,17 +305,17 @@ class LikelihoodModel:
         return CategoricalLaw(self.graph, self.theta_to_cpts(theta))
 
     def joint(self, cpts: Mapping[str, np.ndarray]) -> np.ndarray:
-        return np.einsum(self._joint_sub, *[np.asarray(cpts[n], dtype=float)
+        return joint_from_cpts(self._subs, [np.asarray(cpts[n], dtype=float)
                                             for n in self.names])
+
+    def _observed_probs(self, joint: np.ndarray) -> np.ndarray:
+        """Mass of every observed cell: the full cells the coarsening map sends there."""
+        return np.bincount(self._cells, weights=joint.reshape(-1), minlength=self._n_obs)
 
     # -- data binding ---------------------------------------------------------
 
     def bind(self, data: Dataset) -> "_BoundData":
-        """Aggregate the data into patterns, each with its completion set.
-
-        A pattern's completions are the full cells the coarsening map sends
-        to it, as ascending flat indices into the joint.
-        """
+        """Aggregate the data into patterns, each with its flat observed-cell index."""
         axes = observable_axes(self.graph)
         if observable_axes(data.graph) != axes:
             raise FitError("dataset columns, level counts or kinds do not match "
@@ -311,19 +323,14 @@ class LikelihoodModel:
         patterns, weights = data.patterns()
         if not len(patterns):
             raise FitError("empty dataset")
-        cells = coarsening_map(self.graph).reshape(-1)
-        order = np.argsort(cells, kind="stable")
-        grouped = cells[order]
-        flat = np.ravel_multi_index(patterns.T, [a.size for a in axes])
-        lo = np.searchsorted(grouped, flat, side="left")
-        hi = np.searchsorted(grouped, flat, side="right")
-        return _BoundData(patterns, weights, [order[a:b] for a, b in zip(lo, hi)])
+        cells = np.ravel_multi_index(patterns.T, [a.size for a in axes])
+        return _BoundData(patterns, weights, cells)
 
     # -- objective -------------------------------------------------------------
 
     def pattern_probs(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
-        flat = self.joint(self.theta_to_cpts(theta)).reshape(-1)
-        return np.array([flat[idx].sum() for idx in bound.completions])
+        joint = self.joint(self.theta_to_cpts(theta))
+        return self._observed_probs(joint)[bound.cells]
 
     def log_likelihood(self, theta: np.ndarray, bound: "_BoundData") -> float:
         probs = self.pattern_probs(theta, bound)
@@ -335,16 +342,14 @@ class LikelihoodModel:
     def gradient(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
         cpts = self.theta_to_cpts(theta)
         joint = self.joint(cpts)
-        flat = joint.reshape(-1)
-        scatter = np.zeros_like(flat)
-        for idx, w in zip(bound.completions, bound.weights):
-            if w == 0.0:
-                continue
-            p = flat[idx].sum()
-            if p <= 0.0:
-                raise FitError("gradient undefined: a record has probability zero")
-            scatter[idx] += w / p
-        expected = scatter.reshape(self.shape) * joint
+        mask = bound.weights > 0
+        cells = bound.cells[mask]
+        probs = self._observed_probs(joint)[cells]
+        if np.any(probs <= 0.0):
+            raise FitError("gradient undefined: a record has probability zero")
+        ratio = np.zeros(self._n_obs)
+        ratio[cells] = bound.weights[mask] / probs
+        expected = ratio[self._cells].reshape(self.shape) * joint
 
         grad = np.zeros(self.n_params)
         for (name, off, n_rows, L, cpt_shape), sub in zip(self._blocks, self._count_subs):
@@ -385,7 +390,7 @@ class LikelihoodModel:
 class _BoundData:
     patterns: np.ndarray
     weights: np.ndarray
-    completions: list[np.ndarray]
+    cells: np.ndarray  # each pattern's flat observed-cell index
 
 
 # -- module-level operations --------------------------------------------------------
@@ -411,12 +416,7 @@ class FitConfig:
     restarts: int = 5
     seed: int | None = None
     max_iterations: int = 10_000
-    grad_tol: float = 1e-8
     allow_nonidentifiable: bool = False
-    boundary_tol: float = 1e-6
-    info_rel_tol: float = 1e-8
-    ci_level: float = 0.95
-    polish_steps: int = 60
     compute_ci: bool = True
 
 
@@ -478,7 +478,7 @@ class FitResult:
         }
 
     def format_table(self, one_based: bool = False) -> str:
-        rows = [("Parameter", "Estimate", "95% CI")]
+        rows = [("Parameter", "Estimate", f"{_CI_LEVEL:.0%} CI")]
         for p in self.parameters:
             est = f"{p.estimate:.3f}"
             if not p.reliable:
@@ -499,8 +499,8 @@ class FitResult:
         return "\n".join(lines)
 
 
-def _newton_polish(model: LikelihoodModel, bound: _BoundData, theta: np.ndarray,
-                   config: FitConfig) -> tuple[np.ndarray, np.ndarray | None]:
+def _newton_polish(model: LikelihoodModel, bound: _BoundData,
+                   theta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Damped Newton steps to drive the score toward machine-level stationarity.
 
     Near the maximum the log-likelihood differences fall below float
@@ -511,10 +511,10 @@ def _newton_polish(model: LikelihoodModel, bound: _BoundData, theta: np.ndarray,
     best_ll = model.log_likelihood(theta, bound)
     ll_slack = max(1.0, abs(best_ll)) * 1e-12
     hess = None
-    for _ in range(config.polish_steps):
+    for _ in range(_POLISH_STEPS):
         g = model.gradient(theta, bound)
         gn = float(np.linalg.norm(g))
-        if gn <= config.grad_tol * 1e-2:
+        if gn <= _GRAD_TOL * 1e-2:
             break
         hess = model.hessian(theta, bound)
         # Modified Newton: reflect convex-side curvature and keep the
@@ -596,60 +596,49 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
             best = (ll, i, res)
 
     _, best_i, best_res = best
-    theta, hess = _newton_polish(model, bound, best_res.x, config)
+    theta, hess = _newton_polish(model, bound, best_res.x)
     ll = model.log_likelihood(theta, bound)
     grad = model.gradient(theta, bound)
     grad_norm = float(np.linalg.norm(grad))
     # L-BFGS-B status 1: the best restart stopped at its own iteration or
     # evaluation cap, so its optimum is unconfirmed whatever the polish did.
-    converged = grad_norm <= config.grad_tol and best_res.status != 1
+    converged = grad_norm <= _GRAD_TOL and best_res.status != 1
 
     cpts = model.theta_to_cpts(theta)
-    parameters: list[ParameterEstimate] = []
     if config.compute_ci:
         if hess is None:
             hess = model.hessian(theta, bound)
-        info = -hess
-        eigval, eigvec = np.linalg.eigh(info)
+        eigval, eigvec = np.linalg.eigh(-hess)
         lam_max = float(eigval.max(initial=0.0))
-        null_mask = eigval <= config.info_rel_tol * max(lam_max, 0.0)
+        null_mask = eigval <= _INFO_REL_TOL * max(lam_max, 0.0)
         inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))
         cov = (eigvec * inv) @ eigvec.T
-        z = float(ndtri(0.5 + config.ci_level / 2.0))
+        z = float(ndtri(0.5 + _CI_LEVEL / 2.0))
         null_vecs = eigvec[:, null_mask]
 
-        for name, given, level, off, row_i in model.parameter_coords():
-            blk = next(b for b in model._blocks if b[0] == name)
-            _, boff, n_rows, L, cpt_shape = blk
-            p_row = cpts[name].reshape(n_rows, L)[row_i]
-            est = float(p_row[level])
+    parameters: list[ParameterEstimate] = []
+    for name, given, level, off, row_i in model.parameter_coords():
+        L = cpts[name].shape[-1]
+        p_row = cpts[name].reshape(-1, L)[row_i]
+        est = float(p_row[level])
+        boundary = est <= _BOUNDARY_TOL or est >= 1.0 - _BOUNDARY_TOL
+        reliable, se, ci = not boundary, None, None
+        if config.compute_ci:
             # dp_level / dtheta_k over the row's free parameters
             dp = np.zeros(model.n_params)
             for k in range(1, L):
-                dp[boff + row_i * (L - 1) + (k - 1)] = p_row[level] * ((k == level) - p_row[k])
-            se = float(np.sqrt(max(dp @ cov @ dp, 0.0)))
-            boundary = est <= config.boundary_tol or est >= 1.0 - config.boundary_tol
+                dp[off + k - 1] = p_row[level] * ((k == level) - p_row[k])
             gnorm2 = float(dp @ dp)
             if gnorm2 == 0.0:
                 null_frac = 1.0
             else:
                 null_frac = float(((null_vecs.T @ dp) ** 2).sum()) / gnorm2
-            reliable = (not boundary) and null_frac <= 1e-6
-            ci = None
+            reliable = reliable and null_frac <= 1e-6
             if reliable:
+                se = float(np.sqrt(max(dp @ cov @ dp, 0.0)))
                 ci = (max(0.0, est - z * se), min(1.0, est + z * se))
-            parameters.append(ParameterEstimate(name, given, level, est,
-                                                se if reliable else None, ci,
-                                                boundary, reliable))
-    else:
-        for name, given, level, off, row_i in model.parameter_coords():
-            blk = next(b for b in model._blocks if b[0] == name)
-            _, boff, n_rows, L, cpt_shape = blk
-            p_row = cpts[name].reshape(n_rows, L)[row_i]
-            est = float(p_row[level])
-            boundary = est <= config.boundary_tol or est >= 1.0 - config.boundary_tol
-            parameters.append(ParameterEstimate(name, given, level, est, None, None,
-                                                boundary, not boundary))
+        parameters.append(ParameterEstimate(name, given, level, est, se, ci,
+                                            boundary, reliable))
 
     return FitResult(theta=theta, cpts=cpts, log_likelihood=ll, grad_norm=grad_norm,
                      parameters=parameters, converged=converged, iterations=total_iters,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
+from string import ascii_letters
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -113,15 +114,9 @@ class ProbabilityTable:
         """Marginal table over ``names``, in the order given."""
         keep = [self.axis(n) for n in names]
         drop = tuple(i for i in range(len(self.axes)) if i not in keep)
-        if self.values.dtype == object:
-            out = np.full([self.axes[i].size for i in keep], Fraction(0), dtype=object)
-            for idx in np.ndindex(*self.values.shape):
-                out[tuple(idx[i] for i in keep)] += self.values[idx]
-        else:
-            summed = self.values.sum(axis=drop) if drop else self.values
-            order = [k for k in keep]
-            rank = {ax: pos for pos, ax in enumerate(sorted(order))}
-            out = np.transpose(summed, [rank[k] for k in keep]) if keep else summed
+        summed = self.values.sum(axis=drop) if drop else self.values
+        rank = {ax: pos for pos, ax in enumerate(sorted(keep))}
+        out = np.transpose(summed, [rank[k] for k in keep]) if keep else summed
         return ProbabilityTable([self.axes[i] for i in keep], out)
 
     def __repr__(self) -> str:
@@ -143,14 +138,12 @@ def conditional(table: ProbabilityTable, targets: Sequence[str],
     if not conditions:
         return joint
     denom = table.marginal(conditions)
-    cshape = tuple(a.size for a in denom.axes)
-    out = np.empty_like(joint.values)
-    for cidx in np.ndindex(*cshape):
-        mass = denom.values[cidx]
-        if float(mass) < eps_pos:
-            names = {a.name: i for a, i in zip(denom.axes, cidx)}
-            raise PositivityError(f"conditioning on a null event {names}", stratum=names)
-        out[cidx] = joint.values[cidx] / mass
+    mass = denom.values
+    null = np.argwhere(mass.astype(float) < eps_pos)
+    if len(null):
+        names = {a.name: int(i) for a, i in zip(denom.axes, null[0])}
+        raise PositivityError(f"conditioning on a null event {names}", stratum=names)
+    out = joint.values / mass.reshape(mass.shape + (1,) * len(targets))
     return ProbabilityTable(joint.axes, out)
 
 
@@ -231,18 +224,9 @@ class CategoricalLaw:
     def joint_table(self) -> ProbabilityTable:
         """The full joint over non-proxy vertices, in declaration order."""
         verts = self.graph.non_proxy_vertices()
-        names = [v.name for v in verts]
-        shape = tuple(v.levels for v in verts)
-        exact = self.is_exact()
-        out = (np.full(shape, Fraction(1), dtype=object) if exact
-               else np.ones(shape, dtype=float))
-        pos = {n: i for i, n in enumerate(names)}
-        for v in verts:
-            parents = self.parent_order(self.graph, v.name)
-            cpt = self.cpts[v.name]
-            for idx in np.ndindex(*shape):
-                key = tuple(idx[pos[p]] for p in parents) + (idx[pos[v.name]],)
-                out[idx] = out[idx] * cpt[key]
+        dtype = object if self.is_exact() else float
+        out = joint_from_cpts(cpt_subscripts(self.graph),
+                              [np.asarray(self.cpts[v.name], dtype=dtype) for v in verts])
         kinds = {VertexRole.FULLY_OBSERVED: "observed",
                  VertexRole.TRUE_VARIABLE: "true",
                  VertexRole.RESPONSE_INDICATOR: "indicator"}
@@ -316,6 +300,30 @@ def joint_probability(law: CategoricalLaw, assignment: Mapping[str, int]):
         key = tuple(assignment[p] for p in parents) + (level,)
         prob = prob * law.cpts[v.name][key]
     return prob
+
+
+def cpt_subscripts(graph: MissingDataGraph) -> list[str]:
+    """einsum subscripts of each non-proxy vertex's CPT, in declaration order.
+
+    Each vertex has one letter; a CPT's subscript is its parents' letters in
+    :meth:`CategoricalLaw.parent_order`, then its own.
+    """
+    names = [v.name for v in graph.non_proxy_vertices()]
+    if len(names) > len(ascii_letters):
+        raise LawError(f"{len(names)} vertices exceed the {len(ascii_letters)} einsum "
+                       f"subscripts of the table-based joint")
+    letters = dict(zip(names, ascii_letters))
+    return ["".join(letters[p] for p in CategoricalLaw.parent_order(graph, n)) + letters[n]
+            for n in names]
+
+
+def joint_from_cpts(subscripts: Sequence[str], cpts: Sequence[np.ndarray]) -> np.ndarray:
+    """The full joint as the product of the CPTs, one einsum over :func:`cpt_subscripts`.
+
+    Each cell multiplies its CPT entries in vertex order, for float and for
+    object (``Fraction``) arrays alike, so exact laws stay exact.
+    """
+    return np.einsum(",".join(subscripts) + "->" + "".join(s[-1] for s in subscripts), *cpts)
 
 
 def coarsening_map(graph: MissingDataGraph) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ColluderLabError, LawError
-from .estimate import Dataset, FitConfig, LikelihoodModel, fit
+from .estimate import Dataset, FitConfig, LikelihoodModel, ParameterEstimate, fit
 from .fixtures import ccm_graph
 from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map, observable_axes,
                        random_law)
@@ -31,20 +31,14 @@ def _full_counts(law: CategoricalLaw, n: int, rng: np.random.Generator) -> np.nd
     return rng.multinomial(n, probs / probs.sum())
 
 
-def _observed_rows(cells: np.ndarray, graph: MissingDataGraph) -> np.ndarray:
-    """Records, one per flat observed-cell index."""
-    shape = [a.size for a in observable_axes(graph)]
-    return np.stack(np.unravel_index(cells, shape), axis=1)
-
-
 def sample_dataset(law: CategoricalLaw, n: int, seed=None) -> Dataset:
     """Draw ``n`` i.i.d. records by forward sampling and masking the proxies."""
     rng = np.random.default_rng(seed)
     counts = _full_counts(law, n, rng)
-    observed = _observed_rows(coarsening_map(law.graph).reshape(-1), law.graph)
-    rows = np.repeat(observed, counts, axis=0)
-    rng.shuffle(rows, axis=0)
-    return Dataset(law.graph, rows)
+    cells = np.repeat(coarsening_map(law.graph).reshape(-1), counts)
+    rng.shuffle(cells)
+    shape = [a.size for a in observable_axes(law.graph)]
+    return Dataset(law.graph, np.stack(np.unravel_index(cells, shape), axis=1))
 
 
 def sample_counts(law: CategoricalLaw, n: int, seed=None) -> Dataset:
@@ -55,9 +49,10 @@ def sample_counts(law: CategoricalLaw, n: int, seed=None) -> Dataset:
     records, without building them.
     """
     counts = _full_counts(law, n, np.random.default_rng(seed))
-    cells = np.bincount(coarsening_map(law.graph).reshape(-1), weights=counts)
-    seen = np.flatnonzero(cells)
-    return Dataset(law.graph, _observed_rows(seen, law.graph), cells[seen])
+    shape = [a.size for a in observable_axes(law.graph)]
+    cells = np.bincount(coarsening_map(law.graph).reshape(-1), weights=counts,
+                        minlength=int(np.prod(shape)))
+    return Dataset.from_cell_weights(law.graph, cells)
 
 
 @dataclass(frozen=True)
@@ -106,35 +101,20 @@ class SimScenario:
         return cls(**kwargs)
 
 
-def _parameter_layout(graph: MissingDataGraph):
-    """Reported probabilities with labels and colluder/other group membership."""
-    model = LikelihoodModel(graph)
+def _parameter_layout(graph: MissingDataGraph) -> list[tuple[str, str, str]]:
+    """The probabilities a fit reports, in its order: (vertex, colluder/other group, label)."""
     coords = []
-    for name, given, level, _, row_i in model.parameter_coords():
-        role = graph.vertex(name).role
-        group = ("colluder" if role is VertexRole.RESPONSE_INDICATOR and given
-                 else "other")
-        if role is VertexRole.RESPONSE_INDICATOR:
-            head = f"p({name}=1"
-        else:
-            head = f"p({name}={level}"
-        label = head + (f" | {', '.join(f'{n}={v}' for n, v in given)})" if given else ")")
-        coords.append((name, given, level, row_i, group, label))
-    return model, coords
-
-
-def _probs_at(model: LikelihoodModel, cpts, coords) -> np.ndarray:
-    out = np.empty(len(coords))
-    for i, (name, _given, level, row_i, _group, _label) in enumerate(coords):
-        L = cpts[name].shape[-1]
-        out[i] = float(np.asarray(cpts[name], dtype=float).reshape(-1, L)[row_i, level])
-    return out
+    for name, given, level, _, _ in LikelihoodModel(graph).parameter_coords():
+        indicator = graph.vertex(name).role is VertexRole.RESPONSE_INDICATOR
+        # Only the label is read; the estimate fields are placeholders.
+        label = ParameterEstimate(name, given, level, np.nan, None, None, False, False).label()
+        coords.append((name, "colluder" if indicator and given else "other", label))
+    return coords
 
 
 def _run_cell(scenario: SimScenario, n_idx: int, rep: int):
     """One replication at one sample size; returns the error vector or None."""
     graph = scenario.graph()
-    model, coords = _parameter_layout(graph)
     ss = np.random.SeedSequence((scenario.seed, n_idx, rep))
     law_seed, data_seed, fit_seed = ss.spawn(3)
     law = random_law(graph, scenario.constraints, law_seed)
@@ -144,8 +124,9 @@ def _run_cell(scenario: SimScenario, n_idx: int, rep: int):
     result = fit(data, graph, config)
     if not result.converged:
         return None
-    truth = _probs_at(model, law.cpts, coords)
-    est = _probs_at(model, result.cpts, coords)
+    est = np.array([p.estimate for p in result.parameters])
+    truth = np.array([float(law.cpts[p.vertex][tuple(v for _, v in p.given) + (p.level,)])
+                      for p in result.parameters])
     return est - truth
 
 
@@ -266,9 +247,9 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     converge.
     """
     graph = scenario.graph()
-    _, coords = _parameter_layout(graph)
-    labels = [c[5] for c in coords]
-    groups = [c[4] for c in coords]
+    coords = _parameter_layout(graph)
+    groups = [c[1] for c in coords]
+    labels = [c[2] for c in coords]
 
     cells = [(n_idx, rep) for n_idx in range(len(scenario.sample_sizes))
              for rep in range(scenario.replications)]
@@ -284,7 +265,7 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     per_parameter: dict = {}
     failures: dict = {}
     group_label = {
-        g: ", ".join(sorted({_vertex_label(graph, c[0]) for c in coords if c[4] == g}))
+        g: ", ".join(sorted({_vertex_label(graph, c[0]) for c in coords if c[1] == g}))
         for g in ("colluder", "other")
     }
     for n_idx, n in enumerate(scenario.sample_sizes):

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from colluder_lab import MissingDataGraph, Vertex, VertexRole, ccm_graph
+from colluder_lab import CategoricalLaw, MissingDataGraph, Vertex, VertexRole, ccm_graph
 
 
 @pytest.fixture
@@ -162,3 +165,37 @@ def loop_observed_law(law) -> np.ndarray:
                     else graph.vertex(n).levels for n in names)
         out[obs] += joint.values[idx]
     return out
+
+
+# -- random small graphs and exact laws ----------------------------------------------
+
+
+@st.composite
+def small_graphs(draw):
+    """Up to two fully observed vertices and one to two partially observed
+    pairs, 2-3 levels each, with random edges along declaration order."""
+    observed = [Vertex(f"W{i}", VertexRole.FULLY_OBSERVED, draw(st.integers(2, 3)))
+                for i in range(draw(st.integers(0, 2)))]
+    n_pairs = draw(st.integers(1, 2))
+    true = [Vertex(f"X{i}", VertexRole.TRUE_VARIABLE, draw(st.integers(2, 3)))
+            for i in range(n_pairs)]
+    indicators = [Vertex(f"R_X{i}", VertexRole.RESPONSE_INDICATOR, 2) for i in range(n_pairs)]
+    vertices = observed + true + indicators
+    names = [v.name for v in vertices]
+    edges = [(u, w) for i, u in enumerate(names) for w in names[i + 1:] if draw(st.booleans())]
+    return MissingDataGraph(vertices, edges,
+                            pairs=[(t.name, r.name) for t, r in zip(true, indicators)])
+
+
+def exact_random_law(graph, rng) -> CategoricalLaw:
+    """A strictly positive law whose CPT rows are rationals with small denominators."""
+    cpts = {}
+    for v in graph.non_proxy_vertices():
+        parents = CategoricalLaw.parent_order(graph, v.name)
+        shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
+        ticks = rng.integers(1, 20, size=shape)
+        arr = np.empty(shape, dtype=object)
+        for idx in np.ndindex(*shape):
+            arr[idx] = Fraction(int(ticks[idx]), int(ticks[idx[:-1]].sum()))
+        cpts[v.name] = arr
+    return CategoricalLaw(graph, cpts)

@@ -3,13 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colluder_lab import (CategoricalLaw, DataError, Dataset, FitConfig,
                           FitError, LikelihoodModel, MissingDataGraph, Vertex,
                           VertexRole, appendix_b_pair, ccm_graph, completion_set,
                           example_graph, fit, grad_log_likelihood, log_likelihood,
-                          observed_law, population_dataset, random_law)
+                          observable_axes, observed_law, population_dataset, random_law)
+from colluder_lab.lawtable import coarsening_map
 from colluder_lab.simstudy import sample_counts, sample_dataset
+from conftest import exact_random_law, small_graphs
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -112,14 +116,20 @@ class TestBind:
 
     @pytest.mark.parametrize("graph", [ccm_graph(3, 3), example_graph("d", 2)])
     def test_completions_equal_completion_set(self, graph):
-        data = sample_dataset(random_law(graph, seed=37), 3000, seed=38)
+        # The full cells the coarsening map sends to each observed cell are
+        # that record's completion set; records with an NA that disagrees
+        # with their indicator have none.
         model = LikelihoodModel(graph)
-        bound = model.bind(data)
-        assert len(bound.patterns) > 1
-        for row, cells in zip(bound.patterns.tolist(), bound.completions):
+        axes = observable_axes(graph)
+        cells = coarsening_map(graph).reshape(-1)
+        for obs, row in enumerate(np.ndindex(*[a.size for a in axes])):
+            record = dict(zip([a.name for a in axes], row))
+            consistent = all(
+                (record[p.true] == graph.vertex(p.true).levels) == (record[p.indicator] == 0)
+                for p in graph.pairs)
             want = [np.ravel_multi_index([full[n] for n in model.names], model.shape)
-                    for full in completion_set(dict(zip(data.columns, row)), graph)]
-            assert cells.tolist() == sorted(want)
+                    for full in completion_set(record, graph)] if consistent else []
+            assert np.flatnonzero(cells == obs).tolist() == sorted(want)
 
     def test_count_dataset_fits_like_its_records(self, fig1b):
         law = random_law(fig1b, seed=39)
@@ -178,23 +188,34 @@ class TestLogLikelihood:
             assert log_likelihood(theta + delta, data, fig1b) < base + 1e-12
 
     def test_zero_probability_record_flagged(self, fig1b):
-        law = CategoricalLaw(fig1b, {
-            "X": np.array([1.0, 0.0]),
-            "Y": np.array([[0.5, 0.5], [0.5, 0.5]]),
-            "R_X": np.array([0.5, 0.5]),
-            "R_Y": np.full((2, 2, 2), 0.5),
-        })
         data = Dataset(fig1b, [[1, 0, 1, 1]])
         model = LikelihoodModel(fig1b)
-        # theta cannot represent the boundary law; evaluate the joint directly
         bound = model.bind(data)
-        flat = model.joint(law.cpts).reshape(-1)
-        assert flat[bound.completions[0]].sum() == 0.0
+        # A logit beyond exp's underflow gives p(X=1) exactly 0.
+        theta = np.zeros(model.n_params)
+        theta[next(c[3] for c in model.parameter_coords() if c[0] == "X")] = -800.0
+        assert model.pattern_probs(theta, bound)[0] == 0.0
+        assert model.log_likelihood(theta, bound) == -np.inf
+        with pytest.raises(FitError, match="probability zero"):
+            model.gradient(theta, bound)
         assert log_likelihood(np.full(model.n_params, -30.0), data, fig1b) < -80
 
 
+@settings(max_examples=40, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_pattern_probs_reproduce_the_observed_law(graph, seed):
+    exact = exact_random_law(graph, np.random.default_rng(seed))
+    law = CategoricalLaw(graph, {k: v.astype(float) for k, v in exact.cpts.items()})
+    obs = observed_law(law)
+    model = LikelihoodModel(graph)
+    bound = model.bind(population_dataset(obs))
+    probs = model.pattern_probs(model.cpts_to_theta(law.cpts), bound)
+    assert np.allclose(probs, obs.values[tuple(bound.patterns.T)], rtol=0, atol=1e-12)
+    assert abs(probs.sum() - 1.0) <= 1e-12
+
+
 class TestGradient:
-    @pytest.mark.parametrize("mq", [(2, 2), (3, 3)])
+    @pytest.mark.parametrize("mq", [(2, 2), (3, 3), (4, 4)])
     def test_matches_finite_differences(self, mq):
         g = ccm_graph(*mq)
         model = LikelihoodModel(g)
@@ -290,8 +311,11 @@ class TestFit:
         assert res.converged
 
     def test_empty_dataset_rejected(self, fig1b):
-        with pytest.raises(FitError, match="empty"):
-            fit(Dataset(fig1b, np.empty((0, 4), dtype=np.int64)), fig1b)
+        for rows in (np.empty((0, 4), dtype=np.int64), []):
+            data = Dataset(fig1b, rows)
+            assert data.rows.shape == (0, 4)
+            with pytest.raises(FitError, match="empty dataset"):
+                fit(data, fig1b)
 
     def test_nonidentifiable_graph_needs_flag(self):
         g = ccm_graph(3, 2)

@@ -11,7 +11,8 @@ from colluder_lab import (CategoricalLaw, LawError, MissingDataGraph,
                           appendix_a_law, ccm_graph, conditional, joint_probability,
                           kahan_sum, observed_law, random_law)
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
-from conftest import brute_joint_probability, loop_observed_law
+from conftest import (brute_joint_probability, exact_random_law, loop_observed_law,
+                      small_graphs)
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -116,36 +117,6 @@ class TestObservedLaw:
         reduced_obs = observed_law(reduced)
         marg = obs.marginal(["X", "R_X"])
         assert np.allclose(marg.values, reduced_obs.values, atol=1e-14)
-
-
-@st.composite
-def small_graphs(draw):
-    """Up to two fully observed vertices and one to two partially observed
-    pairs, 2-3 levels each, with random edges along declaration order."""
-    observed = [Vertex(f"W{i}", O, draw(st.integers(2, 3)))
-                for i in range(draw(st.integers(0, 2)))]
-    n_pairs = draw(st.integers(1, 2))
-    true = [Vertex(f"X{i}", X1, draw(st.integers(2, 3))) for i in range(n_pairs)]
-    indicators = [Vertex(f"R_X{i}", R, 2) for i in range(n_pairs)]
-    vertices = observed + true + indicators
-    names = [v.name for v in vertices]
-    edges = [(u, w) for i, u in enumerate(names) for w in names[i + 1:] if draw(st.booleans())]
-    return MissingDataGraph(vertices, edges,
-                            pairs=[(t.name, r.name) for t, r in zip(true, indicators)])
-
-
-def exact_random_law(graph, rng) -> CategoricalLaw:
-    """A strictly positive law whose CPT rows are rationals with small denominators."""
-    cpts = {}
-    for v in graph.non_proxy_vertices():
-        parents = CategoricalLaw.parent_order(graph, v.name)
-        shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
-        ticks = rng.integers(1, 20, size=shape)
-        arr = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape):
-            arr[idx] = Fraction(int(ticks[idx]), int(ticks[idx[:-1]].sum()))
-        cpts[v.name] = arr
-    return CategoricalLaw(graph, cpts)
 
 
 @settings(max_examples=40, deadline=None)

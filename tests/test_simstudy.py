@@ -134,5 +134,5 @@ def _cell_reporting_blas_threads(scenario, n_idx, rep):
     """Stands in for a simulation cell: every error entry is the worker's
     largest OpenBLAS thread count."""
     threads = max(get() for _, get in simstudy._openblas_thread_controls())
-    n_params = len(simstudy._parameter_layout(scenario.graph())[1])
+    n_params = len(simstudy._parameter_layout(scenario.graph()))
     return np.full(n_params, float(threads))
