@@ -22,7 +22,7 @@ from .identify import (BinaryColluderQuantities, ColluderSystem,
                        enumerate_strata, or_factorization_check,
                        quantities_from_observed, rank_test, solve_colluder)
 from .lawtable import (Axis, CategoricalLaw, ObservedLawTable, ProbabilityTable,
-                       SimConstraints, conditional, joint_probability, kahan_sum,
+                       SimConstraints, conditional, joint_probability,
                        observable_axes, observed_law, random_law)
 from .mdgraph import (CONTINUOUS, Colluder, MissingDataGraph, ValidationReport,
                       Vertex, VertexRole, find_colluders, find_self_censoring,

@@ -4,19 +4,20 @@ A record's probability is the mass of its observed cell: the sum of the
 full-joint cells that :func:`~colluder_lab.lawtable.coarsening_map` sends
 there (the record's completion set).  CPT rows are mapped to unconstrained
 parameters by exponential normalization with the first level pinned as
-reference, gradients are exact via posterior expected counts, and
-optimization is limited-memory quasi-Newton with a Newton polishing stage.
+reference.  Derivatives are exact: the score sums each full cell's
+complete-data score over its expected count given the data, and the Hessian
+follows from Louis's identity.  Every start is fitted by damped modified
+Newton on that Hessian.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtri
 
 from .errors import DataError, FitError
 from .lawtable import (CategoricalLaw, ObservedLawTable, coarsening_map, cpt_subscripts,
@@ -32,8 +33,6 @@ _BOUNDARY_TOL = 1e-6
 _INFO_REL_TOL = 1e-8
 #: Coverage of the Wald intervals.
 _CI_LEVEL = 0.95
-#: At most this many Newton steps polish the best L-BFGS-B optimum.
-_POLISH_STEPS = 60
 
 
 # -- datasets -------------------------------------------------------------------
@@ -256,23 +255,34 @@ class LikelihoodModel:
         self.parents = {v.name: CategoricalLaw.parent_order(graph, v.name) for v in verts}
         self.shape = tuple(self.levels)
         self._subs = cpt_subscripts(graph)
-        all_letters = "".join(s[-1] for s in self._subs)
-        self._count_subs = [all_letters + "->" + s for s in self._subs]
         # The observation process: each full cell's flat observed-cell index.
         self._cells = coarsening_map(graph).reshape(-1)
         self._n_obs = int(np.prod([a.size for a in observable_axes(graph)]))
 
+        # Complete-data score layout.  Full cell x scores 1[pa(x) = r](1[x_v = l] - p_vrl)
+        # on parameter (v, r, l): its score row is level_hits[x] - row_hits[x] * p.
+        full = np.indices(self.shape).reshape(len(self.shape), -1)
         self._blocks = []  # (name, offset, n_rows, levels, cpt_shape)
-        off = 0
+        level_hits, row_hits, row_of = [], [], []  # row_of: each parameter's CPT row
+        off = rows = 0
         for n in self.names:
-            L = self.levels[self.pos[n]]
-            n_rows = 1
-            for p in self.parents[n]:
-                n_rows *= graph.vertex(p).levels
-            cpt_shape = tuple(graph.vertex(p).levels for p in self.parents[n]) + (L,)
+            cpt_shape = tuple(graph.vertex(p).levels for p in self.parents[n]) + (
+                self.levels[self.pos[n]],)
+            L, n_rows = cpt_shape[-1], int(np.prod(cpt_shape[:-1]))
             self._blocks.append((n, off, n_rows, L, cpt_shape))
-            off += n_rows * (L - 1)
+            row, level = np.divmod(np.ravel_multi_index(
+                [full[self.pos[p]] for p in self.parents[n] + (n,)], cpt_shape), L)
+            free = np.arange(n_rows * (L - 1))  # this vertex's parameters
+            level_hits.append(np.where(level > 0, row * (L - 1) + level - 1, -1)[:, None]
+                              == free)
+            row_hits.append(row[:, None] == free // (L - 1))
+            row_of.append(rows + free // (L - 1))
+            off, rows = off + n_rows * (L - 1), rows + n_rows
         self.n_params = off
+        self._level_hits = np.hstack(level_hits, dtype=float)
+        self._row_hits = np.hstack(row_hits, dtype=float)
+        row_of = np.concatenate(row_of)
+        self._same_row = np.equal.outer(row_of, row_of)
 
     # -- parameter transform ------------------------------------------------
 
@@ -333,44 +343,58 @@ class LikelihoodModel:
         return self._observed_probs(joint)[bound.cells]
 
     def log_likelihood(self, theta: np.ndarray, bound: "_BoundData") -> float:
+        """Weighted log-likelihood; -inf when a weighted record has probability zero.
+
+        The line search rejects such points by their -inf value, while
+        :meth:`gradient` and :meth:`hessian` raise :class:`FitError` there.
+        """
         probs = self.pattern_probs(theta, bound)
         mask = bound.weights > 0
         if np.any(probs[mask] <= 0.0):
             return -np.inf
         return float(np.dot(bound.weights[mask], np.log(probs[mask])))
 
-    def gradient(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
+    def _posterior(self, theta: np.ndarray, bound: "_BoundData"):
+        """Free-level probabilities, the flat joint, observed-cell masses and the
+        expected count of every full cell given the data."""
         cpts = self.theta_to_cpts(theta)
-        joint = self.joint(cpts)
+        joint = self.joint(cpts).reshape(-1)
+        mass = self._observed_probs(joint)
         mask = bound.weights > 0
         cells = bound.cells[mask]
-        probs = self._observed_probs(joint)[cells]
-        if np.any(probs <= 0.0):
-            raise FitError("gradient undefined: a record has probability zero")
+        if np.any(mass[cells] <= 0.0):
+            raise FitError("derivatives undefined: a record has probability zero")
         ratio = np.zeros(self._n_obs)
-        ratio[cells] = bound.weights[mask] / probs
-        expected = ratio[self._cells].reshape(self.shape) * joint
+        ratio[cells] = bound.weights[mask] / mass[cells]
+        p = np.concatenate([cpts[name].reshape(n_rows, L)[:, 1:].reshape(-1)
+                            for name, off, n_rows, L, cpt_shape in self._blocks])
+        return p, joint, mass, ratio[self._cells] * joint
 
-        grad = np.zeros(self.n_params)
-        for (name, off, n_rows, L, cpt_shape), sub in zip(self._blocks, self._count_subs):
-            counts = np.einsum(sub, expected).reshape(n_rows, L)
-            probs = np.asarray(cpts[name], dtype=float).reshape(n_rows, L)
-            row_tot = counts.sum(axis=1, keepdims=True)
-            g = counts[:, 1:] - row_tot * probs[:, 1:]
-            grad[off:off + n_rows * (L - 1)] = g.reshape(-1)
-        return grad
+    def gradient(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
+        """Exact score: the complete-data score summed over expected full-cell counts.
 
-    def hessian(self, theta: np.ndarray, bound: "_BoundData", step: float = 1e-5) -> np.ndarray:
-        """Central finite differences of the analytic gradient (symmetrized)."""
-        k = self.n_params
-        H = np.zeros((k, k))
-        for i in range(k):
-            h = step * max(1.0, abs(theta[i]))
-            up, dn = theta.copy(), theta.copy()
-            up[i] += h
-            dn[i] -= h
-            H[i] = (self.gradient(up, bound) - self.gradient(dn, bound)) / (2 * h)
-        return (H + H.T) / 2.0
+        Raises :class:`FitError` when a weighted record has probability zero.
+        """
+        p, _, _, expected = self._posterior(theta, bound)
+        return self._level_hits.T @ expected - (self._row_hits.T @ expected) * p
+
+    def hessian(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
+        """Exact second derivatives by Louis's identity.
+
+        The observed information is the expected complete-data information
+        minus the complete-data score's covariance within each observed cell,
+        both taken over the full cells' expected counts.  Raises
+        :class:`FitError` when a weighted record has probability zero.
+        """
+        p, joint, mass, expected = self._posterior(theta, bound)
+        score = self._level_hits - self._row_hits * p
+        cell_score = np.zeros((self._n_obs, self.n_params))
+        np.add.at(cell_score, self._cells, joint[:, None] * score)
+        cell_score /= np.where(mass > 0.0, mass, 1.0)[:, None]
+        centered = (score - cell_score[self._cells]) * np.sqrt(expected)[:, None]
+        row_counts = self._row_hits.T @ expected
+        info = np.diag(row_counts * p) - self._same_row * (row_counts[:, None] * np.outer(p, p))
+        return centered.T @ centered - info
 
     # -- labels ------------------------------------------------------------------
 
@@ -415,7 +439,7 @@ def grad_log_likelihood(theta: np.ndarray, data: Dataset, graph: MissingDataGrap
 class FitConfig:
     restarts: int = 5
     seed: int | None = None
-    max_iterations: int = 10_000
+    max_iterations: int = 10_000  # Newton steps per start
     allow_nonidentifiable: bool = False
     compute_ci: bool = True
 
@@ -499,54 +523,50 @@ class FitResult:
         return "\n".join(lines)
 
 
-def _newton_polish(model: LikelihoodModel, bound: _BoundData,
-                   theta: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Damped Newton steps to drive the score toward machine-level stationarity.
+def _newton(model: LikelihoodModel, bound: _BoundData, theta: np.ndarray,
+            max_steps: int) -> tuple[np.ndarray, int, bool]:
+    """Damped modified Newton ascent from one start.
 
-    Near the maximum the log-likelihood differences fall below float
-    resolution, so steps are also accepted when they clearly contract the
-    gradient without losing likelihood beyond rounding.
+    Returns the final point, the number of steps taken, and whether the step
+    cap stopped the ascent.  Near the maximum the log-likelihood differences
+    fall below float resolution, so steps are also accepted when they
+    clearly contract the gradient without losing likelihood beyond rounding.
     """
-    theta = theta.copy()
     best_ll = model.log_likelihood(theta, bound)
     ll_slack = max(1.0, abs(best_ll)) * 1e-12
-    hess = None
-    for _ in range(_POLISH_STEPS):
+    steps = 0
+    while True:
         g = model.gradient(theta, bound)
         gn = float(np.linalg.norm(g))
         if gn <= _GRAD_TOL * 1e-2:
-            break
-        hess = model.hessian(theta, bound)
+            return theta, steps, False
+        if steps == max_steps:
+            return theta, steps, True
         # Modified Newton: reflect convex-side curvature and keep the
         # magnitude of flat eigenvalues, so saddle and ridge directions still
         # yield ascent steps sized by the actual curvature; cap the step so
-        # backtracking starts from a sane trust region.
-        evals, evecs = np.linalg.eigh(hess)
-        floor = max(1e-10 * float(np.abs(evals).max(initial=0.0)), 1e-14)
-        stabilized = -np.maximum(np.abs(evals), floor)
-        step = -evecs @ ((evecs.T @ g) / stabilized)
+        # backtracking starts from a sane trust region, which also bounds
+        # the steps along flat directions.
+        evals, evecs = np.linalg.eigh(model.hessian(theta, bound))
+        floor = max(1e-15 * float(np.abs(evals).max(initial=0.0)), np.finfo(float).tiny)
+        step = evecs @ ((evecs.T @ g) / np.maximum(np.abs(evals), floor))
         if not np.all(np.isfinite(step)):
-            break
+            return theta, steps, False
         big = float(np.abs(step).max())
         if big > 4.0:
             step *= 4.0 / big
-        accepted = False
-        scale = 1.0
         for _ in range(30):
-            cand = np.clip(theta + scale * step, -_THETA_BOUND, _THETA_BOUND)
+            cand = np.clip(theta + step, -_THETA_BOUND, _THETA_BOUND)
             ll = model.log_likelihood(cand, bound)
-            if ll > best_ll + ll_slack:
-                theta, best_ll, accepted = cand, ll, True
+            if ll > best_ll + ll_slack or (
+                    ll >= best_ll - ll_slack
+                    and float(np.linalg.norm(model.gradient(cand, bound))) < 0.97 * gn):
+                theta, best_ll = cand, max(best_ll, ll)
                 break
-            if ll >= best_ll - ll_slack and np.isfinite(ll):
-                cand_gn = float(np.linalg.norm(model.gradient(cand, bound)))
-                if cand_gn < 0.97 * gn:
-                    theta, best_ll, accepted = cand, max(best_ll, ll), True
-                    break
-            scale *= 0.5
-        if not accepted:
-            break
-    return theta, hess
+            step *= 0.5
+        else:
+            return theta, steps, False
+        steps += 1
 
 
 def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None) -> FitResult:
@@ -582,38 +602,25 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
     best = None
     total_iters = 0
     for i, start in enumerate(starts):
-        res = minimize(
-            lambda t: -model.log_likelihood(t, bound),
-            start,
-            jac=lambda t: -model.gradient(t, bound),
-            method="L-BFGS-B",
-            bounds=[(-_THETA_BOUND, _THETA_BOUND)] * model.n_params,
-            options={"maxiter": config.max_iterations, "ftol": 1e-16, "gtol": 1e-10},
-        )
-        total_iters += int(res.nit)
-        ll = -float(res.fun)
+        theta, steps, capped = _newton(model, bound, start, config.max_iterations)
+        total_iters += steps
+        ll = model.log_likelihood(theta, bound)
         if best is None or ll > best[0]:
-            best = (ll, i, res)
+            best = (ll, i, theta, capped)
 
-    _, best_i, best_res = best
-    theta, hess = _newton_polish(model, bound, best_res.x)
-    ll = model.log_likelihood(theta, bound)
-    grad = model.gradient(theta, bound)
-    grad_norm = float(np.linalg.norm(grad))
-    # L-BFGS-B status 1: the best restart stopped at its own iteration or
-    # evaluation cap, so its optimum is unconfirmed whatever the polish did.
-    converged = grad_norm <= _GRAD_TOL and best_res.status != 1
+    ll, best_i, theta, capped = best
+    grad_norm = float(np.linalg.norm(model.gradient(theta, bound)))
+    # A best start stopped by its step cap has an unconfirmed optimum.
+    converged = grad_norm <= _GRAD_TOL and not capped
 
     cpts = model.theta_to_cpts(theta)
     if config.compute_ci:
-        if hess is None:
-            hess = model.hessian(theta, bound)
-        eigval, eigvec = np.linalg.eigh(-hess)
+        eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
         lam_max = float(eigval.max(initial=0.0))
         null_mask = eigval <= _INFO_REL_TOL * max(lam_max, 0.0)
         inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))
         cov = (eigvec * inv) @ eigvec.T
-        z = float(ndtri(0.5 + _CI_LEVEL / 2.0))
+        z = NormalDist().inv_cdf(0.5 + _CI_LEVEL / 2.0)
         null_vecs = eigvec[:, null_mask]
 
     parameters: list[ParameterEstimate] = []

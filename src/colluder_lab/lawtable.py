@@ -1,19 +1,20 @@
 """Categorical full laws, exact observed-data tables, and random law generation.
 
 Tables are dense multidimensional arrays in row-major level order; the NA
-state of a proxy is its last level.  Float tables use Kahan-compensated
-summation for totals; tables holding ``fractions.Fraction`` entries (object
+state of a proxy is its last level.  Float totals are correctly rounded
+(``math.fsum``); tables holding ``fractions.Fraction`` entries (object
 dtype) are summed exactly, which the appendix constructions rely on.  Laws
 and tables are immutable value objects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from string import ascii_letters
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,23 +27,11 @@ EPS_POS = 1e-12
 _ROW_SUM_TOL = 1e-12
 
 
-def kahan_sum(values: Iterable[float]) -> float:
-    """Compensated summation of a float iterable."""
-    total = 0.0
-    c = 0.0
-    for v in values:
-        y = float(v) - c
-        t = total + y
-        c = (t - total) - y
-        total = t
-    return total
-
-
 def table_total(values: np.ndarray):
-    """Total mass of a table: Kahan for floats, exact sum for object arrays."""
+    """Total mass of a table: correctly rounded for floats, exact for object arrays."""
     if values.dtype == object:
         return sum(values.flat, start=Fraction(0))
-    return kahan_sum(values.flat)
+    return math.fsum(values.flat)
 
 
 @dataclass(frozen=True)
@@ -195,7 +184,7 @@ class CategoricalLaw:
                     f"(parents {parents} in declaration order)")
             flat_rows = arr.reshape(-1, v.levels)
             for row in flat_rows:
-                s = sum(row, start=Fraction(0)) if arr.dtype == object else kahan_sum(row)
+                s = sum(row, start=Fraction(0)) if arr.dtype == object else math.fsum(row)
                 if abs(float(s) - 1.0) > _ROW_SUM_TOL:
                     raise LawError(f"CPT row for {v.name!r} sums to {float(s)!r}, not 1")
                 if any(float(x) < 0 or float(x) > 1 for x in row):

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import colluder_lab
 from colluder_lab import (Dataset, ccm_graph, example_graph, observed_law,
                           random_law)
 from colluder_lab.cli import main
@@ -211,3 +215,12 @@ class TestUsage:
 
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
+
+
+def test_cli_imports_no_scipy():
+    src = str(Path(colluder_lab.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import colluder_lab.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

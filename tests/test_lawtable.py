@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from colluder_lab import (CategoricalLaw, LawError, MissingDataGraph,
                           PositivityError, SimConstraints, Vertex, VertexRole,
                           appendix_a_law, ccm_graph, conditional, joint_probability,
-                          kahan_sum, observed_law, random_law)
+                          observed_law, random_law)
+from colluder_lab.lawtable import table_total
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 from conftest import (brute_joint_probability, exact_random_law, loop_observed_law,
                       small_graphs)
@@ -280,6 +281,6 @@ class TestSerialization:
                            np.asarray(law.cpts["R_Y"], float))
 
 
-def test_kahan_sum_beats_naive():
-    values = [1.0] + [1e-16] * 10000
-    assert kahan_sum(values) == pytest.approx(1.0 + 1e-12, abs=1e-18)
+def test_table_total_beats_naive():
+    values = np.array([1.0] + [1e-16] * 10000)
+    assert table_total(values) == pytest.approx(1.0 + 1e-12, abs=1e-18)
