@@ -20,12 +20,18 @@ class LawError(ColluderLabError):
 
 
 class DataError(ColluderLabError):
-    """A dataset (CSV or in-memory records) is malformed or inconsistent."""
+    """A dataset (CSV or in-memory records) is malformed or inconsistent.
 
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
+    ``reason`` is the message without its location; ``row`` is the index of
+    the offending in-memory record and ``line`` its line in a file.
+    """
+
+    def __init__(self, message: str, line: int | None = None, row: int | None = None):
+        self.reason, self.line, self.row = message, line, row
         if line is not None:
             message = f"{message} (line {line})"
+        elif row is not None:
+            message = f"{message} (record {row})"
         super().__init__(message)
 
 

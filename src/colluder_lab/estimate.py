@@ -82,7 +82,7 @@ class Dataset:
             bad = np.nonzero((col < 0) | (col >= a.size))[0]
             if bad.size:
                 raise DataError(f"value {rows[bad[0], i]} out of range for column {a.name!r}",
-                                line=int(bad[0]) + 2)
+                                row=int(bad[0]))
         for p in graph.pairs:
             xi = names.index(p.true)
             ri = names.index(p.indicator)
@@ -90,7 +90,7 @@ class Dataset:
             if bad.size:
                 raise DataError(
                     f"inconsistent record: {p.true} must be NA exactly when {p.indicator}=0",
-                    line=int(bad[0]) + 2)
+                    row=int(bad[0]))
 
         if weights is None:
             weights = np.ones(len(rows))
@@ -143,46 +143,67 @@ class Dataset:
     @classmethod
     def from_csv(cls, path, graph: MissingDataGraph, *, na_token: str = "NA",
                  one_based: bool = False) -> "Dataset":
+        """Records from a CSV file with a header row, in file order.
+
+        Each distinct line is parsed and validated once, so reading costs
+        about as much as the file's distinct lines.  Blank lines are skipped.
+        An error names the first line of the file that holds the bad content;
+        a quoted field cannot span lines.
+        """
         axes = observable_axes(graph)
         kind = {a.name: a.kind for a in axes}
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError("empty CSV file") from None
-            header = [h.strip() for h in header]
-            if sorted(header) != sorted(a.name for a in axes):
-                raise DataError(f"CSV columns {header} do not match graph vertices "
-                                f"{[a.name for a in axes]}")
-            rows = []
-            for lineno, rec in enumerate(reader, start=2):
-                if not rec or all(not c.strip() for c in rec):
+        with open(path) as fh:
+            text = fh.read()
+        if not text:
+            raise DataError("empty CSV file")
+        header, *lines = text.split("\n")
+        header = [h.strip() for h in next(csv.reader([header]))]
+        if sorted(header) != sorted(a.name for a in axes):
+            raise DataError(f"CSV columns {header} do not match graph vertices "
+                            f"{[a.name for a in axes]}")
+
+        def line_of(content: str) -> int:
+            return lines.index(content) + 2
+
+        # Each distinct line maps to its record's row of ``table``, or -1 if blank.
+        index = dict.fromkeys(lines)
+        table, sources = [], []
+        for line in index:
+            rec = next(csv.reader([line]))
+            if all(not c.strip() for c in rec):
+                index[line] = -1
+                continue
+            if len(rec) != len(header):
+                raise DataError("wrong number of fields", line=line_of(line))
+            out = []
+            for name, cell in zip(header, rec):
+                cell = cell.strip()
+                if cell == na_token:
+                    if kind[name] != "proxy":
+                        raise DataError(f"NA not allowed in column {name!r}",
+                                        line=line_of(line))
+                    out.append(cls.NA)
                     continue
-                if len(rec) != len(header):
-                    raise DataError("wrong number of fields", line=lineno)
-                out = []
-                for name, cell in zip(header, rec):
-                    cell = cell.strip()
-                    if cell == na_token:
-                        if kind[name] != "proxy":
-                            raise DataError(f"NA not allowed in column {name!r}", line=lineno)
-                        out.append(cls.NA)
-                        continue
-                    try:
-                        v = int(cell)
-                    except ValueError:
-                        raise DataError(f"non-integer value {cell!r} in column {name!r}",
-                                        line=lineno) from None
-                    if one_based and kind[name] != "indicator":
-                        v -= 1
-                    out.append(v)
-                rows.append(out)
+                try:
+                    v = int(cell)
+                except ValueError:
+                    raise DataError(f"non-integer value {cell!r} in column {name!r}",
+                                    line=line_of(line)) from None
+                if one_based and kind[name] != "indicator":
+                    v -= 1
+                out.append(v)
+            index[line] = len(table)
+            table.append(out)
+            sources.append(line)
         try:
-            return cls(graph, np.array(rows, dtype=np.int64).reshape(len(rows), len(header)),
-                       columns=header)
+            table = cls(graph, np.array(table, dtype=np.int64).reshape(len(table), len(header)),
+                        columns=header)
         except DataError as e:
-            raise DataError(str(e)) from None
+            if e.row is None:
+                raise
+            raise DataError(e.reason, line=line_of(sources[e.row])) from None
+        order = np.fromiter(map(index.__getitem__, lines), dtype=np.intp, count=len(lines))
+        return table.permuted(order[order >= 0])
 
     def to_csv(self, path, *, na_token: str = "NA", one_based: bool = False) -> None:
         if not np.allclose(self.weights, 1.0):
@@ -279,6 +300,31 @@ class LikelihoodModel:
             row_of.append(rows + free // (L - 1))
             off, rows = off + n_rows * (L - 1), rows + n_rows
         self.n_params = off
+        # theta_to_cpts gathers each CPT row's logits from [0, theta..., -inf]:
+        # level 0 reads the pinned 0, and a row narrower than its group is
+        # padded with -inf, which exponentiates to 0.  Padding rows of 8 or more
+        # levels would change how numpy's summation rounds them, so then each
+        # level count forms a group of its own.
+        widths = sorted({L for *_, L, _ in self._blocks})
+        padded = widths[-1] < 8
+        self._gathers, self._layout = [], [None] * len(self._blocks)
+        size = 0
+        for width in widths[-1:] if padded else widths:
+            gather = []
+            for b, (n, off, n_rows, L, cpt_shape) in enumerate(self._blocks):
+                if L != width and not padded:
+                    continue
+                idx = np.full((n_rows, width), self.n_params + 1)
+                idx[:, 0] = 0
+                idx[:, 1:L] = 1 + off + np.arange(n_rows * (L - 1)).reshape(n_rows, L - 1)
+                gather.append(idx)
+                self._layout[b] = (size, width)
+                size += n_rows * width
+            self._gathers.append(np.vstack(gather))
+        # Each parameter's position among the flat probabilities, in parameter order.
+        self._free = np.concatenate([
+            (start + np.arange(n_rows)[:, None] * width + np.arange(1, L)).reshape(-1)
+            for (n, off, n_rows, L, cpt_shape), (start, width) in zip(self._blocks, self._layout)])
         self._level_hits = np.hstack(level_hits, dtype=float)
         self._row_hits = np.hstack(row_hits, dtype=float)
         row_of = np.concatenate(row_of)
@@ -288,16 +334,28 @@ class LikelihoodModel:
 
     def theta_to_cpts(self, theta: np.ndarray) -> dict[str, np.ndarray]:
         """Map unconstrained parameters to CPTs (reference level pinned at 0)."""
+        return self._cpts(self._cpt_probs(theta))
+
+    def _cpt_probs(self, theta: np.ndarray) -> np.ndarray:
+        """Every CPT row's probabilities, flat in the layout of ``_gathers``."""
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise FitError(f"theta has shape {theta.shape}, expected ({self.n_params},)")
+        logits = np.concatenate(([0.0], theta, [-np.inf]))
+        out = []
+        for gather in self._gathers:
+            rows = logits[gather]
+            rows -= rows.max(axis=1, keepdims=True)
+            ex = np.exp(rows)
+            out.append((ex / ex.sum(axis=1, keepdims=True)).reshape(-1))
+        return out[0] if len(out) == 1 else np.concatenate(out)
+
+    def _cpts(self, probs: np.ndarray) -> dict[str, np.ndarray]:
+        """Each vertex's CPT as a view of :meth:`_cpt_probs`' array."""
         cpts = {}
-        for name, off, n_rows, L, cpt_shape in self._blocks:
-            block = theta[off:off + n_rows * (L - 1)].reshape(n_rows, L - 1)
-            logits = np.concatenate([np.zeros((n_rows, 1)), block], axis=1)
-            logits -= logits.max(axis=1, keepdims=True)
-            ex = np.exp(logits)
-            cpts[name] = (ex / ex.sum(axis=1, keepdims=True)).reshape(cpt_shape)
+        for (n, off, n_rows, L, cpt_shape), (start, width) in zip(self._blocks, self._layout):
+            rows = probs[start:start + n_rows * width].reshape(n_rows, width)
+            cpts[n] = rows[:, :L].reshape(cpt_shape)
         return cpts
 
     def cpts_to_theta(self, cpts: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -357,8 +415,8 @@ class LikelihoodModel:
     def _posterior(self, theta: np.ndarray, bound: "_BoundData"):
         """Free-level probabilities, the flat joint, observed-cell masses and the
         expected count of every full cell given the data."""
-        cpts = self.theta_to_cpts(theta)
-        joint = self.joint(cpts).reshape(-1)
+        probs = self._cpt_probs(theta)
+        joint = self.joint(self._cpts(probs)).reshape(-1)
         mass = self._observed_probs(joint)
         mask = bound.weights > 0
         cells = bound.cells[mask]
@@ -366,9 +424,7 @@ class LikelihoodModel:
             raise FitError("derivatives undefined: a record has probability zero")
         ratio = np.zeros(self._n_obs)
         ratio[cells] = bound.weights[mask] / mass[cells]
-        p = np.concatenate([cpts[name].reshape(n_rows, L)[:, 1:].reshape(-1)
-                            for name, off, n_rows, L, cpt_shape in self._blocks])
-        return p, joint, mass, ratio[self._cells] * joint
+        return probs[self._free], joint, mass, ratio[self._cells] * joint
 
     def gradient(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
         """Exact score: the complete-data score summed over expected full-cell counts.

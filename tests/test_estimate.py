@@ -1,3 +1,4 @@
+import csv
 import math
 from fractions import Fraction
 
@@ -49,6 +50,37 @@ class TestCompletionSet:
         assert len(out) == 3
         assert {rec["X"] for rec in out} == {0, 1, 2}
         assert all(rec["Y"] == 2 for rec in out)
+
+
+def line_by_line_rows(path, graph, na_token="NA", one_based=False):
+    """Records of a CSV, each line parsed on its own, in observable-axis order."""
+    axes = observable_axes(graph)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        rows = []
+        for rec in reader:
+            cells = dict(zip(header, (c.strip() for c in rec)))
+            if not any(cells.values()):
+                continue
+            rows.append([a.size - 1 if cells[a.name] == na_token
+                         else int(cells[a.name]) - (one_based and a.kind != "indicator")
+                         for a in axes])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(axes))
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1), one_based=st.booleans(),
+       na_token=st.sampled_from(["NA", "?", "missing"]))
+def test_csv_round_trip_property(tmp_path_factory, graph, seed, one_based, na_token):
+    exact = exact_random_law(graph, np.random.default_rng(seed))
+    law = CategoricalLaw(graph, {k: v.astype(float) for k, v in exact.cpts.items()})
+    data = sample_dataset(law, 300, seed=seed)
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    data.to_csv(path, na_token=na_token, one_based=one_based)
+    back = Dataset.from_csv(path, graph, na_token=na_token, one_based=one_based)
+    assert np.array_equal(back.rows, data.rows)
+    assert np.array_equal(back.rows, line_by_line_rows(path, graph, na_token, one_based))
 
 
 class TestDataset:
@@ -106,6 +138,75 @@ class TestDataset:
         path.write_text("X,Y,R_X,R_Y\nNA,0,NA,1\n")
         with pytest.raises(DataError, match="NA not allowed"):
             Dataset.from_csv(path, fig1b)
+
+    @pytest.mark.parametrize("record, message", [
+        ("1,5,1,1", "out of range"), ("0,NA,1,1", "NA exactly when"),
+        ("0,x,1,1", "non-integer"), ("0,1,1", "wrong number of fields")])
+    def test_csv_error_names_the_file_line_after_blank_lines(self, fig1b, tmp_path,
+                                                             record, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"X,Y,R_X,R_Y\n0,0,1,1\n\n  \n{record}\n0,0,1,1\n")
+        with pytest.raises(DataError, match=rf"{message}.*\(line 5\)$") as err:
+            Dataset.from_csv(path, fig1b)
+        assert err.value.line == 5
+
+    def test_in_memory_error_names_the_record(self, fig1b):
+        with pytest.raises(DataError, match=r"out of range.*\(record 1\)$") as err:
+            Dataset(fig1b, [[0, 0, 1, 1], [0, 5, 1, 1]])
+        assert (err.value.row, err.value.line) == (1, None)
+
+    @pytest.mark.parametrize("bad", ["0,NA,0,0", "0,x,1,1"])
+    def test_csv_repeated_bad_line_reported_at_first_occurrence(self, fig1b, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"X,Y,R_X,R_Y\n0,0,1,1\n{bad}\n1,1,1,1\n{bad}\n0,0,1,1\n")
+        with pytest.raises(DataError, match=r"\(line 3\)$") as err:
+            Dataset.from_csv(path, fig1b)
+        assert err.value.line == 3
+
+    def test_csv_lines_differing_in_spacing_or_quoting_read_alike(self, fig1b, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('X,Y,R_X,R_Y\n1,0,1,1\n 1, 0 ,1,1\n"1",0,"1",1\n'
+                        'NA,1,0,1\n NA ,"1",0,1\n1,0,1,1\n')
+        rows = Dataset.from_csv(path, fig1b).rows
+        assert rows.tolist() == [[1, 0, 1, 1]] * 3 + [[2, 1, 0, 1]] * 2 + [[1, 0, 1, 1]]
+
+    def test_csv_crlf_line_endings(self, fig1b, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"X,Y,R_X,R_Y\r\n1,0,1,1\r\nNA,1,0,1\n1,0,1,1\r\n\r\n0,NA,1,0\r\n")
+        rows = Dataset.from_csv(path, fig1b).rows
+        assert rows.tolist() == [[1, 0, 1, 1], [2, 1, 0, 1], [1, 0, 1, 1], [0, 2, 1, 0]]
+
+    def test_csv_header_only_is_an_empty_dataset(self, fig1b, tmp_path):
+        path = tmp_path / "d.csv"
+        for text in ("X,Y,R_X,R_Y", "X,Y,R_X,R_Y\n", "X,Y,R_X,R_Y\n\n \n"):
+            path.write_text(text)
+            data = Dataset.from_csv(path, fig1b)
+            assert data.rows.shape == (0, 4)
+            with pytest.raises(FitError, match="empty dataset"):
+                fit(data, fig1b)
+
+    def test_csv_rows_match_a_per_line_parse(self, tmp_path):
+        graph = ccm_graph(3, 3)
+        data = sample_dataset(random_law(graph, seed=42), 5000, seed=43)
+        data = data.permuted(np.random.default_rng(44).permutation(data.n_records))
+        path = tmp_path / "d.csv"
+        data.to_csv(path, one_based=True)
+        # Respell some records, add blank lines and reorder the columns.
+        rng = np.random.default_rng(45)
+        header, *lines = path.read_text().splitlines()
+        order = [2, 0, 3, 1]
+        out = [",".join(header.split(",")[i] for i in order)]
+        for line in lines:
+            cells = [line.split(",")[i] for i in order]
+            if rng.random() < 0.2:
+                cells = [f' {c} ' if rng.random() < 0.5 else f'"{c}"' for c in cells]
+            out.append(",".join(cells))
+            if rng.random() < 0.01:
+                out.append(" " * int(rng.integers(3)))
+        path.write_text("\n".join(out) + "\n")
+        rows = Dataset.from_csv(path, graph, one_based=True).rows
+        assert np.array_equal(rows, line_by_line_rows(path, graph, one_based=True))
+        assert np.array_equal(rows, data.rows)
 
 
 class TestBind:
@@ -276,6 +377,40 @@ class TestHessian:
             fd = (fd + fd.T) / 2.0
             exact = model.hessian(theta, bound)
             assert np.abs(exact - fd).max() / max(1.0, float(np.abs(exact).max())) <= 1e-6
+
+
+def per_block_cpts(graph, theta):
+    """CPTs one vertex at a time: a softmax over each row's [0, free logits]."""
+    cpts, off = {}, 0
+    for v in graph.non_proxy_vertices():
+        shape = tuple(graph.vertex(p).levels
+                      for p in CategoricalLaw.parent_order(graph, v.name)) + (v.levels,)
+        n_rows, L = int(np.prod(shape[:-1])), shape[-1]
+        block = theta[off:off + n_rows * (L - 1)].reshape(n_rows, L - 1)
+        off += n_rows * (L - 1)
+        logits = np.concatenate([np.zeros((n_rows, 1)), block], axis=1)
+        logits -= logits.max(axis=1, keepdims=True)
+        ex = np.exp(logits)
+        cpts[v.name] = (ex / ex.sum(axis=1, keepdims=True)).reshape(shape)
+    assert off == len(theta)
+    return cpts
+
+
+# Graphs with 8 or more levels on a vertex gather each level count on its own.
+_WIDE_GRAPHS = [ccm_graph(9, 3), ccm_graph(3, 12), ccm_graph(8, 7)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.one_of(small_graphs(), st.sampled_from(_WIDE_GRAPHS)),
+       seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.1, 3.0, 30.0]))
+def test_theta_to_cpts_equals_per_block_softmax(graph, seed, scale):
+    model = LikelihoodModel(graph)
+    theta = np.random.default_rng(seed).normal(scale=scale, size=model.n_params)
+    got, want = model.theta_to_cpts(theta), per_block_cpts(graph, theta)
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].shape == want[name].shape
+        assert np.array_equal(got[name], want[name])
 
 
 class TestTransform:
