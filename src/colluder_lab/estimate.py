@@ -145,10 +145,11 @@ class Dataset:
                  one_based: bool = False) -> "Dataset":
         """Records from a CSV file with a header row, in file order.
 
-        Each distinct line is parsed and validated once, so reading costs
-        about as much as the file's distinct lines.  Blank lines are skipped.
-        An error names the first line of the file that holds the bad content;
-        a quoted field cannot span lines.
+        Each distinct line is parsed and validated once, and each distinct
+        field of a column is converted once, so reading costs about as much as
+        the file's distinct lines.  Blank lines are skipped.  An error names
+        the first line of the file that holds the bad content; a quoted field
+        cannot span lines.
         """
         axes = observable_axes(graph)
         kind = {a.name: a.kind for a in axes}
@@ -165,33 +166,39 @@ class Dataset:
         def line_of(content: str) -> int:
             return lines.index(content) + 2
 
-        # Each distinct line maps to its record's row of ``table``, or -1 if blank.
+        def level(name: str, cell: str, line: str) -> int:
+            cell = cell.strip()
+            if cell == na_token:
+                if kind[name] != "proxy":
+                    raise DataError(f"NA not allowed in column {name!r}", line=line_of(line))
+                return cls.NA
+            try:
+                v = int(cell)
+            except ValueError:
+                raise DataError(f"non-integer value {cell!r} in column {name!r}",
+                                line=line_of(line)) from None
+            return v - 1 if one_based and kind[name] != "indicator" else v
+
+        # Each distinct line maps to its record's row of ``table``, or -1 if blank;
+        # each column's distinct raw fields map to their levels.
         index = dict.fromkeys(lines)
+        levels = [{} for _ in header]
+        reader = csv.reader(index)
         table, sources = [], []
-        for line in index:
-            rec = next(csv.reader([line]))
-            if all(not c.strip() for c in rec):
+        for i, (line, rec) in enumerate(zip(index, reader), start=1):
+            if reader.line_num != i:
+                raise DataError("quoted field runs past the end of the line",
+                                line=line_of(line))
+            if not "".join(rec).strip():  # no field holds anything but whitespace
                 index[line] = -1
                 continue
             if len(rec) != len(header):
                 raise DataError("wrong number of fields", line=line_of(line))
             out = []
-            for name, cell in zip(header, rec):
-                cell = cell.strip()
-                if cell == na_token:
-                    if kind[name] != "proxy":
-                        raise DataError(f"NA not allowed in column {name!r}",
-                                        line=line_of(line))
-                    out.append(cls.NA)
-                    continue
-                try:
-                    v = int(cell)
-                except ValueError:
-                    raise DataError(f"non-integer value {cell!r} in column {name!r}",
-                                    line=line_of(line)) from None
-                if one_based and kind[name] != "indicator":
-                    v -= 1
-                out.append(v)
+            for name, cell, seen in zip(header, rec, levels):
+                if cell not in seen:
+                    seen[cell] = level(name, cell, line)
+                out.append(seen[cell])
             index[line] = len(table)
             table.append(out)
             sources.append(line)
@@ -300,31 +307,25 @@ class LikelihoodModel:
             row_of.append(rows + free // (L - 1))
             off, rows = off + n_rows * (L - 1), rows + n_rows
         self.n_params = off
-        # theta_to_cpts gathers each CPT row's logits from [0, theta..., -inf]:
-        # level 0 reads the pinned 0, and a row narrower than its group is
-        # padded with -inf, which exponentiates to 0.  Padding rows of 8 or more
-        # levels would change how numpy's summation rounds them, so then each
-        # level count forms a group of its own.
-        widths = sorted({L for *_, L, _ in self._blocks})
-        padded = widths[-1] < 8
+        # theta_to_cpts gathers each CPT row's logits from [0, theta...], level 0
+        # reading the pinned 0, with one gather per level count so that each row
+        # is summed over exactly its own levels.
         self._gathers, self._layout = [], [None] * len(self._blocks)
         size = 0
-        for width in widths[-1:] if padded else widths:
+        for width in sorted({L for *_, L, _ in self._blocks}):
             gather = []
             for b, (n, off, n_rows, L, cpt_shape) in enumerate(self._blocks):
-                if L != width and not padded:
-                    continue
-                idx = np.full((n_rows, width), self.n_params + 1)
-                idx[:, 0] = 0
-                idx[:, 1:L] = 1 + off + np.arange(n_rows * (L - 1)).reshape(n_rows, L - 1)
-                gather.append(idx)
-                self._layout[b] = (size, width)
-                size += n_rows * width
+                if L == width:
+                    idx = np.zeros((n_rows, L), dtype=np.intp)
+                    idx[:, 1:] = 1 + off + np.arange(n_rows * (L - 1)).reshape(n_rows, L - 1)
+                    gather.append(idx)
+                    self._layout[b] = size
+                    size += n_rows * L
             self._gathers.append(np.vstack(gather))
         # Each parameter's position among the flat probabilities, in parameter order.
         self._free = np.concatenate([
-            (start + np.arange(n_rows)[:, None] * width + np.arange(1, L)).reshape(-1)
-            for (n, off, n_rows, L, cpt_shape), (start, width) in zip(self._blocks, self._layout)])
+            (start + np.arange(n_rows)[:, None] * L + np.arange(1, L)).reshape(-1)
+            for (n, off, n_rows, L, cpt_shape), start in zip(self._blocks, self._layout)])
         self._level_hits = np.hstack(level_hits, dtype=float)
         self._row_hits = np.hstack(row_hits, dtype=float)
         row_of = np.concatenate(row_of)
@@ -341,7 +342,7 @@ class LikelihoodModel:
         theta = np.asarray(theta, dtype=float)
         if theta.shape != (self.n_params,):
             raise FitError(f"theta has shape {theta.shape}, expected ({self.n_params},)")
-        logits = np.concatenate(([0.0], theta, [-np.inf]))
+        logits = np.concatenate(([0.0], theta))
         out = []
         for gather in self._gathers:
             rows = logits[gather]
@@ -353,9 +354,8 @@ class LikelihoodModel:
     def _cpts(self, probs: np.ndarray) -> dict[str, np.ndarray]:
         """Each vertex's CPT as a view of :meth:`_cpt_probs`' array."""
         cpts = {}
-        for (n, off, n_rows, L, cpt_shape), (start, width) in zip(self._blocks, self._layout):
-            rows = probs[start:start + n_rows * width].reshape(n_rows, width)
-            cpts[n] = rows[:, :L].reshape(cpt_shape)
+        for (n, off, n_rows, L, cpt_shape), start in zip(self._blocks, self._layout):
+            cpts[n] = probs[start:start + n_rows * L].reshape(cpt_shape)
         return cpts
 
     def cpts_to_theta(self, cpts: Mapping[str, np.ndarray]) -> np.ndarray:

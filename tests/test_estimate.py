@@ -163,6 +163,16 @@ class TestDataset:
             Dataset.from_csv(path, fig1b)
         assert err.value.line == 3
 
+    @pytest.mark.parametrize("opened", ['0,"0,1,1', '0,0,1,"1'])
+    def test_csv_quoted_field_spanning_lines_names_its_first_line(self, fig1b, tmp_path,
+                                                                  opened):
+        path = tmp_path / "bad.csv"
+        path.write_text(f'X,Y,R_X,R_Y\n0,0,1,1\n{opened}\n1"\n1,1,1,1\n')
+        with pytest.raises(DataError, match=r"^quoted field runs past the end of the line "
+                                            r"\(line 3\)$") as err:
+            Dataset.from_csv(path, fig1b)
+        assert err.value.line == 3
+
     def test_csv_lines_differing_in_spacing_or_quoting_read_alike(self, fig1b, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text('X,Y,R_X,R_Y\n1,0,1,1\n 1, 0 ,1,1\n"1",0,"1",1\n'
@@ -396,7 +406,7 @@ def per_block_cpts(graph, theta):
     return cpts
 
 
-# Graphs with 8 or more levels on a vertex gather each level count on its own.
+# Graphs whose level counts differ widely, up to 12 levels on a vertex.
 _WIDE_GRAPHS = [ccm_graph(9, 3), ccm_graph(3, 12), ccm_graph(8, 7)]
 
 
