@@ -35,7 +35,10 @@ def _threads(args) -> int:
     if args.threads is not None:
         return max(1, args.threads)
     env = os.environ.get("COLLUDER_LAB_THREADS")
-    return max(1, int(env)) if env else 1
+    try:
+        return max(1, int(env)) if env else 1
+    except ValueError:
+        raise ColluderLabError(f"COLLUDER_LAB_THREADS must be an integer, got {env!r}") from None
 
 
 def _resolve_seed(seed: int | None) -> int:

@@ -45,7 +45,7 @@ class Dataset:
     each partially observed variable under its true-variable name (value =
     level or the NA code, which is the level count), then response
     indicators.  ``weights`` are per-record multiplicities (counts, or
-    population masses for expected-data fits).
+    population masses for expected-data fits), finite and non-negative.
     """
 
     NA = -1  # convenience alias accepted in input rows; stored as the NA level
@@ -97,8 +97,8 @@ class Dataset:
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (len(rows),):
             raise DataError("weights must have one entry per record")
-        if np.any(weights < 0):
-            raise DataError("weights must be non-negative")
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise DataError("weights must be finite and non-negative")
         rows.setflags(write=False)
         weights.setflags(write=False)
         self.columns = tuple(names)
@@ -113,18 +113,9 @@ class Dataset:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def patterns(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct rows in ascending order, and the summed weight of each."""
-        shape = [a.size for a in observable_axes(self.graph)]
-        size = int(np.prod(shape))
-        cells = np.ravel_multi_index(self.rows.T, shape)
-        present = np.bincount(cells, minlength=size).reshape(shape) > 0
-        weights = np.bincount(cells, weights=self.weights, minlength=size).reshape(shape)
-        return np.argwhere(present), weights[present]
-
     @classmethod
     def from_cell_weights(cls, graph: MissingDataGraph, weights) -> "Dataset":
-        """One record per observed cell of positive weight, in ascending cell order.
+        """One record per observed cell of nonzero weight, in ascending cell order.
 
         ``weights`` has one entry per cell of the observed table (the shape
         of :func:`~colluder_lab.lawtable.observable_axes`, or flat in
@@ -132,8 +123,8 @@ class Dataset:
         """
         weights = np.asarray(weights, dtype=float).reshape(
             [a.size for a in observable_axes(graph)])
-        positive = weights > 0
-        return cls(graph, np.argwhere(positive), weights[positive])
+        nonzero = weights != 0
+        return cls(graph, np.argwhere(nonzero), weights[nonzero])
 
     def permuted(self, order) -> "Dataset":
         return Dataset(self.graph, self.rows[order], self.weights[order])
@@ -383,22 +374,24 @@ class LikelihoodModel:
     # -- data binding ---------------------------------------------------------
 
     def bind(self, data: Dataset) -> "_BoundData":
-        """Aggregate the data into patterns, each with its flat observed-cell index."""
+        """The data as its observed cells of positive weight, each with its total weight."""
         axes = observable_axes(self.graph)
         if observable_axes(data.graph) != axes:
             raise FitError("dataset columns, level counts or kinds do not match "
                            "the model graph")
-        patterns, weights = data.patterns()
+        cells = np.ravel_multi_index(data.rows.T, [a.size for a in axes])
+        weights = np.bincount(cells, weights=data.weights, minlength=self._n_obs)
+        patterns = np.flatnonzero(weights > 0)
         if not len(patterns):
             raise FitError("empty dataset")
-        cells = np.ravel_multi_index(patterns.T, [a.size for a in axes])
-        return _BoundData(patterns, weights, cells)
+        return _BoundData(patterns, weights[patterns])
 
     # -- objective -------------------------------------------------------------
 
     def pattern_probs(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
+        """The probability of each observed cell of positive weight in ``bound``."""
         joint = self.joint(self.theta_to_cpts(theta))
-        return self._observed_probs(joint)[bound.cells]
+        return self._observed_probs(joint)[bound.patterns]
 
     def log_likelihood(self, theta: np.ndarray, bound: "_BoundData") -> float:
         """Weighted log-likelihood; -inf when a weighted record has probability zero.
@@ -407,10 +400,9 @@ class LikelihoodModel:
         :meth:`gradient` and :meth:`hessian` raise :class:`FitError` there.
         """
         probs = self.pattern_probs(theta, bound)
-        mask = bound.weights > 0
-        if np.any(probs[mask] <= 0.0):
+        if np.any(probs <= 0.0):
             return -np.inf
-        return float(np.dot(bound.weights[mask], np.log(probs[mask])))
+        return float(np.dot(bound.weights, np.log(probs)))
 
     def _posterior(self, theta: np.ndarray, bound: "_BoundData"):
         """Free-level probabilities, the flat joint, observed-cell masses and the
@@ -418,12 +410,11 @@ class LikelihoodModel:
         probs = self._cpt_probs(theta)
         joint = self.joint(self._cpts(probs)).reshape(-1)
         mass = self._observed_probs(joint)
-        mask = bound.weights > 0
-        cells = bound.cells[mask]
-        if np.any(mass[cells] <= 0.0):
+        seen = mass[bound.patterns]
+        if np.any(seen <= 0.0):
             raise FitError("derivatives undefined: a record has probability zero")
         ratio = np.zeros(self._n_obs)
-        ratio[cells] = bound.weights[mask] / mass[cells]
+        ratio[bound.patterns] = bound.weights / seen
         return probs[self._free], joint, mass, ratio[self._cells] * joint
 
     def gradient(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
@@ -468,9 +459,9 @@ class LikelihoodModel:
 
 @dataclass
 class _BoundData:
-    patterns: np.ndarray
+    """A dataset's observed cells of positive weight, and each cell's total weight."""
+    patterns: np.ndarray  # flat observed-cell indices, ascending
     weights: np.ndarray
-    cells: np.ndarray  # each pattern's flat observed-cell index
 
 
 # -- module-level operations --------------------------------------------------------
@@ -634,8 +625,6 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
     parameters are arbitrary within it.
     """
     config = config or FitConfig()
-    if data.n_records == 0:
-        raise FitError("empty dataset")
     model = LikelihoodModel(graph)
     bound = model.bind(data)
 
@@ -669,7 +658,10 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
     # A best start stopped by its step cap has an unconfirmed optimum.
     converged = grad_norm <= _GRAD_TOL and not capped
 
-    cpts = model.theta_to_cpts(theta)
+    probs = model._cpt_probs(theta)
+    est = probs[model._free]
+    boundary = (est <= _BOUNDARY_TOL) | (est >= 1.0 - _BOUNDARY_TOL)
+    reliable, se, ci = ~boundary, [None] * len(est), [None] * len(est)
     if config.compute_ci:
         eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
         lam_max = float(eigval.max(initial=0.0))
@@ -677,32 +669,21 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
         inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))
         cov = (eigvec * inv) @ eigvec.T
         z = NormalDist().inv_cdf(0.5 + _CI_LEVEL / 2.0)
-        null_vecs = eigvec[:, null_mask]
+        # Row i holds dp_i / dtheta: p_i (1[i = k] - p_k) for k in the row of i.
+        jac = est[:, None] * (np.eye(len(est)) - model._same_row * est)
+        gnorm2 = np.einsum("ij,ij->i", jac, jac)
+        null_frac = np.divide(((jac @ eigvec[:, null_mask]) ** 2).sum(axis=1), gnorm2,
+                              out=np.ones_like(gnorm2), where=gnorm2 > 0.0)
+        reliable &= null_frac <= 1e-6
+        sd = np.sqrt(np.maximum(np.einsum("ij,ij->i", jac @ cov, jac), 0.0))
+        lo, hi = np.maximum(0.0, est - z * sd), np.minimum(1.0, est + z * sd)
+        se = [float(s) if r else None for s, r in zip(sd, reliable)]
+        ci = [(float(a), float(b)) if r else None for a, b, r in zip(lo, hi, reliable)]
 
-    parameters: list[ParameterEstimate] = []
-    for name, given, level, off, row_i in model.parameter_coords():
-        L = cpts[name].shape[-1]
-        p_row = cpts[name].reshape(-1, L)[row_i]
-        est = float(p_row[level])
-        boundary = est <= _BOUNDARY_TOL or est >= 1.0 - _BOUNDARY_TOL
-        reliable, se, ci = not boundary, None, None
-        if config.compute_ci:
-            # dp_level / dtheta_k over the row's free parameters
-            dp = np.zeros(model.n_params)
-            for k in range(1, L):
-                dp[off + k - 1] = p_row[level] * ((k == level) - p_row[k])
-            gnorm2 = float(dp @ dp)
-            if gnorm2 == 0.0:
-                null_frac = 1.0
-            else:
-                null_frac = float(((null_vecs.T @ dp) ** 2).sum()) / gnorm2
-            reliable = reliable and null_frac <= 1e-6
-            if reliable:
-                se = float(np.sqrt(max(dp @ cov @ dp, 0.0)))
-                ci = (max(0.0, est - z * se), min(1.0, est + z * se))
-        parameters.append(ParameterEstimate(name, given, level, est, se, ci,
-                                            boundary, reliable))
-
-    return FitResult(theta=theta, cpts=cpts, log_likelihood=ll, grad_norm=grad_norm,
-                     parameters=parameters, converged=converged, iterations=total_iters,
-                     restarts=len(starts), best_restart=best_i, graph=graph)
+    parameters = [ParameterEstimate(name, given, level, float(e), s, c, bool(b), bool(r))
+                  for (name, given, level, *_), e, s, c, b, r
+                  in zip(model.parameter_coords(), est, se, ci, boundary, reliable)]
+    return FitResult(theta=theta, cpts=model._cpts(probs), log_likelihood=ll,
+                     grad_norm=grad_norm, parameters=parameters, converged=converged,
+                     iterations=total_iters, restarts=len(starts), best_restart=best_i,
+                     graph=graph)

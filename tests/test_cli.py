@@ -164,6 +164,16 @@ class TestSimulate:
         assert main(["simulate", str(spath), "--out", str(out)]) == 0
         assert (tmp_path / "report.txt").read_text() == text1
 
+    def test_non_integer_thread_variable_is_an_input_error(self, tmp_path, monkeypatch,
+                                                           capsys):
+        spath = tmp_path / "tiny.json"
+        spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [200],
+                                     "replications": 1, "seed": 3}))
+        monkeypatch.setenv("COLLUDER_LAB_THREADS", "abc")
+        assert main(["simulate", str(spath)]) == 1
+        assert "COLLUDER_LAB_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "tiny-report.json").exists()
+
     def test_default_output_does_not_clobber_scenario(self, tmp_path, capsys):
         spath = tmp_path / "tiny.json"
         spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [200],

@@ -14,7 +14,7 @@ from colluder_lab import (CategoricalLaw, DataError, Dataset, FitConfig,
                           observable_axes, observed_law, population_dataset, random_law)
 from colluder_lab.lawtable import coarsening_map
 from colluder_lab.simstudy import sample_counts, sample_dataset
-from conftest import exact_random_law, small_graphs
+from conftest import exact_random_law, per_parameter_report, small_graphs
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -102,10 +102,22 @@ class TestDataset:
             Dataset(fig1b, [[0, 5, 1, 1]])
 
     def test_patterns_aggregate_weights(self, fig1b):
-        d = Dataset(fig1b, [[0, 1, 1, 1], [0, 1, 1, 1], [NA, 1, 0, 1]])
-        patterns, w = d.patterns()
-        assert len(patterns) == 2
-        assert sorted(w.tolist()) == [1.0, 2.0]
+        d = Dataset(fig1b, [[NA, 1, 0, 1], [0, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 1]],
+                    weights=[1.0, 1.0, 1.0, 0.0])
+        bound = LikelihoodModel(fig1b).bind(d)
+        # X has 2 levels plus NA; zero-weight records bind to no cell
+        cells = np.ravel_multi_index([[0, 2], [1, 1], [1, 0], [1, 1]], (3, 3, 2, 2))
+        assert bound.patterns.tolist() == cells.tolist()
+        assert bound.weights.tolist() == [2.0, 1.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_or_negative_weight_rejected(self, fig1b, bad):
+        with pytest.raises(DataError, match="finite and non-negative"):
+            Dataset(fig1b, [[0, 1, 1, 1], [1, 1, 1, 1]], weights=[1.0, bad])
+        cells = np.array(observed_law(random_law(fig1b, seed=1)).values, float).reshape(-1)
+        cells[np.flatnonzero(cells)[0]] = bad
+        with pytest.raises(DataError, match="finite and non-negative"):
+            Dataset.from_cell_weights(fig1b, cells)
 
     def test_csv_round_trip(self, fig1b, tmp_path):
         d = sample_dataset(random_law(fig1b, seed=1), 500, seed=2)
@@ -194,6 +206,11 @@ class TestDataset:
             assert data.rows.shape == (0, 4)
             with pytest.raises(FitError, match="empty dataset"):
                 fit(data, fig1b)
+
+    def test_zero_total_weight_rejected(self, fig1b):
+        data = Dataset(fig1b, [[0, 1, 1, 1], [NA, 0, 0, 1]], weights=[0.0, 0.0])
+        with pytest.raises(FitError, match="empty dataset"):
+            fit(data, fig1b)
 
     def test_csv_rows_match_a_per_line_parse(self, tmp_path):
         graph = ccm_graph(3, 3)
@@ -322,7 +339,7 @@ def test_pattern_probs_reproduce_the_observed_law(graph, seed):
     model = LikelihoodModel(graph)
     bound = model.bind(population_dataset(obs))
     probs = model.pattern_probs(model.cpts_to_theta(law.cpts), bound)
-    assert np.allclose(probs, obs.values[tuple(bound.patterns.T)], rtol=0, atol=1e-12)
+    assert np.allclose(probs, obs.values.reshape(-1)[bound.patterns], rtol=0, atol=1e-12)
     assert abs(probs.sum() - 1.0) <= 1e-12
 
 
@@ -387,6 +404,52 @@ class TestHessian:
             fd = (fd + fd.T) / 2.0
             exact = model.hessian(theta, bound)
             assert np.abs(exact - fd).max() / max(1.0, float(np.abs(exact).max())) <= 1e-6
+
+
+def weighted_sample(graph, seed, n=60):
+    """Records of a random positive law, about a third of them with weight 0."""
+    rng = np.random.default_rng(seed)
+    exact = exact_random_law(graph, rng)
+    law = CategoricalLaw(graph, {k: v.astype(float) for k, v in exact.cpts.items()})
+    data = sample_dataset(law, n, seed=seed)
+    weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=n, p=[0.35, 0.15, 0.3, 0.2])
+    weights[0] = 1.0
+    return Dataset(graph, data.rows, weights), rng
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_derivatives_match_finite_differences_with_zero_weights(graph, seed):
+    data, rng = weighted_sample(graph, seed)
+    model = LikelihoodModel(graph)
+    bound = model.bind(data)
+    theta = rng.normal(scale=1.0, size=model.n_params)
+    g = model.gradient(theta, bound)
+    assert np.abs(g - fd_gradient(model, theta, bound)).max() \
+        <= 1e-6 * max(1.0, float(np.abs(g).max()))
+    fd = np.array([(model.gradient(theta + e, bound) - model.gradient(theta - e, bound)) / 2e-5
+                   for e in np.eye(model.n_params) * 1e-5])
+    exact = model.hessian(theta, bound)
+    assert np.abs(exact - (fd + fd.T) / 2.0).max() <= 1e-6 * max(1.0, float(np.abs(exact).max()))
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1), compute_ci=st.booleans())
+def test_fit_reports_parameters_like_a_per_parameter_loop(graph, seed, compute_ci):
+    data, _ = weighted_sample(graph, seed, n=200)
+    res = fit(data, graph, FitConfig(restarts=1, seed=seed, max_iterations=40,
+                                     allow_nonidentifiable=True, compute_ci=compute_ci))
+    model = LikelihoodModel(graph)
+    ref = per_parameter_report(model, res.theta, model.bind(data), compute_ci)
+    assert len(res.parameters) == len(ref)
+    for p, (name, given_, level, est, se, ci, boundary, reliable) in zip(res.parameters, ref):
+        assert (p.vertex, p.given, p.level, p.estimate) == (name, given_, level, est)
+        assert (p.boundary, p.reliable) == (boundary, reliable)
+        assert (p.se is None, p.ci is None) == (se is None, ci is None)
+        if se is not None:
+            assert np.allclose([p.se, *p.ci], [se, *ci], rtol=1e-12, atol=0)
+    for name, cpt in model.theta_to_cpts(res.theta).items():
+        assert np.array_equal(res.cpts[name], cpt)
 
 
 def per_block_cpts(graph, theta):
@@ -483,6 +546,11 @@ class TestFit:
             assert data.rows.shape == (0, 4)
             with pytest.raises(FitError, match="empty dataset"):
                 fit(data, fig1b)
+
+    def test_zero_total_weight_rejected(self, fig1b):
+        data = Dataset(fig1b, [[0, 1, 1, 1], [NA, 0, 0, 1]], weights=[0.0, 0.0])
+        with pytest.raises(FitError, match="empty dataset"):
+            fit(data, fig1b)
 
     def test_nonidentifiable_graph_needs_flag(self):
         g = ccm_graph(3, 2)
