@@ -8,6 +8,13 @@ reference.  Derivatives are exact: the score sums each full cell's
 complete-data score over its expected count given the data, and the Hessian
 follows from Louis's identity.  Every start is fitted by damped modified
 Newton on that Hessian.
+
+The objective and its derivatives take a batch of parameter vectors, one per
+row, each with its own observed-cell weights, and a row's result does not
+depend on the other rows.  A fit climbs all of its starts as one batch, and a
+simulation study climbs every start of many datasets at once.  Each Newton
+step builds one posterior per row and takes the gradient and the Hessian
+from it.
 """
 
 from __future__ import annotations
@@ -277,6 +284,12 @@ class LikelihoodModel:
         # The observation process: each full cell's flat observed-cell index.
         self._cells = coarsening_map(graph).reshape(-1)
         self._n_obs = int(np.prod([a.size for a in observable_axes(graph)]))
+        # The full cells grouped by observed cell, in ascending order within a group,
+        # so that sums over a group add in full-cell order.
+        self._reachable, self._group, sizes = np.unique(
+            self._cells, return_inverse=True, return_counts=True)
+        self._by_group = np.argsort(self._cells, kind="stable")
+        self._group_starts = np.cumsum(sizes) - sizes
 
         # Complete-data score layout.  Full cell x scores 1[pa(x) = r](1[x_v = l] - p_vrl)
         # on parameter (v, r, l): its score row is level_hits[x] - row_hits[x] * p.
@@ -329,24 +342,29 @@ class LikelihoodModel:
         return self._cpts(self._cpt_probs(theta))
 
     def _cpt_probs(self, theta: np.ndarray) -> np.ndarray:
-        """Every CPT row's probabilities, flat in the layout of ``_gathers``."""
+        """Every CPT row's probabilities, flat in the layout of ``_gathers``.
+
+        ``theta`` is one parameter vector or a batch of them, one per row.
+        """
         theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.n_params,):
-            raise FitError(f"theta has shape {theta.shape}, expected ({self.n_params},)")
-        logits = np.concatenate(([0.0], theta))
+        if theta.ndim not in (1, 2) or theta.shape[-1] != self.n_params:
+            raise FitError(f"theta has shape {theta.shape}, expected ({self.n_params},) "
+                           f"or (B, {self.n_params})")
+        lead = theta.shape[:-1]
+        logits = np.concatenate((np.zeros(lead + (1,)), theta), axis=-1)
         out = []
         for gather in self._gathers:
-            rows = logits[gather]
-            rows -= rows.max(axis=1, keepdims=True)
+            rows = logits[..., gather]
+            rows -= rows.max(axis=-1, keepdims=True)
             ex = np.exp(rows)
-            out.append((ex / ex.sum(axis=1, keepdims=True)).reshape(-1))
-        return out[0] if len(out) == 1 else np.concatenate(out)
+            out.append((ex / ex.sum(axis=-1, keepdims=True)).reshape(lead + (-1,)))
+        return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
 
     def _cpts(self, probs: np.ndarray) -> dict[str, np.ndarray]:
-        """Each vertex's CPT as a view of :meth:`_cpt_probs`' array."""
+        """Each vertex's CPT as a view of :meth:`_cpt_probs`' array, batch axis first."""
         cpts = {}
         for (n, off, n_rows, L, cpt_shape), start in zip(self._blocks, self._layout):
-            cpts[n] = probs[start:start + n_rows * L].reshape(cpt_shape)
+            cpts[n] = probs[..., start:start + n_rows * L].reshape(probs.shape[:-1] + cpt_shape)
         return cpts
 
     def cpts_to_theta(self, cpts: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -367,9 +385,18 @@ class LikelihoodModel:
         return joint_from_cpts(self._subs, [np.asarray(cpts[n], dtype=float)
                                             for n in self.names])
 
-    def _observed_probs(self, joint: np.ndarray) -> np.ndarray:
-        """Mass of every observed cell: the full cells the coarsening map sends there."""
-        return np.bincount(self._cells, weights=joint.reshape(-1), minlength=self._n_obs)
+    def _group_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums of ``x`` (B, n_full, ...) over the full cells of each reachable observed cell."""
+        return np.add.reduceat(x[:, self._by_group], self._group_starts, axis=1)
+
+    def _masses(self, probs: np.ndarray):
+        """The flat joints (B, n_full) and observed-cell masses (B, n_obs) of rows of
+        :meth:`_cpt_probs`: each observed cell holds the full cells the coarsening map
+        sends there."""
+        joint = self.joint(self._cpts(probs)).reshape(len(probs), -1)
+        mass = np.zeros((len(probs), self._n_obs))
+        mass[:, self._reachable] = self._group_sums(joint)
+        return joint, mass
 
     # -- data binding ---------------------------------------------------------
 
@@ -386,46 +413,87 @@ class LikelihoodModel:
             raise FitError("empty dataset")
         return _BoundData(patterns, weights[patterns])
 
+    def cell_weights(self, bound: "_BoundData") -> np.ndarray:
+        """The weight of every observed cell of a bound dataset."""
+        weights = np.zeros(self._n_obs)
+        weights[bound.patterns] = bound.weights
+        return weights
+
+    def _rows(self, theta: np.ndarray, bound):
+        """The CPT probabilities of ``theta`` as rows (B, ...), and each row's
+        observed-cell weights (B, n_obs).
+
+        ``bound`` is a bound dataset, shared by every row, or an array of
+        observed-cell weights with one row per row of ``theta``.
+        """
+        probs = np.atleast_2d(self._cpt_probs(theta))
+        weights = self.cell_weights(bound) if isinstance(bound, _BoundData) else bound
+        return probs, np.broadcast_to(np.asarray(weights, dtype=float),
+                                      (len(probs), self._n_obs))
+
     # -- objective -------------------------------------------------------------
+    #
+    # Each method takes one parameter vector (k,) or a batch (B, k), and
+    # answers for each row.  A row's arithmetic does not depend on the other
+    # rows or on where the row lies in memory: sums run along fixed axes, and
+    # contractions go through einsum's loops rather than BLAS, whose kernels
+    # may order a sum by the data's alignment.
 
     def pattern_probs(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
         """The probability of each observed cell of positive weight in ``bound``."""
-        joint = self.joint(self.theta_to_cpts(theta))
-        return self._observed_probs(joint)[bound.patterns]
+        _, mass = self._masses(np.atleast_2d(self._cpt_probs(theta)))
+        return mass[:, bound.patterns].reshape(np.shape(theta)[:-1] + (-1,))
 
-    def log_likelihood(self, theta: np.ndarray, bound: "_BoundData") -> float:
+    def log_likelihood(self, theta: np.ndarray, bound):
         """Weighted log-likelihood; -inf when a weighted record has probability zero.
 
-        The line search rejects such points by their -inf value, while
+        A float for one parameter vector, an array (B,) for a batch.  The
+        line search rejects such points by their -inf value, while
         :meth:`gradient` and :meth:`hessian` raise :class:`FitError` there.
         """
-        probs = self.pattern_probs(theta, bound)
-        if np.any(probs <= 0.0):
-            return -np.inf
-        return float(np.dot(bound.weights, np.log(probs)))
+        probs, weights = self._rows(theta, bound)
+        _, mass = self._masses(probs)
+        ll = np.sum(weights * np.log(np.where(mass > 0.0, mass, 1.0)), axis=1)
+        ll[np.any((weights > 0.0) & (mass <= 0.0), axis=1)] = -np.inf
+        return float(ll[0]) if np.ndim(theta) == 1 else ll
 
-    def _posterior(self, theta: np.ndarray, bound: "_BoundData"):
-        """Free-level probabilities, the flat joint, observed-cell masses and the
-        expected count of every full cell given the data."""
-        probs = self._cpt_probs(theta)
-        joint = self.joint(self._cpts(probs)).reshape(-1)
-        mass = self._observed_probs(joint)
-        seen = mass[bound.patterns]
-        if np.any(seen <= 0.0):
+    def _posterior(self, probs: np.ndarray, weights: np.ndarray):
+        """Free-level probabilities, flat joints, observed-cell masses and the
+        expected count of every full cell given the data, for rows of
+        :meth:`_cpt_probs` with their observed-cell weights."""
+        joint, mass = self._masses(probs)
+        seen = weights > 0.0
+        if np.any(seen & (mass <= 0.0)):
             raise FitError("derivatives undefined: a record has probability zero")
-        ratio = np.zeros(self._n_obs)
-        ratio[bound.patterns] = bound.weights / seen
-        return probs[self._free], joint, mass, ratio[self._cells] * joint
+        ratio = np.divide(weights, mass, out=np.zeros_like(mass), where=seen)
+        return probs[:, self._free], joint, mass, ratio[:, self._cells] * joint
 
-    def gradient(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
+    def _score(self, p: np.ndarray, expected: np.ndarray) -> np.ndarray:
+        """Each row's score from its posterior (see :meth:`gradient`)."""
+        return (np.einsum("bf,fk->bk", expected, self._level_hits)
+                - np.einsum("bf,fk->bk", expected, self._row_hits) * p)
+
+    def _hessian(self, p, joint, mass, expected) -> np.ndarray:
+        """Each row's Hessian from its posterior (see :meth:`hessian`)."""
+        score = self._level_hits - self._row_hits * p[:, None]
+        cell_score = self._group_sums(joint[:, :, None] * score)[:, self._group]
+        cell_score /= np.where(mass > 0.0, mass, 1.0)[:, self._cells, None]
+        centered = (score - cell_score) * np.sqrt(expected)[:, :, None]
+        row_counts = np.einsum("bf,fk->bk", expected, self._row_hits)
+        info = -(self._same_row * (row_counts[:, :, None] * (p[:, :, None] * p[:, None])))
+        diag = np.arange(self.n_params)
+        info[:, diag, diag] += row_counts * p
+        return np.einsum("bfi,bfj->bij", centered, centered) - info
+
+    def gradient(self, theta: np.ndarray, bound) -> np.ndarray:
         """Exact score: the complete-data score summed over expected full-cell counts.
 
         Raises :class:`FitError` when a weighted record has probability zero.
         """
-        p, _, _, expected = self._posterior(theta, bound)
-        return self._level_hits.T @ expected - (self._row_hits.T @ expected) * p
+        p, _, _, expected = self._posterior(*self._rows(theta, bound))
+        return self._score(p, expected).reshape(np.shape(theta))
 
-    def hessian(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
+    def hessian(self, theta: np.ndarray, bound) -> np.ndarray:
         """Exact second derivatives by Louis's identity.
 
         The observed information is the expected complete-data information
@@ -433,15 +501,8 @@ class LikelihoodModel:
         both taken over the full cells' expected counts.  Raises
         :class:`FitError` when a weighted record has probability zero.
         """
-        p, joint, mass, expected = self._posterior(theta, bound)
-        score = self._level_hits - self._row_hits * p
-        cell_score = np.zeros((self._n_obs, self.n_params))
-        np.add.at(cell_score, self._cells, joint[:, None] * score)
-        cell_score /= np.where(mass > 0.0, mass, 1.0)[:, None]
-        centered = (score - cell_score[self._cells]) * np.sqrt(expected)[:, None]
-        row_counts = self._row_hits.T @ expected
-        info = np.diag(row_counts * p) - self._same_row * (row_counts[:, None] * np.outer(p, p))
-        return centered.T @ centered - info
+        post = self._posterior(*self._rows(theta, bound))
+        return self._hessian(*post).reshape(np.shape(theta) + (self.n_params,))
 
     # -- labels ------------------------------------------------------------------
 
@@ -489,6 +550,12 @@ class FitConfig:
     max_iterations: int = 10_000  # Newton steps per start
     allow_nonidentifiable: bool = False
     compute_ci: bool = True
+
+    def __post_init__(self):
+        if self.restarts < 1:
+            raise FitError(f"restarts must be at least 1, got {self.restarts}")
+        if self.max_iterations < 0:
+            raise FitError(f"max_iterations must be non-negative, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -570,50 +637,105 @@ class FitResult:
         return "\n".join(lines)
 
 
-def _newton(model: LikelihoodModel, bound: _BoundData, theta: np.ndarray,
-            max_steps: int) -> tuple[np.ndarray, int, bool]:
-    """Damped modified Newton ascent from one start.
+def _newton(model: LikelihoodModel, theta: np.ndarray, weights: np.ndarray,
+            max_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Damped modified Newton ascent from every row of ``theta`` at once.
 
-    Returns the final point, the number of steps taken, and whether the step
-    cap stopped the ascent.  Near the maximum the log-likelihood differences
-    fall below float resolution, so steps are also accepted when they
-    clearly contract the gradient without losing likelihood beyond rounding.
+    Row i of ``theta`` (B, k) climbs the log-likelihood of the observed-cell
+    weights ``weights[i]`` (B, n_obs), so one batch holds any mix of starts
+    and datasets.  The rows move in lockstep, but each keeps its own step
+    count, step cap, halving and stop, and no row's arithmetic depends on the
+    others, so a row ends where it would end alone.  Each step takes the
+    gradient and the Hessian from one posterior.  Near the maximum the
+    log-likelihood differences fall below float resolution, so steps are also
+    accepted when they clearly contract the gradient without losing
+    likelihood beyond rounding.
+
+    Returns each row's final point, final gradient norm and number of steps,
+    and whether the step cap stopped it.
     """
-    best_ll = model.log_likelihood(theta, bound)
-    ll_slack = max(1.0, abs(best_ll)) * 1e-12
-    steps = 0
-    while True:
-        g = model.gradient(theta, bound)
-        gn = float(np.linalg.norm(g))
-        if gn <= _GRAD_TOL * 1e-2:
-            return theta, steps, False
-        if steps == max_steps:
-            return theta, steps, True
+    theta = np.array(theta, dtype=float)
+    best_ll = model.log_likelihood(theta, weights)
+    ll_slack = np.maximum(1.0, np.abs(best_ll)) * 1e-12
+    steps = np.zeros(len(theta), dtype=int)
+    capped = np.zeros(len(theta), dtype=bool)
+    grad_norm = np.zeros(len(theta))
+    active = np.arange(len(theta))
+    while len(active):
+        post = model._posterior(model._cpt_probs(theta[active]), weights[active])
+        g = model._score(post[0], post[3])
+        grad_norm[active] = gn = np.linalg.norm(g, axis=1)
+        done, at_cap = gn <= _GRAD_TOL * 1e-2, steps[active] == max_steps
+        capped[active] = at_cap & ~done
+        go = ~done & ~at_cap
+        if not go.any():
+            break
         # Modified Newton: reflect convex-side curvature and keep the
         # magnitude of flat eigenvalues, so saddle and ridge directions still
         # yield ascent steps sized by the actual curvature; cap the step so
         # backtracking starts from a sane trust region, which also bounds
         # the steps along flat directions.
-        evals, evecs = np.linalg.eigh(model.hessian(theta, bound))
-        floor = max(1e-15 * float(np.abs(evals).max(initial=0.0)), np.finfo(float).tiny)
-        step = evecs @ ((evecs.T @ g) / np.maximum(np.abs(evals), floor))
-        if not np.all(np.isfinite(step)):
-            return theta, steps, False
-        big = float(np.abs(step).max())
-        if big > 4.0:
-            step *= 4.0 / big
+        evals, evecs = np.linalg.eigh(model._hessian(*(a[go] for a in post)))
+        floor = np.maximum(1e-15 * np.abs(evals).max(axis=1, initial=0.0), np.finfo(float).tiny)
+        coef = np.einsum("bi,bij->bj", g[go], evecs) / np.maximum(np.abs(evals), floor[:, None])
+        step = np.einsum("bij,bj->bi", evecs, coef)
+        finite = np.all(np.isfinite(step), axis=1)
+        active, step, gn = active[go][finite], step[finite], gn[go][finite]
+        big = np.abs(step).max(axis=1, initial=0.0)
+        step[big > 4.0] *= (4.0 / big[big > 4.0])[:, None]
+        # Backtrack each row on its own; rows still searching after 30 halvings stop.
+        searching = np.arange(len(active))
         for _ in range(30):
-            cand = np.clip(theta + step, -_THETA_BOUND, _THETA_BOUND)
-            ll = model.log_likelihood(cand, bound)
-            if ll > best_ll + ll_slack or (
-                    ll >= best_ll - ll_slack
-                    and float(np.linalg.norm(model.gradient(cand, bound))) < 0.97 * gn):
-                theta, best_ll = cand, max(best_ll, ll)
+            if not len(searching):
                 break
-            step *= 0.5
-        else:
-            return theta, steps, False
-        steps += 1
+            rows = active[searching]
+            cand = np.clip(theta[rows] + step[searching], -_THETA_BOUND, _THETA_BOUND)
+            ll = model.log_likelihood(cand, weights[rows])
+            accept = ll > best_ll[rows] + ll_slack[rows]
+            near = ~accept & (ll >= best_ll[rows] - ll_slack[rows])
+            if near.any():
+                g_near = model.gradient(cand[near], weights[rows[near]])
+                accept[near] = np.linalg.norm(g_near, axis=1) < 0.97 * gn[searching[near]]
+            moved = rows[accept]
+            theta[moved] = cand[accept]
+            best_ll[moved] = np.maximum(best_ll[moved], ll[accept])
+            steps[moved] += 1
+            searching = searching[~accept]
+            step[searching] *= 0.5
+        active = np.delete(active, searching)
+    return theta, grad_norm, steps, capped
+
+
+def starting_points(model: LikelihoodModel, restarts: int, seed) -> np.ndarray:
+    """A fit's starts, one per row: the uniform law, then random laws drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    starts = [np.zeros(model.n_params)]
+    while len(starts) < restarts:
+        starts.append(model.cpts_to_theta({
+            name: rng.dirichlet(np.ones(L), size=n_rows).reshape(cpt_shape)
+            for name, off, n_rows, L, cpt_shape in model._blocks}))
+    return np.array(starts)
+
+
+def maximize(model: LikelihoodModel, weights: np.ndarray, starts: np.ndarray, max_steps: int):
+    """Climb every start of every dataset in one Newton batch; keep each dataset's best.
+
+    ``weights`` (C, n_obs) holds each dataset's observed-cell weights and
+    ``starts`` (C, R, k) its starts.  Returns per dataset the best start's
+    point, log-likelihood and index (the first of the highest), its final
+    gradient norm and whether it converged, and the steps of every start
+    (C, R).
+    """
+    n, r = starts.shape[:2]
+    rows = np.repeat(weights, r, axis=0)
+    theta, grad_norm, steps, capped = _newton(model, starts.reshape(n * r, -1), rows, max_steps)
+    ll = model.log_likelihood(theta, rows).reshape(n, r)
+    best = np.argmax(ll, axis=1)
+    pick = np.arange(n) * r + best
+    # A best start stopped by its step cap has an unconfirmed optimum.
+    converged = (grad_norm[pick] <= _GRAD_TOL) & ~capped[pick]
+    return (theta[pick], ll[np.arange(n), best], best, grad_norm[pick], converged,
+            steps.reshape(n, r))
 
 
 def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None) -> FitResult:
@@ -622,7 +744,7 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
     Requires a structurally identifiable graph unless
     ``config.allow_nonidentifiable`` is set; a non-identifiable model still
     optimizes fine but the optimum is a ridge, so estimates of the affected
-    parameters are arbitrary within it.
+    parameters are arbitrary within it.  The starts are climbed as one batch.
     """
     config = config or FitConfig()
     model = LikelihoodModel(graph)
@@ -636,27 +758,9 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
                 "graph is structurally non-identifiable; pass allow_nonidentifiable=True "
                 f"to fit anyway: {[r.detail for r in verdict.reasons]}")
 
-    rng = np.random.default_rng(config.seed)
-    starts = [np.zeros(model.n_params)]
-    while len(starts) < max(1, config.restarts):
-        cpts = {}
-        for name, off, n_rows, L, cpt_shape in model._blocks:
-            cpts[name] = rng.dirichlet(np.ones(L), size=n_rows).reshape(cpt_shape)
-        starts.append(model.cpts_to_theta(cpts))
-
-    best = None
-    total_iters = 0
-    for i, start in enumerate(starts):
-        theta, steps, capped = _newton(model, bound, start, config.max_iterations)
-        total_iters += steps
-        ll = model.log_likelihood(theta, bound)
-        if best is None or ll > best[0]:
-            best = (ll, i, theta, capped)
-
-    ll, best_i, theta, capped = best
-    grad_norm = float(np.linalg.norm(model.gradient(theta, bound)))
-    # A best start stopped by its step cap has an unconfirmed optimum.
-    converged = grad_norm <= _GRAD_TOL and not capped
+    starts = starting_points(model, config.restarts, config.seed)
+    theta, ll, best_i, grad_norm, converged, steps = (a[0] for a in maximize(
+        model, model.cell_weights(bound)[None], starts[None], config.max_iterations))
 
     probs = model._cpt_probs(theta)
     est = probs[model._free]
@@ -683,7 +787,7 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
     parameters = [ParameterEstimate(name, given, level, float(e), s, c, bool(b), bool(r))
                   for (name, given, level, *_), e, s, c, b, r
                   in zip(model.parameter_coords(), est, se, ci, boundary, reliable)]
-    return FitResult(theta=theta, cpts=model._cpts(probs), log_likelihood=ll,
-                     grad_norm=grad_norm, parameters=parameters, converged=converged,
-                     iterations=total_iters, restarts=len(starts), best_restart=best_i,
-                     graph=graph)
+    return FitResult(theta=theta, cpts=model._cpts(probs), log_likelihood=float(ll),
+                     grad_norm=float(grad_norm), parameters=parameters,
+                     converged=bool(converged), iterations=int(steps.sum()),
+                     restarts=len(starts), best_restart=int(best_i), graph=graph)

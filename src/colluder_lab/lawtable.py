@@ -310,9 +310,11 @@ def joint_from_cpts(subscripts: Sequence[str], cpts: Sequence[np.ndarray]) -> np
     """The full joint as the product of the CPTs, one einsum over :func:`cpt_subscripts`.
 
     Each cell multiplies its CPT entries in vertex order, for float and for
-    object (``Fraction``) arrays alike, so exact laws stay exact.
+    object (``Fraction``) arrays alike, so exact laws stay exact.  CPTs with
+    leading batch axes give one joint per batch entry.
     """
-    return np.einsum(",".join(subscripts) + "->" + "".join(s[-1] for s in subscripts), *cpts)
+    return np.einsum(",".join("..." + s for s in subscripts)
+                     + "->..." + "".join(s[-1] for s in subscripts), *cpts)
 
 
 def coarsening_map(graph: MissingDataGraph) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Replicated simulation studies: draw laws, sample, fit, aggregate bias and RMSE.
 
 Replications are independent cells seeded by (scenario seed, sample-size
-index, replication index), so results are reproducible under any scheduling;
+index, replication index), and a cell's fit does not depend on the other
+cells fitted in its batch, so results are reproducible under any scheduling;
 aggregation is a deterministic fold in replication order.
 """
 
@@ -16,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ColluderLabError, LawError
-from .estimate import Dataset, FitConfig, LikelihoodModel, ParameterEstimate, fit
+# ``fit`` is not called here, but perfbench's tracer wraps ``simstudy.fit``.
+from .estimate import (Dataset, FitConfig, LikelihoodModel, ParameterEstimate,  # noqa: F401
+                       fit, maximize, starting_points)
 from .fixtures import ccm_graph
 from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map, observable_axes,
                        random_law)
@@ -48,11 +51,14 @@ def sample_counts(law: CategoricalLaw, n: int, seed=None) -> Dataset:
     its count as weight.  Fitting it gives the same result as fitting the
     records, without building them.
     """
+    return Dataset.from_cell_weights(law.graph, _cell_counts(law, n, seed))
+
+
+def _cell_counts(law: CategoricalLaw, n: int, seed) -> np.ndarray:
+    """The count of every observed cell among the records drawn for ``seed``."""
     counts = _full_counts(law, n, np.random.default_rng(seed))
-    shape = [a.size for a in observable_axes(law.graph)]
-    cells = np.bincount(coarsening_map(law.graph).reshape(-1), weights=counts,
-                        minlength=int(np.prod(shape)))
-    return Dataset.from_cell_weights(law.graph, cells)
+    size = int(np.prod([a.size for a in observable_axes(law.graph)]))
+    return np.bincount(coarsening_map(law.graph).reshape(-1), weights=counts, minlength=size)
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,14 @@ class SimScenario:
     def __post_init__(self):
         if self.replications < 1:
             raise LawError("replications must be at least 1")
+        if not self.sample_sizes:
+            raise LawError("sample_sizes must not be empty")
         if any(n < 1 for n in self.sample_sizes):
             raise LawError("sample sizes must be positive")
+        if self.restarts < 1:
+            raise LawError("restarts must be at least 1")
+        if not 0.0 <= self.max_failure_rate <= 1.0:
+            raise LawError(f"max_failure_rate must lie in [0, 1], got {self.max_failure_rate}")
         if self.m > self.q:
             raise LawError(f"CCM({self.m},{self.q}) needs m <= q for an identifiable design")
 
@@ -113,21 +125,37 @@ def _parameter_layout(graph: MissingDataGraph) -> list[tuple[str, str, str]]:
 
 
 def _run_cell(scenario: SimScenario, n_idx: int, rep: int):
-    """One replication at one sample size; returns the error vector or None."""
-    graph = scenario.graph()
+    """One replication's draws: its law, its sample's observed-cell counts and its fit seed."""
     ss = np.random.SeedSequence((scenario.seed, n_idx, rep))
     law_seed, data_seed, fit_seed = ss.spawn(3)
-    law = random_law(graph, scenario.constraints, law_seed)
-    data = sample_counts(law, scenario.sample_sizes[n_idx], data_seed)
-    config = FitConfig(restarts=scenario.restarts, compute_ci=False,
-                       seed=int(fit_seed.generate_state(1)[0]))
-    result = fit(data, graph, config)
-    if not result.converged:
-        return None
-    est = np.array([p.estimate for p in result.parameters])
-    truth = np.array([float(law.cpts[p.vertex][tuple(v for _, v in p.given) + (p.level,)])
-                      for p in result.parameters])
-    return est - truth
+    law = random_law(scenario.graph(), scenario.constraints, law_seed)
+    counts = _cell_counts(law, scenario.sample_sizes[n_idx], data_seed)
+    return law, counts, int(fit_seed.generate_state(1)[0])
+
+
+#: The most cells one Newton batch holds.  A batch keeps about 70 kB per start of a
+#: CCM(4,4) cell, so the cap bounds a large study's memory; a cell's fit does not
+#: depend on its batch, so the cap does not change results.
+_BATCH_CELLS = 64
+
+
+def _run_cells(scenario: SimScenario, cells) -> list:
+    """Fit the (sample-size index, replication) ``cells`` and all their starts in
+    batches of at most ``_BATCH_CELLS`` cells; each cell's error vector, or None
+    where the fit did not converge."""
+    if len(cells) > _BATCH_CELLS:
+        return [e for i in range(0, len(cells), _BATCH_CELLS)
+                for e in _run_cells(scenario, cells[i:i + _BATCH_CELLS])]
+    model = LikelihoodModel(scenario.graph())
+    draws = [_run_cell(scenario, n_idx, rep) for n_idx, rep in cells]
+    starts = np.stack([starting_points(model, scenario.restarts, seed) for *_, seed in draws])
+    theta, _, _, _, converged, _ = maximize(model, np.stack([c for _, c, _ in draws]), starts,
+                                            FitConfig().max_iterations)
+    est = model._cpt_probs(theta)[:, model._free]
+    coords = [(name, tuple(v for _, v in given) + (level,))
+              for name, given, level, *_ in model.parameter_coords()]
+    return [e - np.array([float(law.cpts[name][at]) for name, at in coords]) if ok else None
+            for (law, *_), e, ok in zip(draws, est, converged)]
 
 
 @dataclass(frozen=True)
@@ -239,12 +267,15 @@ def _one_blas_thread() -> None:
 def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     """Run every (sample size, replication) cell and aggregate bias and RMSE by group.
 
-    ``threads`` greater than 1 runs the cells on that many worker
-    processes, each with its BLAS limited to one thread; the report is the
-    same for any value.  Non-convergent fits are excluded from the
-    aggregates and counted; the scenario fails if more than
-    ``max_failure_rate`` of the replications at any sample size did not
-    converge.
+    Each cell's law and sample are drawn from its own seed; the cells are
+    then fitted, with all their starts, in Newton batches of up to
+    ``_BATCH_CELLS`` cells.  ``threads`` greater than 1 splits the cells
+    into that many contiguous shares and fits each share on its own worker
+    process, with its BLAS limited to one thread; the report is the same for
+    any value.
+    Non-convergent fits are excluded from the aggregates and counted; the
+    scenario fails if more than ``max_failure_rate`` of the replications at
+    any sample size did not converge.
     """
     graph = scenario.graph()
     coords = _parameter_layout(graph)
@@ -253,13 +284,15 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
 
     cells = [(n_idx, rep) for n_idx in range(len(scenario.sample_sizes))
              for rep in range(scenario.replications)]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_one_blas_thread) as pool:
-            results = list(pool.map(_run_cell, [scenario] * len(cells),
-                                    [c[0] for c in cells], [c[1] for c in cells],
-                                    chunksize=8))
+    workers = min(threads, len(cells))
+    if workers > 1:
+        shares = [cells[len(cells) * i // workers:len(cells) * (i + 1) // workers]
+                  for i in range(workers)]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            results = [e for share in pool.map(_run_cells, [scenario] * workers, shares)
+                       for e in share]
     else:
-        results = [_run_cell(scenario, n_idx, rep) for n_idx, rep in cells]
+        results = _run_cells(scenario, cells)
 
     summaries = []
     per_parameter: dict = {}

@@ -97,6 +97,15 @@ class TestFit:
         est = [p for p in doc["parameters"] if p["vertex"] == "X"][0]["estimate"]
         assert est == pytest.approx(want, abs=1e-6)
 
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_bad_restarts_exit_one(self, tmp_path, capsys, restarts):
+        gpath = write_graph(tmp_path, ccm_graph(2, 2))
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("X,Y,R_X,R_Y\n0,0,1,1\n1,NA,1,0\n")
+        assert main(["fit", "--graph", gpath, "--data", str(csv_path),
+                     "--restarts", restarts]) == 1
+        assert f"restarts must be at least 1, got {restarts}" in capsys.readouterr().err
+
     def test_inconsistent_record_exits_one(self, tmp_path, capsys):
         g = ccm_graph(2, 2)
         gpath = write_graph(tmp_path, g)
@@ -190,6 +199,13 @@ class TestSimulate:
                                      "replications": 0, "seed": 1}))
         assert main(["simulate", str(spath)]) == 1
         assert "replications" in capsys.readouterr().err
+
+    def test_negative_failure_rate_exits_one(self, tmp_path, capsys):
+        spath = tmp_path / "rate.json"
+        spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [100],
+                                     "replications": 2, "max_failure_rate": -1.0}))
+        assert main(["simulate", str(spath)]) == 1
+        assert "max_failure_rate must lie in [0, 1]" in capsys.readouterr().err
 
     def test_unknown_scenario_file_exits_one(self, capsys):
         assert main(["simulate", "missing-scenario.json"]) == 1

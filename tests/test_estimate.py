@@ -12,6 +12,7 @@ from colluder_lab import (CategoricalLaw, DataError, Dataset, FitConfig,
                           VertexRole, appendix_b_pair, ccm_graph, completion_set,
                           example_graph, fit, grad_log_likelihood, log_likelihood,
                           observable_axes, observed_law, population_dataset, random_law)
+from colluder_lab.estimate import _newton, maximize, starting_points
 from colluder_lab.lawtable import coarsening_map
 from colluder_lab.simstudy import sample_counts, sample_dataset
 from conftest import exact_random_law, per_parameter_report, small_graphs
@@ -649,6 +650,17 @@ class TestFit:
                                             compute_ci=False))
         assert not capped.converged
 
+    @pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -2},
+                                     {"max_iterations": -1}])
+    def test_bad_settings_rejected(self, bad):
+        with pytest.raises(FitError, match="restarts must be at least 1|max_iterations"):
+            FitConfig(**bad)
+
+    def test_zero_steps_caps_every_start(self, fig1b):
+        data = sample_dataset(random_law(fig1b, seed=1), 300, seed=2)
+        res = fit(data, fig1b, FitConfig(restarts=2, max_iterations=0, seed=3, compute_ci=False))
+        assert res.iterations == 0 and not res.converged
+
     def test_monotone_improvement_across_restarts(self, fig1b):
         # the reported optimum dominates every restart's own outcome
         law = random_law(fig1b, seed=32)
@@ -659,3 +671,36 @@ class TestFit:
             if best is not None:
                 assert res.log_likelihood >= best - 1e-9
             best = max(best or -np.inf, res.log_likelihood)
+
+
+@settings(max_examples=25, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1), n_data=st.integers(2, 4))
+def test_batched_fit_equals_each_datasets_own_fit(graph, seed, n_data):
+    # Every (dataset, start) row of one Newton batch ends bit for bit where it
+    # ends alone, with the same steps and stop; the best start of each dataset
+    # is what fit() reports for that dataset.
+    rng = np.random.default_rng(seed)
+    model = LikelihoodModel(graph)
+    data = [sample_counts(CategoricalLaw(graph, {k: v.astype(float) for k, v in
+                                                 exact_random_law(graph, rng).cpts.items()}),
+                          int(rng.integers(20, 400)), seed=int(rng.integers(1 << 30)))
+            for _ in range(n_data)]
+    weights = np.stack([model.cell_weights(model.bind(d)) for d in data])
+    fit_seeds = [int(s) for s in rng.integers(1 << 30, size=n_data)]
+    starts = np.stack([starting_points(model, 2, s) for s in fit_seeds])
+    rows, row_weights = starts.reshape(2 * n_data, -1), np.repeat(weights, 2, axis=0)
+    batch = _newton(model, rows, row_weights, 40)
+    batch_ll = model.log_likelihood(batch[0], row_weights)
+    for i in range(len(rows)):
+        alone = _newton(model, rows[i:i + 1], row_weights[i:i + 1], 40)
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[i:i + 1], want)
+        assert batch_ll[i] == model.log_likelihood(alone[0][0], row_weights[i])
+
+    theta, ll, best, grad_norm, converged, steps = maximize(model, weights, starts, 40)
+    for i, (d, s) in enumerate(zip(data, fit_seeds)):
+        res = fit(d, graph, FitConfig(restarts=2, seed=s, max_iterations=40, compute_ci=False,
+                                      allow_nonidentifiable=True))
+        assert np.array_equal(res.theta, theta[i])
+        assert (res.log_likelihood, res.grad_norm, res.converged, res.best_restart,
+                res.iterations) == (ll[i], grad_norm[i], converged[i], best[i], steps[i].sum())

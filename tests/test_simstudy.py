@@ -76,6 +76,23 @@ class TestScenario:
         with pytest.raises(LawError, match="replications"):
             SimScenario(replications=0)
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"restarts": 0}, "restarts must be at least 1"),
+        ({"restarts": -3}, "restarts must be at least 1"),
+        ({"sample_sizes": []}, "sample_sizes must not be empty"),
+        ({"max_failure_rate": -1.0}, r"max_failure_rate must lie in \[0, 1\]"),
+        ({"max_failure_rate": 1.5}, r"max_failure_rate must lie in \[0, 1\]"),
+    ])
+    def test_bad_settings_rejected(self, bad, match):
+        with pytest.raises(LawError, match=match):
+            SimScenario(**bad)
+        with pytest.raises(LawError, match=match):
+            SimScenario.from_json({"m": 2, "q": 2, **bad})
+
+    def test_failure_rate_bounds_accepted(self):
+        for rate in (0.0, 1.0):
+            assert SimScenario(max_failure_rate=rate).max_failure_rate == rate
+
 
 class TestRunScenario:
     def test_single_replication_deterministic(self):
@@ -109,10 +126,25 @@ class TestRunScenario:
         assert json.dumps(seq.to_json(), sort_keys=True) == \
             json.dumps(par.to_json(), sort_keys=True)
 
+    def test_worker_counts_give_identical_reports(self):
+        # Seven cells split unevenly over two and three workers.
+        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=7, seed=12,
+                         max_failure_rate=1.0)
+        reports = {json.dumps(run_scenario(sc, threads=t).to_json(), sort_keys=True)
+                   for t in (1, 2, 3)}
+        assert len(reports) == 1
+
+    def test_batch_cap_gives_identical_report(self, monkeypatch):
+        sc = SimScenario(m=2, q=2, sample_sizes=(300, 500), replications=3, seed=13,
+                         max_failure_rate=1.0)
+        whole = json.dumps(run_scenario(sc).to_json(), sort_keys=True)
+        monkeypatch.setattr(simstudy, "_BATCH_CELLS", 4)
+        assert json.dumps(run_scenario(sc).to_json(), sort_keys=True) == whole
+
     @pytest.mark.skipif(not simstudy._openblas_thread_controls(),
                         reason="no OpenBLAS thread control symbol is loaded")
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
-        monkeypatch.setattr(simstudy, "_run_cell", _cell_reporting_blas_threads)
+        monkeypatch.setattr(simstudy, "_run_cells", _cells_reporting_blas_threads)
         sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
         rep = run_scenario(sc, threads=2)
         assert {v["bias"] for v in rep.per_parameter[300].values()} == {1.0}
@@ -131,9 +163,9 @@ class TestRunScenario:
             rep.summary("other", 1000).rmse_mean
 
 
-def _cell_reporting_blas_threads(scenario, n_idx, rep):
-    """Stands in for a simulation cell: every error entry is the worker's
-    largest OpenBLAS thread count."""
+def _cells_reporting_blas_threads(scenario, cells):
+    """Stands in for a worker's batch of simulation cells: every error entry
+    is the worker's largest OpenBLAS thread count."""
     threads = max(get() for _, get in simstudy._openblas_thread_controls())
     n_params = len(simstudy._parameter_layout(scenario.graph()))
-    return np.full(n_params, float(threads))
+    return [np.full(n_params, float(threads)) for _ in cells]
