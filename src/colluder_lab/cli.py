@@ -33,10 +33,10 @@ EXIT_NEGATIVE = 2
 
 def _threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
+        return args.threads
     env = os.environ.get("COLLUDER_LAB_THREADS")
     try:
-        return max(1, int(env)) if env else 1
+        return int(env) if env else 1
     except ValueError:
         raise ColluderLabError(f"COLLUDER_LAB_THREADS must be an integer, got {env!r}") from None
 
@@ -227,7 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", choices=["desk", "full"],
                    help="override replications: desk=200, full=1000")
     p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="processes that fit the replications, the caller included "
+                        "(default: $COLLUDER_LAB_THREADS, else 1)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("fit", help="maximum likelihood fit from a CSV of records")

@@ -381,16 +381,22 @@ class SimConstraints:
     max_tries: int = 10_000
 
     def to_json(self) -> dict:
-        return {"exogenous_response_prob": self.exogenous_response_prob,
-                "response_interval": list(self.response_interval),
-                "response_min_gap": self.response_min_gap,
-                "dependency_gap": self.dependency_gap,
-                "min_prob": self.min_prob}
+        doc = {"exogenous_response_prob": self.exogenous_response_prob,
+               "response_interval": list(self.response_interval),
+               "response_min_gap": self.response_min_gap,
+               "dependency_gap": self.dependency_gap,
+               "min_prob": self.min_prob}
+        # Written only when it differs from the default, so that scenarios and
+        # reports with the default keep the bytes they had before the field
+        # was serialized.
+        if self.max_tries != SimConstraints.max_tries:
+            doc["max_tries"] = self.max_tries
+        return doc
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConstraints":
         unknown = set(obj) - {"exogenous_response_prob", "response_interval",
-                              "response_min_gap", "dependency_gap", "min_prob"}
+                              "response_min_gap", "dependency_gap", "min_prob", "max_tries"}
         if unknown:
             raise LawError(f"unknown constraint keys: {sorted(unknown)}")
         kwargs = dict(obj)

@@ -8,6 +8,7 @@ aggregation is a deterministic fold in replication order.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import itertools
 from collections.abc import Callable
@@ -254,14 +255,33 @@ def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
     return controls
 
 
-def _one_blas_thread() -> None:
-    """Pool worker initializer: run every loaded OpenBLAS on one thread.
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run every loaded OpenBLAS on one thread inside the block.
 
-    Each worker is one of ``threads`` processes, so a BLAS thread pool per
-    worker would oversubscribe the cores the pool already fills.
+    The processes of a study fill the cores, so a BLAS thread pool per
+    process would oversubscribe them.  The previous thread counts are
+    restored on exit, also when the block raises.  Only counts above one are
+    set: OpenBLAS rebuilds its thread pool, whose idle threads spin for a
+    while, on the first ``set_num_threads`` after a fork, so a worker forked
+    inside the block, which inherits the count of one, must not set it again.
     """
-    for set_threads, _ in _openblas_thread_controls():
+    saved = [(set_threads, get_threads())
+             for set_threads, get_threads in _openblas_thread_controls()]
+    changed = [(set_threads, count) for set_threads, count in saved if count != 1]
+    for set_threads, _ in changed:
         set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in changed:
+            set_threads(count)
+
+
+def _fit_share(scenario: SimScenario, cells) -> list:
+    """:func:`_run_cells` on one BLAS thread: a worker's share of a study."""
+    with _one_blas_thread():
+        return _run_cells(scenario, cells)
 
 
 def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
@@ -269,14 +289,18 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
 
     Each cell's law and sample are drawn from its own seed; the cells are
     then fitted, with all their starts, in Newton batches of up to
-    ``_BATCH_CELLS`` cells.  ``threads`` greater than 1 splits the cells
-    into that many contiguous shares and fits each share on its own worker
-    process, with its BLAS limited to one thread; the report is the same for
-    any value.
+    ``_BATCH_CELLS`` cells.  ``threads`` must be at least 1.  With
+    ``threads`` = w > 1 the cells are split into w contiguous shares: the
+    calling process fits the first share while w - 1 forked worker processes
+    fit the others, each process with its BLAS limited to one thread, and
+    the results are joined in cell order.  The report is the same for any
+    value.
     Non-convergent fits are excluded from the aggregates and counted; the
     scenario fails if more than ``max_failure_rate`` of the replications at
     any sample size did not converge.
     """
+    if threads < 1:
+        raise ColluderLabError(f"threads must be at least 1, got {threads}")
     graph = scenario.graph()
     coords = _parameter_layout(graph)
     groups = [c[1] for c in coords]
@@ -286,11 +310,11 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
              for rep in range(scenario.replications)]
     workers = min(threads, len(cells))
     if workers > 1:
-        shares = [cells[len(cells) * i // workers:len(cells) * (i + 1) // workers]
-                  for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            results = [e for share in pool.map(_run_cells, [scenario] * workers, shares)
-                       for e in share]
+        first, *others = [cells[len(cells) * i // workers:len(cells) * (i + 1) // workers]
+                          for i in range(workers)]
+        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            forked = pool.map(_fit_share, [scenario] * len(others), others)
+            results = _run_cells(scenario, first) + [e for share in forked for e in share]
     else:
         results = _run_cells(scenario, cells)
 

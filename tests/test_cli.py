@@ -183,6 +183,35 @@ class TestSimulate:
         assert "COLLUDER_LAB_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "tiny-report.json").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_thread_flag_below_one_is_an_input_error(self, tmp_path, capsys, value):
+        spath = tmp_path / "tiny.json"
+        spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [200],
+                                     "replications": 1, "seed": 3}))
+        assert main(["simulate", str(spath), "--threads", value]) == 1
+        assert f"threads must be at least 1, got {value}" in capsys.readouterr().err
+        assert not (tmp_path / "tiny-report.json").exists()
+
+    def test_zero_thread_variable_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        spath = tmp_path / "tiny.json"
+        spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [200],
+                                     "replications": 1, "seed": 3}))
+        monkeypatch.setenv("COLLUDER_LAB_THREADS", "0")
+        assert main(["simulate", str(spath)]) == 1
+        assert "threads must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "tiny-report.json").exists()
+
+    def test_seed_override_keeps_max_tries(self, tmp_path, capsys):
+        spath = tmp_path / "tiny.json"
+        spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [200],
+                                     "replications": 1, "seed": 3,
+                                     "constraints": {"max_tries": 2000}}))
+        assert main(["simulate", str(spath), "--seed", "4", "--out",
+                     str(tmp_path / "report")]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["scenario"]["seed"] == 4
+        assert doc["scenario"]["constraints"]["max_tries"] == 2000
+
     def test_default_output_does_not_clobber_scenario(self, tmp_path, capsys):
         spath = tmp_path / "tiny.json"
         spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [200],

@@ -1,10 +1,12 @@
+import contextlib
 import json
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from colluder_lab import (CategoricalLaw, LawError, SimConstraints,
+from colluder_lab import (CategoricalLaw, ColluderLabError, LawError, SimConstraints,
                           SimReport, SimScenario, VertexRole, ccm_graph,
                           random_law, run_scenario, sample_dataset, simstudy)
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
@@ -64,6 +66,18 @@ class TestScenario:
                          constraints=SimConstraints(dependency_gap=0.2))
         assert SimScenario.from_json(sc.to_json()) == sc
 
+    def test_max_tries_round_trips(self):
+        sc = SimScenario(m=2, q=2, sample_sizes=(100,), replications=2, seed=5,
+                         constraints=SimConstraints(max_tries=5))
+        doc = json.loads(json.dumps(sc.to_json()))
+        assert doc["constraints"]["max_tries"] == 5
+        assert SimScenario.from_json(doc) == sc
+
+    def test_default_max_tries_is_not_written(self):
+        # Scenarios and reports with the default keep their bytes.
+        assert "max_tries" not in SimConstraints().to_json()
+        assert SimConstraints.from_json(SimConstraints().to_json()) == SimConstraints()
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(LawError, match="unknown scenario"):
             SimScenario.from_json({"m": 2, "q": 2, "bogus": 1})
@@ -109,6 +123,12 @@ class TestRunScenario:
         rep2 = SimReport.from_json(doc)
         assert rep2.to_json() == rep.to_json()
 
+    def test_report_round_trip_keeps_max_tries(self):
+        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=1, seed=7,
+                         constraints=SimConstraints(max_tries=2_000))
+        rep = SimReport.from_json(json.loads(json.dumps(run_scenario(sc).to_json())))
+        assert rep.scenario == sc
+
     def test_groups_present_and_ordered(self):
         sc = SimScenario(m=2, q=2, sample_sizes=(400,), replications=2, seed=8)
         rep = run_scenario(sc)
@@ -149,6 +169,62 @@ class TestRunScenario:
         rep = run_scenario(sc, threads=2)
         assert {v["bias"] for v in rep.per_parameter[300].values()} == {1.0}
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=1, seed=9)
+        with pytest.raises(ColluderLabError, match="threads must be at least 1"):
+            run_scenario(sc, threads=threads)
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_caller_fits_the_first_share(self, monkeypatch, threads):
+        # One cell per sample size, so each share's bias is its process id.
+        monkeypatch.setattr(simstudy, "_run_cells", _cells_reporting(os.getpid))
+        sizes = tuple(range(300, 300 + threads))
+        sc = SimScenario(m=2, q=2, sample_sizes=sizes, replications=1, seed=9)
+        rep = run_scenario(sc, threads=threads)
+        pids = [{v["bias"] for v in rep.per_parameter[n].values()} for n in sizes]
+        assert all(len(p) == 1 for p in pids)
+        pids = [p.pop() for p in pids]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == threads
+
+    @pytest.mark.skipif(not simstudy._openblas_thread_controls()
+                        or not os.path.isdir("/proc/self/task"),
+                        reason="needs OpenBLAS thread control and /proc/self/task")
+    def test_forked_worker_starts_no_blas_threads(self, monkeypatch):
+        # A set_num_threads call after a fork rebuilds OpenBLAS's spinning pool.
+        monkeypatch.setattr(simstudy, "_run_cells",
+                            _cells_reporting(lambda: len(os.listdir("/proc/self/task"))))
+        sc = SimScenario(m=2, q=2, sample_sizes=(300, 301), replications=1, seed=9)
+        rep = run_scenario(sc, threads=2)
+        assert {v["bias"] for v in rep.per_parameter[301].values()} == {1.0}
+
+    def test_caller_share_error_propagates(self, monkeypatch):
+        monkeypatch.setattr(simstudy, "_run_cells", _cells_failing_in(os.getpid()))
+        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+        with pytest.raises(RuntimeError, match="share failed"):
+            run_scenario(sc, threads=2)
+
+    @pytest.mark.skipif(not simstudy._openblas_thread_controls(),
+                        reason="no OpenBLAS thread control symbol is loaded")
+    @pytest.mark.parametrize("fail", [False, True])
+    def test_caller_blas_threads_restored(self, monkeypatch, fail):
+        if fail:
+            monkeypatch.setattr(simstudy, "_run_cells", _cells_failing_in(os.getpid()))
+        controls = simstudy._openblas_thread_controls()
+        original = [get() for _, get in controls]
+        for set_threads, _ in controls:
+            set_threads(2)
+        try:
+            before = [get() for _, get in controls]
+            sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+            with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
+                run_scenario(sc, threads=2)
+            assert [get() for _, get in controls] == before
+        finally:
+            for (set_threads, _), count in zip(controls, original):
+                set_threads(count)
+
     def test_quaternary_rmse_shrinks_with_sample_size(self):
         sc = SimScenario(m=4, q=4, sample_sizes=(1000, 100000), replications=3,
                          seed=10, constraints=SimConstraints(dependency_gap=0.3))
@@ -169,3 +245,24 @@ def _cells_reporting_blas_threads(scenario, cells):
     threads = max(get() for _, get in simstudy._openblas_thread_controls())
     n_params = len(simstudy._parameter_layout(scenario.graph()))
     return [np.full(n_params, float(threads)) for _ in cells]
+
+
+def _cells_reporting(measure):
+    """A stand-in for a share of simulation cells: every error entry is
+    ``measure()`` taken in the process that fits the share."""
+    def run_cells(scenario, cells):
+        n_params = len(simstudy._parameter_layout(scenario.graph()))
+        return [np.full(n_params, float(measure())) for _ in cells]
+    return run_cells
+
+
+def _cells_failing_in(pid):
+    """A stand-in for a share of simulation cells that raises in process ``pid``
+    and reports the process id elsewhere."""
+    report = _cells_reporting(os.getpid)
+
+    def run_cells(scenario, cells):
+        if os.getpid() == pid:
+            raise RuntimeError("share failed")
+        return report(scenario, cells)
+    return run_cells
