@@ -8,6 +8,7 @@ failed verification), 1 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -253,8 +254,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

@@ -103,6 +103,65 @@ def enumerate_strata(g: MissingDataGraph, col: Colluder):
         yield {**dict(zip(enumerable, combo)), **base}
 
 
+@dataclass(frozen=True)
+class _Stacks:
+    """Every stratum's colluder quantities, read in one pass off the observed table.
+
+    Leading axis: strata in :func:`enumerate_strata` order.  ``p_z`` (S,)
+    is the stratum mass, ``p_x`` (S, m) the mass of {X=x_j, R_X=1, R_Y=1},
+    ``a`` (S, q, m) the colluder matrices and ``b`` (S, 2, q) the right-hand
+    sides of both arms.  Each mass is its exact total rounded once to float,
+    so the entries equal per-event ``float(event_prob(...))`` arithmetic.
+    """
+
+    p_z: np.ndarray
+    p_x: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+
+
+def _stacks(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder,
+            z: Mapping[str, int] | None = None) -> _Stacks:
+    """The colluder quantities of every stratum, or of stratum ``z`` alone."""
+    x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
+    y_name = g.true_of(ry)
+    m, q = g.vertex(x_name).levels, g.vertex(y_name).levels
+    enumerable, indicators = stratum_variables(g, col)
+    exact = obs.rationals()
+    index = [slice(None)] * len(obs.axes)
+    for n in indicators:
+        index[obs.axis(n)] = 1
+    for n in enumerable:
+        index[obs.axis(n)] = z[n] if z is not None else slice(g.vertex(n).levels)
+    kept = [a.name for a, i in zip(obs.axes, index) if isinstance(i, slice)]
+    order = [kept.index(n) for n in (*(n for n in enumerable if z is None),
+                                     x_name, y_name, rx, ry)]
+    t = np.transpose(exact.numerators[tuple(index)], order).reshape(-1, m + 1, q + 1, 2, 2)
+
+    p_z = exact.floats(t.sum(axis=(1, 2, 3, 4)))
+    p_ry1 = exact.floats(t[..., 1].sum(axis=(1, 2, 3)))
+    p_x = exact.floats(t[:, :m, :, 1, 1].sum(axis=2))
+    joint = exact.floats(t[:, :m, :q, 1, 1])
+    b = exact.floats(np.moveaxis(t[:, :, :q, :, 1].sum(axis=1), 2, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_ry1 = p_ry1 / p_z
+        a = np.swapaxes(joint / p_x[:, :, None] * p_ry1[:, None, None], 1, 2)
+        b = b / p_z[:, None, None]
+    return _Stacks(p_z, p_x, np.ascontiguousarray(a), b)
+
+
+def _check_positivity(st: _Stacks, s: int, z: dict, col: Colluder, eps_pos: float) -> None:
+    if st.p_z[s] < eps_pos:
+        raise PositivityError(f"positivity violated at stratum {z}", stratum=z)
+    x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
+    null = np.flatnonzero(st.p_x[s] < eps_pos)
+    if null.size:
+        j = null[0]
+        raise PositivityError(
+            f"positivity violated: event {{{x_name}={j}, {rx}=1, {ry}=1}} "
+            f"has zero mass at stratum {z}", stratum=z)
+
+
 def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder,
                           z: Mapping[str, int], r: int, *, eps_pos: float = EPS_POS,
                           check_separation: bool = True) -> ColluderSystem:
@@ -127,36 +186,17 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Collu
         raise LawError(f"stratum must assign exactly {sorted(expected)}, got {sorted(z)}")
     if any(z[n] != 1 for n in indicators):
         raise LawError("response indicators inside the stratum must be set to 1")
-
-    x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
-    y_name = g.true_of(ry)
-    m = g.vertex(x_name).levels
-    q = g.vertex(y_name).levels
-    if m is None or q is None:
+    for n in enumerable:
+        if not 0 <= z[n] < obs.axes[obs.axis(n)].size:
+            raise LawError(f"level {z[n]} out of range for axis {n!r}")
+    if g.vertex(col.true_variable).levels is None or \
+            g.vertex(g.true_of(col.target_indicator)).levels is None:
         raise GraphQueryError("colluder variables must be categorical with declared levels")
 
     z = dict(z)
-    p_z = float(obs.event_prob(z))
-    if p_z < eps_pos:
-        raise PositivityError(f"positivity violated at stratum {z}", stratum=z)
-    p_ry1 = float(obs.event_prob({**z, ry: 1})) / p_z
-
-    a = np.zeros((q, m))
-    for j in range(m):
-        p_xj = float(obs.event_prob({**z, x_name: j, rx: 1, ry: 1}))
-        if p_xj < eps_pos:
-            raise PositivityError(
-                f"positivity violated: event {{{x_name}={j}, {rx}=1, {ry}=1}} "
-                f"has zero mass at stratum {z}", stratum=z)
-        for i in range(q):
-            joint = float(obs.event_prob({**z, x_name: j, rx: 1, ry: 1, y_name: i}))
-            a[i, j] = joint / p_xj * p_ry1
-
-    b = np.zeros(q)
-    for k in range(q):
-        b[k] = float(obs.event_prob({**z, y_name: k, ry: 1, rx: r})) / p_z
-
-    return ColluderSystem(col, z, r, a, b)
+    st = _stacks(obs, g, col, z)
+    _check_positivity(st, 0, z, col, eps_pos)
+    return ColluderSystem(col, z, r, st.a[0], st.b[0, r])
 
 
 def rank_test(sys: ColluderSystem, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
@@ -207,39 +247,35 @@ def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder
             "conditional independence violated: the colluder equations cannot be "
             "read off the observed data", colluder=col)
 
-    x_name = col.true_variable
+    x_name, rx = col.true_variable, col.response_of_true
     y_name = g.true_of(col.target_indicator)
     variables = [v for v in g.non_proxy_vertices()
                  if v.role is not VertexRole.RESPONSE_INDICATOR]
     axes = [Axis(v.name, v.levels, "observed" if v.role is VertexRole.FULLY_OBSERVED else "true")
             for v in variables]
-    axes.append(Axis(col.response_of_true, 2, "indicator"))
-    out = np.zeros([a.size for a in axes])
-    pos = {a.name: i for i, a in enumerate(axes)}
-    m = g.vertex(x_name).levels
-    q_levels = g.vertex(y_name).levels
+    axes.append(Axis(rx, 2, "indicator"))
 
-    for z in enumerate_strata(g, col):
-        sys0 = build_colluder_system(obs, g, col, z, 0, eps_pos=eps_pos, check_separation=False)
-        sys1 = build_colluder_system(obs, g, col, z, 1, eps_pos=eps_pos, check_separation=False)
-        s0 = solve_colluder(sys0, rank_tol=rank_tol).values
-        s1 = solve_colluder(sys1, rank_tol=rank_tol).values
-        for j in range(m):
-            denom = s0[j] + s1[j]
-            if denom < eps_pos:
-                raise PositivityError(
-                    f"positivity violated: {x_name}={j} has no mass at stratum {z}", stratum=z)
-            idx = [slice(None)] * len(axes)
-            for name, level in z.items():
-                if name in pos:
-                    idx[pos[name]] = level
-            idx[pos[x_name]] = j
-            idx[pos[y_name]] = slice(None)
-            idx[pos[col.response_of_true]] = 0
-            out[tuple(idx)] = s0[j] / denom
-            idx[pos[col.response_of_true]] = 1
-            out[tuple(idx)] = s1[j] / denom
-    return ProbabilityTable(axes, out)
+    st = _stacks(obs, g, col)
+    solutions = np.empty((len(st.p_z), 2, g.vertex(x_name).levels))
+    for s, z in enumerate(enumerate_strata(g, col)):
+        _check_positivity(st, s, z, col, eps_pos)
+        for r in (0, 1):
+            sys = ColluderSystem(col, z, r, st.a[s], st.b[s, r])
+            solutions[s, r] = solve_colluder(sys, rank_tol=rank_tol).values
+        null = np.flatnonzero(solutions[s, 0] + solutions[s, 1] < eps_pos)
+        if null.size:
+            raise PositivityError(
+                f"positivity violated: {x_name}={null[0]} has no mass at stratum {z}",
+                stratum=z)
+
+    # (strata, R_X, X) -> (*stratum variables, X, R_X, Y), then declaration order
+    mech = solutions / (solutions[:, 0] + solutions[:, 1])[:, None]
+    enumerable, _ = stratum_variables(g, col)
+    labels = [*enumerable, x_name, rx, y_name]
+    mech = np.swapaxes(mech, 1, 2).reshape(
+        [g.vertex(n).levels for n in labels[:-1]] + [1])
+    mech = np.transpose(mech, [labels.index(a.name) for a in axes])
+    return ProbabilityTable(axes, np.broadcast_to(mech, [a.size for a in axes]))
 
 
 # -- binary closed form ---------------------------------------------------------

@@ -3,7 +3,10 @@
 Tables are dense multidimensional arrays in row-major level order; the NA
 state of a proxy is its last level.  Float totals are correctly rounded
 (``math.fsum``); tables holding ``fractions.Fraction`` entries (object
-dtype) are summed exactly, which the appendix constructions rely on.  Laws
+dtype) are summed exactly, which the appendix constructions rely on.  An
+exact law's joint and observed tables are held as :class:`Rationals`,
+Python-int numerators over one common denominator, so their products and
+sums need no gcd; their ``Fraction`` values are built only when read.  Laws
 and tables are immutable value objects.
 """
 
@@ -27,11 +30,46 @@ EPS_POS = 1e-12
 _ROW_SUM_TOL = 1e-12
 
 
-def table_total(values: np.ndarray):
-    """Total mass of a table: correctly rounded for floats, exact for object arrays."""
-    if values.dtype == object:
-        return sum(values.flat, start=Fraction(0))
+def table_total(values: np.ndarray) -> float:
+    """Total mass of a float table, correctly rounded (exact tables add :class:`Rationals`)."""
     return math.fsum(values.flat)
+
+
+@dataclass(frozen=True)
+class Rationals:
+    """An exact array: Python-int ``numerators`` (object dtype) over one ``denominator``."""
+
+    numerators: np.ndarray
+    denominator: int
+
+    @classmethod
+    def of(cls, values: np.ndarray) -> "Rationals":
+        """The exact value of a float or rational array over the lcm of its denominators.
+
+        A float is a dyadic rational, so a float array's denominator is a
+        power of two and its exact totals, correctly rounded by ``n / d``,
+        equal ``math.fsum`` of the same cells.
+        """
+        values = np.asarray(values)
+        ratios = [x.as_integer_ratio() if isinstance(x, float)
+                  else (int(x.numerator), int(x.denominator))
+                  for x in values.reshape(-1).tolist()]
+        den = math.lcm(*{d for _, d in ratios})
+        nums = np.empty(len(ratios), dtype=object)
+        nums[:] = [n * (den // d) for n, d in ratios]
+        return cls(nums.reshape(values.shape), den)
+
+    def fractions(self) -> np.ndarray:
+        """The values as an object array of ``Fraction``."""
+        den = self.denominator
+        return np.asarray(np.frompyfunc(lambda n: Fraction(n, den), 1, 1)(self.numerators),
+                          dtype=object)
+
+    def floats(self, numerators: np.ndarray) -> np.ndarray:
+        """Each of ``numerators`` over this denominator, correctly rounded to float."""
+        den = self.denominator
+        return np.array([n / den for n in numerators.reshape(-1).tolist()]).reshape(
+            numerators.shape)
 
 
 @dataclass(frozen=True)
@@ -64,17 +102,46 @@ def observable_axes(graph: MissingDataGraph) -> tuple[Axis, ...]:
 
 
 class ProbabilityTable:
-    """An immutable probability table over named categorical axes."""
+    """An immutable probability table over named categorical axes.
 
-    def __init__(self, axes: Sequence[Axis], values: np.ndarray):
+    ``values`` is a float or object array, or :class:`Rationals` for an
+    exact table; the ``Fraction`` array of an exact table is built on first
+    read of :attr:`values`.
+    """
+
+    def __init__(self, axes: Sequence[Axis], values):
         axes = tuple(axes)
-        values = np.asarray(values).copy()
-        if values.shape != tuple(a.size for a in axes):
-            raise LawError(f"table shape {values.shape} does not match axes")
-        values.setflags(write=False)
+        if isinstance(values, Rationals):
+            nums = np.array(values.numerators, dtype=object)
+            nums.setflags(write=False)
+            self._exact = Rationals(nums, values.denominator)
+            self._values = None
+            shape = nums.shape
+        else:
+            self._exact = None
+            self._values = np.asarray(values).copy()
+            self._values.setflags(write=False)
+            shape = self._values.shape
+        # exact tables add integer numerators; float tables keep float sums
+        self._is_exact = self._values is None or self._values.dtype == object
+        if shape != tuple(a.size for a in axes):
+            raise LawError(f"table shape {shape} does not match axes")
         self.axes = axes
-        self.values = values
         self._index = {a.name: i for i, a in enumerate(axes)}
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._values is None:
+            values = self._exact.fractions()
+            values.setflags(write=False)
+            self._values = values
+        return self._values
+
+    def rationals(self) -> Rationals:
+        """The table's exact values as integer numerators over one denominator."""
+        if self._exact is None:
+            self._exact = Rationals.of(self._values)
+        return self._exact
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -87,6 +154,9 @@ class ProbabilityTable:
             raise GraphQueryError(f"table has no axis {name!r}") from None
 
     def total(self):
+        if self._is_exact:
+            exact = self.rationals()
+            return Fraction(sum(exact.numerators.flat), exact.denominator)
         return table_total(self.values)
 
     def event_prob(self, assignment: Mapping[str, int]):
@@ -97,15 +167,22 @@ class ProbabilityTable:
             if not 0 <= level < self.axes[i].size:
                 raise LawError(f"level {level} out of range for axis {name!r}")
             sl[i] = level
+        if self._is_exact:
+            exact = self.rationals()
+            cells = np.asarray(exact.numerators[tuple(sl)]).reshape(-1)
+            return Fraction(sum(cells.tolist()), exact.denominator)
         return table_total(np.asarray(self.values[tuple(sl)]).reshape(-1))
 
     def marginal(self, names: Sequence[str]) -> "ProbabilityTable":
         """Marginal table over ``names``, in the order given."""
         keep = [self.axis(n) for n in names]
         drop = tuple(i for i in range(len(self.axes)) if i not in keep)
-        summed = self.values.sum(axis=drop) if drop else self.values
+        values = self.rationals().numerators if self._is_exact else self.values
+        summed = np.asarray(values.sum(axis=drop), dtype=values.dtype) if drop else values
         rank = {ax: pos for pos, ax in enumerate(sorted(keep))}
         out = np.transpose(summed, [rank[k] for k in keep]) if keep else summed
+        if self._is_exact:
+            out = Rationals(out, self.rationals().denominator)
         return ProbabilityTable([self.axes[i] for i in keep], out)
 
     def __repr__(self) -> str:
@@ -159,6 +236,12 @@ class ObservedLawTable(ProbabilityTable):
         return True
 
 
+def _fraction(entry) -> Fraction:
+    """An exact CPT entry read from JSON: ``"p/q"``, a decimal string, or a number."""
+    num, slash, den = str(entry).partition("/")
+    return Fraction(int(num), int(den)) if slash else Fraction(num)
+
+
 class CategoricalLaw:
     """A full law factored into one CPT per non-proxy vertex of the graph.
 
@@ -169,6 +252,7 @@ class CategoricalLaw:
 
     def __init__(self, graph: MissingDataGraph, cpts: Mapping[str, np.ndarray]):
         self.graph = graph
+        self._exact_cpts: dict[str, Rationals] = {}
         clean: dict[str, np.ndarray] = {}
         for v in graph.non_proxy_vertices():
             if v.levels is None:
@@ -182,13 +266,24 @@ class CategoricalLaw:
                 raise LawError(
                     f"CPT for {v.name!r} has shape {arr.shape}, expected {want} "
                     f"(parents {parents} in declaration order)")
-            flat_rows = arr.reshape(-1, v.levels)
-            for row in flat_rows:
-                s = sum(row, start=Fraction(0)) if arr.dtype == object else math.fsum(row)
-                if abs(float(s) - 1.0) > _ROW_SUM_TOL:
-                    raise LawError(f"CPT row for {v.name!r} sums to {float(s)!r}, not 1")
-                if any(float(x) < 0 or float(x) > 1 for x in row):
-                    raise LawError(f"CPT entry for {v.name!r} outside [0, 1]")
+            if arr.dtype == object:
+                bad = [x for x in arr.flat if not isinstance(x, Rational)]
+                if bad:
+                    raise LawError(f"exact CPT for {v.name!r} holds a non-rational entry "
+                                   f"{bad[0]!r}")
+                exact = self._exact_cpts[v.name] = Rationals.of(arr)
+                rows = exact.floats(exact.numerators).reshape(-1, v.levels)
+                sums = exact.floats(exact.numerators.reshape(-1, v.levels).sum(axis=1))
+            else:
+                rows = np.asarray(arr, dtype=float).reshape(-1, v.levels)
+                sums = np.array([math.fsum(row) for row in rows])
+            # the first bad row, and in it the sum before the range
+            off_sum = np.abs(sums - 1.0) > _ROW_SUM_TOL
+            bad = np.flatnonzero(off_sum | np.any((rows < 0) | (rows > 1), axis=1))
+            if bad.size and off_sum[bad[0]]:
+                raise LawError(f"CPT row for {v.name!r} sums to {float(sums[bad[0]])!r}, not 1")
+            if bad.size:
+                raise LawError(f"CPT entry for {v.name!r} outside [0, 1]")
             arr.setflags(write=False)
             clean[v.name] = arr
         extra = set(cpts) - set(clean)
@@ -211,11 +306,20 @@ class CategoricalLaw:
         return all(arr.dtype == object for arr in self.cpts.values())
 
     def joint_table(self) -> ProbabilityTable:
-        """The full joint over non-proxy vertices, in declaration order."""
+        """The full joint over non-proxy vertices, in declaration order.
+
+        An exact law's joint is :class:`Rationals`: the product of its CPTs'
+        integer numerators over the product of their denominators.
+        """
         verts = self.graph.non_proxy_vertices()
-        dtype = object if self.is_exact() else float
-        out = joint_from_cpts(cpt_subscripts(self.graph),
-                              [np.asarray(self.cpts[v.name], dtype=dtype) for v in verts])
+        subscripts = cpt_subscripts(self.graph)
+        if self.is_exact():
+            cpts = [self._exact_cpts[v.name] for v in verts]
+            out = Rationals(joint_from_cpts(subscripts, [c.numerators for c in cpts]),
+                            math.prod(c.denominator for c in cpts))
+        else:
+            out = joint_from_cpts(subscripts,
+                                  [np.asarray(self.cpts[v.name], dtype=float) for v in verts])
         kinds = {VertexRole.FULLY_OBSERVED: "observed",
                  VertexRole.TRUE_VARIABLE: "true",
                  VertexRole.RESPONSE_INDICATOR: "indicator"}
@@ -223,13 +327,15 @@ class CategoricalLaw:
         return ProbabilityTable(axes, out)
 
     def to_json(self) -> dict:
-        def enc(x):
-            if isinstance(x, Rational) and not isinstance(x, int):
-                return f"{x.numerator}/{x.denominator}"
+        def exact(x):
+            return f"{x.numerator}/{x.denominator}"
+
+        def approx(x):
             return repr(float(x))
 
         cpts = {}
         for name, arr in self.cpts.items():
+            enc = exact if arr.dtype == object else approx
             nested = np.frompyfunc(enc, 1, 1)(arr).tolist()
             cpts[name] = {"parents": list(self.parent_order(self.graph, name)),
                           "table": nested}
@@ -247,21 +353,20 @@ class CategoricalLaw:
                 raise LawError("law document needs a 'graph' object or an explicit graph")
             graph = MissingDataGraph.from_json(gspec)
 
-        def dec(s):
-            if isinstance(s, str) and "/" in s:
-                num, den = s.split("/")
-                return Fraction(int(num), int(den))
-            return float(s)
-
         cpts = {}
         for name, entry in obj["cpts"].items():
             unknown = set(entry) - {"parents", "table"}
             if unknown:
                 raise LawError(f"unknown CPT keys for {name!r}: {sorted(unknown)}")
             arr = np.array(entry["table"], dtype=object)
-            vals = np.frompyfunc(dec, 1, 1)(arr)
-            if not any(isinstance(x, Fraction) for x in vals.flat):
-                vals = vals.astype(float)
+            # One fraction string makes the whole table exact: its decimal
+            # entries are read as the rationals they spell, not as floats.
+            exact = any(isinstance(x, str) and "/" in x for x in arr.flat)
+            try:
+                vals = np.frompyfunc(_fraction, 1, 1)(arr) if exact \
+                    else np.frompyfunc(float, 1, 1)(arr).astype(float)
+            except (ValueError, TypeError, ZeroDivisionError) as e:
+                raise LawError(f"CPT for {name!r} holds an unreadable entry: {e}") from None
             declared = list(entry.get("parents", []))
             canonical = list(cls.parent_order(graph, name))
             if sorted(declared) != sorted(canonical):
@@ -343,15 +448,16 @@ def observed_law(law: CategoricalLaw) -> ObservedLawTable:
     float totals are summed in a fixed order and rational ones exactly.
     """
     graph = law.graph
-    joint = law.joint_table().values.reshape(-1)
+    joint = law.joint_table()
     cells = coarsening_map(graph).reshape(-1)
     shape = [a.size for a in observable_axes(graph)]
     size = int(np.prod(shape))
-    if joint.dtype == object:
-        out = np.full(size, Fraction(0), dtype=object)
-        np.add.at(out, cells, joint)
-    else:
-        out = np.bincount(cells, weights=joint, minlength=size)
+    if law.is_exact():
+        exact = joint.rationals()
+        out = np.zeros(size, dtype=object)
+        np.add.at(out, cells, exact.numerators.reshape(-1))
+        return ObservedLawTable(graph, Rationals(out.reshape(shape), exact.denominator))
+    out = np.bincount(cells, weights=joint.values.reshape(-1), minlength=size)
     return ObservedLawTable(graph, out.reshape(shape))
 
 
@@ -405,8 +511,89 @@ class SimConstraints:
         return cls(**kwargs)
 
 
-def _tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    return 0.5 * float(np.abs(p - q).sum())
+#: Growth factor of successive candidate batches in :func:`_simplex_rows`, and
+#: the largest batch, in rows.
+_BATCH_GROWTH = 4
+_BATCH_MAX_ROWS = 1 << 14
+
+
+def _simplex_rows(rng: np.random.Generator, n_rows: int, levels: int,
+                  c: SimConstraints, name: str) -> np.ndarray:
+    """``n_rows`` uniform-simplex rows under ``c``, drawn in batches on the row-at-a-time stream.
+
+    The rows are those of this loop, which draws the same random numbers:
+    draw ``rng.dirichlet(np.ones(levels))`` rows, keep those whose every
+    entry is at least ``min_prob`` (failing after ``max_tries`` rejections in
+    a row), and take the kept rows ``n_rows`` at a time until a block has
+    every pairwise total-variation distance at least ``dependency_gap``
+    (failing after ``max_tries`` blocks).  Such a Dirichlet row is
+    ``levels`` standard exponentials times the reciprocal of their
+    left-to-right sum, so candidate rows are drawn a batch at a time, tested
+    in array operations, and the generator is rewound to just past the last
+    row the loop would have drawn.
+    """
+    accept = (1.0 - levels * c.min_prob) ** (levels - 1)  # P(uniform row clears min_prob)
+    size = min(math.ceil(n_rows / accept), _BATCH_MAX_ROWS)
+    pairs = np.triu_indices(n_rows, 1)
+    run = 0                           # rejections since the last kept row
+    kept = np.empty((0, levels))      # kept rows of the block being filled
+    blocks = 0                        # blocks completed and failed
+    while True:
+        state = rng.bit_generator.state
+        e = rng.standard_exponential((size, levels))
+        total = e[:, 0].copy()
+        for j in range(1, levels):
+            total += e[:, j]
+        rows = e * (1.0 / total)[:, None]
+        ok = rows.min(axis=1) >= c.min_prob
+        at = np.arange(size)
+        last = np.maximum.accumulate(np.where(ok, at, -1 - run))
+        failed = np.flatnonzero(at - last >= c.max_tries)
+        new = np.flatnonzero(ok[:failed[0] if failed.size else size])
+        rows_so_far = np.concatenate([kept, rows[new]])
+        n_blocks = len(rows_so_far) // n_rows
+        block = rows_so_far[:n_blocks * n_rows].reshape(n_blocks, n_rows, levels)
+        gap = 0.5 * np.abs(block[:, pairs[0]] - block[:, pairs[1]]).sum(axis=-1)
+        passed = np.flatnonzero(np.all(gap >= c.dependency_gap, axis=1)[:c.max_tries - blocks])
+        if passed.size:
+            b = passed[0]
+            rng.bit_generator.state = state
+            rng.standard_exponential((new[(b + 1) * n_rows - 1 - len(kept)] + 1, levels))
+            return block[b]
+        if blocks + n_blocks >= c.max_tries:
+            raise LawError(f"could not satisfy the dependency gap for {name!r}")
+        if failed.size:
+            raise LawError(f"could not satisfy min_prob {c.min_prob} for {name!r}")
+        blocks += n_blocks
+        kept = rows_so_far[n_blocks * n_rows:]
+        run = size - 1 - int(last[-1])
+        size = min(size * _BATCH_GROWTH, _BATCH_MAX_ROWS)
+
+
+def _response_probs(rng: np.random.Generator, n_rows: int, c: SimConstraints,
+                    name: str) -> np.ndarray:
+    """``n_rows`` observation probabilities, drawn in batches on the one-try-at-a-time stream.
+
+    The values are those of this loop: draw ``rng.uniform(lo, hi, n_rows)``
+    until every pair is at least ``response_min_gap`` apart, failing after
+    ``max_tries`` draws.  The closest pair of a draw is adjacent once it is
+    sorted, since rounding is monotone.
+    """
+    lo, hi = c.response_interval
+    size, tried = 1, 0
+    while True:
+        state = rng.bit_generator.state
+        vals = rng.uniform(lo, hi, size=(size, n_rows))
+        gaps = np.diff(np.sort(vals, axis=1), axis=1)
+        passed = np.flatnonzero(np.all(gaps >= c.response_min_gap, axis=1)[:c.max_tries - tried])
+        if passed.size:
+            rng.bit_generator.state = state
+            rng.random((passed[0] + 1) * n_rows)
+            return vals[passed[0]]
+        tried += size
+        if tried >= c.max_tries:
+            raise LawError(f"could not satisfy the response gap for {name!r}")
+        size = min(size * _BATCH_GROWTH, max(1, _BATCH_MAX_ROWS // n_rows))
 
 
 def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = None,
@@ -444,13 +631,7 @@ def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = Non
                 raise LawError(
                     f"cannot place {n_rows} response probabilities in "
                     f"[{lo}, {hi}] with pairwise gap {constraints.response_min_gap}")
-            for _ in range(constraints.max_tries):
-                vals = rng.uniform(lo, hi, size=n_rows)
-                diffs = np.abs(vals[:, None] - vals[None, :])
-                if n_rows == 1 or diffs[np.triu_indices(n_rows, 1)].min() >= constraints.response_min_gap:
-                    break
-            else:
-                raise LawError(f"could not satisfy the response gap for {v.name!r}")
+            vals = _response_probs(rng, n_rows, constraints, v.name)
             rows = np.stack([1.0 - vals, vals], axis=1)
             cpts[v.name] = rows.reshape(shape)
             continue
@@ -461,24 +642,6 @@ def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = Non
         if constraints.min_prob * v.levels >= 1.0:
             raise LawError(f"min_prob {constraints.min_prob} is infeasible for "
                            f"{v.levels} levels")
-        def draw_row():
-            for _ in range(constraints.max_tries):
-                row = rng.dirichlet(np.ones(v.levels))
-                if row.min() >= constraints.min_prob:
-                    return row
-            raise LawError(f"could not satisfy min_prob {constraints.min_prob} "
-                           f"for {v.name!r}")
-
-        for _ in range(constraints.max_tries):
-            rows = np.stack([draw_row() for _ in range(n_rows)])
-            if n_rows == 1:
-                break
-            gaps = [_tv_distance(rows[i], rows[j])
-                    for i in range(n_rows) for j in range(i + 1, n_rows)]
-            if min(gaps) >= constraints.dependency_gap:
-                break
-        else:
-            raise LawError(f"could not satisfy the dependency gap for {v.name!r}")
-        cpts[v.name] = rows.reshape(shape)
+        cpts[v.name] = _simplex_rows(rng, n_rows, v.levels, constraints, v.name).reshape(shape)
 
     return CategoricalLaw(graph, cpts)

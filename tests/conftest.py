@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from colluder_lab import CategoricalLaw, MissingDataGraph, Vertex, VertexRole, ccm_graph
+from colluder_lab import (CategoricalLaw, ColluderSystem, ConditionalIndependenceError, LawError,
+                          MissingDataGraph, PositivityError, SimConstraints, Vertex, VertexRole,
+                          ccm_graph, enumerate_strata, solve_colluder)
+from colluder_lab.identify import separation_condition
+from colluder_lab.lawtable import EPS_POS
 
 
 @pytest.fixture
@@ -238,3 +243,122 @@ def per_parameter_report(model, theta, bound, compute_ci=True):
                 ci = (max(0.0, est - z * se), min(1.0, est + z * se))
         out.append((name, given, level, est, se, ci, boundary, reliable))
     return out
+
+
+# -- per-entry colluder systems and row-at-a-time law draws ---------------------------
+
+
+def loop_event_prob(table, assignment):
+    """An event's probability summed from the table's cell values: correctly
+    rounded for floats (``math.fsum``), exact for ``Fraction`` cells."""
+    sl = [slice(None)] * len(table.axes)
+    for name, level in assignment.items():
+        sl[table.axis(name)] = level
+    cells = np.asarray(table.values[tuple(sl)]).reshape(-1)
+    if cells.dtype == object:
+        return sum(cells, start=Fraction(0))
+    return math.fsum(cells)
+
+
+def loop_colluder_system(obs, g, col, z, r, eps_pos=EPS_POS):
+    """The colluder matrix and right-hand side, one event probability per entry."""
+    x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
+    y_name = g.true_of(ry)
+    m, q = g.vertex(x_name).levels, g.vertex(y_name).levels
+    p_z = float(loop_event_prob(obs, z))
+    if p_z < eps_pos:
+        raise PositivityError(f"positivity violated at stratum {z}", stratum=z)
+    p_ry1 = float(loop_event_prob(obs, {**z, ry: 1})) / p_z
+    a = np.zeros((q, m))
+    for j in range(m):
+        p_xj = float(loop_event_prob(obs, {**z, x_name: j, rx: 1, ry: 1}))
+        if p_xj < eps_pos:
+            raise PositivityError(
+                f"positivity violated: event {{{x_name}={j}, {rx}=1, {ry}=1}} "
+                f"has zero mass at stratum {z}", stratum=z)
+        for i in range(q):
+            joint = float(loop_event_prob(obs, {**z, x_name: j, rx: 1, ry: 1, y_name: i}))
+            a[i, j] = joint / p_xj * p_ry1
+    b = np.zeros(q)
+    for k in range(q):
+        b[k] = float(loop_event_prob(obs, {**z, y_name: k, ry: 1, rx: r})) / p_z
+    return ColluderSystem(col, z, r, a, b)
+
+
+def loop_colluder_mechanism(obs, g, col, eps_pos=EPS_POS):
+    """p(R_X | variables, other indicators = 1) solved stratum by stratum and
+    written one cell at a time, from :func:`loop_colluder_system`."""
+    if not separation_condition(g, col):
+        raise ConditionalIndependenceError("not m-separated", colluder=col)
+    x_name, y_name = col.true_variable, g.true_of(col.target_indicator)
+    variables = [v for v in g.non_proxy_vertices()
+                 if v.role is not VertexRole.RESPONSE_INDICATOR]
+    names = [v.name for v in variables] + [col.response_of_true]
+    out = np.zeros([v.levels for v in variables] + [2])
+    for z in enumerate_strata(g, col):
+        sys0 = loop_colluder_system(obs, g, col, z, 0, eps_pos)
+        sys1 = loop_colluder_system(obs, g, col, z, 1, eps_pos)
+        s0 = solve_colluder(sys0).values
+        s1 = solve_colluder(sys1).values
+        for j in range(g.vertex(x_name).levels):
+            denom = s0[j] + s1[j]
+            if denom < eps_pos:
+                raise PositivityError(
+                    f"positivity violated: {x_name}={j} has no mass at stratum {z}", stratum=z)
+            idx = [slice(None)] * len(names)
+            for name, level in z.items():
+                if name in names:
+                    idx[names.index(name)] = level
+            idx[names.index(x_name)] = j
+            for r, s in ((0, s0), (1, s1)):
+                idx[-1] = r
+                out[tuple(idx)] = s[j] / denom
+    return names, out
+
+
+def loop_random_law(graph, constraints=None, seed=None) -> CategoricalLaw:
+    """``random_law`` drawing one Dirichlet row at a time: rows failing
+    ``min_prob`` are redrawn, and blocks failing the dependency gap are
+    redrawn whole."""
+    c = constraints or SimConstraints()
+    rng = np.random.default_rng(seed)
+    lo, hi = c.response_interval
+    cpts = {}
+    for v in graph.non_proxy_vertices():
+        parents = CategoricalLaw.parent_order(graph, v.name)
+        shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
+        n_rows = int(np.prod(shape[:-1]))
+        if v.role is VertexRole.RESPONSE_INDICATOR:
+            if not parents:
+                p1 = c.exogenous_response_prob
+                cpts[v.name] = np.array([1.0 - p1, p1])
+                continue
+            for _ in range(c.max_tries):
+                vals = rng.uniform(lo, hi, size=n_rows)
+                diffs = np.abs(vals[:, None] - vals[None, :])
+                if n_rows == 1 or diffs[np.triu_indices(n_rows, 1)].min() >= c.response_min_gap:
+                    break
+            else:
+                raise LawError(f"could not satisfy the response gap for {v.name!r}")
+            cpts[v.name] = np.stack([1.0 - vals, vals], axis=1).reshape(shape)
+            continue
+
+        def draw_row():
+            for _ in range(c.max_tries):
+                row = rng.dirichlet(np.ones(v.levels))
+                if row.min() >= c.min_prob:
+                    return row
+            raise LawError(f"could not satisfy min_prob {c.min_prob} for {v.name!r}")
+
+        for _ in range(c.max_tries):
+            rows = np.stack([draw_row() for _ in range(n_rows)])
+            if n_rows == 1:
+                break
+            gaps = [0.5 * float(np.abs(rows[i] - rows[j]).sum())
+                    for i in range(n_rows) for j in range(i + 1, n_rows)]
+            if min(gaps) >= c.dependency_gap:
+                break
+        else:
+            raise LawError(f"could not satisfy the dependency gap for {v.name!r}")
+        cpts[v.name] = rows.reshape(shape)
+    return CategoricalLaw(graph, cpts)

@@ -271,6 +271,30 @@ class TestUsage:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    def test_parser_built_once_and_reused(self, tmp_path, capsys, monkeypatch):
+        from colluder_lab import cli
+        real, built = cli.build_parser, []
+
+        def counting():
+            built.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            path = write_graph(tmp_path, example_graph("c"))
+            out = tmp_path / "verdict.json"
+            assert main(["frobnicate"]) == 1
+            assert main(["check-id", path, "--output", str(out)]) == 2
+            out.unlink()
+            # a later call starts from the defaults, not from the last call's options
+            assert main(["check-id", path]) == 2
+            assert not out.exists()
+            assert main(["oracle", "appendix-a"]) == 0
+            assert len(built) == 1
+        finally:
+            cli._parser.cache_clear()
+
 
 def test_cli_imports_no_scipy():
     src = str(Path(colluder_lab.__file__).resolve().parents[1])

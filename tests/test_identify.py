@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colluder_lab import (BinaryColluderQuantities,
                           ConditionalIndependenceError, GraphQueryError,
@@ -16,7 +18,8 @@ from colluder_lab import (BinaryColluderQuantities,
                           solve_colluder)
 from colluder_lab.identify import enumerate_strata
 from colluder_lab.lawtable import CategoricalLaw, ObservedLawTable, SimConstraints
-from conftest import appendix_a_params, mechanism_oracle
+from conftest import (appendix_a_params, exact_random_law, loop_colluder_mechanism,
+                      loop_colluder_system, mechanism_oracle, small_graphs)
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -214,6 +217,117 @@ class TestMechanism:
         col = [c for c in find_colluders(g) if c.target_indicator == "R_Y"][0]
         strata = list(enumerate_strata(g, col))
         assert strata == [{"Z": 0, "R_Z": 1}, {"Z": 1, "R_Z": 1}]
+
+
+def float_copy(law):
+    return CategoricalLaw(law.graph, {k: v.astype(float) for k, v in law.cpts.items()})
+
+
+def mechanism_or_error(fn):
+    """``fn()``'s result, or the class, stratum and message of what it raised."""
+    try:
+        return fn()
+    except (LawError, PositivityError, RankDeficiencyError,
+            ConditionalIndependenceError) as e:
+        return type(e), getattr(e, "stratum", None), str(e)
+
+
+def assert_same_as_per_entry(law):
+    """Every colluder mechanism, on the exact law and on its float copy,
+    equals the per-entry construction bit for bit, or fails the same way."""
+    for each in (law, float_copy(law)):
+        obs, g = observed_law(each), each.graph
+        for col in find_colluders(g):
+            got = mechanism_or_error(lambda: colluder_mechanism(obs, g, col))
+            want = mechanism_or_error(lambda: loop_colluder_mechanism(obs, g, col))
+            if isinstance(want, tuple) and isinstance(want[0], type):
+                if want[0] is ConditionalIndependenceError:
+                    assert got[0] is want[0]
+                else:
+                    assert got == want
+                continue
+            names, values = want
+            assert got.names == tuple(names)
+            assert got.values.dtype == values.dtype
+            assert got.values.tobytes() == values.tobytes()
+
+
+class TestStackedSystems:
+    """The one-pass stacks against one event probability per entry."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=small_graphs().filter(lambda g: find_colluders(g)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_small_graphs(self, graph, seed):
+        assert_same_as_per_entry(exact_random_law(graph, np.random.default_rng(seed)))
+
+    @settings(max_examples=12, deadline=None)
+    @given(key=st.sampled_from("def"), levels=st.sampled_from([2, 3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_example_graphs(self, key, levels, seed):
+        assert_same_as_per_entry(exact_random_law(example_graph(key, levels),
+                                                  np.random.default_rng(seed)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.integers(2, 4), q=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_ccm_graphs(self, m, q, seed):
+        assert_same_as_per_entry(exact_random_law(ccm_graph(m, q), np.random.default_rng(seed)))
+
+    def test_rank_deficient_law(self):
+        law = exact_random_law(ccm_graph(3, 2), np.random.default_rng(0))
+        assert_same_as_per_entry(law)
+        col = find_colluders(law.graph)[0]
+        with pytest.raises(RankDeficiencyError) as exc:
+            colluder_mechanism(observed_law(law), law.graph, col)
+        assert exc.value.stratum == {} and exc.value.rank == 2
+
+    def _stratum_law(self, pin_w):
+        """W -> Y beside the colluder; with ``pin_w`` p(W=1) is zero, otherwise
+        p(Y | X, W=1) is equal across X, so only stratum W=1 fails."""
+        g = MissingDataGraph(
+            [Vertex("W", O, 2), Vertex("X", X1, 2), Vertex("Y", X1, 2),
+             Vertex("R_X", R, 2), Vertex("R_Y", R, 2)],
+            [("W", "Y"), ("X", "Y"), ("X", "R_Y"), ("R_X", "R_Y")],
+            pairs=[("X", "R_X"), ("Y", "R_Y")])
+        law = exact_random_law(g, np.random.default_rng(1))
+        cpts = dict(law.cpts)
+        if pin_w:
+            cpts["W"] = np.array([Fraction(1), Fraction(0)], dtype=object)
+        else:
+            y = cpts["Y"].copy()
+            y[1, 1] = y[1, 0]
+            cpts["Y"] = y
+        return CategoricalLaw(g, cpts)
+
+    @pytest.mark.parametrize("pin_w, error", [(True, PositivityError),
+                                              (False, RankDeficiencyError)])
+    def test_failing_stratum_named(self, pin_w, error):
+        law = self._stratum_law(pin_w)
+        assert_same_as_per_entry(law)
+        col = find_colluders(law.graph)[0]
+        for each in (law, float_copy(law)):
+            with pytest.raises(error) as exc:
+                colluder_mechanism(observed_law(each), each.graph, col)
+            assert exc.value.stratum == {"W": 1}
+
+    def test_build_system_reads_one_stratum(self):
+        law = exact_random_law(example_graph("d", 3), np.random.default_rng(5))
+        for each in (law, float_copy(law)):
+            obs, g = observed_law(each), each.graph
+            for col in find_colluders(g):
+                for z in enumerate_strata(g, col):
+                    for r in (0, 1):
+                        got = build_colluder_system(obs, g, col, z, r)
+                        want = loop_colluder_system(obs, g, col, z, r)
+                        assert got.a.tobytes() == want.a.tobytes()
+                        assert got.b.tobytes() == want.b.tobytes()
+
+    def test_build_system_level_out_of_range(self):
+        g = example_graph("d")
+        obs = observed_law(random_law(g, seed=3))
+        col = find_colluders(g)[0]
+        with pytest.raises(LawError, match="out of range"):
+            build_colluder_system(obs, g, col, {"Z": 5, "R_Z": 1}, 0)
 
 
 class TestSoundness:

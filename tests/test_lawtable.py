@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 
 from colluder_lab import (CategoricalLaw, LawError, MissingDataGraph,
                           PositivityError, SimConstraints, Vertex, VertexRole,
-                          appendix_a_law, ccm_graph, conditional, joint_probability,
+                          appendix_a_law, ccm_graph, conditional, example_graph,
+                          joint_probability,
                           observed_law, random_law)
-from colluder_lab.lawtable import table_total
+from colluder_lab.lawtable import Rationals, table_total
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 from conftest import (brute_joint_probability, exact_random_law, loop_observed_law,
-                      small_graphs)
+                      loop_random_law, small_graphs)
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -135,6 +137,53 @@ def test_observed_law_float_and_exact_paths_agree(graph, seed):
     assert obs_exact.consistent() and obs_float.consistent()
 
 
+class TestIntegerTables:
+    @settings(max_examples=40, deadline=None)
+    @given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_exact_joint_is_the_cpt_product(self, graph, seed):
+        law = exact_random_law(graph, np.random.default_rng(seed))
+        joint = law.joint_table()
+        assert joint.values.dtype == object
+        for idx in np.ndindex(*joint.values.shape):
+            cell = joint.values[idx]
+            assert isinstance(cell, Fraction)
+            assert cell == joint_probability(law, dict(zip(joint.names, idx)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_exact_events_and_marginals(self, graph, seed):
+        law = exact_random_law(graph, np.random.default_rng(seed))
+        obs = observed_law(law)
+        cells = loop_observed_law(law)
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            fixed = {a.name: int(rng.integers(a.size)) for a in obs.axes if rng.random() < 0.5}
+            sl = tuple(fixed.get(a.name, slice(None)) for a in obs.axes)
+            want = sum(np.asarray(cells[sl]).reshape(-1), start=Fraction(0))
+            got = obs.event_prob(fixed)
+            assert isinstance(got, Fraction) and got == want
+        keep = [a.name for a in obs.axes[::2]]
+        marg = obs.marginal(keep)
+        drop = tuple(i for i, a in enumerate(obs.axes) if a.name not in keep)
+        assert np.array_equal(marg.values, cells.sum(axis=drop))
+        assert obs.total() == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(0, 1), min_size=1, max_size=60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_float_totals_equal_fsum(self, values, seed):
+        values = np.array(values)
+        exact = Rationals.of(values)
+        subset = np.random.default_rng(seed).random(values.size) < 0.5
+        total = exact.floats(np.array(sum(exact.numerators[subset].tolist())))
+        assert float(total) == math.fsum(values[subset])
+
+    def test_float_table_reads_its_own_denominator(self):
+        exact = Rationals.of(np.array([0.5, 0.25, 0.125, 0.125]))
+        assert exact.denominator == 8
+        assert exact.numerators.tolist() == [4, 2, 1, 1]
+
+
 class TestConditional:
     def test_recovers_cpt_from_joint(self, law_a):
         a, b, c, d, e, f, g, h = A_PARAMS
@@ -165,6 +214,14 @@ class TestConditional:
         })
         with pytest.raises(PositivityError, match="null event"):
             conditional(law.joint_table(), targets=["Y"], conditions=["X"])
+
+
+def draw_outcome(draw, graph, constraints, seed):
+    """The CPT bytes of ``draw``'s law, or the message of the error it raised."""
+    try:
+        return {k: v.tobytes() for k, v in draw(graph, constraints, seed=seed).cpts.items()}
+    except LawError as e:
+        return str(e)
 
 
 class TestRandomLaw:
@@ -208,6 +265,49 @@ class TestRandomLaw:
         with pytest.raises(LawError):
             random_law(ccm_graph(4, 4),
                        SimConstraints(response_interval=(0.7, 0.70001)), seed=0)
+
+    @pytest.mark.parametrize("graph, kw, seeds", [
+        (ccm_graph(2, 2), dict(dependency_gap=0.45, min_prob=0.15), range(300)),
+        (ccm_graph(4, 4), dict(dependency_gap=0.3, min_prob=0.1), range(8)),
+        (ccm_graph(3, 3), dict(dependency_gap=0.35, min_prob=0.15), range(6)),
+        (MissingDataGraph([Vertex("A", O, 3), Vertex("B", O, 2), Vertex("C", O, 4)],
+                          [("A", "C"), ("B", "C")]), {}, range(40)),
+        (MissingDataGraph([Vertex("A", O, 5)]), dict(min_prob=0.15), range(40)),
+        # two response indicators with parents, one drawn after the other
+        (example_graph("d", 3), {}, range(20)),
+        # nine levels: numpy's pairwise sums differ from left-to-right ones here
+        (MissingDataGraph([Vertex("A", O, 2), Vertex("B", O, 9)], [("A", "B")]),
+         dict(min_prob=0.02, dependency_gap=0.3), range(40)),
+    ])
+    def test_batched_draws_equal_row_at_a_time(self, graph, kw, seeds):
+        c = SimConstraints(**kw)
+        for seed in seeds:
+            assert draw_outcome(random_law, graph, c, seed) == \
+                draw_outcome(loop_random_law, graph, c, seed)
+
+    def test_batched_draws_leave_the_stream_in_place(self):
+        # a one-row vertex after a rejection-heavy one: its row is the next
+        # draw on the stream only if the batch rewound to the loop's position
+        g = MissingDataGraph([Vertex("A", O, 2), Vertex("B", O, 4), Vertex("C", O, 3)],
+                             [("A", "B")])
+        c = SimConstraints(dependency_gap=0.4, min_prob=0.12)
+        for seed in range(30):
+            law, want = random_law(g, c, seed=seed), loop_random_law(g, c, seed=seed)
+            assert law.cpts["C"].tobytes() == want.cpts["C"].tobytes()
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(min_prob=0.33, max_tries=50), "min_prob"),
+        (dict(dependency_gap=0.9, max_tries=30), "dependency gap"),
+        (dict(response_min_gap=0.004, dependency_gap=0.0, max_tries=40), "response gap"),
+    ])
+    def test_batched_draws_fail_where_the_loop_fails(self, kw, match):
+        g, c = example_graph("e", 3), SimConstraints(**kw)
+        for seed in range(10):
+            assert draw_outcome(random_law, g, c, seed) == \
+                draw_outcome(loop_random_law, g, c, seed)
+        with pytest.raises(LawError, match=match):
+            for seed in range(10):
+                random_law(g, c, seed=seed)
 
     def test_continuous_vertex_rejected(self):
         g = MissingDataGraph([Vertex("A", O, None)])
@@ -258,6 +358,45 @@ class TestSerialization:
         doc = json.loads(json.dumps(law_a.to_json()))
         law2 = CategoricalLaw.from_json(doc)
         assert law2.cpts["Y"][0][0] == Fraction(12, 20)
+
+    def test_exact_point_mass_round_trip(self):
+        g = MissingDataGraph([Vertex("A", O, 2), Vertex("B", O, 2)], [("A", "B")])
+        cpts = {"A": np.array([1, 0], dtype=object),
+                "B": np.array([[Fraction(1, 3), Fraction(2, 3)], [0, 1]], dtype=object)}
+        law = CategoricalLaw(g, cpts)
+        doc = json.loads(json.dumps(law.to_json()))
+        assert doc["cpts"]["A"]["table"] == ["1/1", "0/1"]
+        law2 = CategoricalLaw.from_json(doc)
+        assert law2.is_exact()
+        assert all(isinstance(x, Fraction) for arr in law2.cpts.values() for x in arr.flat)
+        obs, obs2 = observed_law(law), observed_law(law2)
+        assert np.array_equal(obs.values, obs2.values)
+        assert all(isinstance(x, Fraction) for x in obs2.values.flat)
+
+    def test_decimal_beside_fraction_is_exact(self):
+        doc = appendix_a_law(*A_PARAMS).to_json()
+        doc["cpts"]["X"]["table"] = ["0.1", "9/10"]
+        law = CategoricalLaw.from_json(doc)
+        assert law.cpts["X"].tolist() == [Fraction(1, 10), Fraction(9, 10)]
+        assert law.is_exact()
+
+    def test_float_law_keeps_its_bytes(self):
+        law = random_law(ccm_graph(2, 2), seed=9)
+        doc = law.to_json()
+        assert doc["cpts"]["X"]["table"] == [repr(float(x)) for x in law.cpts["X"]]
+        law2 = CategoricalLaw.from_json(json.loads(json.dumps(doc)))
+        assert json.dumps(law2.to_json()) == json.dumps(doc)
+
+    def test_unreadable_entry_names_vertex(self):
+        doc = appendix_a_law(*A_PARAMS).to_json()
+        doc["cpts"]["Y"]["table"][0][0] = "3/x"
+        with pytest.raises(LawError, match="'Y'"):
+            CategoricalLaw.from_json(doc)
+
+    def test_exact_cpt_with_float_entry_rejected(self):
+        g = MissingDataGraph([Vertex("A", O, 2)])
+        with pytest.raises(LawError, match="'A'.*non-rational"):
+            CategoricalLaw(g, {"A": np.array([Fraction(1, 2), 0.5], dtype=object)})
 
     def test_unknown_keys_rejected(self):
         law = random_law(ccm_graph(2, 2), seed=9)
