@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from numbers import Integral
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -211,7 +212,7 @@ class Dataset:
         return table.permuted(order[order >= 0])
 
     def to_csv(self, path, *, na_token: str = "NA", one_based: bool = False) -> None:
-        if not np.allclose(self.weights, 1.0):
+        if not np.all(self.weights == 1.0):
             raise DataError("only unit-weight datasets can be written as record CSVs")
         axes = observable_axes(self.graph)
         with open(path, "w", newline="") as fh:
@@ -549,13 +550,18 @@ class FitConfig:
     seed: int | None = None
     max_iterations: int = 10_000  # Newton steps per start
     allow_nonidentifiable: bool = False
-    compute_ci: bool = True
 
     def __post_init__(self):
+        for name in ("restarts", "seed", "max_iterations"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral) and (name != "seed" or value is not None):
+                raise FitError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1:
             raise FitError(f"restarts must be at least 1, got {self.restarts}")
         if self.max_iterations < 0:
             raise FitError(f"max_iterations must be non-negative, got {self.max_iterations}")
+        if self.seed is not None and self.seed < 0:
+            raise FitError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -765,24 +771,22 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
     probs = model._cpt_probs(theta)
     est = probs[model._free]
     boundary = (est <= _BOUNDARY_TOL) | (est >= 1.0 - _BOUNDARY_TOL)
-    reliable, se, ci = ~boundary, [None] * len(est), [None] * len(est)
-    if config.compute_ci:
-        eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
-        lam_max = float(eigval.max(initial=0.0))
-        null_mask = eigval <= _INFO_REL_TOL * max(lam_max, 0.0)
-        inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))
-        cov = (eigvec * inv) @ eigvec.T
-        z = NormalDist().inv_cdf(0.5 + _CI_LEVEL / 2.0)
-        # Row i holds dp_i / dtheta: p_i (1[i = k] - p_k) for k in the row of i.
-        jac = est[:, None] * (np.eye(len(est)) - model._same_row * est)
-        gnorm2 = np.einsum("ij,ij->i", jac, jac)
-        null_frac = np.divide(((jac @ eigvec[:, null_mask]) ** 2).sum(axis=1), gnorm2,
-                              out=np.ones_like(gnorm2), where=gnorm2 > 0.0)
-        reliable &= null_frac <= 1e-6
-        sd = np.sqrt(np.maximum(np.einsum("ij,ij->i", jac @ cov, jac), 0.0))
-        lo, hi = np.maximum(0.0, est - z * sd), np.minimum(1.0, est + z * sd)
-        se = [float(s) if r else None for s, r in zip(sd, reliable)]
-        ci = [(float(a), float(b)) if r else None for a, b, r in zip(lo, hi, reliable)]
+    eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
+    lam_max = float(eigval.max(initial=0.0))
+    null_mask = eigval <= _INFO_REL_TOL * max(lam_max, 0.0)
+    inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))
+    cov = (eigvec * inv) @ eigvec.T
+    z = NormalDist().inv_cdf(0.5 + _CI_LEVEL / 2.0)
+    # Row i holds dp_i / dtheta: p_i (1[i = k] - p_k) for k in the row of i.
+    jac = est[:, None] * (np.eye(len(est)) - model._same_row * est)
+    gnorm2 = np.einsum("ij,ij->i", jac, jac)
+    null_frac = np.divide(((jac @ eigvec[:, null_mask]) ** 2).sum(axis=1), gnorm2,
+                          out=np.ones_like(gnorm2), where=gnorm2 > 0.0)
+    reliable = ~boundary & (null_frac <= 1e-6)
+    sd = np.sqrt(np.maximum(np.einsum("ij,ij->i", jac @ cov, jac), 0.0))
+    lo, hi = np.maximum(0.0, est - z * sd), np.minimum(1.0, est + z * sd)
+    se = [float(s) if r else None for s, r in zip(sd, reliable)]
+    ci = [(float(a), float(b)) if r else None for a, b, r in zip(lo, hi, reliable)]
 
     parameters = [ParameterEstimate(name, given, level, float(e), s, c, bool(b), bool(r))
                   for (name, given, level, *_), e, s, c, b, r

@@ -163,8 +163,8 @@ def _check_positivity(st: _Stacks, s: int, z: dict, col: Colluder, eps_pos: floa
 
 
 def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder,
-                          z: Mapping[str, int], r: int, *, eps_pos: float = EPS_POS,
-                          check_separation: bool = True) -> ColluderSystem:
+                          z: Mapping[str, int], r: int, *,
+                          eps_pos: float = EPS_POS) -> ColluderSystem:
     """Populate the colluder matrix and right-hand side from an observed law.
 
     ``z`` must assign every stratum variable, with all response indicators in
@@ -174,7 +174,7 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Collu
     """
     if r not in (0, 1):
         raise LawError(f"r must be 0 or 1, got {r!r}")
-    if check_separation and not separation_condition(g, col):
+    if not separation_condition(g, col):
         raise ConditionalIndependenceError(
             f"conditional independence violated: {col.response_of_true} is not "
             f"m-separated from {g.true_of(col.target_indicator)} given the remaining variables",
@@ -207,13 +207,13 @@ def rank_test(sys: ColluderSystem, tol: float = RANK_TOL) -> tuple[int, np.ndarr
     return int(np.sum(sv > tol * sv[0])), sv
 
 
-def solve_colluder(sys: ColluderSystem, *, rank_tol: float = RANK_TOL,
-                   residual_tol: float = 1e-8) -> ColluderSolution:
+def solve_colluder(sys: ColluderSystem, *, rank_tol: float = RANK_TOL) -> ColluderSolution:
     """Solve A s = b by the Moore-Penrose inverse; requires full column rank.
 
     For square systems this is the plain inverse, and for consistent
-    overdetermined systems it is exact.  Raw solution values are returned
-    unclipped; entries outside [0, 1] by more than 1e-8 are flagged.
+    overdetermined systems it is exact; a residual above 1e-8 raises.  Raw
+    solution values are returned unclipped; entries outside [0, 1] by more
+    than 1e-8 are flagged.
     """
     rank, sv = rank_test(sys, rank_tol)
     if rank < sys.m:
@@ -223,9 +223,8 @@ def solve_colluder(sys: ColluderSystem, *, rank_tol: float = RANK_TOL,
             required=sys.m, singular_values=sv)
     s, *_ = np.linalg.lstsq(sys.a, sys.b, rcond=None)
     residual = float(np.max(np.abs(sys.a @ s - sys.b)))
-    if residual > residual_tol:
-        raise LawError(f"colluder system inconsistent: residual {residual:.3e} "
-                       f"exceeds {residual_tol:.1e}")
+    if residual > 1e-8:
+        raise LawError(f"colluder system inconsistent: residual {residual:.3e} exceeds 1e-8")
     flagged = tuple(int(j) for j in range(sys.m) if s[j] < -1e-8 or s[j] > 1 + 1e-8)
     sys.solution = s
     return ColluderSolution(s, residual, flagged)
@@ -361,8 +360,7 @@ def or_factorization_check(law: CategoricalLaw, ordering: Sequence[str], *,
                   if v.role is not VertexRole.RESPONSE_INDICATOR]
 
     joint = law.joint_table()
-    values = joint.values.astype(float) if joint.values.dtype == object else joint.values
-    joint = ProbabilityTable(joint.axes, values)
+    joint = ProbabilityTable(joint.axes, joint.values.astype(float))
     mech = conditional(joint, targets=ordering, conditions=cond_names, eps_pos=eps_pos)
 
     n_cond = len(cond_names)

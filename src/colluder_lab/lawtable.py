@@ -1,12 +1,15 @@
 """Categorical full laws, exact observed-data tables, and random law generation.
 
 Tables are dense multidimensional arrays in row-major level order; the NA
-state of a proxy is its last level.  Float totals are correctly rounded
-(``math.fsum``); tables holding ``fractions.Fraction`` entries (object
-dtype) are summed exactly, which the appendix constructions rely on.  An
-exact law's joint and observed tables are held as :class:`Rationals`,
-Python-int numerators over one common denominator, so their products and
-sums need no gcd; their ``Fraction`` values are built only when read.  Laws
+state of a proxy is its last level.  An exact law's joint and observed
+tables are held as :class:`Rationals`, Python-int numerators over one common
+denominator, so their products and sums need no gcd; their ``Fraction``
+values are built only when read.  Every reduction of a table (its total, an
+event's probability, a marginal) adds the integer numerators of the table's
+exact value, float tables included, since a float is a dyadic rational.  An
+exact table returns the sum as a ``Fraction``, which the appendix
+constructions rely on; a float table rounds it once to float, so each float
+sum is correctly rounded and equals ``math.fsum`` of the same cells.  Laws
 and tables are immutable value objects.
 """
 
@@ -28,11 +31,6 @@ from .mdgraph import MissingDataGraph, VertexRole, load_json_source
 EPS_POS = 1e-12
 
 _ROW_SUM_TOL = 1e-12
-
-
-def table_total(values: np.ndarray) -> float:
-    """Total mass of a float table, correctly rounded (exact tables add :class:`Rationals`)."""
-    return math.fsum(values.flat)
 
 
 @dataclass(frozen=True)
@@ -65,9 +63,11 @@ class Rationals:
         return np.asarray(np.frompyfunc(lambda n: Fraction(n, den), 1, 1)(self.numerators),
                           dtype=object)
 
-    def floats(self, numerators: np.ndarray) -> np.ndarray:
-        """Each of ``numerators`` over this denominator, correctly rounded to float."""
+    def floats(self, numerators) -> np.ndarray:
+        """Each of ``numerators`` (an array or one int) over this denominator, correctly
+        rounded to float."""
         den = self.denominator
+        numerators = np.asarray(numerators, dtype=object)
         return np.array([n / den for n in numerators.reshape(-1).tolist()]).reshape(
             numerators.shape)
 
@@ -122,8 +122,6 @@ class ProbabilityTable:
             self._values = np.asarray(values).copy()
             self._values.setflags(write=False)
             shape = self._values.shape
-        # exact tables add integer numerators; float tables keep float sums
-        self._is_exact = self._values is None or self._values.dtype == object
         if shape != tuple(a.size for a in axes):
             raise LawError(f"table shape {shape} does not match axes")
         self.axes = axes
@@ -154,10 +152,7 @@ class ProbabilityTable:
             raise GraphQueryError(f"table has no axis {name!r}") from None
 
     def total(self):
-        if self._is_exact:
-            exact = self.rationals()
-            return Fraction(sum(exact.numerators.flat), exact.denominator)
-        return table_total(self.values)
+        return self.event_prob({})
 
     def event_prob(self, assignment: Mapping[str, int]):
         """Probability of the event fixing the given axes (others summed out)."""
@@ -167,23 +162,24 @@ class ProbabilityTable:
             if not 0 <= level < self.axes[i].size:
                 raise LawError(f"level {level} out of range for axis {name!r}")
             sl[i] = level
-        if self._is_exact:
-            exact = self.rationals()
-            cells = np.asarray(exact.numerators[tuple(sl)]).reshape(-1)
-            return Fraction(sum(cells.tolist()), exact.denominator)
-        return table_total(np.asarray(self.values[tuple(sl)]).reshape(-1))
+        exact = self.rationals()
+        n = np.asarray(exact.numerators[tuple(sl)], dtype=object).sum()
+        return exact.floats(n).item() if self._rounded else Fraction(n, exact.denominator)
 
     def marginal(self, names: Sequence[str]) -> "ProbabilityTable":
         """Marginal table over ``names``, in the order given."""
         keep = [self.axis(n) for n in names]
-        drop = tuple(i for i in range(len(self.axes)) if i not in keep)
-        values = self.rationals().numerators if self._is_exact else self.values
-        summed = np.asarray(values.sum(axis=drop), dtype=values.dtype) if drop else values
-        rank = {ax: pos for pos, ax in enumerate(sorted(keep))}
-        out = np.transpose(summed, [rank[k] for k in keep]) if keep else summed
-        if self._is_exact:
-            out = Rationals(out, self.rationals().denominator)
-        return ProbabilityTable([self.axes[i] for i in keep], out)
+        drop = [i for i in range(len(self.axes)) if i not in keep]
+        exact = self.rationals()
+        sums = np.asarray(np.transpose(exact.numerators, keep + drop).sum(
+            axis=tuple(range(len(keep), len(self.axes)))), dtype=object)
+        return ProbabilityTable([self.axes[i] for i in keep], exact.floats(sums)
+                                if self._rounded else Rationals(sums, exact.denominator))
+
+    @property
+    def _rounded(self) -> bool:
+        """Whether this is a float table, whose exact sums are rounded once to float."""
+        return self._values is not None and self._values.dtype != object
 
     def __repr__(self) -> str:
         return f"ProbabilityTable(axes={[a.name for a in self.axes]})"
@@ -451,14 +447,12 @@ def observed_law(law: CategoricalLaw) -> ObservedLawTable:
     joint = law.joint_table()
     cells = coarsening_map(graph).reshape(-1)
     shape = [a.size for a in observable_axes(graph)]
-    size = int(np.prod(shape))
-    if law.is_exact():
-        exact = joint.rationals()
-        out = np.zeros(size, dtype=object)
-        np.add.at(out, cells, exact.numerators.reshape(-1))
-        return ObservedLawTable(graph, Rationals(out.reshape(shape), exact.denominator))
-    out = np.bincount(cells, weights=joint.values.reshape(-1), minlength=size)
-    return ObservedLawTable(graph, out.reshape(shape))
+    exact = law.is_exact()
+    values = joint.rationals().numerators if exact else joint.values
+    out = np.zeros(int(np.prod(shape)), dtype=values.dtype)
+    np.add.at(out, cells, values.reshape(-1))
+    out = out.reshape(shape)
+    return ObservedLawTable(graph, Rationals(out, joint.rationals().denominator) if exact else out)
 
 
 # -- random law generation -----------------------------------------------------

@@ -37,10 +37,6 @@ class Vertex:
     role: VertexRole
     levels: int | None = None
 
-    @property
-    def is_categorical(self) -> bool:
-        return self.levels is not None
-
 
 @dataclass(frozen=True)
 class Pair:
@@ -219,7 +215,6 @@ class MissingDataGraph:
             self._spouses[n] = tuple(spo[n])
 
         self._true_of_indicator = {p.indicator: p.true for p in self._pairs}
-        self._indicator_of_true = {p.true: p.indicator for p in self._pairs}
         self._proxy_of_true = {p.true: p.proxy for p in self._pairs}
 
     # -- basic accessors ---------------------------------------------------
@@ -266,12 +261,6 @@ class MissingDataGraph:
 
     def non_proxy_vertices(self) -> tuple[Vertex, ...]:
         return tuple(v for v in self._vertices if v.role is not VertexRole.PROXY)
-
-    def indicator_of(self, true_name: str) -> str:
-        try:
-            return self._indicator_of_true[true_name]
-        except KeyError:
-            raise GraphQueryError(f"{true_name!r} has no paired response indicator") from None
 
     def true_of(self, indicator_name: str) -> str:
         try:

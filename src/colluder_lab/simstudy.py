@@ -14,6 +14,7 @@ import itertools
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -76,10 +77,18 @@ class SimScenario:
     max_failure_rate: float = 0.02
 
     def __post_init__(self):
+        for name in ("m", "q", "replications", "seed", "restarts"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise LawError(f"{name} must be an integer, got {value!r}")
         if self.replications < 1:
             raise LawError("replications must be at least 1")
+        if self.seed < 0:
+            raise LawError(f"seed must be non-negative, got {self.seed}")
         if not self.sample_sizes:
             raise LawError("sample_sizes must not be empty")
+        if not all(isinstance(n, Integral) for n in self.sample_sizes):
+            raise LawError(f"sample sizes must be integers, got {list(self.sample_sizes)}")
         if any(n < 1 for n in self.sample_sizes):
             raise LawError("sample sizes must be positive")
         if self.restarts < 1:
@@ -108,7 +117,9 @@ class SimScenario:
             raise LawError(f"unknown scenario keys: {sorted(unknown)}")
         kwargs = dict(obj)
         if "sample_sizes" in kwargs:
-            kwargs["sample_sizes"] = tuple(int(n) for n in kwargs["sample_sizes"])
+            if not isinstance(kwargs["sample_sizes"], (list, tuple)):
+                raise LawError(f"sample_sizes must be a list, got {kwargs['sample_sizes']!r}")
+            kwargs["sample_sizes"] = tuple(kwargs["sample_sizes"])
         if "constraints" in kwargs:
             kwargs["constraints"] = SimConstraints.from_json(kwargs["constraints"])
         return cls(**kwargs)
@@ -279,9 +290,10 @@ def _one_blas_thread():
 
 
 def _fit_share(scenario: SimScenario, cells) -> list:
-    """:func:`_run_cells` on one BLAS thread: a worker's share of a study."""
-    with _one_blas_thread():
-        return _run_cells(scenario, cells)
+    """A worker's share of a study.  The pool pickles this function by name, and it
+    looks up :func:`_run_cells` when the share runs, on the one BLAS thread the
+    worker inherits from the caller's :func:`_one_blas_thread` block."""
+    return _run_cells(scenario, cells)
 
 
 def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:

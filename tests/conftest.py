@@ -209,38 +209,36 @@ def exact_random_law(graph, rng) -> CategoricalLaw:
 # -- per-parameter reporting reference -----------------------------------------------
 
 
-def per_parameter_report(model, theta, bound, compute_ci=True):
+def per_parameter_report(model, theta, bound):
     """Estimate, SE, CI, boundary and reliability flags of every parameter at
     ``theta``, one parameter at a time: each estimate read from its CPT row,
     and each delta-method gradient built by hand over the row's free levels."""
     from statistics import NormalDist
 
     cpts = model.theta_to_cpts(theta)
-    if compute_ci:
-        eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
-        lam_max = float(eigval.max(initial=0.0))
-        null_mask = eigval <= 1e-8 * max(lam_max, 0.0)
-        inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))
-        cov = (eigvec * inv) @ eigvec.T
-        z = NormalDist().inv_cdf(0.975)
-        null_vecs = eigvec[:, null_mask]
+    eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
+    lam_max = float(eigval.max(initial=0.0))
+    null_mask = eigval <= 1e-8 * max(lam_max, 0.0)
+    inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))
+    cov = (eigvec * inv) @ eigvec.T
+    z = NormalDist().inv_cdf(0.975)
+    null_vecs = eigvec[:, null_mask]
     out = []
     for name, given, level, off, row_i in model.parameter_coords():
         L = cpts[name].shape[-1]
         p_row = cpts[name].reshape(-1, L)[row_i]
         est = float(p_row[level])
         boundary = est <= 1e-6 or est >= 1.0 - 1e-6
-        reliable, se, ci = not boundary, None, None
-        if compute_ci:
-            dp = np.zeros(model.n_params)
-            for k in range(1, L):
-                dp[off + k - 1] = p_row[level] * ((k == level) - p_row[k])
-            gnorm2 = float(dp @ dp)
-            null_frac = 1.0 if gnorm2 == 0.0 else float(((null_vecs.T @ dp) ** 2).sum()) / gnorm2
-            reliable = reliable and null_frac <= 1e-6
-            if reliable:
-                se = float(np.sqrt(max(dp @ cov @ dp, 0.0)))
-                ci = (max(0.0, est - z * se), min(1.0, est + z * se))
+        se, ci = None, None
+        dp = np.zeros(model.n_params)
+        for k in range(1, L):
+            dp[off + k - 1] = p_row[level] * ((k == level) - p_row[k])
+        gnorm2 = float(dp @ dp)
+        null_frac = 1.0 if gnorm2 == 0.0 else float(((null_vecs.T @ dp) ** 2).sum()) / gnorm2
+        reliable = not boundary and null_frac <= 1e-6
+        if reliable:
+            se = float(np.sqrt(max(dp @ cov @ dp, 0.0)))
+            ci = (max(0.0, est - z * se), min(1.0, est + z * se))
         out.append((name, given, level, est, se, ci, boundary, reliable))
     return out
 

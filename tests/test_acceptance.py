@@ -267,8 +267,7 @@ def test_criterion_9_population_recovery_end_to_end(capsys):
             if rank < m or sv[-1] < 1e-2 * sv[0]:
                 continue  # criterion quantifies over identifiable laws
             data = population_dataset(obs)
-            res = fit(data, graph, FitConfig(restarts=5, seed=int(rng.integers(1 << 31)),
-                                             compute_ci=False))
+            res = fit(data, graph, FitConfig(restarts=5, seed=int(rng.integers(1 << 31))))
             for name in law.cpts:
                 err = np.abs(np.asarray(res.cpts[name], float)
                              - np.asarray(law.cpts[name], float)).max()

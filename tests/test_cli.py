@@ -106,6 +106,13 @@ class TestFit:
                      "--restarts", restarts]) == 1
         assert f"restarts must be at least 1, got {restarts}" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, ccm_graph(2, 2))
+        csv_path = tmp_path / "d.csv"
+        csv_path.write_text("X,Y,R_X,R_Y\n0,0,1,1\n1,NA,1,0\n")
+        assert main(["fit", "--graph", gpath, "--data", str(csv_path), "--seed", "-1"]) == 1
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
     def test_inconsistent_record_exits_one(self, tmp_path, capsys):
         g = ccm_graph(2, 2)
         gpath = write_graph(tmp_path, g)
@@ -211,6 +218,22 @@ class TestSimulate:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["scenario"]["seed"] == 4
         assert doc["scenario"]["constraints"]["max_tries"] == 2000
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        assert main(["simulate", "ccm22.json", "--seed", "-1",
+                     "--out", str(tmp_path / "report")]) == 1
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("bad, match", [({"sample_sizes": [300.9]}, "sample sizes"),
+                                            ({"replications": 2.5}, "replications")])
+    def test_non_integer_scenario_field_exits_one(self, tmp_path, capsys, bad, match):
+        spath = tmp_path / "bad.json"
+        spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [200],
+                                     "replications": 1, "seed": 3, **bad}))
+        assert main(["simulate", str(spath)]) == 1
+        assert f"{match} must be" in capsys.readouterr().err
+        assert not (tmp_path / "bad-report.json").exists()
 
     def test_default_output_does_not_clobber_scenario(self, tmp_path, capsys):
         spath = tmp_path / "tiny.json"

@@ -127,6 +127,15 @@ class TestDataset:
         d2 = Dataset.from_csv(path, fig1b)
         assert np.array_equal(d.rows, d2.rows)
 
+    @pytest.mark.parametrize("weight", [1.000005, 0.999995, 2.0])
+    def test_csv_needs_exactly_unit_weights(self, fig1b, tmp_path, weight):
+        d = sample_dataset(random_law(fig1b, seed=1), 20, seed=2)
+        weights = np.ones(d.n_records)
+        weights[3] = weight
+        with pytest.raises(DataError, match="unit-weight"):
+            Dataset(fig1b, d.rows, weights).to_csv(tmp_path / "d.csv")
+        assert not (tmp_path / "d.csv").exists()
+
     def test_csv_one_based_round_trip(self, fig1b, tmp_path):
         d = sample_dataset(random_law(fig1b, seed=1), 200, seed=2)
         path = tmp_path / "d.csv"
@@ -265,7 +274,7 @@ class TestBind:
         records = sample_dataset(law, 20_000, seed=40)
         counts = sample_counts(law, 20_000, seed=40)
         assert counts.n_records <= 36 and counts.total_weight == 20_000
-        config = FitConfig(restarts=2, seed=41, compute_ci=False)
+        config = FitConfig(restarts=2, seed=41)
         a, b = fit(records, fig1b, config), fit(counts, fig1b, config)
         assert np.array_equal(a.theta, b.theta)
         assert a.log_likelihood == b.log_likelihood
@@ -435,13 +444,13 @@ def test_derivatives_match_finite_differences_with_zero_weights(graph, seed):
 
 
 @settings(max_examples=30, deadline=None)
-@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1), compute_ci=st.booleans())
-def test_fit_reports_parameters_like_a_per_parameter_loop(graph, seed, compute_ci):
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_fit_reports_parameters_like_a_per_parameter_loop(graph, seed):
     data, _ = weighted_sample(graph, seed, n=200)
     res = fit(data, graph, FitConfig(restarts=1, seed=seed, max_iterations=40,
-                                     allow_nonidentifiable=True, compute_ci=compute_ci))
+                                     allow_nonidentifiable=True))
     model = LikelihoodModel(graph)
-    ref = per_parameter_report(model, res.theta, model.bind(data), compute_ci)
+    ref = per_parameter_report(model, res.theta, model.bind(data))
     assert len(res.parameters) == len(ref)
     for p, (name, given_, level, est, se, ci, boundary, reliable) in zip(res.parameters, ref):
         assert (p.vertex, p.given, p.level, p.estimate) == (name, given_, level, est)
@@ -559,8 +568,7 @@ class TestFit:
         data = sample_dataset(law, 200, seed=22)
         with pytest.raises(FitError, match="non-identifiable"):
             fit(data, g)
-        res = fit(data, g, FitConfig(restarts=1, seed=23,
-                                     allow_nonidentifiable=True, compute_ci=False))
+        res = fit(data, g, FitConfig(restarts=1, seed=23, allow_nonidentifiable=True))
         assert res.log_likelihood < 0
 
     def test_wald_se_matches_binomial_formula(self):
@@ -586,12 +594,12 @@ class TestFit:
     def test_label_symmetry_under_level_relabeling(self, fig1b):
         law = random_law(fig1b, seed=26)
         data = sample_dataset(law, 500, seed=27)
-        res = fit(data, fig1b, FitConfig(restarts=3, seed=28, compute_ci=False))
+        res = fit(data, fig1b, FitConfig(restarts=3, seed=28))
         swapped_rows = data.rows.copy()
         observed = swapped_rows[:, 1] != 2
         swapped_rows[observed, 1] = 1 - swapped_rows[observed, 1]
         res_swapped = fit(Dataset(fig1b, swapped_rows), fig1b,
-                          FitConfig(restarts=3, seed=28, compute_ci=False))
+                          FitConfig(restarts=3, seed=28))
         assert res.log_likelihood == pytest.approx(res_swapped.log_likelihood, abs=1e-9)
         pyx = np.asarray(res.cpts["Y"], float)
         pyx_swapped = np.asarray(res_swapped.cpts["Y"], float)
@@ -642,12 +650,10 @@ class TestFit:
         # The restarts together take more than max_iterations, none alone does.
         law = random_law(fig1b, seed=1)
         data = sample_dataset(law, 1000, seed=101)
-        res = fit(data, fig1b, FitConfig(restarts=5, max_iterations=20, seed=1,
-                                         compute_ci=False))
+        res = fit(data, fig1b, FitConfig(restarts=5, max_iterations=20, seed=1))
         assert res.iterations > 20 and res.grad_norm <= 1e-8
         assert res.converged
-        capped = fit(data, fig1b, FitConfig(restarts=5, max_iterations=3, seed=1,
-                                            compute_ci=False))
+        capped = fit(data, fig1b, FitConfig(restarts=5, max_iterations=3, seed=1))
         assert not capped.converged
 
     @pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -2},
@@ -656,9 +662,19 @@ class TestFit:
         with pytest.raises(FitError, match="restarts must be at least 1|max_iterations"):
             FitConfig(**bad)
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"restarts": 2.5}, "restarts must be an integer"),
+        ({"max_iterations": 10.0}, "max_iterations must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ])
+    def test_non_integer_and_negative_seed_settings_rejected(self, bad, match):
+        with pytest.raises(FitError, match=match):
+            FitConfig(**bad)
+
     def test_zero_steps_caps_every_start(self, fig1b):
         data = sample_dataset(random_law(fig1b, seed=1), 300, seed=2)
-        res = fit(data, fig1b, FitConfig(restarts=2, max_iterations=0, seed=3, compute_ci=False))
+        res = fit(data, fig1b, FitConfig(restarts=2, max_iterations=0, seed=3))
         assert res.iterations == 0 and not res.converged
 
     def test_monotone_improvement_across_restarts(self, fig1b):
@@ -667,7 +683,7 @@ class TestFit:
         data = sample_dataset(law, 400, seed=33)
         best = None
         for restarts in (1, 2, 4):
-            res = fit(data, fig1b, FitConfig(restarts=restarts, seed=34, compute_ci=False))
+            res = fit(data, fig1b, FitConfig(restarts=restarts, seed=34))
             if best is not None:
                 assert res.log_likelihood >= best - 1e-9
             best = max(best or -np.inf, res.log_likelihood)
@@ -699,7 +715,7 @@ def test_batched_fit_equals_each_datasets_own_fit(graph, seed, n_data):
 
     theta, ll, best, grad_norm, converged, steps = maximize(model, weights, starts, 40)
     for i, (d, s) in enumerate(zip(data, fit_seeds)):
-        res = fit(d, graph, FitConfig(restarts=2, seed=s, max_iterations=40, compute_ci=False,
+        res = fit(d, graph, FitConfig(restarts=2, seed=s, max_iterations=40,
                                       allow_nonidentifiable=True))
         assert np.array_equal(res.theta, theta[i])
         assert (res.log_likelihood, res.grad_norm, res.converged, res.best_restart,

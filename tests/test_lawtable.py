@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colluder_lab import (CategoricalLaw, LawError, MissingDataGraph,
-                          PositivityError, SimConstraints, Vertex, VertexRole,
+from colluder_lab import (Axis, CategoricalLaw, LawError, MissingDataGraph,
+                          PositivityError, ProbabilityTable, SimConstraints, Vertex, VertexRole,
                           appendix_a_law, ccm_graph, conditional, example_graph,
                           joint_probability,
                           observed_law, random_law)
-from colluder_lab.lawtable import Rationals, table_total
+from colluder_lab.lawtable import Rationals
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 from conftest import (brute_joint_probability, exact_random_law, loop_observed_law,
                       loop_random_law, small_graphs)
@@ -177,6 +177,23 @@ class TestIntegerTables:
         subset = np.random.default_rng(seed).random(values.size) < 0.5
         total = exact.floats(np.array(sum(exact.numerators[subset].tolist())))
         assert float(total) == math.fsum(values[subset])
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+    def test_float_reductions_are_one_rounding_of_the_exact_sum(self, graph, seed):
+        obs = observed_law(CategoricalLaw(graph, {
+            k: v.astype(float) for k, v in
+            exact_random_law(graph, np.random.default_rng(seed)).cpts.items()}))
+        assert obs.total() == math.fsum(obs.values.flat)
+        rng = np.random.default_rng(seed)
+        keep = [a.name for a in obs.axes if rng.random() < 0.5]
+        marg = obs.marginal(keep)
+        assert marg.values.dtype == float
+        for idx in np.ndindex(*marg.values.shape):
+            event = dict(zip(keep, idx))
+            sl = tuple(event.get(a.name, slice(None)) for a in obs.axes)
+            want = math.fsum(np.asarray(obs.values[sl]).flat)
+            assert marg.values[idx] == obs.event_prob(event) == want
 
     def test_float_table_reads_its_own_denominator(self):
         exact = Rationals.of(np.array([0.5, 0.25, 0.125, 0.125]))
@@ -422,4 +439,5 @@ class TestSerialization:
 
 def test_table_total_beats_naive():
     values = np.array([1.0] + [1e-16] * 10000)
-    assert table_total(values) == pytest.approx(1.0 + 1e-12, abs=1e-18)
+    table = ProbabilityTable([Axis("A", values.size)], values)
+    assert table.total() == pytest.approx(1.0 + 1e-12, abs=1e-18)

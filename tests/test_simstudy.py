@@ -103,6 +103,25 @@ class TestScenario:
         with pytest.raises(LawError, match=match):
             SimScenario.from_json({"m": 2, "q": 2, **bad})
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"sample_sizes": [300.9]}, "sample sizes must be integers"),
+        ({"replications": 2.5}, "replications must be an integer"),
+        ({"restarts": 1.5}, "restarts must be an integer"),
+        ({"m": 2.0}, "m must be an integer"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"seed": -1}, "seed must be non-negative"),
+    ])
+    def test_non_integer_and_negative_seed_fields_rejected(self, bad, match):
+        with pytest.raises(LawError, match=match):
+            SimScenario.from_json({"m": 2, "q": 2, **bad})
+        with pytest.raises(LawError, match=match):
+            SimScenario(**bad)
+
+    def test_scalar_sample_sizes_rejected(self):
+        with pytest.raises(LawError, match="sample_sizes must be a list"):
+            SimScenario.from_json({"m": 2, "q": 2, "sample_sizes": 300})
+
     def test_failure_rate_bounds_accepted(self):
         for rate in (0.0, 1.0):
             assert SimScenario(max_failure_rate=rate).max_failure_rate == rate
