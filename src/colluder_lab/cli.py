@@ -8,6 +8,7 @@ failed verification), 1 for usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -76,8 +77,7 @@ def _cmd_solve_colluder(args) -> int:
     failed = 0
     for col in colluders:
         try:
-            mech = colluder_mechanism(obs, graph, col, rank_tol=args.rank_tol,
-                                      eps_pos=args.eps_pos)
+            mech = colluder_mechanism(obs, graph, col)
             entries.append({"colluder": str(col),
                             "axes": list(mech.names),
                             "values": mech.values.tolist()})
@@ -106,15 +106,8 @@ def _find_scenario(path: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     scenario = SimScenario.from_json(_find_scenario(args.scenario))
-    overrides = {}
-    if args.profile == "full":
-        overrides["replications"] = 1000
-    elif args.profile == "desk":
-        overrides["replications"] = 200
     if args.seed is not None:
-        overrides["seed"] = args.seed
-    if overrides:
-        scenario = SimScenario.from_json({**scenario.to_json(), **overrides})
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     report = run_scenario(scenario, threads=_threads(args))
     if args.out:
         prefix = Path(args.out)
@@ -217,16 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve the colluder equations of a law and print the mechanism")
     p.add_argument("--graph", required=True)
     p.add_argument("--law", required=True, help="full-law JSON file")
-    p.add_argument("--rank-tol", type=float, default=1e-10)
-    p.add_argument("--eps-pos", type=float, default=1e-12)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_solve_colluder)
 
     p = sub.add_parser("simulate", help="run a replicated simulation scenario")
     p.add_argument("scenario", help="scenario JSON file (or bundled name like ccm22.json)")
     p.add_argument("--out", help="output prefix for .json and .txt reports")
-    p.add_argument("--profile", choices=["desk", "full"],
-                   help="override replications: desk=200, full=1000")
     p.add_argument("--seed", type=int)
     p.add_argument("--threads", type=int,
                    help="processes that fit the replications, the caller included "
@@ -268,14 +257,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ColluderLabError as e:
+    except (ColluderLabError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as e:
-        print(f"error: invalid JSON: {e}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -270,6 +270,10 @@ class LikelihoodModel:
     """Parameter packing plus fast marginalized likelihood and score for one graph."""
 
     def __init__(self, graph: MissingDataGraph):
+        if graph.bidirected_edges:
+            edges = ", ".join(f"{u}<->{w}" for u, w in graph.bidirected_edges)
+            raise FitError(f"the likelihood factors over directed parents only and would "
+                           f"drop the bidirected edges {edges}")
         self.graph = graph
         verts = graph.non_proxy_vertices()
         for v in verts:
@@ -378,9 +382,6 @@ class LikelihoodModel:
             theta[off:off + n_rows * (L - 1)] = (
                 np.log(arr[:, 1:]) - np.log(arr[:, :1])).reshape(-1)
         return theta
-
-    def law(self, theta: np.ndarray) -> CategoricalLaw:
-        return CategoricalLaw(self.graph, self.theta_to_cpts(theta))
 
     def joint(self, cpts: Mapping[str, np.ndarray]) -> np.ndarray:
         return joint_from_cpts(self._subs, [np.asarray(cpts[n], dtype=float)

@@ -19,14 +19,14 @@ from .lawtable import (EPS_POS, Axis, CategoricalLaw, ObservedLawTable,
                        ProbabilityTable, conditional)
 from .mdgraph import Colluder, MissingDataGraph, VertexRole, m_separated
 
-#: Default relative tolerance for the numerical rank of a colluder matrix.
+#: Relative tolerance for the numerical rank of a colluder matrix.
 RANK_TOL = 1e-10
 
 
 # -- colluder systems ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColluderSystem:
     """The linear system A s = b of one colluder at one stratum, for one arm r.
 
@@ -42,15 +42,10 @@ class ColluderSystem:
     r: int
     a: np.ndarray
     b: np.ndarray
-    solution: np.ndarray | None = None
 
     @property
     def m(self) -> int:
         return self.a.shape[1]
-
-    @property
-    def q(self) -> int:
-        return self.a.shape[0]
 
 
 @dataclass(frozen=True)
@@ -120,9 +115,8 @@ class _Stacks:
     b: np.ndarray
 
 
-def _stacks(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder,
-            z: Mapping[str, int] | None = None) -> _Stacks:
-    """The colluder quantities of every stratum, or of stratum ``z`` alone."""
+def _stacks(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder) -> _Stacks:
+    """The colluder quantities of every stratum."""
     x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y_name = g.true_of(ry)
     m, q = g.vertex(x_name).levels, g.vertex(y_name).levels
@@ -132,10 +126,9 @@ def _stacks(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder,
     for n in indicators:
         index[obs.axis(n)] = 1
     for n in enumerable:
-        index[obs.axis(n)] = z[n] if z is not None else slice(g.vertex(n).levels)
+        index[obs.axis(n)] = slice(g.vertex(n).levels)
     kept = [a.name for a, i in zip(obs.axes, index) if isinstance(i, slice)]
-    order = [kept.index(n) for n in (*(n for n in enumerable if z is None),
-                                     x_name, y_name, rx, ry)]
+    order = [kept.index(n) for n in (*enumerable, x_name, y_name, rx, ry)]
     t = np.transpose(exact.numerators[tuple(index)], order).reshape(-1, m + 1, q + 1, 2, 2)
 
     p_z = exact.floats(t.sum(axis=(1, 2, 3, 4)))
@@ -150,11 +143,11 @@ def _stacks(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder,
     return _Stacks(p_z, p_x, np.ascontiguousarray(a), b)
 
 
-def _check_positivity(st: _Stacks, s: int, z: dict, col: Colluder, eps_pos: float) -> None:
-    if st.p_z[s] < eps_pos:
+def _check_positivity(st: _Stacks, s: int, z: dict, col: Colluder) -> None:
+    if st.p_z[s] < EPS_POS:
         raise PositivityError(f"positivity violated at stratum {z}", stratum=z)
     x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
-    null = np.flatnonzero(st.p_x[s] < eps_pos)
+    null = np.flatnonzero(st.p_x[s] < EPS_POS)
     if null.size:
         j = null[0]
         raise PositivityError(
@@ -163,14 +156,13 @@ def _check_positivity(st: _Stacks, s: int, z: dict, col: Colluder, eps_pos: floa
 
 
 def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder,
-                          z: Mapping[str, int], r: int, *,
-                          eps_pos: float = EPS_POS) -> ColluderSystem:
+                          z: Mapping[str, int], r: int) -> ColluderSystem:
     """Populate the colluder matrix and right-hand side from an observed law.
 
     ``z`` must assign every stratum variable, with all response indicators in
     the stratum set to 1.  Raises :class:`ConditionalIndependenceError` when
     the required m-separation fails and :class:`PositivityError` when the
-    stratum or a conditioning event has mass below ``eps_pos``.
+    stratum or a conditioning event has mass below ``EPS_POS``.
     """
     if r not in (0, 1):
         raise LawError(f"r must be 0 or 1, got {r!r}")
@@ -194,20 +186,21 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Collu
         raise GraphQueryError("colluder variables must be categorical with declared levels")
 
     z = dict(z)
-    st = _stacks(obs, g, col, z)
-    _check_positivity(st, 0, z, col, eps_pos)
-    return ColluderSystem(col, z, r, st.a[0], st.b[0, r])
+    s = list(enumerate_strata(g, col)).index(z)
+    st = _stacks(obs, g, col)
+    _check_positivity(st, s, z, col)
+    return ColluderSystem(col, z, r, st.a[s], st.b[s, r])
 
 
-def rank_test(sys: ColluderSystem, tol: float = RANK_TOL) -> tuple[int, np.ndarray]:
-    """Numerical rank of the colluder matrix: singular values above ``tol`` * largest."""
+def rank_test(sys: ColluderSystem) -> tuple[int, np.ndarray]:
+    """Numerical rank of the colluder matrix: singular values above ``RANK_TOL`` * largest."""
     sv = np.linalg.svd(sys.a, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0, sv
-    return int(np.sum(sv > tol * sv[0])), sv
+    return int(np.sum(sv > RANK_TOL * sv[0])), sv
 
 
-def solve_colluder(sys: ColluderSystem, *, rank_tol: float = RANK_TOL) -> ColluderSolution:
+def solve_colluder(sys: ColluderSystem) -> ColluderSolution:
     """Solve A s = b by the Moore-Penrose inverse; requires full column rank.
 
     For square systems this is the plain inverse, and for consistent
@@ -215,7 +208,7 @@ def solve_colluder(sys: ColluderSystem, *, rank_tol: float = RANK_TOL) -> Collud
     solution values are returned unclipped; entries outside [0, 1] by more
     than 1e-8 are flagged.
     """
-    rank, sv = rank_test(sys, rank_tol)
+    rank, sv = rank_test(sys)
     if rank < sys.m:
         raise RankDeficiencyError(
             f"not identifiable at this stratum: rank {rank} < {sys.m}",
@@ -226,12 +219,11 @@ def solve_colluder(sys: ColluderSystem, *, rank_tol: float = RANK_TOL) -> Collud
     if residual > 1e-8:
         raise LawError(f"colluder system inconsistent: residual {residual:.3e} exceeds 1e-8")
     flagged = tuple(int(j) for j in range(sys.m) if s[j] < -1e-8 or s[j] > 1 + 1e-8)
-    sys.solution = s
     return ColluderSolution(s, residual, flagged)
 
 
-def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder, *,
-                       rank_tol: float = RANK_TOL, eps_pos: float = EPS_POS) -> ProbabilityTable:
+def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph,
+                       col: Colluder) -> ProbabilityTable:
     """The identified conditional law of R_X given all variables, other indicators at 1.
 
     Solves both arms of the colluder equations at every stratum and returns
@@ -257,11 +249,11 @@ def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder
     st = _stacks(obs, g, col)
     solutions = np.empty((len(st.p_z), 2, g.vertex(x_name).levels))
     for s, z in enumerate(enumerate_strata(g, col)):
-        _check_positivity(st, s, z, col, eps_pos)
+        _check_positivity(st, s, z, col)
         for r in (0, 1):
             sys = ColluderSystem(col, z, r, st.a[s], st.b[s, r])
-            solutions[s, r] = solve_colluder(sys, rank_tol=rank_tol).values
-        null = np.flatnonzero(solutions[s, 0] + solutions[s, 1] < eps_pos)
+            solutions[s, r] = solve_colluder(sys).values
+        null = np.flatnonzero(solutions[s, 0] + solutions[s, 1] < EPS_POS)
         if null.size:
             raise PositivityError(
                 f"positivity violated: {x_name}={null[0]} has no mass at stratum {z}",
@@ -340,8 +332,7 @@ def binary_closed_form(q: BinaryColluderQuantities) -> tuple[float, float]:
 # -- odds-ratio factorization check ---------------------------------------------
 
 
-def or_factorization_check(law: CategoricalLaw, ordering: Sequence[str], *,
-                           eps_pos: float = EPS_POS) -> float:
+def or_factorization_check(law: CategoricalLaw, ordering: Sequence[str]) -> float:
     """Maximum absolute violation of the odds-ratio factorization identity.
 
     Evaluates the missingness mechanism p(R | O, X1) of ``law`` against its
@@ -361,14 +352,14 @@ def or_factorization_check(law: CategoricalLaw, ordering: Sequence[str], *,
 
     joint = law.joint_table()
     joint = ProbabilityTable(joint.axes, joint.values.astype(float))
-    mech = conditional(joint, targets=ordering, conditions=cond_names, eps_pos=eps_pos)
+    mech = conditional(joint, targets=ordering, conditions=cond_names)
 
     n_cond = len(cond_names)
     worst = 0.0
     ones = (1,) * K
     for cidx in np.ndindex(*[a.size for a in mech.axes[:n_cond]]):
         table = mech.values[cidx]
-        if np.any(table < eps_pos):
+        if np.any(table < EPS_POS):
             raise PositivityError(
                 f"positivity violated: missingness mechanism has a zero cell at "
                 f"{dict(zip(cond_names, cidx))}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational, Real
 from string import ascii_letters
 from typing import Mapping, Sequence
 
@@ -27,7 +27,7 @@ import numpy as np
 from .errors import GraphQueryError, LawError, PositivityError
 from .mdgraph import MissingDataGraph, VertexRole, load_json_source
 
-#: Default positivity threshold for conditioning events.
+#: Positivity threshold for conditioning events.
 EPS_POS = 1e-12
 
 _ROW_SUM_TOL = 1e-12
@@ -186,13 +186,13 @@ class ProbabilityTable:
 
 
 def conditional(table: ProbabilityTable, targets: Sequence[str],
-                conditions: Sequence[str] = (), eps_pos: float = EPS_POS) -> ProbabilityTable:
+                conditions: Sequence[str] = ()) -> ProbabilityTable:
     """Exact conditional table p(targets | conditions) by ratio of marginals.
 
     The result has the condition axes first, then the target axes; each
     condition configuration indexes a normalized distribution over targets.
     Raises :class:`PositivityError` if any conditioning event has probability
-    below ``eps_pos``.
+    below ``EPS_POS``.
     """
     targets = list(targets)
     conditions = list(conditions)
@@ -201,7 +201,7 @@ def conditional(table: ProbabilityTable, targets: Sequence[str],
         return joint
     denom = table.marginal(conditions)
     mass = denom.values
-    null = np.argwhere(mass.astype(float) < eps_pos)
+    null = np.argwhere(mass.astype(float) < EPS_POS)
     if len(null):
         names = {a.name: int(i) for a, i in zip(denom.axes, null[0])}
         raise PositivityError(f"conditioning on a null event {names}", stratum=names)
@@ -216,18 +216,18 @@ class ObservedLawTable(ProbabilityTable):
         super().__init__(observable_axes(graph), values)
         self.graph = graph
 
-    def consistent(self, atol: float = _ROW_SUM_TOL) -> bool:
+    def consistent(self) -> bool:
         """True when mass totals 1 and every inconsistent NA pattern has zero mass."""
-        if abs(float(self.total()) - 1.0) > atol:
+        if abs(float(self.total()) - 1.0) > _ROW_SUM_TOL:
             return False
         for p in self.graph.pairs:
             t = self.graph.vertex(p.true)
             na = t.levels
             # proxy NA with indicator 1, or an observed value with indicator 0
-            if float(self.event_prob({p.true: na, p.indicator: 1})) > atol:
+            if float(self.event_prob({p.true: na, p.indicator: 1})) > _ROW_SUM_TOL:
                 return False
             for x in range(t.levels):
-                if float(self.event_prob({p.true: x, p.indicator: 0})) > atol:
+                if float(self.event_prob({p.true: x, p.indicator: 0})) > _ROW_SUM_TOL:
                     return False
         return True
 
@@ -243,10 +243,15 @@ class CategoricalLaw:
 
     ``cpts[v]`` has shape ``(*parent_levels, levels_of_v)`` with parents in
     graph declaration order; every row is a probability vector.  Entries may
-    be floats or exact rationals (object dtype).
+    be floats or exact rationals (object dtype).  The factorization has no
+    term for a bidirected edge, so the graph must have none.
     """
 
     def __init__(self, graph: MissingDataGraph, cpts: Mapping[str, np.ndarray]):
+        if graph.bidirected_edges:
+            edges = ", ".join(f"{u}<->{w}" for u, w in graph.bidirected_edges)
+            raise LawError(f"a law factors over directed parents only and would drop the "
+                           f"bidirected edges {edges}")
         self.graph = graph
         self._exact_cpts: dict[str, Rationals] = {}
         clean: dict[str, np.ndarray] = {}
@@ -458,6 +463,10 @@ def observed_law(law: CategoricalLaw) -> ObservedLawTable:
 # -- random law generation -----------------------------------------------------
 
 
+def _finite(value) -> bool:
+    return isinstance(value, Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class SimConstraints:
     """Constraints for random law generation.
@@ -480,6 +489,20 @@ class SimConstraints:
     min_prob: float = 0.1
     max_tries: int = 10_000
 
+    def __post_init__(self):
+        for name in ("exogenous_response_prob", "response_min_gap", "dependency_gap",
+                     "min_prob"):
+            value = getattr(self, name)
+            if not _finite(value):
+                raise LawError(f"{name} must be a finite real number, got {value!r}")
+        interval = self.response_interval
+        if not (isinstance(interval, (list, tuple)) and len(interval) == 2
+                and all(map(_finite, interval))):
+            raise LawError(f"response_interval must be two numbers, got {interval!r}")
+        object.__setattr__(self, "response_interval", tuple(interval))
+        if not isinstance(self.max_tries, Integral) or self.max_tries < 1:
+            raise LawError(f"max_tries must be an integer of at least 1, got {self.max_tries!r}")
+
     def to_json(self) -> dict:
         doc = {"exogenous_response_prob": self.exogenous_response_prob,
                "response_interval": list(self.response_interval),
@@ -495,14 +518,13 @@ class SimConstraints:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConstraints":
+        if not isinstance(obj, dict):
+            raise LawError(f"constraints must be a JSON object, got {obj!r}")
         unknown = set(obj) - {"exogenous_response_prob", "response_interval",
                               "response_min_gap", "dependency_gap", "min_prob", "max_tries"}
         if unknown:
             raise LawError(f"unknown constraint keys: {sorted(unknown)}")
-        kwargs = dict(obj)
-        if "response_interval" in kwargs:
-            kwargs["response_interval"] = tuple(kwargs["response_interval"])
-        return cls(**kwargs)
+        return cls(**obj)
 
 
 #: Growth factor of successive candidate batches in :func:`_simplex_rows`, and

@@ -113,10 +113,9 @@ class MissingDataGraph:
     Parameters
     ----------
     vertices:
-        ``Vertex`` instances (or ``(name, role, levels)`` tuples).  Proxy
-        vertices may be listed explicitly; otherwise one proxy per
-        declared pair is generated automatically, together with its two
-        deterministic incoming edges.
+        ``Vertex`` instances.  Proxy vertices may be listed explicitly;
+        otherwise one proxy per declared pair is generated automatically,
+        together with its two deterministic incoming edges.
     directed, bidirected:
         Edge lists of name pairs.  Bidirected edges are unordered.
     pairs:
@@ -133,20 +132,15 @@ class MissingDataGraph:
 
     def __init__(
         self,
-        vertices: Iterable[Vertex | tuple],
+        vertices: Iterable[Vertex],
         directed: Iterable[tuple[str, str]] = (),
         bidirected: Iterable[tuple[str, str]] = (),
         pairs: Iterable[tuple[str, str]] = (),
     ):
-        vlist = []
-        for v in vertices:
-            if not isinstance(v, Vertex):
-                name, role, levels = v
-                role = role if isinstance(role, VertexRole) else VertexRole(role)
-                v = Vertex(name, role, levels)
+        vlist = list(vertices)
+        for v in vlist:
             if v.levels is not None and v.levels < 1:
                 raise GraphFormatError(f"vertex {v.name!r} has non-positive level count")
-            vlist.append(v)
         names = [v.name for v in vlist]
         if len(set(names)) != len(names):
             raise GraphFormatError("duplicate vertex names")

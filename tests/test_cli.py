@@ -76,6 +76,23 @@ class TestSolveColluder:
         doc = json.loads(capsys.readouterr().out)
         assert doc["colluders"][0]["error"] == "RankDeficiencyError"
 
+    def test_output_file_holds_the_printed_json(self, tmp_path, capsys):
+        g = example_graph("d")
+        gpath = write_graph(tmp_path, g)
+        lpath = tmp_path / "law.json"
+        lpath.write_text(json.dumps(random_law(g, seed=5).to_json()))
+        out = tmp_path / "mech.json"
+        assert main(["solve-colluder", "--graph", gpath, "--law", str(lpath),
+                     "--output", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
+        assert len(json.loads(out.read_text())["colluders"]) == 2
+
+    def test_missing_law_file_exits_one(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, ccm_graph(2, 2))
+        assert main(["solve-colluder", "--graph", gpath,
+                     "--law", str(tmp_path / "absent.json")]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestFit:
     def test_complete_data_fit(self, tmp_path, capsys):
@@ -112,6 +129,12 @@ class TestFit:
         csv_path.write_text("X,Y,R_X,R_Y\n0,0,1,1\n1,NA,1,0\n")
         assert main(["fit", "--graph", gpath, "--data", str(csv_path), "--seed", "-1"]) == 1
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
+    def test_missing_data_file_exits_one(self, tmp_path, capsys):
+        gpath = write_graph(tmp_path, ccm_graph(2, 2))
+        assert main(["fit", "--graph", gpath, "--data", str(tmp_path / "absent.csv"),
+                     "--seed", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_inconsistent_record_exits_one(self, tmp_path, capsys):
         g = ccm_graph(2, 2)
@@ -218,6 +241,22 @@ class TestSimulate:
         doc = json.loads((tmp_path / "report.json").read_text())
         assert doc["scenario"]["seed"] == 4
         assert doc["scenario"]["constraints"]["max_tries"] == 2000
+
+    @pytest.mark.parametrize("bad, match", [
+        ({"max_tries": 2.5}, "max_tries must be an integer"),
+        ({"max_tries": 0}, "max_tries must be an integer"),
+        ({"min_prob": "0.1"}, "min_prob must be a finite real number"),
+        ({"min_prob": float("nan")}, "min_prob must be a finite real number"),
+        ({"response_interval": [0.7]}, "response_interval must be two numbers"),
+        (5, "constraints must be a JSON object"),
+    ])
+    def test_bad_constraints_exit_one(self, tmp_path, capsys, bad, match):
+        spath = tmp_path / "bad.json"
+        spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [200],
+                                     "replications": 1, "seed": 3, "constraints": bad}))
+        assert main(["simulate", str(spath)]) == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "bad-report.json").exists()
 
     def test_negative_seed_exits_one(self, tmp_path, capsys):
         assert main(["simulate", "ccm22.json", "--seed", "-1",

@@ -525,6 +525,15 @@ class TestTransform:
 
 
 class TestFit:
+    def test_confounded_graph_refused(self):
+        g = example_graph("a")
+        data = sample_dataset(random_law(ccm_graph(2, 2), seed=4), 500, seed=5)
+        for run in (lambda: fit(Dataset(g, data.rows), g,
+                                FitConfig(seed=1, allow_nonidentifiable=True)),
+                    lambda: LikelihoodModel(g)):
+            with pytest.raises(FitError, match="bidirected edges X<->Y, R_X<->R_Y"):
+                run()
+
     def test_complete_data_recovers_frequencies(self, fig1b):
         rows = []
         rng = np.random.default_rng(15)

@@ -362,6 +362,47 @@ class TestLawValidation:
         assert not law.strictly_positive()
 
 
+class TestBidirectedGraphs:
+    """A law factors over directed parents, so a bidirected edge would be dropped."""
+
+    @pytest.mark.parametrize("key", ["a", "b"])
+    def test_law_on_confounded_graph_names_the_edges(self, key):
+        g = example_graph(key)
+        # (a) and (b) have the directed edges of CCM(2,2), so its CPTs fit their shapes
+        cpts = random_law(ccm_graph(2, 2), seed=0).cpts
+        for build in (lambda: CategoricalLaw(g, cpts), lambda: random_law(g, seed=0)):
+            with pytest.raises(LawError) as err:
+                build()
+            for u, w in g.bidirected_edges:
+                assert f"{u}<->{w}" in str(err.value)
+
+
+class TestSimConstraintsChecks:
+    @pytest.mark.parametrize("bad, match", [
+        ({"max_tries": 2.5}, "max_tries must be an integer of at least 1"),
+        ({"max_tries": 0}, "max_tries must be an integer of at least 1"),
+        ({"max_tries": "10"}, "max_tries must be an integer of at least 1"),
+        ({"min_prob": "0.1"}, "min_prob must be a finite real number"),
+        ({"min_prob": float("nan")}, "min_prob must be a finite real number"),
+        ({"dependency_gap": None}, "dependency_gap must be a finite real number"),
+        ({"exogenous_response_prob": [0.8]}, "exogenous_response_prob must be a finite real"),
+        ({"response_min_gap": "0"}, "response_min_gap must be a finite real number"),
+        ({"response_interval": [0.7]}, "response_interval must be two numbers"),
+        ({"response_interval": 0.7}, "response_interval must be two numbers"),
+        ({"response_interval": [0.7, "0.9"]}, "response_interval must be two numbers"),
+        ({"response_interval": [0.7, float("inf")]}, "response_interval must be two numbers"),
+    ])
+    def test_bad_constraints_rejected(self, bad, match):
+        with pytest.raises(LawError, match=match):
+            SimConstraints(**bad)
+        with pytest.raises(LawError, match=match):
+            SimConstraints.from_json(bad)
+
+    def test_constraints_document_must_be_an_object(self):
+        with pytest.raises(LawError, match="constraints must be a JSON object"):
+            SimConstraints.from_json(5)
+
+
 class TestSerialization:
     def test_float_round_trip(self):
         law = random_law(ccm_graph(2, 2), seed=9)

@@ -122,6 +122,18 @@ class TestScenario:
         with pytest.raises(LawError, match="sample_sizes must be a list"):
             SimScenario.from_json({"m": 2, "q": 2, "sample_sizes": 300})
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"max_tries": 2.5}, "max_tries must be an integer"),
+        ({"max_tries": 0}, "max_tries must be an integer"),
+        ({"min_prob": "0.1"}, "min_prob must be a finite real number"),
+        ({"min_prob": float("nan")}, "min_prob must be a finite real number"),
+        ({"response_interval": [0.7]}, "response_interval must be two numbers"),
+        (5, "constraints must be a JSON object"),
+    ])
+    def test_bad_constraints_rejected(self, bad, match):
+        with pytest.raises(LawError, match=match):
+            SimScenario.from_json({"m": 2, "q": 2, "constraints": bad})
+
     def test_failure_rate_bounds_accepted(self):
         for rate in (0.0, 1.0):
             assert SimScenario(max_failure_rate=rate).max_failure_rate == rate
@@ -243,6 +255,38 @@ class TestRunScenario:
         finally:
             for (set_threads, _), count in zip(controls, original):
                 set_threads(count)
+
+    def test_non_converged_replications_counted_and_excluded(self, monkeypatch):
+        sc = SimScenario(m=2, q=2, sample_sizes=(300, 600), replications=4, seed=2,
+                         max_failure_rate=0.25)
+        cells = [(n, r) for n in range(2) for r in range(4)]
+        errors = dict(zip(cells, simstudy._run_cells(sc, cells)))
+        run_cells = simstudy._run_cells
+
+        def one_failure(scenario, cells):
+            return [None if c == (0, 1) else e for c, e in zip(cells, run_cells(scenario, cells))]
+
+        monkeypatch.setattr(simstudy, "_run_cells", one_failure)
+        report = run_scenario(sc)
+        assert report.failures == {300: 1, 600: 0}
+        assert "n=300: 1, n=600: 0" in report.format_table()
+        kept = np.array([errors[(0, r)] for r in (0, 2, 3)])
+        assert [v["bias"] for v in report.per_parameter[300].values()] == \
+            [float(b) for b in kept.mean(axis=0)]
+
+    def test_failures_above_the_rate_abort(self, monkeypatch):
+        sc = SimScenario(m=2, q=2, sample_sizes=(300, 600), replications=4, seed=2,
+                         max_failure_rate=0.25)
+        run_cells = simstudy._run_cells
+
+        def two_failures(scenario, cells):
+            return [None if c in ((1, 0), (1, 3)) else e
+                    for c, e in zip(cells, run_cells(scenario, cells))]
+
+        monkeypatch.setattr(simstudy, "_run_cells", two_failures)
+        with pytest.raises(ColluderLabError,
+                           match="2/4 replications did not converge at n=600"):
+            run_scenario(sc)
 
     def test_quaternary_rmse_shrinks_with_sample_size(self):
         sc = SimScenario(m=4, q=4, sample_sizes=(1000, 100000), replications=3,
