@@ -217,19 +217,14 @@ class ObservedLawTable(ProbabilityTable):
         self.graph = graph
 
     def consistent(self) -> bool:
-        """True when mass totals 1 and every inconsistent NA pattern has zero mass."""
-        if abs(float(self.total()) - 1.0) > _ROW_SUM_TOL:
-            return False
-        for p in self.graph.pairs:
-            t = self.graph.vertex(p.true)
-            na = t.levels
-            # proxy NA with indicator 1, or an observed value with indicator 0
-            if float(self.event_prob({p.true: na, p.indicator: 1})) > _ROW_SUM_TOL:
-                return False
-            for x in range(t.levels):
-                if float(self.event_prob({p.true: x, p.indicator: 0})) > _ROW_SUM_TOL:
-                    return False
-        return True
+        """True when mass totals 1 and the cells :func:`coarsening_map` never produces
+        hold no mass."""
+        exact = self.rationals()
+        nums = exact.numerators.reshape(-1)
+        unreachable = np.ones(nums.size, dtype=bool)
+        unreachable[coarsening_map(self.graph).reshape(-1)] = False
+        total, stray = exact.floats([nums.sum(), nums[unreachable].sum()])
+        return abs(total - 1.0) <= _ROW_SUM_TOL and stray <= _ROW_SUM_TOL
 
 
 def _fraction(entry) -> Fraction:
@@ -277,6 +272,8 @@ class CategoricalLaw:
                 sums = exact.floats(exact.numerators.reshape(-1, v.levels).sum(axis=1))
             else:
                 rows = np.asarray(arr, dtype=float).reshape(-1, v.levels)
+                if not np.isfinite(rows).all():
+                    raise LawError(f"CPT for {v.name!r} holds a non-finite entry")
                 sums = np.array([math.fsum(row) for row in rows])
             # the first bad row, and in it the sum before the range
             off_sum = np.abs(sums - 1.0) > _ROW_SUM_TOL
@@ -345,9 +342,13 @@ class CategoricalLaw:
     @classmethod
     def from_json(cls, source, graph: MissingDataGraph | None = None) -> "CategoricalLaw":
         obj = load_json_source(source)
+        if not isinstance(obj, dict):
+            raise LawError(f"a law document must be a JSON object, got {type(obj).__name__}")
         unknown = set(obj) - {"graph", "cpts"}
         if unknown:
             raise LawError(f"unknown law keys: {sorted(unknown)}")
+        if not isinstance(obj.get("cpts"), dict):
+            raise LawError("law document needs a 'cpts' object")
         if graph is None:
             gspec = obj.get("graph")
             if gspec is None:
@@ -356,10 +357,19 @@ class CategoricalLaw:
 
         cpts = {}
         for name, entry in obj["cpts"].items():
+            if not isinstance(entry, dict) or "table" not in entry:
+                raise LawError(f"CPT for {name!r} must be an object with a 'table' key")
             unknown = set(entry) - {"parents", "table"}
             if unknown:
                 raise LawError(f"unknown CPT keys for {name!r}: {sorted(unknown)}")
+            declared = entry.get("parents", [])
+            canonical = list(cls.parent_order(graph, name))
+            if not isinstance(declared, list) or sorted(declared, key=str) != sorted(canonical):
+                raise LawError(f"CPT parents for {name!r} are {declared}, graph says {canonical}")
             arr = np.array(entry["table"], dtype=object)
+            if arr.ndim != len(canonical) + 1:
+                raise LawError(f"CPT table for {name!r} has {arr.ndim} axes, "
+                               f"expected {len(canonical) + 1}")
             # One fraction string makes the whole table exact: its decimal
             # entries are read as the rationals they spell, not as floats.
             exact = any(isinstance(x, str) and "/" in x for x in arr.flat)
@@ -368,10 +378,6 @@ class CategoricalLaw:
                     else np.frompyfunc(float, 1, 1)(arr).astype(float)
             except (ValueError, TypeError, ZeroDivisionError) as e:
                 raise LawError(f"CPT for {name!r} holds an unreadable entry: {e}") from None
-            declared = list(entry.get("parents", []))
-            canonical = list(cls.parent_order(graph, name))
-            if sorted(declared) != sorted(canonical):
-                raise LawError(f"CPT parents for {name!r} are {declared}, graph says {canonical}")
             if declared != canonical:
                 perm = [declared.index(p) for p in canonical] + [len(declared)]
                 vals = np.transpose(vals, perm)

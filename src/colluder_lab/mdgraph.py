@@ -191,9 +191,6 @@ class MissingDataGraph:
         self._bidirected = tuple(bidirected)
         self._pairs = tuple(final_pairs)
 
-        self._parents: dict[str, tuple[str, ...]] = {n: () for n in by_name}
-        self._children: dict[str, tuple[str, ...]] = {n: () for n in by_name}
-        self._spouses: dict[str, tuple[str, ...]] = {n: () for n in by_name}
         par: dict[str, list[str]] = {n: [] for n in by_name}
         chi: dict[str, list[str]] = {n: [] for n in by_name}
         spo: dict[str, list[str]] = {n: [] for n in by_name}
@@ -203,10 +200,9 @@ class MissingDataGraph:
         for u, w in bidirected:
             spo[u].append(w)
             spo[w].append(u)
-        for n in by_name:
-            self._parents[n] = tuple(par[n])
-            self._children[n] = tuple(chi[n])
-            self._spouses[n] = tuple(spo[n])
+        self._parents = {n: tuple(par[n]) for n in by_name}
+        self._children = {n: tuple(chi[n]) for n in by_name}
+        self._spouses = {n: tuple(spo[n]) for n in by_name}
 
         self._true_of_indicator = {p.indicator: p.true for p in self._pairs}
         self._proxy_of_true = {p.true: p.proxy for p in self._pairs}

@@ -54,19 +54,19 @@ class ConstructionPair:
         return observed_law(self.law1), observed_law(self.law2)
 
 
-def _verify_pair(law1: CategoricalLaw, law2: CategoricalLaw) -> ConstructionPair:
+def _verify_pair(law1: CategoricalLaw, law2: CategoricalLaw
+                 ) -> tuple[ConstructionPair, ObservedLawTable]:
+    """The pair, checked to agree on the observed law and differ on the full law, and
+    that shared observed law."""
     obs1, obs2 = observed_law(law1), observed_law(law2)
     if not np.array_equal(obs1.values, obs2.values):
         raise LawError("construction failed: observed laws differ")
     j1, j2 = law1.joint_table(), law2.joint_table()
-    names = j1.names
-    witnesses = []
-    for idx in np.ndindex(*j1.values.shape):
-        if j1.values[idx] != j2.values[idx]:
-            witnesses.append(dict(zip(names, (int(i) for i in idx))))
+    witnesses = tuple(dict(zip(j1.names, map(int, idx)))
+                      for idx in np.argwhere(j1.values != j2.values))
     if not witnesses:
         raise LawError("construction failed: full laws agree everywhere")
-    return ConstructionPair(law1, law2, "AgreeObservedDisagreeFull", tuple(witnesses))
+    return ConstructionPair(law1, law2, "AgreeObservedDisagreeFull", witnesses), obs1
 
 
 # -- identifiable binary construction ------------------------------------------
@@ -134,7 +134,7 @@ def appendix_b_pair(a, c, e, g, h, i, j, k, l, n) -> ConstructionPair:
         }
         return CategoricalLaw(graph, cpts)
 
-    return _verify_pair(law(g, k), law(k, g))
+    return _verify_pair(law(g, k), law(k, g))[0]
 
 
 # -- cross-censoring construction -------------------------------------------------
@@ -186,11 +186,8 @@ def appendix_c_pair() -> ConstructionPair:
     Their shared observed law is :data:`APPENDIX_C_OBSERVED` exactly, and the
     full laws differ already at (X=0, Y=0, R_X=0, R_Y=0).
     """
-    law1 = _cross_censoring_law(*_APPENDIX_C_PARAMS[0])
-    law2 = _cross_censoring_law(*_APPENDIX_C_PARAMS[1])
-    pair = _verify_pair(law1, law2)
-
-    obs = observed_law(law1)
+    pair, obs = _verify_pair(_cross_censoring_law(*_APPENDIX_C_PARAMS[0]),
+                             _cross_censoring_law(*_APPENDIX_C_PARAMS[1]))
     for (x, y), expected in APPENDIX_C_OBSERVED.items():
         rx = 1 if x != 2 else 0
         ry = 1 if y != 2 else 0

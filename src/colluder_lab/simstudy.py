@@ -164,10 +164,9 @@ def _run_cells(scenario: SimScenario, cells) -> list:
     theta, _, _, _, converged, _ = maximize(model, np.stack([c for _, c, _ in draws]), starts,
                                             FitConfig().max_iterations)
     est = model._cpt_probs(theta)[:, model._free]
-    coords = [(name, tuple(v for _, v in given) + (level,))
-              for name, given, level, *_ in model.parameter_coords()]
-    return [e - np.array([float(law.cpts[name][at]) for name, at in coords]) if ok else None
-            for (law, *_), e, ok in zip(draws, est, converged)]
+    # A law's CPT entries of levels 1 and up, vertex by vertex, are in parameter order.
+    return [e - np.concatenate([law.cpts[name][..., 1:].reshape(-1) for name in model.names])
+            if ok else None for (law, *_), e, ok in zip(draws, est, converged)]
 
 
 @dataclass(frozen=True)

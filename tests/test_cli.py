@@ -93,6 +93,22 @@ class TestSolveColluder:
                      "--law", str(tmp_path / "absent.json")]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["cpts"]["Y"]["table"].__setitem__(1, ["nan", "nan"]),
+        lambda doc: doc.pop("cpts"),
+        lambda doc: doc["cpts"]["Y"].pop("table"),
+        lambda doc: doc["cpts"].update(Y=5),
+    ], ids=["nan-entries", "no-cpts", "no-table", "number-entry"])
+    def test_malformed_law_file_exits_one(self, tmp_path, capsys, edit):
+        g = ccm_graph(2, 2)
+        doc = random_law(g, seed=3).to_json()
+        edit(doc)
+        lpath = tmp_path / "law.json"
+        lpath.write_text(json.dumps(doc))
+        assert main(["solve-colluder", "--graph", write_graph(tmp_path, g),
+                     "--law", str(lpath)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestFit:
     def test_complete_data_fit(self, tmp_path, capsys):

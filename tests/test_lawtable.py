@@ -12,7 +12,7 @@ from colluder_lab import (Axis, CategoricalLaw, LawError, MissingDataGraph,
                           appendix_a_law, ccm_graph, conditional, example_graph,
                           joint_probability,
                           observed_law, random_law)
-from colluder_lab.lawtable import Rationals
+from colluder_lab.lawtable import ObservedLawTable, Rationals, coarsening_map
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 from conftest import (brute_joint_probability, exact_random_law, loop_observed_law,
                       loop_random_law, small_graphs)
@@ -135,6 +135,29 @@ def test_observed_law_float_and_exact_paths_agree(graph, seed):
     assert obs_exact.total() == 1
     assert abs(obs_float.total() - 1.0) <= 1e-12
     assert obs_exact.consistent() and obs_float.consistent()
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_mass_off_the_coarsening_map_is_inconsistent(graph, seed):
+    # small_graphs() always has a pair, so some observed cell is never produced.
+    rng = np.random.default_rng(seed)
+    exact = exact_random_law(graph, rng)
+    approx = CategoricalLaw(graph, {k: v.astype(float) for k, v in exact.cpts.items()})
+    obs = observed_law(exact)
+    unproduced = np.setdiff1d(np.arange(obs.values.size), coarsening_map(graph))
+    assert unproduced.size
+    stray = rng.choice(unproduced)
+    for law, moved in ((exact, Fraction(1, 10**6)), (approx, 1e-6)):
+        obs = observed_law(law)
+        assert obs.consistent()
+        values = obs.values.copy().reshape(-1)
+        largest = int(np.argmax(values.astype(float)))
+        values[largest] -= moved
+        values[stray] += moved
+        assert not ObservedLawTable(graph, values.reshape(obs.values.shape)).consistent()
+        values[stray] -= moved  # back on produced cells, but the total is now 1 - 1e-6
+        assert not ObservedLawTable(graph, values.reshape(obs.values.shape)).consistent()
 
 
 class TestIntegerTables:
@@ -355,6 +378,13 @@ class TestLawValidation:
         with pytest.raises(LawError, match="missing CPT"):
             CategoricalLaw(g, {})
 
+    @pytest.mark.parametrize("row", [[float("nan"), 1.0], [0.5, float("nan")],
+                                     [float("inf"), 0.0]])
+    def test_non_finite_entry_names_vertex(self, row):
+        g = MissingDataGraph([Vertex("A", O, 2)])
+        with pytest.raises(LawError, match="'A' holds a non-finite entry"):
+            CategoricalLaw(g, {"A": np.array(row)})
+
     def test_positivity_flag(self, law_a):
         assert law_a.strictly_positive()
         g = MissingDataGraph([Vertex("A", O, 2)])
@@ -450,6 +480,31 @@ class TestSerialization:
         doc["cpts"]["Y"]["table"][0][0] = "3/x"
         with pytest.raises(LawError, match="'Y'"):
             CategoricalLaw.from_json(doc)
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda doc: doc["cpts"]["Y"]["table"].__setitem__(1, ["nan", "nan"]),
+         "'Y' holds a non-finite entry"),
+        (lambda doc: doc.pop("cpts"), "needs a 'cpts' object"),
+        (lambda doc: doc.update(cpts=[1]), "needs a 'cpts' object"),
+        (lambda doc: doc["cpts"]["Y"].pop("table"), "'Y' must be an object with a 'table' key"),
+        (lambda doc: doc["cpts"].update(Y=5), "'Y' must be an object with a 'table' key"),
+        (lambda doc: doc["cpts"]["Y"].update(parents=5), "CPT parents for 'Y' are 5"),
+        (lambda doc: doc["cpts"]["R_Y"].update(parents=[1, "X"]), "CPT parents for 'R_Y'"),
+        (lambda doc: doc["cpts"]["Y"].update(table=5), "table for 'Y' has 0 axes, expected 2"),
+        (lambda doc: doc["cpts"]["R_Y"].update(parents=["R_X", "X"], table=[0.5, 0.5]),
+         "table for 'R_Y' has 1 axes, expected 3"),
+    ], ids=["nan-entries", "no-cpts", "cpts-list", "no-table", "number-entry",
+            "number-parents", "mixed-parents", "number-table", "flat-table"])
+    def test_malformed_document_rejected(self, edit, match):
+        doc = random_law(ccm_graph(2, 2), seed=9).to_json()
+        edit(doc)
+        with pytest.raises(LawError, match=match):
+            CategoricalLaw.from_json(doc)
+
+    @pytest.mark.parametrize("text", ["[]", "5"])
+    def test_document_must_be_an_object(self, text):
+        with pytest.raises(LawError, match="must be a JSON object"):
+            CategoricalLaw.from_json(text)
 
     def test_exact_cpt_with_float_entry_rejected(self):
         g = MissingDataGraph([Vertex("A", O, 2)])

@@ -4,10 +4,13 @@
 reading ``owner.__dict__[attr]``, so a renamed or removed function breaks a
 traced benchmark run.  ``perfbench/workloads.py`` drives ``cli.main`` with
 fixed argument lists and checks each call's output, so a renamed or removed
-flag fails its checks.  Both files are loaded by path and left unchanged.
+flag fails its checks.  The tracer also reads counts off the results of the
+calls it wraps (``spans._extra``), so one traced fit and one traced solve
+must yield them.  Both files are loaded by path and left unchanged.
 """
 
 import importlib.util
+import time
 from pathlib import Path
 
 import pytest
@@ -48,3 +51,29 @@ def test_fit_csv_call_passes_the_benchmark_checks(workloads, tmp_path):
     w = workloads.FitCsvWorkload(7, tmp_path, laws=1)
     w.setup()
     assert w.errors(0, w.run(0)) == []
+
+
+def test_traced_calls_give_the_layer_metrics(workloads, tmp_path):
+    # The tracer reads ``from_csv(...).rows`` and ``bind(...).patterns`` off the
+    # results of the calls it wraps (``spans._extra``).
+    (tmp_path / "fit").mkdir()
+    (tmp_path / "solve").mkdir()
+    fit = workloads.FitCsvWorkload(7, tmp_path / "fit", laws=1)
+    solve = workloads.ExactSolveWorkload(7, tmp_path / "solve")
+    fit.setup()
+    solve.setup()
+    tracer = spans.Tracer(tmp_path / "workers")
+    windows = []
+    tracer.install()
+    try:
+        for op, w in enumerate((fit, solve)):
+            tracer.op = op
+            start = time.perf_counter()
+            out = w.run(0)
+            windows.append((start, time.perf_counter()))
+            assert w.errors(0, out) == []
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans, windows, items=len(windows), workers=1)
+    assert metrics["estimate.bind.patterns"] > 0
+    assert metrics["estimate.from_csv.records"] > 0

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import multiprocessing
 import os
 from fractions import Fraction
 
@@ -208,8 +209,10 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_caller_fits_the_first_share(self, monkeypatch, threads):
-        # One cell per sample size, so each share's bias is its process id.
-        monkeypatch.setattr(simstudy, "_run_cells", _cells_reporting(os.getpid))
+        # One cell per sample size, so each share's bias is its process id.  Every
+        # share waits until all are in flight, so no worker can take two of them.
+        barrier = multiprocessing.get_context("fork").Barrier(threads)
+        monkeypatch.setattr(simstudy, "_run_cells", _cells_reporting(os.getpid, barrier))
         sizes = tuple(range(300, 300 + threads))
         sc = SimScenario(m=2, q=2, sample_sizes=sizes, replications=1, seed=9)
         rep = run_scenario(sc, threads=threads)
@@ -310,10 +313,13 @@ def _cells_reporting_blas_threads(scenario, cells):
     return [np.full(n_params, float(threads)) for _ in cells]
 
 
-def _cells_reporting(measure):
+def _cells_reporting(measure, barrier=None):
     """A stand-in for a share of simulation cells: every error entry is
-    ``measure()`` taken in the process that fits the share."""
+    ``measure()`` taken in the process that fits the share, after waiting at
+    ``barrier`` when one is given."""
     def run_cells(scenario, cells):
+        if barrier is not None:
+            barrier.wait(timeout=60)
         n_params = len(simstudy._parameter_layout(scenario.graph()))
         return [np.full(n_params, float(measure())) for _ in cells]
     return run_cells
