@@ -24,9 +24,8 @@ from .identify import (BinaryColluderQuantities, ColluderSystem,
 from .lawtable import (Axis, CategoricalLaw, ObservedLawTable, ProbabilityTable,
                        SimConstraints, conditional, joint_probability,
                        observable_axes, observed_law, random_law)
-from .mdgraph import (CONTINUOUS, Colluder, MissingDataGraph, ValidationReport,
-                      Vertex, VertexRole, find_colluders, find_self_censoring,
-                      m_separated, validate_graph)
+from .mdgraph import (CONTINUOUS, Colluder, MissingDataGraph, Vertex, VertexRole,
+                      find_colluders, find_self_censoring, m_separated)
 from .oracles import (APPENDIX_C_OBSERVED, ConstructionPair, appendix_a_law,
                       appendix_b_pair, appendix_c_pair, parameter_count)
 from .simstudy import SimReport, SimScenario, run_scenario, sample_dataset

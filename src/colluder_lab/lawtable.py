@@ -291,11 +291,9 @@ class CategoricalLaw:
 
     @staticmethod
     def parent_order(graph: MissingDataGraph, name: str) -> tuple[str, ...]:
-        """Non-proxy parents of ``name`` in graph declaration order."""
+        """Parents of ``name`` in graph declaration order (a proxy parents nothing)."""
         order = {v.name: i for i, v in enumerate(graph.vertices)}
-        ps = [p for p in graph.parents(name)
-              if graph.vertex(p).role is not VertexRole.PROXY]
-        return tuple(sorted(ps, key=order.__getitem__))
+        return tuple(sorted(graph.parents(name), key=order.__getitem__))
 
     def strictly_positive(self, eps_pos: float = EPS_POS) -> bool:
         return all(float(x) >= eps_pos for arr in self.cpts.values() for x in arr.flat)
@@ -505,6 +503,9 @@ class SimConstraints:
         if not (isinstance(interval, (list, tuple)) and len(interval) == 2
                 and all(map(_finite, interval))):
             raise LawError(f"response_interval must be two numbers, got {interval!r}")
+        if not 0.0 < interval[0] < interval[1] < 1.0:
+            raise LawError(f"response_interval (lo, hi) must satisfy 0 < lo < hi < 1, "
+                           f"got {interval!r}")
         object.__setattr__(self, "response_interval", tuple(interval))
         if not isinstance(self.max_tries, Integral) or self.max_tries < 1:
             raise LawError(f"max_tries must be an integer of at least 1, got {self.max_tries!r}")
@@ -628,8 +629,6 @@ def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = Non
     constraints = constraints or SimConstraints()
     rng = np.random.default_rng(seed)
     lo, hi = constraints.response_interval
-    if not 0.0 < lo < hi < 1.0:
-        raise LawError(f"response interval {constraints.response_interval} must be within (0, 1)")
 
     cpts: dict[str, np.ndarray] = {}
     for v in graph.non_proxy_vertices():

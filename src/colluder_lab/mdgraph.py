@@ -1,9 +1,11 @@
-"""Missing-data graphs: vertex roles, structural validation, m-separation, colluders.
+"""Missing-data graphs: vertex roles, m-separation, colluders.
 
 A missing-data graph partitions its vertices into fully observed variables,
 partially observed true variables, their binary response indicators, and
-deterministic observed proxies.  Graphs are immutable after construction and
-all queries are read-only, so they can be shared freely across threads.
+deterministic observed proxies generated from the pairs.  Only a legal
+missing-data graph can be constructed, so no query re-checks the structure.
+Graphs are immutable after construction and all queries are read-only, so
+they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -59,26 +61,6 @@ class Colluder:
         return f"{{{self.true_variable}, {self.response_of_true}}} of {self.target_indicator}"
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "valid missing-data graph"
-        return "\n".join(f"[{v.kind}] {v.detail}" for v in self.violations)
-
-
 def load_json_source(source) -> dict:
     """Decode a JSON document given as a path, a JSON string, or a dict."""
     if isinstance(source, dict):
@@ -98,36 +80,45 @@ def load_json_source(source) -> dict:
         raise GraphFormatError(f"invalid JSON: {e}") from None
 
 
-def _proxy_name(true_name: str, taken: set[str]) -> str:
-    name = f"{true_name}_obs"
-    if name in taken:
-        raise GraphFormatError(
-            f"auto-generated proxy name {name!r} collides with an existing vertex"
-        )
-    return name
+def _json_objects(doc: dict, key: str, noun: str, required: tuple[str, ...],
+                  optional: tuple[str, ...] = ()) -> list[dict]:
+    """The objects listed under ``key``, each holding a string under every ``required`` key."""
+    items = doc.get(key, [])
+    if not isinstance(items, list):
+        raise GraphFormatError(f"{key!r} must be a list, got {items!r}")
+    for item in items:
+        if not isinstance(item, dict):
+            raise GraphFormatError(f"{noun} must be a JSON object, got {item!r}")
+        unknown = set(item) - set(required) - set(optional)
+        if unknown:
+            raise GraphFormatError(f"unknown {noun} keys: {sorted(unknown)}")
+        for k in required:
+            if not isinstance(item.get(k), str):
+                raise GraphFormatError(f"{noun} {item} needs a string {k!r}")
+    return items
 
 
 class MissingDataGraph:
-    """A directed mixed graph over variables, response indicators, and proxies.
+    """A missing-data graph over variables, response indicators, and proxies.
 
     Parameters
     ----------
     vertices:
-        ``Vertex`` instances.  Proxy vertices may be listed explicitly;
-        otherwise one proxy per declared pair is generated automatically,
-        together with its two deterministic incoming edges.
+        ``Vertex`` instances, none of them a proxy: one proxy per declared
+        pair, ``<true>_obs``, is generated together with its two
+        deterministic incoming edges.
     directed, bidirected:
-        Edge lists of name pairs.  Bidirected edges are unordered.
+        Edge lists of name pairs, none touching a proxy.  Bidirected edges
+        are unordered.
     pairs:
         ``(true, indicator)`` name pairs declaring which response indicator
         belongs to which true variable.  The pairing is always explicit and
         never inferred from vertex names.
 
-    The constructor is permissive: structural constraint violations (cycles,
-    forbidden edges, bad proxy wiring) are reported by :func:`validate_graph`
-    rather than raised, so that invalid graphs can be inspected.  Only
-    malformed input (unknown vertex names, duplicate names, self-loops) is
-    rejected outright.
+    Only a legal missing-data graph can be built: the directed part is
+    acyclic, each true variable is paired with exactly one binary response
+    indicator, no indicator is paired twice, and no indicator is a parent of
+    a variable.  Otherwise :class:`GraphFormatError` lists every violation.
     """
 
     def __init__(
@@ -137,14 +128,16 @@ class MissingDataGraph:
         bidirected: Iterable[tuple[str, str]] = (),
         pairs: Iterable[tuple[str, str]] = (),
     ):
-        vlist = list(vertices)
-        for v in vlist:
+        by_name: dict[str, Vertex] = {}
+        for v in vertices:
+            if v.role is VertexRole.PROXY:
+                raise GraphFormatError(
+                    f"proxy {v.name!r} is declared; proxies are generated from the pairs")
             if v.levels is not None and v.levels < 1:
                 raise GraphFormatError(f"vertex {v.name!r} has non-positive level count")
-        names = [v.name for v in vlist]
-        if len(set(names)) != len(names):
-            raise GraphFormatError("duplicate vertex names")
-        by_name = {v.name: v for v in vlist}
+            if v.name in by_name:
+                raise GraphFormatError("duplicate vertex names")
+            by_name[v.name] = v
 
         raw_pairs = [(t, r) for t, r in pairs]
         for t, r in raw_pairs:
@@ -152,40 +145,34 @@ class MissingDataGraph:
                 if n not in by_name:
                     raise GraphFormatError(f"pair references unknown vertex {n!r}")
 
-        directed = list(dict.fromkeys(tuple(e) for e in directed))
-        bidirected = list(dict.fromkeys(tuple(sorted(e)) for e in bidirected))
-
-        # Attach proxies: reuse an explicit proxy child shared by (true, indicator)
-        # when present, otherwise synthesize one.
-        explicit_children: dict[str, set[str]] = {n: set() for n in by_name}
-        for u, w in directed:
-            if u in explicit_children and w in by_name and by_name[w].role is VertexRole.PROXY:
-                explicit_children[u].add(w)
-        taken = set(by_name)
+        proxy_of: dict[str, str] = {}
         final_pairs = []
         for t, r in raw_pairs:
-            shared = explicit_children.get(t, set()) & explicit_children.get(r, set())
-            if shared:
-                proxy = sorted(shared)[0]
-            else:
-                proxy = _proxy_name(t, taken)
-                taken.add(proxy)
-                tv = by_name[t]
-                pv = Vertex(proxy, VertexRole.PROXY,
-                            None if tv.levels is None else tv.levels + 1)
-                vlist.append(pv)
-                by_name[proxy] = pv
-                directed.append((t, proxy))
-                directed.append((r, proxy))
-            final_pairs.append(Pair(t, r, proxy))
+            if t not in proxy_of:
+                proxy = proxy_of[t] = f"{t}_obs"
+                if proxy in by_name:
+                    raise GraphFormatError(
+                        f"auto-generated proxy name {proxy!r} collides with an existing vertex")
+                levels = by_name[t].levels
+                by_name[proxy] = Vertex(proxy, VertexRole.PROXY,
+                                        None if levels is None else levels + 1)
+            final_pairs.append(Pair(t, r, proxy_of[t]))
 
+        directed = list(dict.fromkeys(tuple(e) for e in directed))
+        bidirected = list(dict.fromkeys(tuple(sorted(e)) for e in bidirected))
         for u, w in directed + bidirected:
-            if u not in by_name or w not in by_name:
-                raise GraphFormatError(f"edge ({u!r}, {w!r}) references unknown vertex")
+            for n in (u, w):
+                if n not in by_name:
+                    raise GraphFormatError(f"edge ({u!r}, {w!r}) references unknown vertex")
+                if by_name[n].role is VertexRole.PROXY:
+                    raise GraphFormatError(f"edge ({u!r}, {w!r}) touches proxy {n!r}; "
+                                           f"proxy edges are generated from the pairs")
             if u == w:
                 raise GraphFormatError(f"self-loop on vertex {u!r}")
+        for p in final_pairs:
+            directed += [(p.true, p.proxy), (p.indicator, p.proxy)]
 
-        self._vertices = tuple(vlist)
+        self._vertices = tuple(by_name.values())
         self._by_name = by_name
         self._directed = tuple(directed)
         self._bidirected = tuple(bidirected)
@@ -205,7 +192,44 @@ class MissingDataGraph:
         self._spouses = {n: tuple(spo[n]) for n in by_name}
 
         self._true_of_indicator = {p.indicator: p.true for p in self._pairs}
-        self._proxy_of_true = {p.true: p.proxy for p in self._pairs}
+        self._proxy_of_true = proxy_of
+
+        violations = self._violations()
+        if violations:
+            raise GraphFormatError("graph is not a valid missing-data graph:\n"
+                                   + "\n".join(violations))
+
+    def _violations(self) -> list[str]:
+        """Every structural restriction the graph breaks, as ``[kind] detail`` lines."""
+        out = []
+        try:
+            self.topological_order()
+        except GraphQueryError:
+            out.append("[cycle] directed part of the graph contains a cycle")
+
+        roles = {v.name: v.role for v in self._vertices}
+        for p in self._pairs:
+            if roles[p.true] is not VertexRole.TRUE_VARIABLE:
+                out.append(f"[pairing] paired vertex {p.true!r} is not a true variable")
+            if roles[p.indicator] is not VertexRole.RESPONSE_INDICATOR:
+                out.append(f"[pairing] paired vertex {p.indicator!r} is not a response indicator")
+        for v in self.with_role(VertexRole.TRUE_VARIABLE):
+            n = sum(1 for p in self._pairs if p.true == v.name)
+            if n != 1:
+                out.append(f"[pairing] true variable {v.name!r} has {n} paired response indicators")
+        for v in self.with_role(VertexRole.RESPONSE_INDICATOR):
+            n = sum(1 for p in self._pairs if p.indicator == v.name)
+            if n > 1:
+                out.append(f"[pairing] response indicator {v.name!r} is paired with {n} true variables")
+            if v.levels != 2:
+                out.append(f"[role-levels] response indicator {v.name!r} is not binary")
+
+        for u, w in self._directed:
+            if roles[u] is VertexRole.RESPONSE_INDICATOR and roles[w] in (
+                    VertexRole.FULLY_OBSERVED, VertexRole.TRUE_VARIABLE):
+                out.append(f"[response-parents-variable] response indicator {u!r} "
+                           f"is a parent of {w!r}")
+        return out
 
     # -- basic accessors ---------------------------------------------------
 
@@ -264,6 +288,11 @@ class MissingDataGraph:
         except KeyError:
             raise GraphQueryError(f"{true_name!r} has no paired proxy") from None
 
+    def _declared_directed(self) -> list[tuple[str, str]]:
+        """The directed edges other than the generated ones into proxies."""
+        return [(u, w) for u, w in self._directed
+                if self._by_name[w].role is not VertexRole.PROXY]
+
     def has_directed(self, u: str, w: str) -> bool:
         return (u, w) in set(self._directed)
 
@@ -295,22 +324,18 @@ class MissingDataGraph:
             raise GraphQueryError("directed part of the graph is cyclic")
         return tuple(order)
 
-    def is_acyclic(self) -> bool:
-        try:
-            self.topological_order()
-        except GraphQueryError:
-            return False
-        return True
-
     def relabel(self, mapping: Mapping[str, str]) -> "MissingDataGraph":
-        """Return a copy with vertices renamed according to ``mapping``."""
+        """Return a copy with non-proxy vertices renamed according to ``mapping``.
+
+        Proxies are generated anew, so each follows its true variable's name.
+        """
 
         def m(n: str) -> str:
             return mapping.get(n, n)
 
         return MissingDataGraph(
-            [Vertex(m(v.name), v.role, v.levels) for v in self._vertices],
-            [(m(u), m(w)) for u, w in self._directed],
+            [Vertex(m(v.name), v.role, v.levels) for v in self.non_proxy_vertices()],
+            [(m(u), m(w)) for u, w in self._declared_directed()],
             [(m(u), m(w)) for u, w in self._bidirected],
             [(m(p.true), m(p.indicator)) for p in self._pairs],
         )
@@ -336,12 +361,7 @@ class MissingDataGraph:
             raise GraphFormatError("missing 'vertices'")
 
         vertices = []
-        for item in obj["vertices"]:
-            unknown = set(item) - {"name", "role", "levels"}
-            if unknown:
-                raise GraphFormatError(f"unknown vertex keys: {sorted(unknown)}")
-            if "name" not in item or "role" not in item:
-                raise GraphFormatError("vertex requires 'name' and 'role'")
+        for item in _json_objects(obj, "vertices", "vertex", ("name", "role"), ("levels",)):
             role_code = item["role"]
             if role_code not in cls._ROLE_CODES:
                 raise GraphFormatError(f"unknown role {role_code!r} (expected O, X1, or R)")
@@ -360,10 +380,7 @@ class MissingDataGraph:
             vertices.append(Vertex(item["name"], role, levels))
 
         directed, bidirected = [], []
-        for item in obj.get("edges", []):
-            unknown = set(item) - {"from", "to", "type"}
-            if unknown:
-                raise GraphFormatError(f"unknown edge keys: {sorted(unknown)}")
+        for item in _json_objects(obj, "edges", "edge", ("from", "to"), ("type",)):
             kind = item.get("type", "directed")
             if kind == "directed":
                 directed.append((item["from"], item["to"]))
@@ -372,12 +389,8 @@ class MissingDataGraph:
             else:
                 raise GraphFormatError(f"unknown edge type {kind!r}")
 
-        pairs = []
-        for item in obj.get("pairs", []):
-            unknown = set(item) - {"true", "indicator"}
-            if unknown:
-                raise GraphFormatError(f"unknown pair keys: {sorted(unknown)}")
-            pairs.append((item["true"], item["indicator"]))
+        pairs = [(item["true"], item["indicator"])
+                 for item in _json_objects(obj, "pairs", "pair", ("true", "indicator"))]
 
         return cls(vertices, directed, bidirected, pairs)
 
@@ -385,89 +398,14 @@ class MissingDataGraph:
         """Emit the JSON graph format (proxies and their edges omitted)."""
         code = {VertexRole.FULLY_OBSERVED: "O", VertexRole.TRUE_VARIABLE: "X1",
                 VertexRole.RESPONSE_INDICATOR: "R"}
-        proxies = {p.proxy for p in self._pairs}
-        verts = []
-        for v in self._vertices:
-            if v.role is VertexRole.PROXY:
-                continue
-            verts.append({"name": v.name, "role": code[v.role],
-                          "levels": v.levels if v.levels is not None else CONTINUOUS})
-        edges = []
-        for u, w in self._directed:
-            if w in proxies:
-                continue
-            edges.append({"from": u, "to": w, "type": "directed"})
+        verts = [{"name": v.name, "role": code[v.role],
+                  "levels": v.levels if v.levels is not None else CONTINUOUS}
+                 for v in self.non_proxy_vertices()]
+        edges = [{"from": u, "to": w, "type": "directed"} for u, w in self._declared_directed()]
         for u, w in self._bidirected:
             edges.append({"from": u, "to": w, "type": "bidirected"})
         return {"vertices": verts, "edges": edges,
                 "pairs": [{"true": p.true, "indicator": p.indicator} for p in self._pairs]}
-
-
-# -- structural validation ---------------------------------------------------
-
-
-def validate_graph(g: MissingDataGraph) -> ValidationReport:
-    """Check the structural restrictions of missing-data graphs.
-
-    Violations are reported as data rather than raised, and an empty report
-    means the graph is a legal missing-data graph.
-    """
-    out: list[Violation] = []
-    if not g.is_acyclic():
-        out.append(Violation("cycle", "directed part of the graph contains a cycle"))
-
-    roles = {v.name: v.role for v in g.vertices}
-    paired_true = {p.true for p in g.pairs}
-    paired_ind = {p.indicator for p in g.pairs}
-
-    for p in g.pairs:
-        if roles[p.true] is not VertexRole.TRUE_VARIABLE:
-            out.append(Violation("pairing", f"paired vertex {p.true!r} is not a true variable"))
-        if roles[p.indicator] is not VertexRole.RESPONSE_INDICATOR:
-            out.append(Violation("pairing", f"paired vertex {p.indicator!r} is not a response indicator"))
-    for v in g.with_role(VertexRole.TRUE_VARIABLE):
-        n = sum(1 for p in g.pairs if p.true == v.name)
-        if n != 1:
-            out.append(Violation("pairing", f"true variable {v.name!r} has {n} paired response indicators"))
-    for v in g.with_role(VertexRole.RESPONSE_INDICATOR):
-        n = sum(1 for p in g.pairs if p.indicator == v.name)
-        if n > 1:
-            out.append(Violation("pairing", f"response indicator {v.name!r} is paired with {n} true variables"))
-        if v.levels != 2:
-            out.append(Violation("role-levels", f"response indicator {v.name!r} is not binary"))
-    for v in g.with_role(VertexRole.PROXY):
-        if not any(p.proxy == v.name for p in g.pairs):
-            out.append(Violation("pairing", f"proxy {v.name!r} is not attached to any pair"))
-
-    for u, w in g.directed_edges:
-        if roles[u] is VertexRole.RESPONSE_INDICATOR and roles[w] in (
-                VertexRole.FULLY_OBSERVED, VertexRole.TRUE_VARIABLE):
-            out.append(Violation("response-parents-variable",
-                                 f"response indicator {u!r} is a parent of {w!r}"))
-
-    for p in g.pairs:
-        if p.proxy not in g:
-            continue
-        expected = {p.true, p.indicator}
-        actual = set(g.parents(p.proxy))
-        if actual != expected:
-            out.append(Violation("proxy-parent-set",
-                                 f"proxy {p.proxy!r} has parents {sorted(actual)}, expected {sorted(expected)}"))
-        if g.spouses(p.proxy):
-            out.append(Violation("proxy-parent-set",
-                                 f"proxy {p.proxy!r} has bidirected edges"))
-        if g.children(p.proxy):
-            out.append(Violation("proxy-has-children",
-                                 f"proxy {p.proxy!r} has children {sorted(g.children(p.proxy))}"))
-        tv, pv = g.vertex(p.true), g.vertex(p.proxy)
-        if tv.levels is not None and pv.levels != tv.levels + 1:
-            out.append(Violation("proxy-levels",
-                                 f"proxy {p.proxy!r} must have {tv.levels + 1} levels (true levels plus NA)"))
-        if tv.levels is None and pv.levels is not None:
-            out.append(Violation("proxy-levels",
-                                 f"proxy {p.proxy!r} of continuous {p.true!r} must be continuous"))
-
-    return ValidationReport(tuple(out))
 
 
 # -- m-separation ------------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -93,8 +93,9 @@ class SimScenario:
             raise LawError("sample sizes must be positive")
         if self.restarts < 1:
             raise LawError("restarts must be at least 1")
-        if not 0.0 <= self.max_failure_rate <= 1.0:
-            raise LawError(f"max_failure_rate must lie in [0, 1], got {self.max_failure_rate}")
+        rate = self.max_failure_rate
+        if not (isinstance(rate, Real) and 0.0 <= rate <= 1.0):  # NaN fails too
+            raise LawError(f"max_failure_rate must lie in [0, 1], got {rate!r}")
         if self.m > self.q:
             raise LawError(f"CCM({self.m},{self.q}) needs m <= q for an identifiable design")
 
@@ -110,6 +111,8 @@ class SimScenario:
     @classmethod
     def from_json(cls, source) -> "SimScenario":
         obj = load_json_source(source)
+        if not isinstance(obj, dict):
+            raise LawError(f"scenario must be a JSON object, got {obj!r}")
         known = {"m", "q", "sample_sizes", "replications", "seed", "constraints",
                  "restarts", "max_failure_rate"}
         unknown = set(obj) - known

@@ -21,6 +21,41 @@ def fig1b():
     return ccm_graph(2, 2)
 
 
+def colluder_doc(**changes) -> dict:
+    """The JSON graph document of X -> Y with the colluder {X, R_X} of R_Y, with
+    ``changes`` replacing its top-level entries."""
+    doc = {"vertices": [{"name": "X", "role": "X1", "levels": 2},
+                        {"name": "Y", "role": "X1", "levels": 2},
+                        {"name": "R_X", "role": "R"}, {"name": "R_Y", "role": "R"}],
+           "edges": [{"from": "X", "to": "Y"}, {"from": "X", "to": "R_Y"},
+                     {"from": "R_X", "to": "R_Y"}],
+           "pairs": [{"true": "X", "indicator": "R_X"}, {"true": "Y", "indicator": "R_Y"}]}
+    return {**doc, **changes}
+
+
+_EDGES = colluder_doc()["edges"]
+
+#: Graph documents that ``from_json`` must reject, each with a fragment of its message.
+BAD_GRAPH_DOCS = [
+    (colluder_doc(edges=[{"from": "X"}]), "edge {'from': 'X'} needs a string 'to'"),
+    (colluder_doc(pairs=[{"true": "X"}]), "pair {'true': 'X'} needs a string 'indicator'"),
+    (colluder_doc(vertices=5), "'vertices' must be a list, got 5"),
+    (colluder_doc(edges=5), "'edges' must be a list, got 5"),
+    (colluder_doc(pairs={"true": "X"}), "'pairs' must be a list"),
+    (colluder_doc(vertices=["X"]), "vertex must be a JSON object, got 'X'"),
+    (colluder_doc(vertices=[{"name": 3, "role": "O", "levels": 2}]),
+     "needs a string 'name'"),
+    (colluder_doc(edges=_EDGES + [{"from": "Y", "to": "X"}]),
+     "[cycle] directed part of the graph contains a cycle"),
+    (colluder_doc(edges=_EDGES + [{"from": "R_X", "to": "Y"}]),
+     "[response-parents-variable] response indicator 'R_X' is a parent of 'Y'"),
+    (colluder_doc(edges=_EDGES + [{"from": "Y", "to": "X_obs"}]),
+     "edge ('Y', 'X_obs') touches proxy 'X_obs'"),
+    (colluder_doc(pairs=[{"true": "X", "indicator": "R_X"}]),
+     "[pairing] true variable 'Y' has 0 paired response indicators"),
+]
+
+
 def appendix_a_params(rng=None, lo=0.05, hi=0.95, min_ch_gap=1e-3):
     """Draw one valid parameter tuple (a..h) with the dependency c != h."""
     rng = rng or np.random.default_rng(0)

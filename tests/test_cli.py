@@ -12,6 +12,7 @@ from colluder_lab import (Dataset, ccm_graph, example_graph, observed_law,
 from colluder_lab.cli import main
 from colluder_lab.identify import IdentifiabilityVerdict
 from colluder_lab.simstudy import SimReport, sample_dataset
+from conftest import BAD_GRAPH_DOCS
 
 
 def write_graph(tmp_path, graph, name="graph.json"):
@@ -42,6 +43,14 @@ class TestCheckId:
 
     def test_missing_file_exits_one(self):
         assert main(["check-id", "/nonexistent/g.json"]) == 1
+
+    @pytest.mark.parametrize("doc, match", BAD_GRAPH_DOCS)
+    def test_malformed_or_invalid_graph_exits_one(self, tmp_path, capsys, doc, match):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check-id", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and match in err
 
     def test_verdict_round_trips_through_parser(self, tmp_path, capsys):
         path = write_graph(tmp_path, example_graph("c"))
@@ -313,6 +322,17 @@ class TestSimulate:
                                      "replications": 2, "max_failure_rate": -1.0}))
         assert main(["simulate", str(spath)]) == 1
         assert "max_failure_rate must lie in [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, match", [
+        (5, "scenario must be a JSON object, got 5"),
+        ({"m": 2, "q": 2, "max_failure_rate": "x"}, "max_failure_rate must lie in [0, 1], got 'x'"),
+    ])
+    def test_malformed_scenario_exits_one(self, tmp_path, capsys, doc, match):
+        spath = tmp_path / "bad.json"
+        spath.write_text(json.dumps(doc))
+        assert main(["simulate", str(spath)]) == 1
+        assert match in capsys.readouterr().err
+        assert not (tmp_path / "bad-report.json").exists()
 
     def test_unknown_scenario_file_exits_one(self, capsys):
         assert main(["simulate", "missing-scenario.json"]) == 1

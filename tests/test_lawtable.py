@@ -421,6 +421,9 @@ class TestSimConstraintsChecks:
         ({"response_interval": 0.7}, "response_interval must be two numbers"),
         ({"response_interval": [0.7, "0.9"]}, "response_interval must be two numbers"),
         ({"response_interval": [0.7, float("inf")]}, "response_interval must be two numbers"),
+        ({"response_interval": [0.9, 0.7]}, "must satisfy 0 < lo < hi < 1, got"),
+        ({"response_interval": [0.0, 0.5]}, "must satisfy 0 < lo < hi < 1, got"),
+        ({"response_interval": [0.5, 1.0]}, "must satisfy 0 < lo < hi < 1, got"),
     ])
     def test_bad_constraints_rejected(self, bad, match):
         with pytest.raises(LawError, match=match):

@@ -1,12 +1,18 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colluder_lab import (Colluder, GraphFormatError, GraphQueryError,
                           MissingDataGraph, Vertex, VertexRole, ccm_graph,
                           cross_censoring_graph, example_graph, example_graphs,
                           find_colluders, find_self_censoring, m_separated,
-                          validate_graph)
-from conftest import all_paths_blocked, random_dag, random_disjoint_sets
+                          observed_law)
+from conftest import (BAD_GRAPH_DOCS, all_paths_blocked, colluder_doc, exact_random_law,
+                      random_dag, random_disjoint_sets)
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -15,58 +21,106 @@ R = VertexRole.RESPONSE_INDICATOR
 
 class TestValidation:
     def test_colluder_graph_is_valid(self, fig1b):
-        assert validate_graph(fig1b).ok
+        # Rebuilding the graph from its declared parts regenerates its proxies.
+        h = fig1b.relabel({})
+        assert h.to_json() == fig1b.to_json()
+        assert [v.name for v in h.vertices] == [v.name for v in fig1b.vertices]
+        assert h.directed_edges == fig1b.directed_edges
 
     def test_all_example_graphs_are_valid(self):
         for key, g in example_graphs().items():
-            assert validate_graph(g).ok, key
-        assert validate_graph(ccm_graph(2, 2, dependency=False)).ok
+            assert MissingDataGraph.from_json(g.to_json()).to_json() == g.to_json(), key
+        ccm_graph(2, 2, dependency=False)
 
     def test_response_indicator_parenting_true_variable(self):
-        g = MissingDataGraph(
-            [Vertex("X", X1, 2), Vertex("R_X", R, 2)],
-            [("R_X", "X")],
-            pairs=[("X", "R_X")],
-        )
-        report = validate_graph(g)
-        assert not report.ok
-        assert any(v.kind == "response-parents-variable" for v in report.violations)
-
-    def test_proxy_with_extra_parent(self):
-        g = MissingDataGraph(
-            [Vertex("X", X1, 2), Vertex("Y", X1, 2), Vertex("R_X", R, 2),
-             Vertex("R_Y", R, 2), Vertex("Xp", VertexRole.PROXY, 3)],
-            [("X", "Xp"), ("R_X", "Xp"), ("Y", "Xp")],
-            pairs=[("X", "R_X"), ("Y", "R_Y")],
-        )
-        report = validate_graph(g)
-        assert any(v.kind == "proxy-parent-set" for v in report.violations)
+        with pytest.raises(GraphFormatError, match=r"\[response-parents-variable\] "
+                           r"response indicator 'R_X' is a parent of 'X'"):
+            MissingDataGraph([Vertex("X", X1, 2), Vertex("R_X", R, 2)],
+                             [("R_X", "X")], pairs=[("X", "R_X")])
 
     def test_cycle_detected(self):
-        g = MissingDataGraph(
-            [Vertex("A", O, 2), Vertex("B", O, 2)], [("A", "B"), ("B", "A")])
-        assert any(v.kind == "cycle" for v in validate_graph(g).violations)
+        with pytest.raises(GraphFormatError, match=r"\[cycle\]"):
+            MissingDataGraph([Vertex("A", O, 2), Vertex("B", O, 2)], [("A", "B"), ("B", "A")])
 
-    def test_proxy_level_mismatch(self):
-        g = MissingDataGraph(
-            [Vertex("X", X1, 3), Vertex("R_X", R, 2), Vertex("Xp", VertexRole.PROXY, 3)],
-            [("X", "Xp"), ("R_X", "Xp")],
-            pairs=[("X", "R_X")],
-        )
-        assert any(v.kind == "proxy-levels" for v in validate_graph(g).violations)
+    def test_cross_dependence_with_a_colluder_rejected(self):
+        # X <-> Y as two directed edges, with the colluder {X, R_X} of R_Y.
+        with pytest.raises(GraphFormatError, match=r"\[cycle\]"):
+            MissingDataGraph(
+                [Vertex("X", X1, 2), Vertex("Y", X1, 2), Vertex("R_X", R, 2), Vertex("R_Y", R, 2)],
+                [("X", "Y"), ("Y", "X"), ("X", "R_Y"), ("R_X", "R_Y")],
+                pairs=[("X", "R_X"), ("Y", "R_Y")])
 
-    def test_explicit_proxy_accepted_when_wired_correctly(self):
-        g = MissingDataGraph(
-            [Vertex("X", X1, 2), Vertex("R_X", R, 2), Vertex("Xp", VertexRole.PROXY, 3)],
-            [("X", "Xp"), ("R_X", "Xp")],
-            pairs=[("X", "R_X")],
-        )
-        assert validate_graph(g).ok
-        assert g.proxy_of("X") == "Xp"
+    def test_declared_proxy_rejected(self):
+        with pytest.raises(GraphFormatError, match="proxy 'Xp' is declared"):
+            MissingDataGraph(
+                [Vertex("X", X1, 2), Vertex("R_X", R, 2), Vertex("Xp", VertexRole.PROXY, 3)],
+                [("X", "Xp"), ("R_X", "Xp")], pairs=[("X", "R_X")])
+
+    @pytest.mark.parametrize("edge", [("X", "X_obs"), ("X_obs", "Y")])
+    def test_edge_touching_proxy_rejected(self, edge):
+        with pytest.raises(GraphFormatError, match="touches proxy 'X_obs'"):
+            MissingDataGraph([Vertex("X", X1, 2), Vertex("Y", O, 2), Vertex("R_X", R, 2)],
+                             [edge], pairs=[("X", "R_X")])
 
     def test_missing_pair_reported(self):
-        g = MissingDataGraph([Vertex("X", X1, 2), Vertex("R_X", R, 2)])
-        assert any(v.kind == "pairing" for v in validate_graph(g).violations)
+        with pytest.raises(GraphFormatError, match=r"\[pairing\] true variable 'X' has 0"):
+            MissingDataGraph([Vertex("X", X1, 2), Vertex("R_X", R, 2)])
+
+    def test_two_violations_named_in_one_error(self):
+        with pytest.raises(GraphFormatError) as err:
+            MissingDataGraph(
+                [Vertex("A", O, 2), Vertex("B", O, 2), Vertex("X", X1, 2), Vertex("R_X", R, 3)],
+                [("A", "B"), ("B", "A"), ("R_X", "X")], pairs=[("X", "R_X")])
+        lines = str(err.value).splitlines()
+        assert lines[0] == "graph is not a valid missing-data graph:"
+        assert lines[1:] == [
+            "[cycle] directed part of the graph contains a cycle",
+            "[role-levels] response indicator 'R_X' is not binary",
+            "[response-parents-variable] response indicator 'R_X' is a parent of 'X'"]
+
+
+@st.composite
+def drawn_structures(draw):
+    """Roles, levels, pairs and directed edges drawn without regard to the rules:
+    unpaired and doubly paired vertices, non-binary indicators, back edges and
+    indicator -> variable edges all occur."""
+    names = [f"V{i}" for i in range(draw(st.integers(2, 5)))]
+    roles = {n: draw(st.sampled_from([O, X1, R, R])) for n in names}
+    levels = {n: draw(st.sampled_from([2, 2, 2, 2, 3])) for n in names}
+    pairs = list(zip([n for n in names if roles[n] is X1], [n for n in names if roles[n] is R]))
+    if draw(st.integers(0, 3)) == 0:
+        pairs.append((draw(st.sampled_from(names)), draw(st.sampled_from(names))))
+    edges = draw(st.lists(st.sampled_from([(u, w) for u in names for w in names if u != w]),
+                          max_size=5, unique=True))
+    return roles, levels, pairs, edges
+
+
+def is_legal(roles, levels, pairs, edges) -> bool:
+    """The missing-data graph rules, checked by brute force."""
+    acyclic = any(all(order.index(u) < order.index(w) for u, w in edges)
+                  for order in itertools.permutations(roles))
+    paired = (all(roles[t] is X1 and roles[r] is R for t, r in pairs)
+              and all(sum(t == n for t, _ in pairs) == 1 for n in roles if roles[n] is X1)
+              and all(sum(r == n for _, r in pairs) <= 1 for n in roles if roles[n] is R))
+    binary = all(levels[n] == 2 for n in roles if roles[n] is R)
+    return (acyclic and paired and binary
+            and not any(roles[u] is R and roles[w] is not R for u, w in edges))
+
+
+class TestConstructorContract:
+    @settings(max_examples=200, deadline=None)
+    @given(parts=drawn_structures(), seed=st.integers(0, 2**32 - 1))
+    def test_constructs_exactly_when_legal(self, parts, seed):
+        roles, levels, pairs, edges = parts
+        vertices = [Vertex(n, roles[n], levels[n]) for n in roles]
+        if not is_legal(roles, levels, pairs, edges):
+            with pytest.raises(GraphFormatError, match="not a valid missing-data graph"):
+                MissingDataGraph(vertices, edges, pairs=pairs)
+            return
+        g = MissingDataGraph(vertices, edges, pairs=pairs)
+        law = exact_random_law(g, np.random.default_rng(seed))
+        assert law.joint_table().total() == 1
+        assert observed_law(law).consistent()
 
 
 class TestConstruction:
@@ -116,6 +170,15 @@ class TestJson:
         g = MissingDataGraph.from_json(
             {"vertices": [{"name": "A", "role": "O", "levels": "continuous"}]})
         assert g.vertex("A").levels is None
+
+    def test_colluder_document_parses(self):
+        g = MissingDataGraph.from_json(colluder_doc())
+        assert find_colluders(g) == [Colluder("X", "R_X", "R_Y")]
+
+    @pytest.mark.parametrize("doc, match", BAD_GRAPH_DOCS)
+    def test_malformed_or_invalid_document_rejected(self, doc, match):
+        with pytest.raises(GraphFormatError, match=re.escape(match)):
+            MissingDataGraph.from_json(doc)
 
     def test_invalid_json_text(self):
         with pytest.raises(GraphFormatError, match="invalid JSON"):
@@ -220,9 +283,9 @@ class TestSelfCensoring:
 class TestRelabelEquivariance:
     def test_colluders_and_self_censoring_follow_relabeling(self):
         g = example_graph("d")
-        mapping = {"X": "P", "Y": "Q", "Z": "S", "R_X": "R_P", "R_Y": "R_Q",
-                   "R_Z": "R_S", "X_obs": "P_obs", "Y_obs": "Q_obs", "Z_obs": "S_obs"}
+        mapping = {"X": "P", "Y": "Q", "Z": "S", "R_X": "R_P", "R_Y": "R_Q", "R_Z": "R_S"}
         h = g.relabel(mapping)
+        assert [h.proxy_of(t) for t in "PQS"] == ["P_obs", "Q_obs", "S_obs"]
         want = {Colluder(mapping[c.true_variable], mapping[c.response_of_true],
                          mapping[c.target_indicator]) for c in find_colluders(g)}
         assert set(find_colluders(h)) == want
@@ -233,5 +296,5 @@ class TestRelabelEquivariance:
         g = MissingDataGraph(
             [Vertex("Y", X1, 2), Vertex("R_Y", R, 2)],
             [("Y", "R_Y")], pairs=[("Y", "R_Y")])
-        h = g.relabel({"Y": "W", "R_Y": "R_W", "Y_obs": "W_obs"})
+        h = g.relabel({"Y": "W", "R_Y": "R_W"})
         assert find_self_censoring(h) == [("W", "R_W")]

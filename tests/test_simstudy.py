@@ -97,6 +97,9 @@ class TestScenario:
         ({"sample_sizes": []}, "sample_sizes must not be empty"),
         ({"max_failure_rate": -1.0}, r"max_failure_rate must lie in \[0, 1\]"),
         ({"max_failure_rate": 1.5}, r"max_failure_rate must lie in \[0, 1\]"),
+        ({"max_failure_rate": "x"}, r"max_failure_rate must lie in \[0, 1\], got 'x'"),
+        ({"max_failure_rate": float("nan")}, r"max_failure_rate must lie in \[0, 1\]"),
+        ({"max_failure_rate": None}, r"max_failure_rate must lie in \[0, 1\]"),
     ])
     def test_bad_settings_rejected(self, bad, match):
         with pytest.raises(LawError, match=match):
@@ -118,6 +121,11 @@ class TestScenario:
             SimScenario.from_json({"m": 2, "q": 2, **bad})
         with pytest.raises(LawError, match=match):
             SimScenario(**bad)
+
+    @pytest.mark.parametrize("text", ["5", "[]", '"ccm22"'])
+    def test_scenario_document_must_be_an_object(self, text):
+        with pytest.raises(LawError, match="scenario must be a JSON object"):
+            SimScenario.from_json(text)
 
     def test_scalar_sample_sizes_rejected(self):
         with pytest.raises(LawError, match="sample_sizes must be a list"):
