@@ -51,15 +51,8 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _load_graph(path: str) -> MissingDataGraph:
-    p = Path(path)
-    if not p.exists():
-        raise ColluderLabError(f"graph file not found: {path}")
-    return MissingDataGraph.from_json(p)
-
-
 def _cmd_check_id(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = MissingDataGraph.from_json(Path(args.graph))
     verdict = decide_full_law(graph)
     text = json.dumps(verdict.to_json(), indent=2)
     print(text)
@@ -69,7 +62,7 @@ def _cmd_check_id(args) -> int:
 
 
 def _cmd_solve_colluder(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = MissingDataGraph.from_json(Path(args.graph))
     law = CategoricalLaw.from_json(Path(args.law), graph=graph)
     obs = observed_law(law)
     colluders = find_colluders(graph)
@@ -123,7 +116,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    graph = _load_graph(args.graph)
+    graph = MissingDataGraph.from_json(Path(args.graph))
     data = Dataset.from_csv(args.data, graph, na_token=args.na_token,
                             one_based=args.one_based)
     config = FitConfig(restarts=args.restarts, seed=_resolve_seed(args.seed),

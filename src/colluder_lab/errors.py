@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from numbers import Integral, Real
+
 
 class ColluderLabError(Exception):
     """Base class for all errors raised by this package."""
@@ -72,3 +75,17 @@ class RankDeficiencyError(ColluderLabError):
 
 class FitError(ColluderLabError):
     """Estimation cannot proceed (empty data, graph mismatch, non-identifiable model)."""
+
+
+def check_integer(name: str, value, low: int, error: type[ColluderLabError]) -> None:
+    """Raise ``error`` unless ``value`` is an integer of at least ``low``; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be non-negative, got {value!r}" if low == 0
+                    else f"{name} must be at least {low}, got {value!r}")
+
+
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite real number; a bool is not one."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)

@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from numbers import Integral
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FitError
+from .errors import DataError, FitError, check_integer
 from .lawtable import (CategoricalLaw, ObservedLawTable, coarsening_map, cpt_subscripts,
                        joint_from_cpts, observable_axes)
 from .mdgraph import MissingDataGraph, VertexRole
@@ -54,6 +53,8 @@ class Dataset:
     level or the NA code, which is the level count), then response
     indicators.  ``weights`` are per-record multiplicities (counts, or
     population masses for expected-data fits), finite and non-negative.
+    A record is consistent when :func:`~colluder_lab.lawtable.coarsening_map`
+    produces it; ``cells`` holds each record's flat observed-cell index.
     """
 
     NA = -1  # convenience alias accepted in input rows; stored as the NA level
@@ -78,27 +79,22 @@ class Dataset:
             rows = rows[:, perm]
         rows = rows.copy()
 
-        na_axis = {}
-        for i, a in enumerate(axes):
-            if a.kind == "proxy":
-                na = a.size - 1
-                col = rows[:, i]
-                col[col == self.NA] = na
-                na_axis[i] = na
         for i, a in enumerate(axes):
             col = rows[:, i]
+            if a.kind == "proxy":
+                col[col == self.NA] = a.size - 1
             bad = np.nonzero((col < 0) | (col >= a.size))[0]
             if bad.size:
                 raise DataError(f"value {rows[bad[0], i]} out of range for column {a.name!r}",
                                 row=int(bad[0]))
-        for p in graph.pairs:
-            xi = names.index(p.true)
-            ri = names.index(p.indicator)
-            bad = np.nonzero((rows[:, xi] == na_axis[xi]) != (rows[:, ri] == 0))[0]
-            if bad.size:
-                raise DataError(
-                    f"inconsistent record: {p.true} must be NA exactly when {p.indicator}=0",
-                    row=int(bad[0]))
+        sizes = [a.size for a in axes]
+        cells = np.ravel_multi_index(rows.T, sizes)
+        produced = np.zeros(int(np.prod(sizes)), dtype=bool)
+        produced[coarsening_map(graph).reshape(-1)] = True
+        bad = np.flatnonzero(~produced[cells])
+        if bad.size:
+            raise DataError("inconsistent record: a partially observed variable must be NA "
+                            "exactly when its response indicator is 0", row=int(bad[0]))
 
         if weights is None:
             weights = np.ones(len(rows))
@@ -107,10 +103,11 @@ class Dataset:
             raise DataError("weights must have one entry per record")
         if not np.all(np.isfinite(weights) & (weights >= 0)):
             raise DataError("weights must be finite and non-negative")
-        rows.setflags(write=False)
-        weights.setflags(write=False)
+        for arr in (rows, cells, weights):
+            arr.setflags(write=False)
         self.columns = tuple(names)
         self.rows = rows
+        self.cells = cells
         self.weights = weights
 
     @property
@@ -134,9 +131,6 @@ class Dataset:
         nonzero = weights != 0
         return cls(graph, np.argwhere(nonzero), weights[nonzero])
 
-    def permuted(self, order) -> "Dataset":
-        return Dataset(self.graph, self.rows[order], self.weights[order])
-
     # -- CSV --------------------------------------------------------------
 
     @classmethod
@@ -144,11 +138,11 @@ class Dataset:
                  one_based: bool = False) -> "Dataset":
         """Records from a CSV file with a header row, in file order.
 
-        Each distinct line is parsed and validated once, and each distinct
-        field of a column is converted once, so reading costs about as much as
-        the file's distinct lines.  Blank lines are skipped.  An error names
-        the first line of the file that holds the bad content; a quoted field
-        cannot span lines.
+        Each distinct line is parsed once, and each distinct field of a column
+        is converted once, so parsing costs about as much as the file's
+        distinct lines.  Blank lines are skipped.  An error names the first
+        line of the file that holds the bad content; a quoted field cannot
+        span lines.
         """
         axes = observable_axes(graph)
         kind = {a.name: a.kind for a in axes}
@@ -183,7 +177,7 @@ class Dataset:
         index = dict.fromkeys(lines)
         levels = [{} for _ in header]
         reader = csv.reader(index)
-        table, sources = [], []
+        table = []
         for i, (line, rec) in enumerate(zip(index, reader), start=1):
             if reader.line_num != i:
                 raise DataError("quoted field runs past the end of the line",
@@ -200,16 +194,19 @@ class Dataset:
                 out.append(seen[cell])
             index[line] = len(table)
             table.append(out)
-            sources.append(line)
+        order = np.fromiter(map(index.__getitem__, lines), dtype=np.intp, count=len(lines))
+        kept = np.flatnonzero(order >= 0)  # the file positions of the records
+        order = order[kept]
+        table = np.array(table, dtype=np.int64).reshape(len(table), len(header))
+        # Columns are put in graph order on the distinct records, before they are repeated.
+        table = table[:, [header.index(a.name) for a in axes]]
         try:
-            table = cls(graph, np.array(table, dtype=np.int64).reshape(len(table), len(header)),
-                        columns=header)
+            return cls(graph, table[order])
         except DataError as e:
             if e.row is None:
                 raise
-            raise DataError(e.reason, line=line_of(sources[e.row])) from None
-        order = np.fromiter(map(index.__getitem__, lines), dtype=np.intp, count=len(lines))
-        return table.permuted(order[order >= 0])
+            # The first bad record is the first line that holds its content.
+            raise DataError(e.reason, line=int(kept[e.row]) + 2) from None
 
     def to_csv(self, path, *, na_token: str = "NA", one_based: bool = False) -> None:
         if not np.all(self.weights == 1.0):
@@ -408,8 +405,7 @@ class LikelihoodModel:
         if observable_axes(data.graph) != axes:
             raise FitError("dataset columns, level counts or kinds do not match "
                            "the model graph")
-        cells = np.ravel_multi_index(data.rows.T, [a.size for a in axes])
-        weights = np.bincount(cells, weights=data.weights, minlength=self._n_obs)
+        weights = np.bincount(data.cells, weights=data.weights, minlength=self._n_obs)
         patterns = np.flatnonzero(weights > 0)
         if not len(patterns):
             raise FitError("empty dataset")
@@ -553,16 +549,10 @@ class FitConfig:
     allow_nonidentifiable: bool = False
 
     def __post_init__(self):
-        for name in ("restarts", "seed", "max_iterations"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral) and (name != "seed" or value is not None):
-                raise FitError(f"{name} must be an integer, got {value!r}")
-        if self.restarts < 1:
-            raise FitError(f"restarts must be at least 1, got {self.restarts}")
-        if self.max_iterations < 0:
-            raise FitError(f"max_iterations must be non-negative, got {self.max_iterations}")
-        if self.seed is not None and self.seed < 0:
-            raise FitError(f"seed must be non-negative, got {self.seed}")
+        check_integer("restarts", self.restarts, 1, FitError)
+        check_integer("max_iterations", self.max_iterations, 0, FitError)
+        if self.seed is not None:
+            check_integer("seed", self.seed, 0, FitError)
 
 
 @dataclass(frozen=True)

@@ -159,10 +159,11 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Collu
                           z: Mapping[str, int], r: int) -> ColluderSystem:
     """Populate the colluder matrix and right-hand side from an observed law.
 
-    ``z`` must assign every stratum variable, with all response indicators in
-    the stratum set to 1.  Raises :class:`ConditionalIndependenceError` when
-    the required m-separation fails and :class:`PositivityError` when the
-    stratum or a conditioning event has mass below ``EPS_POS``.
+    ``z`` must be one of :func:`enumerate_strata`'s strata: every stratum
+    variable assigned a level, and every response indicator in it set to 1.
+    Raises :class:`ConditionalIndependenceError` when the required
+    m-separation fails and :class:`PositivityError` when the stratum or a
+    conditioning event has mass below ``EPS_POS``.
     """
     if r not in (0, 1):
         raise LawError(f"r must be 0 or 1, got {r!r}")
@@ -172,21 +173,13 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Collu
             f"m-separated from {g.true_of(col.target_indicator)} given the remaining variables",
             colluder=col)
 
-    enumerable, indicators = stratum_variables(g, col)
-    expected = set(enumerable) | set(indicators)
-    if set(z) != expected:
-        raise LawError(f"stratum must assign exactly {sorted(expected)}, got {sorted(z)}")
-    if any(z[n] != 1 for n in indicators):
-        raise LawError("response indicators inside the stratum must be set to 1")
-    for n in enumerable:
-        if not 0 <= z[n] < obs.axes[obs.axis(n)].size:
-            raise LawError(f"level {z[n]} out of range for axis {n!r}")
-    if g.vertex(col.true_variable).levels is None or \
-            g.vertex(g.true_of(col.target_indicator)).levels is None:
-        raise GraphQueryError("colluder variables must be categorical with declared levels")
-
     z = dict(z)
-    s = list(enumerate_strata(g, col)).index(z)
+    strata = list(enumerate_strata(g, col))
+    if z not in strata:
+        enumerable, indicators = stratum_variables(g, col)
+        raise LawError(f"{z} is not a stratum of colluder {col}: a stratum assigns a level "
+                       f"to each of {list(enumerable)} and 1 to each of {list(indicators)}")
+    s = strata.index(z)
     st = _stacks(obs, g, col)
     _check_positivity(st, s, z, col)
     return ColluderSystem(col, z, r, st.a[s], st.b[s, r])
@@ -397,10 +390,6 @@ class Finding:
     def to_json(self) -> dict:
         return {"kind": self.kind, "colluder": self.colluder, "detail": self.detail}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "Finding":
-        return cls(obj["kind"], obj["colluder"], obj["detail"])
-
 
 @dataclass(frozen=True)
 class IdentifiabilityVerdict:
@@ -416,16 +405,6 @@ class IdentifiabilityVerdict:
         return {"decision": self.decision,
                 "reasons": [f.to_json() for f in self.reasons],
                 "rank_condition_pending": self.rank_condition_pending}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "IdentifiabilityVerdict":
-        known = {"decision", "reasons", "rank_condition_pending"}
-        unknown = set(obj) - known
-        if unknown:
-            raise LawError(f"unknown verdict keys: {sorted(unknown)}")
-        return cls(obj["decision"],
-                   tuple(Finding.from_json(r) for r in obj["reasons"]),
-                   bool(obj["rank_condition_pending"]))
 
 
 def decide_full_law(g: MissingDataGraph) -> IdentifiabilityVerdict:

@@ -16,16 +16,16 @@ and tables are immutable value objects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from numbers import Integral, Rational, Real
+from numbers import Rational
 from string import ascii_letters
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import GraphQueryError, LawError, PositivityError
-from .mdgraph import MissingDataGraph, VertexRole, load_json_source
+from .errors import GraphQueryError, LawError, PositivityError, check_integer, is_finite_real
+from .mdgraph import MissingDataGraph, VertexRole, json_object, load_json_source
 
 #: Positivity threshold for conditioning events.
 EPS_POS = 1e-12
@@ -339,27 +339,20 @@ class CategoricalLaw:
 
     @classmethod
     def from_json(cls, source, graph: MissingDataGraph | None = None) -> "CategoricalLaw":
-        obj = load_json_source(source)
-        if not isinstance(obj, dict):
-            raise LawError(f"a law document must be a JSON object, got {type(obj).__name__}")
-        unknown = set(obj) - {"graph", "cpts"}
-        if unknown:
-            raise LawError(f"unknown law keys: {sorted(unknown)}")
+        obj = json_object(load_json_source(source, LawError), "law", ("graph", "cpts"), LawError)
         if not isinstance(obj.get("cpts"), dict):
             raise LawError("law document needs a 'cpts' object")
         if graph is None:
             gspec = obj.get("graph")
-            if gspec is None:
+            if not isinstance(gspec, dict):
                 raise LawError("law document needs a 'graph' object or an explicit graph")
             graph = MissingDataGraph.from_json(gspec)
 
         cpts = {}
         for name, entry in obj["cpts"].items():
-            if not isinstance(entry, dict) or "table" not in entry:
-                raise LawError(f"CPT for {name!r} must be an object with a 'table' key")
-            unknown = set(entry) - {"parents", "table"}
-            if unknown:
-                raise LawError(f"unknown CPT keys for {name!r}: {sorted(unknown)}")
+            json_object(entry, f"CPT {name!r}", ("parents", "table"), LawError)
+            if "table" not in entry:
+                raise LawError(f"CPT {name!r} needs a 'table'")
             declared = entry.get("parents", [])
             canonical = list(cls.parent_order(graph, name))
             if not isinstance(declared, list) or sorted(declared, key=str) != sorted(canonical):
@@ -467,10 +460,6 @@ def observed_law(law: CategoricalLaw) -> ObservedLawTable:
 # -- random law generation -----------------------------------------------------
 
 
-def _finite(value) -> bool:
-    return isinstance(value, Real) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class SimConstraints:
     """Constraints for random law generation.
@@ -497,18 +486,17 @@ class SimConstraints:
         for name in ("exogenous_response_prob", "response_min_gap", "dependency_gap",
                      "min_prob"):
             value = getattr(self, name)
-            if not _finite(value):
+            if not is_finite_real(value):
                 raise LawError(f"{name} must be a finite real number, got {value!r}")
         interval = self.response_interval
         if not (isinstance(interval, (list, tuple)) and len(interval) == 2
-                and all(map(_finite, interval))):
+                and all(map(is_finite_real, interval))):
             raise LawError(f"response_interval must be two numbers, got {interval!r}")
         if not 0.0 < interval[0] < interval[1] < 1.0:
             raise LawError(f"response_interval (lo, hi) must satisfy 0 < lo < hi < 1, "
                            f"got {interval!r}")
         object.__setattr__(self, "response_interval", tuple(interval))
-        if not isinstance(self.max_tries, Integral) or self.max_tries < 1:
-            raise LawError(f"max_tries must be an integer of at least 1, got {self.max_tries!r}")
+        check_integer("max_tries", self.max_tries, 1, LawError)
 
     def to_json(self) -> dict:
         doc = {"exogenous_response_prob": self.exogenous_response_prob,
@@ -525,13 +513,8 @@ class SimConstraints:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConstraints":
-        if not isinstance(obj, dict):
-            raise LawError(f"constraints must be a JSON object, got {obj!r}")
-        unknown = set(obj) - {"exogenous_response_prob", "response_interval",
-                              "response_min_gap", "dependency_gap", "min_prob", "max_tries"}
-        if unknown:
-            raise LawError(f"unknown constraint keys: {sorted(unknown)}")
-        return cls(**obj)
+        """The constraints of a decoded JSON object, such as a scenario's ``constraints``."""
+        return cls(**json_object(obj, "constraints", [f.name for f in fields(cls)], LawError))
 
 
 #: Growth factor of successive candidate batches in :func:`_simplex_rows`, and

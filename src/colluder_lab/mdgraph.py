@@ -17,7 +17,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import GraphFormatError, GraphQueryError
+from .errors import ColluderLabError, GraphFormatError, GraphQueryError
 
 
 class VertexRole(Enum):
@@ -61,23 +61,34 @@ class Colluder:
         return f"{{{self.true_variable}, {self.response_of_true}}} of {self.target_indicator}"
 
 
-def load_json_source(source) -> dict:
-    """Decode a JSON document given as a path, a JSON string, or a dict."""
-    if isinstance(source, dict):
-        return source
+def load_json_source(source, error: type[ColluderLabError]):
+    """Decode a JSON document given as a path or a JSON string; any other value is
+    returned as it is.  Broken JSON raises ``error``."""
     if isinstance(source, Path):
         text = source.read_text()
-    else:
-        text = str(source)
+    elif isinstance(source, str):
+        text = source
         try:
             if Path(text).exists():
                 text = Path(text).read_text()
         except OSError:
             pass
+    else:
+        return source
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
-        raise GraphFormatError(f"invalid JSON: {e}") from None
+        raise error(f"invalid JSON: {e}") from None
+
+
+def json_object(value, noun: str, keys: Iterable[str], error: type[ColluderLabError]) -> dict:
+    """``value``, which must be a JSON object with no key outside ``keys``; else ``error``."""
+    if not isinstance(value, dict):
+        raise error(f"{noun} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise error(f"unknown {noun} keys: {sorted(unknown)}")
+    return value
 
 
 def _json_objects(doc: dict, key: str, noun: str, required: tuple[str, ...],
@@ -87,11 +98,7 @@ def _json_objects(doc: dict, key: str, noun: str, required: tuple[str, ...],
     if not isinstance(items, list):
         raise GraphFormatError(f"{key!r} must be a list, got {items!r}")
     for item in items:
-        if not isinstance(item, dict):
-            raise GraphFormatError(f"{noun} must be a JSON object, got {item!r}")
-        unknown = set(item) - set(required) - set(optional)
-        if unknown:
-            raise GraphFormatError(f"unknown {noun} keys: {sorted(unknown)}")
+        json_object(item, noun, required + optional, GraphFormatError)
         for k in required:
             if not isinstance(item.get(k), str):
                 raise GraphFormatError(f"{noun} {item} needs a string {k!r}")
@@ -180,16 +187,11 @@ class MissingDataGraph:
 
         par: dict[str, list[str]] = {n: [] for n in by_name}
         chi: dict[str, list[str]] = {n: [] for n in by_name}
-        spo: dict[str, list[str]] = {n: [] for n in by_name}
         for u, w in directed:
             par[w].append(u)
             chi[u].append(w)
-        for u, w in bidirected:
-            spo[u].append(w)
-            spo[w].append(u)
         self._parents = {n: tuple(par[n]) for n in by_name}
         self._children = {n: tuple(chi[n]) for n in by_name}
-        self._spouses = {n: tuple(spo[n]) for n in by_name}
 
         self._true_of_indicator = {p.indicator: p.true for p in self._pairs}
         self._proxy_of_true = proxy_of
@@ -265,10 +267,6 @@ class MissingDataGraph:
     def children(self, name: str) -> tuple[str, ...]:
         self.vertex(name)
         return self._children[name]
-
-    def spouses(self, name: str) -> tuple[str, ...]:
-        self.vertex(name)
-        return self._spouses[name]
 
     def with_role(self, role: VertexRole) -> tuple[Vertex, ...]:
         return tuple(v for v in self._vertices if v.role is role)
@@ -351,12 +349,8 @@ class MissingDataGraph:
 
         ``source`` may be a path, a JSON string, or an already-decoded dict.
         """
-        obj = load_json_source(source)
-        if not isinstance(obj, dict):
-            raise GraphFormatError("graph document must be a JSON object")
-        unknown = set(obj) - {"vertices", "edges", "pairs"}
-        if unknown:
-            raise GraphFormatError(f"unknown top-level keys: {sorted(unknown)}")
+        obj = json_object(load_json_source(source, GraphFormatError), "graph",
+                          ("vertices", "edges", "pairs"), GraphFormatError)
         if "vertices" not in obj:
             raise GraphFormatError("missing 'vertices'")
 

@@ -13,19 +13,18 @@ import ctypes
 import itertools
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from numbers import Integral, Real
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ColluderLabError, LawError
+from .errors import ColluderLabError, LawError, check_integer, is_finite_real
 # ``fit`` is not called here, but perfbench's tracer wraps ``simstudy.fit``.
 from .estimate import (Dataset, FitConfig, LikelihoodModel, ParameterEstimate,  # noqa: F401
                        fit, maximize, starting_points)
 from .fixtures import ccm_graph
 from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map, observable_axes,
                        random_law)
-from .mdgraph import MissingDataGraph, VertexRole, load_json_source
+from .mdgraph import MissingDataGraph, VertexRole, json_object, load_json_source
 
 
 def _full_counts(law: CategoricalLaw, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -77,24 +76,15 @@ class SimScenario:
     max_failure_rate: float = 0.02
 
     def __post_init__(self):
-        for name in ("m", "q", "replications", "seed", "restarts"):
-            value = getattr(self, name)
-            if not isinstance(value, Integral):
-                raise LawError(f"{name} must be an integer, got {value!r}")
-        if self.replications < 1:
-            raise LawError("replications must be at least 1")
-        if self.seed < 0:
-            raise LawError(f"seed must be non-negative, got {self.seed}")
+        for name, low in (("m", 1), ("q", 1), ("replications", 1), ("seed", 0),
+                          ("restarts", 1)):
+            check_integer(name, getattr(self, name), low, LawError)
         if not self.sample_sizes:
             raise LawError("sample_sizes must not be empty")
-        if not all(isinstance(n, Integral) for n in self.sample_sizes):
-            raise LawError(f"sample sizes must be integers, got {list(self.sample_sizes)}")
-        if any(n < 1 for n in self.sample_sizes):
-            raise LawError("sample sizes must be positive")
-        if self.restarts < 1:
-            raise LawError("restarts must be at least 1")
+        for n in self.sample_sizes:
+            check_integer("sample size", n, 1, LawError)
         rate = self.max_failure_rate
-        if not (isinstance(rate, Real) and 0.0 <= rate <= 1.0):  # NaN fails too
+        if not (is_finite_real(rate) and 0.0 <= rate <= 1.0):
             raise LawError(f"max_failure_rate must lie in [0, 1], got {rate!r}")
         if self.m > self.q:
             raise LawError(f"CCM({self.m},{self.q}) needs m <= q for an identifiable design")
@@ -110,14 +100,8 @@ class SimScenario:
 
     @classmethod
     def from_json(cls, source) -> "SimScenario":
-        obj = load_json_source(source)
-        if not isinstance(obj, dict):
-            raise LawError(f"scenario must be a JSON object, got {obj!r}")
-        known = {"m", "q", "sample_sizes", "replications", "seed", "constraints",
-                 "restarts", "max_failure_rate"}
-        unknown = set(obj) - known
-        if unknown:
-            raise LawError(f"unknown scenario keys: {sorted(unknown)}")
+        obj = json_object(load_json_source(source, LawError), "scenario",
+                          [f.name for f in fields(cls)], LawError)
         kwargs = dict(obj)
         if "sample_sizes" in kwargs:
             if not isinstance(kwargs["sample_sizes"], (list, tuple)):
@@ -206,14 +190,6 @@ class SimReport:
                 "summaries": [s.to_json() for s in self.summaries],
                 "per_parameter": {str(k): v for k, v in self.per_parameter.items()},
                 "failures": {str(k): v for k, v in self.failures.items()}}
-
-    @classmethod
-    def from_json(cls, source) -> "SimReport":
-        obj = load_json_source(source)
-        summaries = tuple(GroupSummary(**s) for s in obj["summaries"])
-        per_parameter = {int(k): v for k, v in obj["per_parameter"].items()}
-        return cls(SimScenario.from_json(obj["scenario"]), summaries,
-                   per_parameter, {int(k): v for k, v in obj["failures"].items()})
 
     def format_table(self) -> str:
         head = f"Scenario m={self.scenario.m}, q={self.scenario.q} " \
@@ -313,8 +289,7 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     scenario fails if more than ``max_failure_rate`` of the replications at
     any sample size did not converge.
     """
-    if threads < 1:
-        raise ColluderLabError(f"threads must be at least 1, got {threads}")
+    check_integer("threads", threads, 1, ColluderLabError)
     graph = scenario.graph()
     coords = _parameter_layout(graph)
     groups = [c[1] for c in coords]

@@ -409,9 +409,9 @@ class TestBidirectedGraphs:
 
 class TestSimConstraintsChecks:
     @pytest.mark.parametrize("bad, match", [
-        ({"max_tries": 2.5}, "max_tries must be an integer of at least 1"),
-        ({"max_tries": 0}, "max_tries must be an integer of at least 1"),
-        ({"max_tries": "10"}, "max_tries must be an integer of at least 1"),
+        ({"max_tries": 2.5}, "max_tries must be an integer, got 2.5"),
+        ({"max_tries": 0}, "max_tries must be at least 1, got 0"),
+        ({"max_tries": "10"}, "max_tries must be an integer, got '10'"),
         ({"min_prob": "0.1"}, "min_prob must be a finite real number"),
         ({"min_prob": float("nan")}, "min_prob must be a finite real number"),
         ({"dependency_gap": None}, "dependency_gap must be a finite real number"),
@@ -489,8 +489,8 @@ class TestSerialization:
          "'Y' holds a non-finite entry"),
         (lambda doc: doc.pop("cpts"), "needs a 'cpts' object"),
         (lambda doc: doc.update(cpts=[1]), "needs a 'cpts' object"),
-        (lambda doc: doc["cpts"]["Y"].pop("table"), "'Y' must be an object with a 'table' key"),
-        (lambda doc: doc["cpts"].update(Y=5), "'Y' must be an object with a 'table' key"),
+        (lambda doc: doc["cpts"]["Y"].pop("table"), "CPT 'Y' needs a 'table'"),
+        (lambda doc: doc["cpts"].update(Y=5), "CPT 'Y' must be a JSON object, got 5"),
         (lambda doc: doc["cpts"]["Y"].update(parents=5), "CPT parents for 'Y' are 5"),
         (lambda doc: doc["cpts"]["R_Y"].update(parents=[1, "X"]), "CPT parents for 'R_Y'"),
         (lambda doc: doc["cpts"]["Y"].update(table=5), "table for 'Y' has 0 axes, expected 2"),

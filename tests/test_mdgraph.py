@@ -150,7 +150,7 @@ class TestJson:
         assert [v.name for v in g2.vertices] == [v.name for v in fig1b.vertices]
 
     def test_unknown_top_level_key_rejected(self):
-        with pytest.raises(GraphFormatError, match="unknown top-level"):
+        with pytest.raises(GraphFormatError, match="unknown graph keys"):
             MissingDataGraph.from_json({"vertices": [], "extra": 1})
 
     def test_unknown_vertex_key_rejected(self):

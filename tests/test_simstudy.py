@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from colluder_lab import (CategoricalLaw, ColluderLabError, LawError, SimConstraints,
-                          SimReport, SimScenario, VertexRole, ccm_graph,
+                          SimScenario, VertexRole, ccm_graph,
                           random_law, run_scenario, sample_dataset, simstudy)
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 
@@ -108,7 +108,7 @@ class TestScenario:
             SimScenario.from_json({"m": 2, "q": 2, **bad})
 
     @pytest.mark.parametrize("bad, match", [
-        ({"sample_sizes": [300.9]}, "sample sizes must be integers"),
+        ({"sample_sizes": [300.9]}, "sample size must be an integer, got 300.9"),
         ({"replications": 2.5}, "replications must be an integer"),
         ({"restarts": 1.5}, "restarts must be an integer"),
         ({"m": 2.0}, "m must be an integer"),
@@ -133,11 +133,12 @@ class TestScenario:
 
     @pytest.mark.parametrize("bad, match", [
         ({"max_tries": 2.5}, "max_tries must be an integer"),
-        ({"max_tries": 0}, "max_tries must be an integer"),
+        ({"max_tries": True}, "max_tries must be an integer"),
         ({"min_prob": "0.1"}, "min_prob must be a finite real number"),
         ({"min_prob": float("nan")}, "min_prob must be a finite real number"),
         ({"response_interval": [0.7]}, "response_interval must be two numbers"),
         (5, "constraints must be a JSON object"),
+        ({"max_tries": 0}, "max_tries must be at least 1"),
     ])
     def test_bad_constraints_rejected(self, bad, match):
         with pytest.raises(LawError, match=match):
@@ -160,14 +161,13 @@ class TestRunScenario:
         sc = SimScenario(m=2, q=2, sample_sizes=(500,), replications=2, seed=7)
         rep = run_scenario(sc)
         doc = json.loads(json.dumps(rep.to_json()))
-        rep2 = SimReport.from_json(doc)
-        assert rep2.to_json() == rep.to_json()
+        assert doc == rep.to_json()
 
     def test_report_round_trip_keeps_max_tries(self):
         sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=1, seed=7,
                          constraints=SimConstraints(max_tries=2_000))
-        rep = SimReport.from_json(json.loads(json.dumps(run_scenario(sc).to_json())))
-        assert rep.scenario == sc
+        doc = json.loads(json.dumps(run_scenario(sc).to_json()))
+        assert SimScenario.from_json(doc["scenario"]) == sc
 
     def test_groups_present_and_ordered(self):
         sc = SimScenario(m=2, q=2, sample_sizes=(400,), replications=2, seed=8)
