@@ -64,7 +64,8 @@ class Dataset:
         self.graph = graph
         axes = observable_axes(graph)
         names = [a.name for a in axes]
-        rows = np.asarray(rows, dtype=np.int64)
+        # Sequences keep their Python values, so that a boolean is seen as one.
+        rows = rows if isinstance(rows, np.ndarray) else np.asarray(rows, dtype=object)
         if rows.size == 0:
             rows = rows.reshape(0, len(names))
         elif rows.ndim == 1:
@@ -75,9 +76,15 @@ class Dataset:
             columns = list(columns)
             if sorted(columns) != sorted(names):
                 raise DataError(f"columns {columns} do not match graph vertices {names}")
-            perm = [columns.index(n) for n in names]
-            rows = rows[:, perm]
-        rows = rows.copy()
+            rows = rows[:, [columns.index(n) for n in names]]
+        if rows.dtype.kind not in "iu" and not set(map(type, rows.ravel().tolist())) <= {int}:
+            for i, record in enumerate(rows.tolist()):
+                for j, x in enumerate(record):
+                    if isinstance(x, bool) or not (isinstance(x, (int, np.integer)) or
+                                                   (isinstance(x, float) and x.is_integer())):
+                        raise DataError(f"value {x!r} in column {names[j]!r} is not an "
+                                        f"integer code", row=i)
+        rows = rows.astype(np.int64)
 
         for i, a in enumerate(axes):
             col = rows[:, i]

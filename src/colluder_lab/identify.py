@@ -345,37 +345,32 @@ def or_factorization_check(law: CategoricalLaw, ordering: Sequence[str]) -> floa
 
     joint = law.joint_table()
     joint = ProbabilityTable(joint.axes, joint.values.astype(float))
-    mech = conditional(joint, targets=ordering, conditions=cond_names)
-
+    table = conditional(joint, targets=ordering, conditions=cond_names).values
     n_cond = len(cond_names)
-    worst = 0.0
-    ones = (1,) * K
-    for cidx in np.ndindex(*[a.size for a in mech.axes[:n_cond]]):
-        table = mech.values[cidx]
-        if np.any(table < EPS_POS):
-            raise PositivityError(
-                f"positivity violated: missingness mechanism has a zero cell at "
-                f"{dict(zip(cond_names, cidx))}")
+    zero = np.argwhere((table < EPS_POS).reshape(table.shape[:n_cond] + (-1,)).any(axis=-1))
+    if len(zero):
+        raise PositivityError(
+            f"positivity violated: missingness mechanism has a zero cell at "
+            f"{dict(zip(cond_names, map(int, zero[0])))}")
 
-        def cond_prob(k, v, prefix):
-            tail = ones[k + 1:]
-            p0 = table[prefix + (0,) + tail]
-            p1 = table[prefix + (1,) + tail]
-            return (p1 if v == 1 else p0) / (p0 + p1)
+    def cond_prob(k, below):
+        """p(R_k | R_<k = below, R_>k = 1) on every conditioning cell and indicator
+        pattern; ``below=()`` keeps every value of R_<k."""
+        t = table[(Ellipsis,) + below + (slice(None),) + (1,) * (K - k - 1)]
+        t = t / t.sum(axis=-1, keepdims=True)
+        axes = [1] * K
+        axes[len(below):k + 1] = t.shape[n_cond:]
+        return t.reshape(table.shape[:n_cond] + tuple(axes))
 
-        total = 0.0
-        unnorm = np.zeros((2,) * K)
-        for r in np.ndindex(*(2,) * K):
-            val = 1.0
-            for k in range(K):
-                val *= cond_prob(k, r[k], ones[:k])
-            for k in range(1, K):
-                val *= (cond_prob(k, r[k], r[:k]) / cond_prob(k, 1, r[:k])
-                        * cond_prob(k, 1, ones[:k]) / cond_prob(k, r[k], ones[:k]))
-            unnorm[r] = val
-            total += val
-        worst = max(worst, float(np.max(np.abs(unnorm / total - table))))
-    return worst
+    first = [cond_prob(k, (1,) * k) for k in range(K)]
+    unnorm = 1.0
+    for p in first:
+        unnorm = unnorm * p
+    for k in range(1, K):
+        p, axis = cond_prob(k, ()), n_cond + k
+        unnorm = unnorm * (p / p.take([1], axis) * first[k].take([1], axis) / first[k])
+    total = unnorm.sum(axis=tuple(range(n_cond, n_cond + K)), keepdims=True)
+    return float(np.max(np.abs(unnorm / total - table)))
 
 
 # -- full-law verdict ------------------------------------------------------------

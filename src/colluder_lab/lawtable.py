@@ -262,6 +262,9 @@ class CategoricalLaw:
                 raise LawError(
                     f"CPT for {v.name!r} has shape {arr.shape}, expected {want} "
                     f"(parents {parents} in declaration order)")
+            if arr.dtype == bool or (arr.dtype == object
+                                     and any(isinstance(x, bool) for x in arr.flat)):
+                raise LawError(f"CPT for {v.name!r} holds a boolean entry")
             if arr.dtype == object:
                 bad = [x for x in arr.flat if not isinstance(x, Rational)]
                 if bad:
@@ -361,6 +364,8 @@ class CategoricalLaw:
             if arr.ndim != len(canonical) + 1:
                 raise LawError(f"CPT table for {name!r} has {arr.ndim} axes, "
                                f"expected {len(canonical) + 1}")
+            if any(isinstance(x, bool) for x in arr.flat):
+                raise LawError(f"CPT for {name!r} holds a boolean entry")
             # One fraction string makes the whole table exact: its decimal
             # entries are read as the rationals they spell, not as floats.
             exact = any(isinstance(x, str) and "/" in x for x in arr.flat)
@@ -468,11 +473,12 @@ class SimConstraints:
     indicators.  Indicators with parents get one observation probability per
     parent configuration, drawn uniformly from ``response_interval`` with all
     values pairwise at least ``response_min_gap`` apart.  Rows of the other
-    CPTs are uniform on the simplex, redrawn until every level has mass at
-    least ``min_prob`` and (for variables with parents) every pair of rows
-    is at least ``dependency_gap`` apart in total variation.  The floor
-    keeps the sampled designs away from degenerate marginals under which the
-    colluder parameters are estimable only in principle.
+    CPTs are uniform on the simplex with every level's mass at least
+    ``min_prob``; both are drawn in closed form.  The floor keeps the sampled
+    designs away from degenerate marginals under which the colluder
+    parameters are estimable only in principle.  A variable's rows are
+    redrawn as a block until every pair is at least ``dependency_gap`` apart
+    in total variation, and ``max_tries`` bounds those blocks.
     """
 
     exogenous_response_prob: float = 0.8
@@ -499,17 +505,12 @@ class SimConstraints:
         check_integer("max_tries", self.max_tries, 1, LawError)
 
     def to_json(self) -> dict:
-        doc = {"exogenous_response_prob": self.exogenous_response_prob,
-               "response_interval": list(self.response_interval),
-               "response_min_gap": self.response_min_gap,
-               "dependency_gap": self.dependency_gap,
-               "min_prob": self.min_prob}
-        # Written only when it differs from the default, so that scenarios and
-        # reports with the default keep the bytes they had before the field
-        # was serialized.
-        if self.max_tries != SimConstraints.max_tries:
-            doc["max_tries"] = self.max_tries
-        return doc
+        return {"exogenous_response_prob": self.exogenous_response_prob,
+                "response_interval": list(self.response_interval),
+                "response_min_gap": self.response_min_gap,
+                "dependency_gap": self.dependency_gap,
+                "min_prob": self.min_prob,
+                "max_tries": self.max_tries}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SimConstraints":
@@ -517,127 +518,88 @@ class SimConstraints:
         return cls(**json_object(obj, "constraints", [f.name for f in fields(cls)], LawError))
 
 
-#: Growth factor of successive candidate batches in :func:`_simplex_rows`, and
-#: the largest batch, in rows.
-_BATCH_GROWTH = 4
-_BATCH_MAX_ROWS = 1 << 14
+#: The most pairwise-difference cells one batch of candidate blocks holds in
+#: :func:`_simplex_rows`, which bounds its memory when blocks keep failing.
+_BATCH_CELLS = 1 << 20
+
+#: Every multiple of this in [0, 1) is a float, and so is any sum of them below 1.
+_GRID = 2.0 ** -53
 
 
 def _simplex_rows(rng: np.random.Generator, n_rows: int, levels: int,
                   c: SimConstraints, name: str) -> np.ndarray:
-    """``n_rows`` uniform-simplex rows under ``c``, drawn in batches on the row-at-a-time stream.
+    """``n_rows`` rows uniform on the simplex with every entry at least ``min_prob``,
+    pairwise at least ``dependency_gap`` apart in total variation.
 
-    The rows are those of this loop, which draws the same random numbers:
-    draw ``rng.dirichlet(np.ones(levels))`` rows, keep those whose every
-    entry is at least ``min_prob`` (failing after ``max_tries`` rejections in
-    a row), and take the kept rows ``n_rows`` at a time until a block has
-    every pairwise total-variation distance at least ``dependency_gap``
-    (failing after ``max_tries`` blocks).  Such a Dirichlet row is
-    ``levels`` standard exponentials times the reciprocal of their
-    left-to-right sum, so candidate rows are drawn a batch at a time, tested
-    in array operations, and the generator is rewound to just past the last
-    row the loop would have drawn.
+    A uniform row with every entry at least ``a`` is ``a + (1 - levels * a)`` times a
+    uniform row, so only the dependency gap rejects.  Blocks of ``n_rows`` rows are
+    drawn in batches of doubling size and the first block that clears the gap is
+    kept; the call fails after ``max_tries`` blocks.
     """
-    accept = (1.0 - levels * c.min_prob) ** (levels - 1)  # P(uniform row clears min_prob)
-    size = min(math.ceil(n_rows / accept), _BATCH_MAX_ROWS)
-    pairs = np.triu_indices(n_rows, 1)
-    run = 0                           # rejections since the last kept row
-    kept = np.empty((0, levels))      # kept rows of the block being filled
-    blocks = 0                        # blocks completed and failed
-    while True:
-        state = rng.bit_generator.state
-        e = rng.standard_exponential((size, levels))
-        total = e[:, 0].copy()
-        for j in range(1, levels):
-            total += e[:, j]
-        rows = e * (1.0 / total)[:, None]
-        ok = rows.min(axis=1) >= c.min_prob
-        at = np.arange(size)
-        last = np.maximum.accumulate(np.where(ok, at, -1 - run))
-        failed = np.flatnonzero(at - last >= c.max_tries)
-        new = np.flatnonzero(ok[:failed[0] if failed.size else size])
-        rows_so_far = np.concatenate([kept, rows[new]])
-        n_blocks = len(rows_so_far) // n_rows
-        block = rows_so_far[:n_blocks * n_rows].reshape(n_blocks, n_rows, levels)
-        gap = 0.5 * np.abs(block[:, pairs[0]] - block[:, pairs[1]]).sum(axis=-1)
-        passed = np.flatnonzero(np.all(gap >= c.dependency_gap, axis=1)[:c.max_tries - blocks])
+    floor = max(c.min_prob, 0.0)
+    scale = 1.0 - levels * floor
+    first, second = np.nonzero(~np.tri(n_rows, dtype=bool))  # the pairs of rows
+    most = max(1, _BATCH_CELLS // max(1, first.size * levels))
+    tried, size = 0, 1
+    while tried < c.max_tries:
+        size = min(size, most, c.max_tries - tried)
+        rows = floor + scale * rng.dirichlet(np.ones(levels), (size, n_rows))
+        gap = 0.5 * np.abs(rows[:, first] - rows[:, second]).sum(axis=-1)
+        passed = np.flatnonzero(np.all(gap >= c.dependency_gap, axis=1))
         if passed.size:
-            b = passed[0]
-            rng.bit_generator.state = state
-            rng.standard_exponential((new[(b + 1) * n_rows - 1 - len(kept)] + 1, levels))
-            return block[b]
-        if blocks + n_blocks >= c.max_tries:
-            raise LawError(f"could not satisfy the dependency gap for {name!r}")
-        if failed.size:
-            raise LawError(f"could not satisfy min_prob {c.min_prob} for {name!r}")
-        blocks += n_blocks
-        kept = rows_so_far[n_blocks * n_rows:]
-        run = size - 1 - int(last[-1])
-        size = min(size * _BATCH_GROWTH, _BATCH_MAX_ROWS)
+            return rows[passed[0]]
+        tried += size
+        size *= 2
+    raise LawError(f"could not satisfy the dependency gap for {name!r}")
 
 
 def _response_probs(rng: np.random.Generator, n_rows: int, c: SimConstraints,
                     name: str) -> np.ndarray:
-    """``n_rows`` observation probabilities, drawn in batches on the one-try-at-a-time stream.
+    """``n_rows`` observation probabilities uniform on ``response_interval`` given that
+    every pair is at least ``response_min_gap`` apart.
 
-    The values are those of this loop: draw ``rng.uniform(lo, hi, n_rows)``
-    until every pair is at least ``response_min_gap`` apart, failing after
-    ``max_tries`` draws.  The closest pair of a draw is adjacent once it is
-    sorted, since rounding is monotone.
+    Such values are ``n_rows`` uniforms on ``[lo, hi - (n_rows - 1) * gap]``, each
+    shifted up by ``gap`` times its rank (the spacings argument: Devroye,
+    *Non-Uniform Random Variate Generation*, 1986, ch. V).  The bounds, the gap and
+    the draws are rounded inwards to multiples of ``_GRID``, where the sums are
+    exact, so every value and every gap meets its constraint as a float.
     """
-    lo, hi = c.response_interval
-    size, tried = 1, 0
-    while True:
-        state = rng.bit_generator.state
-        vals = rng.uniform(lo, hi, size=(size, n_rows))
-        gaps = np.diff(np.sort(vals, axis=1), axis=1)
-        passed = np.flatnonzero(np.all(gaps >= c.response_min_gap, axis=1)[:c.max_tries - tried])
-        if passed.size:
-            rng.bit_generator.state = state
-            rng.random((passed[0] + 1) * n_rows)
-            return vals[passed[0]]
-        tried += size
-        if tried >= c.max_tries:
-            raise LawError(f"could not satisfy the response gap for {name!r}")
-        size = min(size * _BATCH_GROWTH, max(1, _BATCH_MAX_ROWS // n_rows))
+    lo, hi = (math.ceil(c.response_interval[0] / _GRID) * _GRID,
+              math.floor(c.response_interval[1] / _GRID) * _GRID)
+    gap = math.ceil(min(max(c.response_min_gap, 0.0), 1.0) / _GRID) * _GRID
+    room = hi - lo - (n_rows - 1) * gap
+    if room <= 0.0:
+        raise LawError(f"cannot place {n_rows} response probabilities in "
+                       f"{list(c.response_interval)} with pairwise gap {c.response_min_gap} "
+                       f"for {name!r}")
+    u = np.floor(rng.uniform(0.0, room, n_rows) / _GRID) * _GRID
+    return lo + u + gap * np.argsort(np.argsort(u))
 
 
 def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = None,
                seed=None) -> CategoricalLaw:
     """Sample a categorical law compatible with ``graph`` under ``constraints``.
 
-    Unconstrained CPT rows are uniform on the simplex.  Deterministic given
+    Each CPT is drawn from the uniform distribution on the rows that meet
+    ``constraints`` (see :class:`SimConstraints`).  Deterministic given
     ``seed``; the generator is owned by this call.
     """
     constraints = constraints or SimConstraints()
     rng = np.random.default_rng(seed)
-    lo, hi = constraints.response_interval
 
     cpts: dict[str, np.ndarray] = {}
     for v in graph.non_proxy_vertices():
-        if v.levels is None:
-            raise LawError(f"vertex {v.name!r} is continuous; cannot sample a categorical law")
         parents = CategoricalLaw.parent_order(graph, v.name)
-        n_rows = 1
-        for p in parents:
-            pl = graph.vertex(p).levels
-            if pl is None:
-                raise LawError(f"parent {p!r} of {v.name!r} is continuous")
-            n_rows *= pl
         shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
+        if None in shape:
+            raise LawError(f"{v.name!r} or one of its parents is continuous; cannot sample a "
+                           f"categorical law")
+        n_rows = math.prod(shape[:-1])
 
         if v.role is VertexRole.RESPONSE_INDICATOR:
-            if not parents:
-                p1 = constraints.exogenous_response_prob
-                cpts[v.name] = np.array([1.0 - p1, p1])
-                continue
-            if (n_rows - 1) * constraints.response_min_gap >= (hi - lo):
-                raise LawError(
-                    f"cannot place {n_rows} response probabilities in "
-                    f"[{lo}, {hi}] with pairwise gap {constraints.response_min_gap}")
-            vals = _response_probs(rng, n_rows, constraints, v.name)
-            rows = np.stack([1.0 - vals, vals], axis=1)
-            cpts[v.name] = rows.reshape(shape)
+            vals = (_response_probs(rng, n_rows, constraints, v.name) if parents
+                    else np.array([constraints.exogenous_response_prob]))
+            cpts[v.name] = np.stack([1.0 - vals, vals], axis=1).reshape(shape)
             continue
 
         # fully observed or true variable: uniform-simplex rows

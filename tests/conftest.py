@@ -350,9 +350,10 @@ def loop_colluder_mechanism(obs, g, col, eps_pos=EPS_POS):
 
 
 def loop_random_law(graph, constraints=None, seed=None) -> CategoricalLaw:
-    """``random_law`` drawing one Dirichlet row at a time: rows failing
-    ``min_prob`` are redrawn, and blocks failing the dependency gap are
-    redrawn whole."""
+    """The rejection sampler of ``random_law``'s law distribution, one draw at a
+    time: Dirichlet rows failing ``min_prob`` are redrawn, blocks failing the
+    dependency gap are redrawn whole, and response values are redrawn until
+    every pair clears ``response_min_gap``, each up to ``max_tries`` times."""
     c = constraints or SimConstraints()
     rng = np.random.default_rng(seed)
     lo, hi = c.response_interval

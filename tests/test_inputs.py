@@ -1,8 +1,9 @@
 """Contract tests of the input rules every reader and setting shares.
 
 Each JSON reader reports broken JSON, a value that is not an object and an
-unknown key with its own error class; an integer setting refuses a bool; a
-record is consistent exactly when the coarsening map produces it.
+unknown key with its own error class; an integer setting, a record code and a
+CPT entry refuse a bool; a record is consistent exactly when the coarsening
+map produces it.
 """
 
 import json
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from colluder_lab import (CategoricalLaw, ColluderLabError, DataError, Dataset, FitConfig,
                           FitError, GraphFormatError, LawError, MissingDataGraph,
-                          SimConstraints, SimScenario, ccm_graph, observable_axes, random_law)
+                          SimConstraints, SimScenario, Vertex, VertexRole, ccm_graph,
+                          observable_axes, random_law)
 from colluder_lab.errors import check_integer
 from conftest import colluder_doc, small_graphs
 
@@ -138,6 +140,42 @@ class TestIntegerSettings:
                 SimConstraints(**{name: True})
         with pytest.raises(LawError, match="response_interval must be two numbers"):
             SimConstraints(response_interval=(False, 0.9))
+
+
+class TestBooleansAndFractions:
+    """A code is an integer and a probability is a number: a boolean is neither, and
+    a fractional code is no code."""
+
+    @pytest.mark.parametrize("records, row, value", [
+        ([[0.7, 1, 1, 1], [1.9, 0, 1, 1]], 0, "0.7"),
+        (np.array([[0, 1, 1, 1], [1, 0, np.nan, 1]]), 1, "nan"),
+        (np.ones((2, 4), dtype=bool), 0, "True"),
+        ([[0, 1, 1, 1], [True, 0, 1, 1]], 1, "True"),
+    ], ids=["fraction", "nan", "bool-array", "bool-in-list"])
+    def test_dataset_refuses_non_integer_codes(self, records, row, value):
+        with pytest.raises(DataError, match=f"value {value} in column '.*' is not an "
+                                            f"integer code") as err:
+            Dataset(ccm_graph(2, 2), records)
+        assert err.value.row == row
+
+    def test_dataset_reads_whole_float_codes(self):
+        data = Dataset(ccm_graph(2, 2), np.array([[0.0, 1.0, 1.0, 1.0]]))
+        assert data.rows.dtype == np.int64 and data.rows.tolist() == [[0, 1, 1, 1]]
+
+    @pytest.mark.parametrize("cpt", [np.array([True, False]),
+                                     np.array([True, 0], dtype=object)],
+                             ids=["bool-array", "bool-in-exact-array"])
+    def test_law_refuses_boolean_cpt(self, cpt):
+        g = MissingDataGraph([Vertex("A", VertexRole.FULLY_OBSERVED, 2)])
+        with pytest.raises(LawError, match="CPT for 'A' holds a boolean entry"):
+            CategoricalLaw(g, {"A": cpt})
+
+    @pytest.mark.parametrize("table", [[True, False], [True, "0/1"]], ids=["float", "exact"])
+    def test_law_file_refuses_booleans(self, table):
+        doc = law_doc()
+        doc["cpts"]["X"]["table"] = table
+        with pytest.raises(LawError, match="CPT for 'X' holds a boolean entry"):
+            CategoricalLaw.from_json(json.dumps(doc))
 
 
 def per_pair_consistent(graph, record) -> bool:

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colluder_lab import (Axis, CategoricalLaw, LawError, MissingDataGraph,
-                          PositivityError, ProbabilityTable, SimConstraints, Vertex, VertexRole,
-                          appendix_a_law, ccm_graph, conditional, example_graph,
-                          joint_probability,
-                          observed_law, random_law)
+                          PositivityError, ProbabilityTable, SimConstraints, SimScenario, Vertex,
+                          VertexRole, appendix_a_law, ccm_graph, conditional, example_graph,
+                          joint_probability, observed_law, random_law)
 from colluder_lab.lawtable import ObservedLawTable, Rationals, coarsening_map
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 from conftest import (brute_joint_probability, exact_random_law, loop_observed_law,
@@ -264,6 +264,47 @@ def draw_outcome(draw, graph, constraints, seed):
         return str(e)
 
 
+def response_rows(graph):
+    """The row count of each response indicator's CPT that has parents."""
+    return [math.prod(graph.vertex(p).levels for p in parents)
+            for v in graph.non_proxy_vertices() if v.role is R
+            for parents in [CategoricalLaw.parent_order(graph, v.name)] if parents]
+
+
+@st.composite
+def law_settings(draw):
+    """A ``small_graphs()`` graph and constraints for it, some of them infeasible, with
+    the response gap sometimes within a few roundings of the largest that fits."""
+    graph = draw(small_graphs())
+    lo = draw(st.floats(0.01, 0.9))
+    hi = draw(st.floats(lo, 0.99, exclude_min=True))
+    n = max(response_rows(graph), default=1)
+    slack = draw(st.integers(0, 8)) * 2.0 ** -53
+    gap = draw(st.one_of(st.floats(-0.05, 0.3), st.just((hi - lo - slack) / max(n - 1, 1))))
+    return graph, SimConstraints(exogenous_response_prob=draw(st.floats(0.0, 1.0)),
+                                 response_interval=(lo, hi), response_min_gap=gap,
+                                 dependency_gap=draw(st.floats(-0.1, 1.0)),
+                                 min_prob=draw(st.floats(-0.1, 0.5)),
+                                 max_tries=draw(st.integers(1, 50)))
+
+
+def assert_meets(law, c):
+    """Every CPT of ``law`` meets ``c`` as a ``>=`` on its floats."""
+    lo, hi = c.response_interval
+    for v in law.graph.non_proxy_vertices():
+        rows = np.asarray(law.cpts[v.name], float).reshape(-1, v.levels)
+        if v.role is R and not CategoricalLaw.parent_order(law.graph, v.name):
+            assert rows[0, 1] == c.exogenous_response_prob
+        elif v.role is R:
+            p = np.sort(rows[:, 1])
+            assert lo <= p[0] and p[-1] <= hi
+            assert np.all(np.diff(p) >= c.response_min_gap)
+        else:
+            assert rows.min() >= c.min_prob
+            i, j = np.triu_indices(len(rows), 1)
+            assert np.all(0.5 * np.abs(rows[i] - rows[j]).sum(axis=-1) >= c.dependency_gap)
+
+
 class TestRandomLaw:
     def test_exogenous_response_prob_exact(self):
         law = random_law(ccm_graph(2, 2), seed=0)
@@ -305,49 +346,70 @@ class TestRandomLaw:
         with pytest.raises(LawError):
             random_law(ccm_graph(4, 4),
                        SimConstraints(response_interval=(0.7, 0.70001)), seed=0)
+        with pytest.raises(LawError, match="cannot place 8 response probabilities"):
+            random_law(ccm_graph(4, 4), SimConstraints(response_min_gap=1e300), seed=0)
 
-    @pytest.mark.parametrize("graph, kw, seeds", [
-        (ccm_graph(2, 2), dict(dependency_gap=0.45, min_prob=0.15), range(300)),
-        (ccm_graph(4, 4), dict(dependency_gap=0.3, min_prob=0.1), range(8)),
-        (ccm_graph(3, 3), dict(dependency_gap=0.35, min_prob=0.15), range(6)),
-        (MissingDataGraph([Vertex("A", O, 3), Vertex("B", O, 2), Vertex("C", O, 4)],
-                          [("A", "C"), ("B", "C")]), {}, range(40)),
-        (MissingDataGraph([Vertex("A", O, 5)]), dict(min_prob=0.15), range(40)),
-        # two response indicators with parents, one drawn after the other
-        (example_graph("d", 3), {}, range(20)),
-        # nine levels: numpy's pairwise sums differ from left-to-right ones here
-        (MissingDataGraph([Vertex("A", O, 2), Vertex("B", O, 9)], [("A", "B")]),
-         dict(min_prob=0.02, dependency_gap=0.3), range(40)),
-    ])
-    def test_batched_draws_equal_row_at_a_time(self, graph, kw, seeds):
-        c = SimConstraints(**kw)
-        for seed in seeds:
-            assert draw_outcome(random_law, graph, c, seed) == \
-                draw_outcome(loop_random_law, graph, c, seed)
-
-    def test_batched_draws_leave_the_stream_in_place(self):
-        # a one-row vertex after a rejection-heavy one: its row is the next
-        # draw on the stream only if the batch rewound to the loop's position
-        g = MissingDataGraph([Vertex("A", O, 2), Vertex("B", O, 4), Vertex("C", O, 3)],
-                             [("A", "B")])
-        c = SimConstraints(dependency_gap=0.4, min_prob=0.12)
-        for seed in range(30):
-            law, want = random_law(g, c, seed=seed), loop_random_law(g, c, seed=seed)
-            assert law.cpts["C"].tobytes() == want.cpts["C"].tobytes()
-
-    @pytest.mark.parametrize("kw, match", [
-        (dict(min_prob=0.33, max_tries=50), "min_prob"),
-        (dict(dependency_gap=0.9, max_tries=30), "dependency gap"),
-        (dict(response_min_gap=0.004, dependency_gap=0.0, max_tries=40), "response gap"),
-    ])
-    def test_batched_draws_fail_where_the_loop_fails(self, kw, match):
-        g, c = example_graph("e", 3), SimConstraints(**kw)
+    def test_dependency_gap_fails_after_max_tries_blocks(self):
+        g, c = example_graph("e", 3), SimConstraints(dependency_gap=0.9, max_tries=30)
         for seed in range(10):
             assert draw_outcome(random_law, g, c, seed) == \
-                draw_outcome(loop_random_law, g, c, seed)
-        with pytest.raises(LawError, match=match):
-            for seed in range(10):
-                random_law(g, c, seed=seed)
+                draw_outcome(loop_random_law, g, c, seed) == \
+                "could not satisfy the dependency gap for 'Y'"
+
+    @pytest.mark.parametrize("kw", [dict(min_prob=0.33, dependency_gap=0.0, max_tries=1),
+                                    dict(response_min_gap=0.004, dependency_gap=0.0,
+                                         max_tries=1)], ids=["min_prob", "response gap"])
+    def test_feasible_sets_the_loop_refused_draw_valid_laws(self, kw):
+        # 3 x 0.33 < 1, and R_Y's 36 values need 0.14 of the 0.2-wide interval;
+        # max_tries bounds only dependency-gap blocks, which a zero gap never rejects.
+        g, c = example_graph("e", 3), SimConstraints(**kw)
+        with pytest.raises(LawError, match="could not satisfy"):
+            loop_random_law(g, c, seed=0)
+        for seed in range(10):
+            assert_meets(random_law(g, c, seed=seed), c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(setting=law_settings(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_drawn_laws_meet_their_constraints(self, setting, seed):
+        g, c = setting
+        try:
+            law = random_law(g, c, seed=seed)
+        except LawError as e:
+            # only the dependency gap rejects; the other failures are infeasible sets
+            lo, hi = c.response_interval
+            msg = str(e)
+            if msg.startswith("min_prob"):
+                assert any(c.min_prob * v.levels >= 1.0 for v in g.non_proxy_vertices()
+                           if v.role is not R)
+            elif msg.startswith("cannot place"):
+                n = max(response_rows(g))
+                assert (n - 1) * max(c.response_min_gap, 0.0) >= hi - lo - (n + 2) * 2.0 ** -53
+            else:
+                assert "dependency gap" in msg, msg
+            return
+        assert_meets(law, c)
+
+    @pytest.mark.parametrize("graph, constraints", [
+        (ccm_graph(2, 2), SimScenario.from_json(str(
+            resources.files("colluder_lab").joinpath("data", "ccm22.json"))).constraints),
+        (MissingDataGraph([Vertex("A", O, 5)]), SimConstraints(min_prob=0.1)),
+        (MissingDataGraph([Vertex("W", O, 4), Vertex("X", X1, 2), Vertex("R_X", R, 2)],
+                          [("W", "R_X")], pairs=[("X", "R_X")]),
+         SimConstraints(response_min_gap=0.02, min_prob=0.0)),
+    ], ids=["ccm22-design", "five-levels-floor", "four-row-response"])
+    def test_draws_match_the_row_at_a_time_loop_in_distribution(self, graph, constraints):
+        # Every CPT entry's mean over 2,000 laws agrees with the rejection loop's
+        # within 4 standard errors of the difference.
+        def entries(draw, seed):
+            cpts = draw(graph, constraints, seed=seed).cpts.values()
+            return np.concatenate([np.asarray(a, float).ravel() for a in cpts])
+
+        n = 2000
+        new = np.array([entries(random_law, seed) for seed in range(n)])
+        loop = np.array([entries(loop_random_law, seed) for seed in range(n, 2 * n)])
+        diff = new.mean(axis=0) - loop.mean(axis=0)
+        se = np.sqrt((new.var(axis=0) + loop.var(axis=0)) / n)
+        assert np.all(np.abs(diff) <= 4.0 * se + 1e-12), np.abs(diff) / se
 
     def test_continuous_vertex_rejected(self):
         g = MissingDataGraph([Vertex("A", O, None)])

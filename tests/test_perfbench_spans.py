@@ -4,9 +4,11 @@
 reading ``owner.__dict__[attr]``, so a renamed or removed function breaks a
 traced benchmark run.  ``perfbench/workloads.py`` drives ``cli.main`` with
 fixed argument lists and checks each call's output, so a renamed or removed
-flag fails its checks.  The tracer also reads counts off the results of the
-calls it wraps (``spans._extra``), so one traced fit and one traced solve
-must yield them.  Both files are loaded by path and left unchanged.
+flag fails its checks, and it runs simulation studies whose cells must all
+converge and whose pooled bias and RMSE must stay in the criterion-7 band.
+The tracer also reads counts off the results of the calls it wraps
+(``spans._extra``), so one traced fit and one traced solve must yield them.
+Both files are loaded by path and left unchanged.
 """
 
 import importlib.util
@@ -77,3 +79,14 @@ def test_traced_calls_give_the_layer_metrics(workloads, tmp_path):
     metrics = spans.layer_metrics(tracer.spans, windows, items=len(windows), workers=1)
     assert metrics["estimate.bind.patterns"] > 0
     assert metrics["estimate.from_csv.records"] > 0
+
+
+def test_sim_ccm22_pool_calls_pass_the_benchmark_checks(workloads, tmp_path):
+    # Eight calls pool enough replications for the criterion-7 band that
+    # ``finish`` checks on the whole run.
+    w = workloads.WORKLOADS["sim-ccm22-pool"](7, tmp_path)
+    w.setup()
+    for i in range(8):
+        attempted, failed, why = w.check(i, w.run(i))
+        assert (attempted, failed) == (16, 0), why
+    assert w.finish() == (0, [])

@@ -68,16 +68,12 @@ class TestScenario:
         assert SimScenario.from_json(sc.to_json()) == sc
 
     def test_max_tries_round_trips(self):
-        sc = SimScenario(m=2, q=2, sample_sizes=(100,), replications=2, seed=5,
-                         constraints=SimConstraints(max_tries=5))
-        doc = json.loads(json.dumps(sc.to_json()))
-        assert doc["constraints"]["max_tries"] == 5
-        assert SimScenario.from_json(doc) == sc
-
-    def test_default_max_tries_is_not_written(self):
-        # Scenarios and reports with the default keep their bytes.
-        assert "max_tries" not in SimConstraints().to_json()
-        assert SimConstraints.from_json(SimConstraints().to_json()) == SimConstraints()
+        for constraints, want in ((SimConstraints(max_tries=5), 5), (SimConstraints(), 10_000)):
+            sc = SimScenario(m=2, q=2, sample_sizes=(100,), replications=2, seed=5,
+                             constraints=constraints)
+            doc = json.loads(json.dumps(sc.to_json()))
+            assert doc["constraints"]["max_tries"] == want
+            assert SimScenario.from_json(doc) == sc
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(LawError, match="unknown scenario"):
