@@ -153,7 +153,7 @@ class Dataset:
         """
         axes = observable_axes(graph)
         kind = {a.name: a.kind for a in axes}
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
         if not text:
             raise DataError("empty CSV file")
@@ -293,8 +293,9 @@ class LikelihoodModel:
         # The observation process: each full cell's flat observed-cell index.
         self._cells = coarsening_map(graph).reshape(-1)
         self._n_obs = int(np.prod([a.size for a in observable_axes(graph)]))
-        # The full cells grouped by observed cell, in ascending order within a group,
-        # so that sums over a group add in full-cell order.
+        # The full cells grouped by observed cell, in ascending order within a group.
+        # np.add.reduceat picks its own order of addition within a group, so a group
+        # sum may differ in the last bit from observed_law's left-to-right sum.
         self._reachable, self._group, sizes = np.unique(
             self._cells, return_inverse=True, return_counts=True)
         self._by_group = np.argsort(self._cells, kind="stable")

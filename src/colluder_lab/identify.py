@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,31 +28,30 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ColluderSystem:
-    """The linear system A s = b of one colluder at one stratum, for one arm r.
+    """The linear systems A s = b of one colluder at every stratum, both arms r.
 
-    ``a[i, j] = p(Y=y_i | R_X=r, X=x_j, R_Y=1, Z=z) * p(R_Y=1 | Z=z)`` and
-    ``b[k] = p(Y=y_k, R_Y=1, R_X=r | Z=z)``, taken from the observed data
-    distribution; for r = 0 the first factor of ``a`` is replaced by its
-    r = 1 counterpart, which is equal under the conditional independence
+    The leading axis follows ``strata``, :func:`enumerate_strata`'s order.
+    ``a[z, i, j] = p(Y=y_i | R_X=1, X=x_j, R_Y=1, Z=z) * p(R_Y=1 | Z=z)``
+    (S, q, m) and ``b[z, r, k] = p(Y=y_k, R_Y=1, R_X=r | Z=z)`` (S, 2, q),
+    from the observed data distribution.  Both arms share ``a``: its first
+    factor at R_X=0 equals that at R_X=1 under the conditional independence
     that makes the system readable from observed data.
     """
 
     colluder: Colluder
-    z_stratum: dict[str, int]
-    r: int
+    strata: tuple[dict[str, int], ...]
     a: np.ndarray
     b: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.a.shape[1]
 
 
 @dataclass(frozen=True)
 class ColluderSolution:
+    """``values[z, r]`` solves arm r at stratum z; ``residual`` is the largest of
+    every system, and ``out_of_range`` lists (stratum, arm, level) triples."""
+
     values: np.ndarray
     residual: float
-    out_of_range: tuple[int, ...] = ()
+    out_of_range: tuple[tuple[int, int, int], ...] = ()
 
 
 def separation_condition(g: MissingDataGraph, col: Colluder) -> bool:
@@ -98,29 +97,27 @@ def enumerate_strata(g: MissingDataGraph, col: Colluder):
         yield {**dict(zip(enumerable, combo)), **base}
 
 
-@dataclass(frozen=True)
-class _Stacks:
-    """Every stratum's colluder quantities, read in one pass off the observed table.
+def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
+                          col: Colluder) -> ColluderSystem:
+    """The colluder's system at every stratum, read in one pass off the observed table.
 
-    Leading axis: strata in :func:`enumerate_strata` order.  ``p_z`` (S,)
-    is the stratum mass, ``p_x`` (S, m) the mass of {X=x_j, R_X=1, R_Y=1},
-    ``a`` (S, q, m) the colluder matrices and ``b`` (S, 2, q) the right-hand
-    sides of both arms.  Each mass is its exact total rounded once to float,
-    so the entries equal per-event ``float(event_prob(...))`` arithmetic.
+    Each mass is its exact total rounded once to float, so the entries equal
+    per-event ``float(event_prob(...))`` arithmetic.  Raises
+    :class:`ConditionalIndependenceError` when the required m-separation fails
+    and :class:`PositivityError` for the first stratum whose mass, or whose
+    mass of some {X=x_j, R_X=1, R_Y=1}, is below ``EPS_POS``.
     """
-
-    p_z: np.ndarray
-    p_x: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-
-def _stacks(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder) -> _Stacks:
-    """The colluder quantities of every stratum."""
     x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y_name = g.true_of(ry)
+    if not separation_condition(g, col):
+        raise ConditionalIndependenceError(
+            f"conditional independence violated: {rx} is not "
+            f"m-separated from {y_name} given the remaining variables",
+            colluder=col)
+
     m, q = g.vertex(x_name).levels, g.vertex(y_name).levels
     enumerable, indicators = stratum_variables(g, col)
+    strata = tuple(enumerate_strata(g, col))
     exact = obs.rationals()
     index = [slice(None)] * len(obs.axes)
     for n in indicators:
@@ -132,87 +129,57 @@ def _stacks(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder) -> _Stack
     t = np.transpose(exact.numerators[tuple(index)], order).reshape(-1, m + 1, q + 1, 2, 2)
 
     p_z = exact.floats(t.sum(axis=(1, 2, 3, 4)))
-    p_ry1 = exact.floats(t[..., 1].sum(axis=(1, 2, 3)))
     p_x = exact.floats(t[:, :m, :, 1, 1].sum(axis=2))
-    joint = exact.floats(t[:, :m, :q, 1, 1])
-    b = exact.floats(np.moveaxis(t[:, :, :q, :, 1].sum(axis=1), 2, 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_ry1 = p_ry1 / p_z
-        a = np.swapaxes(joint / p_x[:, :, None] * p_ry1[:, None, None], 1, 2)
-        b = b / p_z[:, None, None]
-    return _Stacks(p_z, p_x, np.ascontiguousarray(a), b)
-
-
-def _check_positivity(st: _Stacks, s: int, z: dict, col: Colluder) -> None:
-    if st.p_z[s] < EPS_POS:
-        raise PositivityError(f"positivity violated at stratum {z}", stratum=z)
-    x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
-    null = np.flatnonzero(st.p_x[s] < EPS_POS)
+    null = np.flatnonzero((p_z < EPS_POS) | (p_x < EPS_POS).any(axis=1))
     if null.size:
-        j = null[0]
+        z = strata[null[0]]
+        if p_z[null[0]] < EPS_POS:
+            raise PositivityError(f"positivity violated at stratum {z}", stratum=z)
+        j = np.argmax(p_x[null[0]] < EPS_POS)
         raise PositivityError(
             f"positivity violated: event {{{x_name}={j}, {rx}=1, {ry}=1}} "
             f"has zero mass at stratum {z}", stratum=z)
 
-
-def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder,
-                          z: Mapping[str, int], r: int) -> ColluderSystem:
-    """Populate the colluder matrix and right-hand side from an observed law.
-
-    ``z`` must be one of :func:`enumerate_strata`'s strata: every stratum
-    variable assigned a level, and every response indicator in it set to 1.
-    Raises :class:`ConditionalIndependenceError` when the required
-    m-separation fails and :class:`PositivityError` when the stratum or a
-    conditioning event has mass below ``EPS_POS``.
-    """
-    if r not in (0, 1):
-        raise LawError(f"r must be 0 or 1, got {r!r}")
-    if not separation_condition(g, col):
-        raise ConditionalIndependenceError(
-            f"conditional independence violated: {col.response_of_true} is not "
-            f"m-separated from {g.true_of(col.target_indicator)} given the remaining variables",
-            colluder=col)
-
-    z = dict(z)
-    strata = list(enumerate_strata(g, col))
-    if z not in strata:
-        enumerable, indicators = stratum_variables(g, col)
-        raise LawError(f"{z} is not a stratum of colluder {col}: a stratum assigns a level "
-                       f"to each of {list(enumerable)} and 1 to each of {list(indicators)}")
-    s = strata.index(z)
-    st = _stacks(obs, g, col)
-    _check_positivity(st, s, z, col)
-    return ColluderSystem(col, z, r, st.a[s], st.b[s, r])
+    p_ry1 = exact.floats(t[..., 1].sum(axis=(1, 2, 3))) / p_z
+    joint = exact.floats(t[:, :m, :q, 1, 1])
+    a = np.swapaxes(joint / p_x[:, :, None] * p_ry1[:, None, None], 1, 2)
+    b = exact.floats(np.moveaxis(t[:, :, :q, :, 1].sum(axis=1), 2, 1)) / p_z[:, None, None]
+    return ColluderSystem(col, strata, np.ascontiguousarray(a), b)
 
 
-def rank_test(sys: ColluderSystem) -> tuple[int, np.ndarray]:
-    """Numerical rank of the colluder matrix: singular values above ``RANK_TOL`` * largest."""
+def rank_test(sys: ColluderSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Each stratum's numerical rank (S,), the count of its singular values above
+    ``RANK_TOL`` * the largest, and the singular values (S, min(q, m))."""
     sv = np.linalg.svd(sys.a, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, sv
-    return int(np.sum(sv > RANK_TOL * sv[0])), sv
+    return np.sum(sv > RANK_TOL * sv[:, :1], axis=1), sv
 
 
 def solve_colluder(sys: ColluderSystem) -> ColluderSolution:
-    """Solve A s = b by the Moore-Penrose inverse; requires full column rank.
+    """Solve every A s = b by the Moore-Penrose inverse; requires full column rank.
 
     For square systems this is the plain inverse, and for consistent
-    overdetermined systems it is exact; a residual above 1e-8 raises.  Raw
-    solution values are returned unclipped; entries outside [0, 1] by more
-    than 1e-8 are flagged.
+    overdetermined systems it is exact.  The first rank-deficient stratum
+    raises :class:`RankDeficiencyError`, then the first system with a
+    residual above 1e-8 raises :class:`LawError`.  Raw values (S, 2, m) are
+    returned unclipped; entries outside [0, 1] by more than 1e-8 are flagged.
     """
+    m = sys.a.shape[2]
     rank, sv = rank_test(sys)
-    if rank < sys.m:
+    deficient = np.flatnonzero(rank < m)
+    if deficient.size:
+        s = deficient[0]
         raise RankDeficiencyError(
-            f"not identifiable at this stratum: rank {rank} < {sys.m}",
-            colluder=sys.colluder, stratum=sys.z_stratum, rank=rank,
-            required=sys.m, singular_values=sv)
-    s, *_ = np.linalg.lstsq(sys.a, sys.b, rcond=None)
-    residual = float(np.max(np.abs(sys.a @ s - sys.b)))
-    if residual > 1e-8:
-        raise LawError(f"colluder system inconsistent: residual {residual:.3e} exceeds 1e-8")
-    flagged = tuple(int(j) for j in range(sys.m) if s[j] < -1e-8 or s[j] > 1 + 1e-8)
-    return ColluderSolution(s, residual, flagged)
+            f"not identifiable at this stratum: rank {rank[s]} < {m}",
+            colluder=sys.colluder, stratum=sys.strata[s], rank=int(rank[s]),
+            required=m, singular_values=sv[s])
+    values = np.stack([np.linalg.lstsq(a, b.T, rcond=None)[0].T
+                       for a, b in zip(sys.a, sys.b)])
+    residual = np.abs(values @ np.swapaxes(sys.a, 1, 2) - sys.b).max(axis=2)
+    inconsistent = residual[residual > 1e-8]
+    if inconsistent.size:
+        raise LawError(f"colluder system inconsistent: residual {inconsistent[0]:.3e} exceeds 1e-8")
+    flagged = np.argwhere((values < -1e-8) | (values > 1 + 1e-8)).tolist()
+    return ColluderSolution(values, float(residual.max()), tuple(map(tuple, flagged)))
 
 
 def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph,
@@ -223,37 +190,29 @@ def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph,
     the table ``p(R_X | O, X1, (R minus R_X) = 1)``: axes are all fully
     observed and true variables in declaration order plus a final binary
     axis for R_X.  The value is ``s_rj / (s_0j + s_1j)`` and is constant in
-    the true variable paired with the target indicator.  Any stratum that
-    fails positivity or the rank condition raises, naming the stratum.
+    the true variable paired with the target indicator.  The checks run in
+    this order, each naming the first stratum that fails it: positivity of
+    every stratum, rank, residual, and a level of X with no mass.
     """
-    if not separation_condition(g, col):
-        raise ConditionalIndependenceError(
-            "conditional independence violated: the colluder equations cannot be "
-            "read off the observed data", colluder=col)
+    sys = build_colluder_system(obs, g, col)
+    sol = solve_colluder(sys).values
+    x_name, rx, y_name = col.true_variable, col.response_of_true, g.true_of(col.target_indicator)
+    mass = sol[:, 0] + sol[:, 1]
+    null = np.argwhere(mass < EPS_POS)
+    if len(null):
+        s, j = null[0]
+        raise PositivityError(
+            f"positivity violated: {x_name}={j} has no mass at stratum {sys.strata[s]}",
+            stratum=sys.strata[s])
 
-    x_name, rx = col.true_variable, col.response_of_true
-    y_name = g.true_of(col.target_indicator)
     variables = [v for v in g.non_proxy_vertices()
                  if v.role is not VertexRole.RESPONSE_INDICATOR]
     axes = [Axis(v.name, v.levels, "observed" if v.role is VertexRole.FULLY_OBSERVED else "true")
             for v in variables]
     axes.append(Axis(rx, 2, "indicator"))
 
-    st = _stacks(obs, g, col)
-    solutions = np.empty((len(st.p_z), 2, g.vertex(x_name).levels))
-    for s, z in enumerate(enumerate_strata(g, col)):
-        _check_positivity(st, s, z, col)
-        for r in (0, 1):
-            sys = ColluderSystem(col, z, r, st.a[s], st.b[s, r])
-            solutions[s, r] = solve_colluder(sys).values
-        null = np.flatnonzero(solutions[s, 0] + solutions[s, 1] < EPS_POS)
-        if null.size:
-            raise PositivityError(
-                f"positivity violated: {x_name}={null[0]} has no mass at stratum {z}",
-                stratum=z)
-
     # (strata, R_X, X) -> (*stratum variables, X, R_X, Y), then declaration order
-    mech = solutions / (solutions[:, 0] + solutions[:, 1])[:, None]
+    mech = sol / mass[:, None]
     enumerable, _ = stratum_variables(g, col)
     labels = [*enumerable, x_name, rx, y_name]
     mech = np.swapaxes(mech, 1, 2).reshape(

@@ -14,6 +14,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -186,12 +187,9 @@ class MissingDataGraph:
         self._pairs = tuple(final_pairs)
 
         par: dict[str, list[str]] = {n: [] for n in by_name}
-        chi: dict[str, list[str]] = {n: [] for n in by_name}
         for u, w in directed:
             par[w].append(u)
-            chi[u].append(w)
         self._parents = {n: tuple(par[n]) for n in by_name}
-        self._children = {n: tuple(chi[n]) for n in by_name}
 
         self._true_of_indicator = {p.indicator: p.true for p in self._pairs}
         self._proxy_of_true = proxy_of
@@ -205,8 +203,8 @@ class MissingDataGraph:
         """Every structural restriction the graph breaks, as ``[kind] detail`` lines."""
         out = []
         try:
-            self.topological_order()
-        except GraphQueryError:
+            TopologicalSorter(self._parents).prepare()
+        except CycleError:
             out.append("[cycle] directed part of the graph contains a cycle")
 
         roles = {v.name: v.role for v in self._vertices}
@@ -264,10 +262,6 @@ class MissingDataGraph:
         self.vertex(name)
         return self._parents[name]
 
-    def children(self, name: str) -> tuple[str, ...]:
-        self.vertex(name)
-        return self._children[name]
-
     def with_role(self, role: VertexRole) -> tuple[Vertex, ...]:
         return tuple(v for v in self._vertices if v.role is role)
 
@@ -305,22 +299,6 @@ class MissingDataGraph:
             out.add(n)
             stack.extend(self._parents[n])
         return out
-
-    def topological_order(self) -> tuple[str, ...]:
-        """Topological order of the directed part; raises if it is cyclic."""
-        indeg = {v.name: len(self._parents[v.name]) for v in self._vertices}
-        queue = deque(v.name for v in self._vertices if indeg[v.name] == 0)
-        order = []
-        while queue:
-            n = queue.popleft()
-            order.append(n)
-            for c in self._children[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if len(order) != len(self._vertices):
-            raise GraphQueryError("directed part of the graph is cyclic")
-        return tuple(order)
 
     def relabel(self, mapping: Mapping[str, str]) -> "MissingDataGraph":
         """Return a copy with non-proxy vertices renamed according to ``mapping``.

@@ -15,6 +15,8 @@ from colluder_lab import (CategoricalLaw, ColluderSystem, ConditionalIndependenc
 from colluder_lab.identify import separation_condition
 from colluder_lab.lawtable import EPS_POS
 
+pytest_plugins = ["pytester"]
+
 
 @pytest.fixture
 def fig1b():
@@ -211,12 +213,12 @@ def loop_observed_law(law) -> np.ndarray:
 
 
 @st.composite
-def small_graphs(draw):
-    """Up to two fully observed vertices and one to two partially observed
-    pairs, 2-3 levels each, with random edges along declaration order."""
+def small_graphs(draw, min_pairs=1):
+    """Up to two fully observed vertices and ``min_pairs`` to two partially
+    observed pairs, 2-3 levels each, with random edges along declaration order."""
     observed = [Vertex(f"W{i}", VertexRole.FULLY_OBSERVED, draw(st.integers(2, 3)))
                 for i in range(draw(st.integers(0, 2)))]
-    n_pairs = draw(st.integers(1, 2))
+    n_pairs = draw(st.integers(min_pairs, 2))
     true = [Vertex(f"X{i}", VertexRole.TRUE_VARIABLE, draw(st.integers(2, 3)))
             for i in range(n_pairs)]
     indicators = [Vertex(f"R_X{i}", VertexRole.RESPONSE_INDICATOR, 2) for i in range(n_pairs)]
@@ -293,8 +295,9 @@ def loop_event_prob(table, assignment):
     return math.fsum(cells)
 
 
-def loop_colluder_system(obs, g, col, z, r, eps_pos=EPS_POS):
-    """The colluder matrix and right-hand side, one event probability per entry."""
+def loop_colluder_system(obs, g, col, z, eps_pos=EPS_POS):
+    """The colluder system of stratum ``z`` alone, a stack of one, with one event
+    probability per entry."""
     x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y_name = g.true_of(ry)
     m, q = g.vertex(x_name).levels, g.vertex(y_name).levels
@@ -302,7 +305,7 @@ def loop_colluder_system(obs, g, col, z, r, eps_pos=EPS_POS):
     if p_z < eps_pos:
         raise PositivityError(f"positivity violated at stratum {z}", stratum=z)
     p_ry1 = float(loop_event_prob(obs, {**z, ry: 1})) / p_z
-    a = np.zeros((q, m))
+    a = np.zeros((1, q, m))
     for j in range(m):
         p_xj = float(loop_event_prob(obs, {**z, x_name: j, rx: 1, ry: 1}))
         if p_xj < eps_pos:
@@ -311,16 +314,19 @@ def loop_colluder_system(obs, g, col, z, r, eps_pos=EPS_POS):
                 f"has zero mass at stratum {z}", stratum=z)
         for i in range(q):
             joint = float(loop_event_prob(obs, {**z, x_name: j, rx: 1, ry: 1, y_name: i}))
-            a[i, j] = joint / p_xj * p_ry1
-    b = np.zeros(q)
-    for k in range(q):
-        b[k] = float(loop_event_prob(obs, {**z, y_name: k, ry: 1, rx: r})) / p_z
-    return ColluderSystem(col, z, r, a, b)
+            a[0, i, j] = joint / p_xj * p_ry1
+    b = np.zeros((1, 2, q))
+    for r in (0, 1):
+        for k in range(q):
+            b[0, r, k] = float(loop_event_prob(obs, {**z, y_name: k, ry: 1, rx: r})) / p_z
+    return ColluderSystem(col, (z,), a, b)
 
 
 def loop_colluder_mechanism(obs, g, col, eps_pos=EPS_POS):
     """p(R_X | variables, other indicators = 1) solved stratum by stratum and
-    written one cell at a time, from :func:`loop_colluder_system`."""
+    written one cell at a time, from :func:`loop_colluder_system`.  Every
+    stratum's positivity is checked before any is solved, and every stratum
+    is solved before any level of X is checked for mass."""
     if not separation_condition(g, col):
         raise ConditionalIndependenceError("not m-separated", colluder=col)
     x_name, y_name = col.true_variable, g.true_of(col.target_indicator)
@@ -328,11 +334,10 @@ def loop_colluder_mechanism(obs, g, col, eps_pos=EPS_POS):
                  if v.role is not VertexRole.RESPONSE_INDICATOR]
     names = [v.name for v in variables] + [col.response_of_true]
     out = np.zeros([v.levels for v in variables] + [2])
-    for z in enumerate_strata(g, col):
-        sys0 = loop_colluder_system(obs, g, col, z, 0, eps_pos)
-        sys1 = loop_colluder_system(obs, g, col, z, 1, eps_pos)
-        s0 = solve_colluder(sys0).values
-        s1 = solve_colluder(sys1).values
+    strata = list(enumerate_strata(g, col))
+    systems = [loop_colluder_system(obs, g, col, z, eps_pos) for z in strata]
+    solved = [solve_colluder(sys).values[0] for sys in systems]
+    for z, (s0, s1) in zip(strata, solved):
         for j in range(g.vertex(x_name).levels):
             denom = s0[j] + s1[j]
             if denom < eps_pos:

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import colluder_lab
-from colluder_lab import (Dataset, ccm_graph, decide_full_law, example_graph, observed_law,
-                          random_law)
+from colluder_lab import (Dataset, ccm_graph, cross_censoring_graph, decide_full_law,
+                          example_graph, observed_law, random_law)
 from colluder_lab.cli import main
 from colluder_lab.simstudy import sample_dataset
 from conftest import BAD_GRAPH_DOCS
@@ -97,6 +97,17 @@ class TestSolveColluder:
         assert main(["solve-colluder", "--graph", gpath, "--law", str(lpath)]) == 2
         doc = json.loads(capsys.readouterr().out)
         assert doc["colluders"][0]["error"] == "RankDeficiencyError"
+
+    def test_unseparated_colluder_names_the_variables(self, tmp_path, capsys):
+        g = cross_censoring_graph(2, 2)
+        lpath = tmp_path / "law.json"
+        lpath.write_text(json.dumps(random_law(g, seed=5).to_json()))
+        assert main(["solve-colluder", "--graph", write_graph(tmp_path, g),
+                     "--law", str(lpath)]) == 2
+        entries = json.loads(capsys.readouterr().out)["colluders"]
+        assert {e["error"] for e in entries} == {"ConditionalIndependenceError"}
+        assert all(e["detail"].startswith("conditional independence violated: R_")
+                   and "is not m-separated from" in e["detail"] for e in entries)
 
     def test_output_file_holds_the_printed_json(self, tmp_path, capsys):
         g = example_graph("d")

@@ -208,6 +208,13 @@ class TestDataset:
         rows = Dataset.from_csv(path, fig1b).rows
         assert rows.tolist() == [[1, 0, 1, 1], [2, 1, 0, 1], [1, 0, 1, 1], [0, 2, 1, 0]]
 
+    def test_csv_utf8_byte_order_mark(self, fig1b, tmp_path):
+        # spreadsheets export "CSV UTF-8" with a byte-order mark before the header
+        path = tmp_path / "d.csv"
+        path.write_bytes("X,Y,R_X,R_Y\n1,0,1,1\nNA,1,0,1\n".encode("utf-8-sig"))
+        rows = Dataset.from_csv(path, fig1b).rows
+        assert rows.tolist() == [[1, 0, 1, 1], [2, 1, 0, 1]]
+
     def test_csv_header_only_is_an_empty_dataset(self, fig1b, tmp_path):
         path = tmp_path / "d.csv"
         for text in ("X,Y,R_X,R_Y", "X,Y,R_X,R_Y\n", "X,Y,R_X,R_Y\n\n \n"):

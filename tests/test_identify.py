@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colluder_lab import (BinaryColluderQuantities,
+from colluder_lab import (BinaryColluderQuantities, ColluderSystem,
                           ConditionalIndependenceError, GraphQueryError,
                           LawError, MissingDataGraph, PositivityError,
                           RankDeficiencyError, Vertex, VertexRole,
@@ -49,25 +49,26 @@ class TestBuildSystem:
         (a, b, c, d, e, f, g, h), law, obs, col = setup_a
         joint = law.joint_table().values.astype(float)
         p_ry1 = joint[:, :, :, 1].sum()
-        sys0 = build_colluder_system(obs, law.graph, col, {}, 0)
+        sys = build_colluder_system(obs, law.graph, col)
+        assert sys.strata == ({},)
         # first factor of each entry is p(Y=y | X=x), free of the indicators here
         want = np.array([[c, h], [1 - c, 1 - h]]) * p_ry1
-        assert np.allclose(sys0.a, want, atol=1e-14)
+        assert np.allclose(sys.a[0], want, atol=1e-14)
         r = a * (b * c * (1 - d) + (1 - b) * h * (1 - f))
         s = a * (b * (1 - c) * (1 - d) + (1 - b) * (1 - h) * (1 - f))
-        assert np.allclose(sys0.b, [r, s], atol=1e-14)
+        assert np.allclose(sys.b[0, 0], [r, s], atol=1e-14)
 
     def test_solution_is_full_law_functional(self, setup_a):
         _, law, obs, col = setup_a
         joint = law.joint_table().values.astype(float)
         p_ry1 = joint[:, :, :, 1].sum()
+        sol = solve_colluder(build_colluder_system(obs, law.graph, col))
+        assert sol.values.shape == (1, 2, 2)
         for r in (0, 1):
-            sys = build_colluder_system(obs, law.graph, col, {}, r)
-            sol = solve_colluder(sys)
             truth = [joint[j, :, r, 1].sum() / p_ry1 for j in range(2)]
-            assert np.allclose(sol.values, truth, atol=1e-10)
-            assert sol.residual <= 1e-10
-            assert sol.out_of_range == ()
+            assert np.allclose(sol.values[0, r], truth, atol=1e-10)
+        assert sol.residual <= 1e-10
+        assert sol.out_of_range == ()
 
     def test_single_level_true_variable_collapses(self):
         g = MissingDataGraph(
@@ -83,24 +84,24 @@ class TestBuildSystem:
         })
         obs = observed_law(law)
         col = find_colluders(g)[0]
-        sys0 = build_colluder_system(obs, g, col, {}, 0)
-        assert sys0.a.shape == (2, 1)
-        sol = solve_colluder(sys0)
+        sys = build_colluder_system(obs, g, col)
+        assert sys.a.shape == (1, 2, 1)
+        sol = solve_colluder(sys)
         joint = law.joint_table().values.astype(float)
         want = joint[0, :, 0, 1].sum() / joint[:, :, :, 1].sum()
-        assert sol.values[0] == pytest.approx(want, abs=1e-12)
+        assert sol.values[0, 0, 0] == pytest.approx(want, abs=1e-12)
 
     def test_ternary_system_is_wide(self):
         g = ccm_graph(3, 2)
         law = random_law(g, seed=4)
         obs = observed_law(law)
         col = find_colluders(g)[0]
-        sys0 = build_colluder_system(obs, g, col, {}, 0)
-        assert sys0.a.shape == (2, 3)
-        rank, _ = rank_test(sys0)
-        assert rank <= 2 < sys0.m
+        sys = build_colluder_system(obs, g, col)
+        assert sys.a.shape == (1, 2, 3)
+        rank, _ = rank_test(sys)
+        assert rank.shape == (1,) and rank[0] <= 2
         with pytest.raises(RankDeficiencyError, match="not identifiable"):
-            solve_colluder(sys0)
+            solve_colluder(sys)
 
     def test_precondition_checked(self):
         g = cross_censoring_graph(2, 2)
@@ -108,7 +109,7 @@ class TestBuildSystem:
         obs = observed_law(law)
         col = find_colluders(g)[0]
         with pytest.raises(ConditionalIndependenceError, match="conditional independence"):
-            build_colluder_system(obs, g, col, {}, 0)
+            build_colluder_system(obs, g, col)
 
     def test_null_stratum_raises(self):
         g = MissingDataGraph(
@@ -122,52 +123,45 @@ class TestBuildSystem:
         law = CategoricalLaw(g, cpts)
         obs = observed_law(law)
         col = find_colluders(g)[0]
-        with pytest.raises(PositivityError, match="positivity violated at stratum"):
-            build_colluder_system(obs, g, col, {"W": 1}, 0)
-
-    def test_stratum_must_pin_indicators_to_one(self):
-        g = example_graph("d")
-        law = random_law(g, seed=3)
-        obs = observed_law(law)
-        col = find_colluders(g)[0]  # {X, R_X} of R_Y; stratum holds Z and R_Z
-        with pytest.raises(LawError, match=r"is not a stratum of colluder .*'Z'.*'R_Z'"):
-            build_colluder_system(obs, g, col, {"Z": 0, "R_Z": 0}, 0)
+        with pytest.raises(PositivityError, match="positivity violated at stratum") as exc:
+            build_colluder_system(obs, g, col)
+        assert exc.value.stratum == {"W": 1}
 
 
 class TestRank:
     def test_full_rank_under_dependency(self, setup_a):
         _, law, obs, col = setup_a
-        sys0 = build_colluder_system(obs, law.graph, col, {}, 0)
-        rank, sv = rank_test(sys0)
-        assert rank == 2
-        assert sv[1] > 1e-3 * sv[0]
+        rank, sv = rank_test(build_colluder_system(obs, law.graph, col))
+        assert rank.tolist() == [2]
+        assert sv[0, 1] > 1e-3 * sv[0, 0]
 
     def test_equal_conditionals_drop_rank(self):
         # p(Y|X) identical across X makes the two columns coincide
         law = appendix_a_law(0.3, 0.4, 0.6, 0.25, 0.5, 0.35, 0.45, 0.6 + 1e-13)
         obs = observed_law(law)
         col = find_colluders(law.graph)[0]
-        sys0 = build_colluder_system(obs, law.graph, col, {}, 0)
-        rank, _ = rank_test(sys0)
-        assert rank == 1
+        sys = build_colluder_system(obs, law.graph, col)
+        rank, _ = rank_test(sys)
+        assert rank.tolist() == [1]
         with pytest.raises(RankDeficiencyError):
-            solve_colluder(sys0)
+            solve_colluder(sys)
 
     def test_square_full_rank_matches_plain_inverse(self, setup_a):
         _, law, obs, col = setup_a
-        sys0 = build_colluder_system(obs, law.graph, col, {}, 0)
-        sol = solve_colluder(sys0)
-        direct = np.linalg.solve(sys0.a, sys0.b)
-        assert np.allclose(sol.values, direct, atol=1e-12)
+        sys = build_colluder_system(obs, law.graph, col)
+        sol = solve_colluder(sys)
+        for r in (0, 1):
+            direct = np.linalg.solve(sys.a[0], sys.b[0, r])
+            assert np.allclose(sol.values[0, r], direct, atol=1e-12)
 
     def test_overdetermined_consistent_system_exact(self):
         g = ccm_graph(2, 3)
         law = random_law(g, seed=8)
         obs = observed_law(law)
         col = find_colluders(g)[0]
-        sys0 = build_colluder_system(obs, g, col, {}, 0)
-        assert sys0.a.shape == (3, 2)
-        sol = solve_colluder(sys0)
+        sys = build_colluder_system(obs, g, col)
+        assert sys.a.shape == (1, 3, 2)
+        sol = solve_colluder(sys)
         assert sol.residual <= 1e-10
 
 
@@ -255,8 +249,10 @@ def assert_same_as_per_entry(law):
 class TestStackedSystems:
     """The one-pass stacks against one event probability per entry."""
 
+    # A colluder needs two pairs; one-pair graphs would only be filtered out, and
+    # 50 filtered draws before 10 kept ones fail hypothesis's filter_too_much check.
     @settings(max_examples=60, deadline=None)
-    @given(graph=small_graphs().filter(lambda g: find_colluders(g)),
+    @given(graph=small_graphs(min_pairs=2).filter(lambda g: find_colluders(g)),
            seed=st.integers(0, 2**32 - 1))
     def test_small_graphs(self, graph, seed):
         assert_same_as_per_entry(exact_random_law(graph, np.random.default_rng(seed)))
@@ -281,9 +277,10 @@ class TestStackedSystems:
             colluder_mechanism(observed_law(law), law.graph, col)
         assert exc.value.stratum == {} and exc.value.rank == 2
 
-    def _stratum_law(self, pin_w):
+    def _stratum_law(self, pin_w, equal_y_at=1):
         """W -> Y beside the colluder; with ``pin_w`` p(W=1) is zero, otherwise
-        p(Y | X, W=1) is equal across X, so only stratum W=1 fails."""
+        p(Y | X, W=1) is equal across X, so stratum W=1 fails.  With
+        ``equal_y_at=0`` and ``pin_w``, p(Y | X, W=0) is equal across X as well."""
         g = MissingDataGraph(
             [Vertex("W", O, 2), Vertex("X", X1, 2), Vertex("Y", X1, 2),
              Vertex("R_X", R, 2), Vertex("R_Y", R, 2)],
@@ -293,9 +290,9 @@ class TestStackedSystems:
         cpts = dict(law.cpts)
         if pin_w:
             cpts["W"] = np.array([Fraction(1), Fraction(0)], dtype=object)
-        else:
+        if not pin_w or equal_y_at == 0:
             y = cpts["Y"].copy()
-            y[1, 1] = y[1, 0]
+            y[equal_y_at, 1] = y[equal_y_at, 0]
             cpts["Y"] = y
         return CategoricalLaw(g, cpts)
 
@@ -310,24 +307,63 @@ class TestStackedSystems:
                 colluder_mechanism(observed_law(each), each.graph, col)
             assert exc.value.stratum == {"W": 1}
 
+    def test_positivity_of_every_stratum_comes_first(self):
+        # W=0 is rank-deficient and W=1 has no mass: the null stratum is named
+        law = self._stratum_law(True, equal_y_at=0)
+        assert_same_as_per_entry(law)
+        col = find_colluders(law.graph)[0]
+        for each in (law, float_copy(law)):
+            with pytest.raises(PositivityError, match="positivity violated at stratum") as exc:
+                colluder_mechanism(observed_law(each), each.graph, col)
+            assert exc.value.stratum == {"W": 1}
+
     def test_build_system_reads_one_stratum(self):
+        """Each stratum of the stack equals that stratum read alone, per entry."""
         law = exact_random_law(example_graph("d", 3), np.random.default_rng(5))
         for each in (law, float_copy(law)):
             obs, g = observed_law(each), each.graph
             for col in find_colluders(g):
-                for z in enumerate_strata(g, col):
-                    for r in (0, 1):
-                        got = build_colluder_system(obs, g, col, z, r)
-                        want = loop_colluder_system(obs, g, col, z, r)
-                        assert got.a.tobytes() == want.a.tobytes()
-                        assert got.b.tobytes() == want.b.tobytes()
+                got = build_colluder_system(obs, g, col)
+                assert got.strata == tuple(enumerate_strata(g, col))
+                for s, z in enumerate(got.strata):
+                    want = loop_colluder_system(obs, g, col, z)
+                    assert got.a[s].tobytes() == want.a[0].tobytes()
+                    assert got.b[s].tobytes() == want.b[0].tobytes()
 
-    def test_build_system_level_out_of_range(self):
-        g = example_graph("d")
-        obs = observed_law(random_law(g, seed=3))
-        col = find_colluders(g)[0]
-        with pytest.raises(LawError, match="is not a stratum of colluder"):
-            build_colluder_system(obs, g, col, {"Z": 5, "R_Z": 1}, 0)
+    @settings(max_examples=200, deadline=None)
+    @given(strata=st.integers(1, 6), m=st.integers(1, 4), extra_rows=st.integers(0, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batched_linear_algebra_matches_one_call_each(self, strata, m, extra_rows, seed):
+        """One SVD of the stack and one two-column least-squares solve per stratum
+        equal one call per matrix and per arm, bit for bit."""
+        rng = np.random.default_rng(seed)
+        a = rng.random((strata, m + extra_rows, m))
+        b = np.einsum("sij,srj->sri", a, rng.random((strata, 2, m)))  # consistent
+        col = find_colluders(ccm_graph(2, 2))[0]
+        sys = ColluderSystem(col, ({},) * strata, a, b)
+        _, sv = rank_test(sys)
+        values = solve_colluder(sys).values
+        for s in range(strata):
+            assert sv[s].tobytes() == np.linalg.svd(a[s], compute_uv=False).tobytes()
+            for r in (0, 1):
+                one = np.linalg.lstsq(a[s], b[s, r], rcond=None)[0]
+                assert values[s, r].tobytes() == one.tobytes()
+
+    def test_stack_solves_as_each_stratum_alone(self):
+        law = exact_random_law(example_graph("d", 3), np.random.default_rng(5))
+        for each in (law, float_copy(law)):
+            obs, g = observed_law(each), each.graph
+            for col in find_colluders(g):
+                sys = build_colluder_system(obs, g, col)
+                rank, sv = rank_test(sys)
+                values = solve_colluder(sys).values
+                assert values.shape == (len(sys.strata), 2, 3)
+                for s, z in enumerate(sys.strata):
+                    one = ColluderSystem(col, (z,), sys.a[s:s + 1], sys.b[s:s + 1])
+                    one_rank, one_sv = rank_test(one)
+                    assert one_rank[0] == rank[s]
+                    assert one_sv[0].tobytes() == sv[s].tobytes()
+                    assert solve_colluder(one).values[0].tobytes() == values[s].tobytes()
 
 
 class TestSoundness:
