@@ -20,6 +20,7 @@ from it.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Mapping, Sequence
@@ -27,7 +28,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DataError, FitError, check_integer
-from .lawtable import (CategoricalLaw, ObservedLawTable, coarsening_map, cpt_subscripts,
+from .lawtable import (Axis, CategoricalLaw, ObservedLawTable, coarsening_map, cpt_subscripts,
                        joint_from_cpts, observable_axes)
 from .mdgraph import MissingDataGraph, VertexRole
 
@@ -46,15 +47,22 @@ _CI_LEVEL = 0.95
 
 
 class Dataset:
-    """Incomplete records over the observable columns of a graph.
+    """Incomplete records over the observable columns of a graph, as observed-cell weights.
 
     Columns follow graph declaration order: fully observed variables, then
     each partially observed variable under its true-variable name (value =
     level or the NA code, which is the level count), then response
-    indicators.  ``weights`` are per-record multiplicities (counts, or
-    population masses for expected-data fits), finite and non-negative.
-    A record is consistent when :func:`~colluder_lab.lawtable.coarsening_map`
-    produces it; ``cells`` holds each record's flat observed-cell index.
+    indicators.  The constructor takes records with per-record ``weights``
+    (counts, or population masses for expected-data fits), finite and
+    non-negative.  A record is consistent when
+    :func:`~colluder_lab.lawtable.coarsening_map` produces it.
+
+    The likelihood reads the data only through each observed cell's total
+    weight, so that is all a dataset keeps: records with the same content
+    merge, and their order is not kept.  A dataset holds one entry per
+    observed cell of positive weight, in ascending cell order: ``patterns``
+    holds the flat observed-cell indices, ``weights`` each cell's total
+    weight and ``rows`` each cell's record.
     """
 
     NA = -1  # convenience alias accepted in input rows; stored as the NA level
@@ -110,24 +118,17 @@ class Dataset:
             raise DataError("weights must have one entry per record")
         if not np.all(np.isfinite(weights) & (weights >= 0)):
             raise DataError("weights must be finite and non-negative")
-        for arr in (rows, cells, weights):
-            arr.setflags(write=False)
+        totals = np.bincount(cells, weights=weights, minlength=len(produced))
         self.columns = tuple(names)
-        self.rows = rows
-        self.cells = cells
-        self.weights = weights
-
-    @property
-    def n_records(self) -> int:
-        return len(self.rows)
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
+        self.patterns = np.flatnonzero(totals > 0)
+        self.weights = totals[self.patterns]
+        self.rows = np.stack(np.unravel_index(self.patterns, sizes), axis=1)
+        for arr in (self.patterns, self.weights, self.rows):
+            arr.setflags(write=False)
 
     @classmethod
     def from_cell_weights(cls, graph: MissingDataGraph, weights) -> "Dataset":
-        """One record per observed cell of nonzero weight, in ascending cell order.
+        """The dataset whose observed cells have ``weights``.
 
         ``weights`` has one entry per cell of the observed table (the shape
         of :func:`~colluder_lab.lawtable.observable_axes`, or flat in
@@ -143,86 +144,85 @@ class Dataset:
     @classmethod
     def from_csv(cls, path, graph: MissingDataGraph, *, na_token: str = "NA",
                  one_based: bool = False) -> "Dataset":
-        """Records from a CSV file with a header row, in file order.
+        """The records of a CSV file with a header row.
 
-        Each distinct line is parsed once, and each distinct field of a column
-        is converted once, so parsing costs about as much as the file's
-        distinct lines.  Blank lines are skipped.  An error names the first
-        line of the file that holds the bad content; a quoted field cannot
-        span lines.
+        Each distinct line is parsed and checked once, with its number of
+        occurrences as weight, and each distinct field of a column is
+        converted once, so reading costs about as much as the file's distinct
+        lines.  Blank lines are skipped.  An error names the first line of
+        the file that holds the bad content; a quoted field cannot span lines.
         """
-        axes = observable_axes(graph)
-        kind = {a.name: a.kind for a in axes}
+        axes = {a.name: a for a in observable_axes(graph)}
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
         if not text:
             raise DataError("empty CSV file")
         header, *lines = text.split("\n")
         header = [h.strip() for h in next(csv.reader([header]))]
-        if sorted(header) != sorted(a.name for a in axes):
-            raise DataError(f"CSV columns {header} do not match graph vertices "
-                            f"{[a.name for a in axes]}")
+        if sorted(header) != sorted(axes):
+            raise DataError(f"CSV columns {header} do not match graph vertices {list(axes)}")
 
         def line_of(content: str) -> int:
             return lines.index(content) + 2
 
-        def level(name: str, cell: str, line: str) -> int:
+        def level(a: Axis, cell: str, line: str) -> int:
             cell = cell.strip()
             if cell == na_token:
-                if kind[name] != "proxy":
-                    raise DataError(f"NA not allowed in column {name!r}", line=line_of(line))
-                return cls.NA
+                if a.kind != "proxy":
+                    raise DataError(f"NA not allowed in column {a.name!r}", line=line_of(line))
+                return a.size - 1
             try:
                 v = int(cell)
             except ValueError:
-                raise DataError(f"non-integer value {cell!r} in column {name!r}",
+                raise DataError(f"non-integer value {cell!r} in column {a.name!r}",
                                 line=line_of(line)) from None
-            return v - 1 if one_based and kind[name] != "indicator" else v
+            code = v - 1 if one_based and a.kind != "indicator" else v
+            # A proxy's last level is NA, which only the NA token spells.
+            if not 0 <= code < a.size - (a.kind == "proxy"):
+                raise DataError(f"value {v} out of range for column {a.name!r}",
+                                line=line_of(line))
+            return code
 
-        # Each distinct line maps to its record's row of ``table``, or -1 if blank;
-        # each column's distinct raw fields map to their levels.
-        index = dict.fromkeys(lines)
+        # Each distinct line once, with its count; each column's distinct raw
+        # fields map to their levels.
+        counts = Counter(lines)
+        columns = [axes[h] for h in header]
         levels = [{} for _ in header]
-        reader = csv.reader(index)
-        table = []
-        for i, (line, rec) in enumerate(zip(index, reader), start=1):
+        reader = csv.reader(counts)
+        kept, table = [], []
+        for i, (line, rec) in enumerate(zip(counts, reader), start=1):
             if reader.line_num != i:
                 raise DataError("quoted field runs past the end of the line",
                                 line=line_of(line))
             if not "".join(rec).strip():  # no field holds anything but whitespace
-                index[line] = -1
                 continue
             if len(rec) != len(header):
                 raise DataError("wrong number of fields", line=line_of(line))
             out = []
-            for name, cell, seen in zip(header, rec, levels):
+            for a, cell, seen in zip(columns, rec, levels):
                 if cell not in seen:
-                    seen[cell] = level(name, cell, line)
+                    seen[cell] = level(a, cell, line)
                 out.append(seen[cell])
-            index[line] = len(table)
+            kept.append(line)
             table.append(out)
-        order = np.fromiter(map(index.__getitem__, lines), dtype=np.intp, count=len(lines))
-        kept = np.flatnonzero(order >= 0)  # the file positions of the records
-        order = order[kept]
         table = np.array(table, dtype=np.int64).reshape(len(table), len(header))
-        # Columns are put in graph order on the distinct records, before they are repeated.
-        table = table[:, [header.index(a.name) for a in axes]]
         try:
-            return cls(graph, table[order])
+            return cls(graph, table, [counts[line] for line in kept], columns=header)
         except DataError as e:
             if e.row is None:
                 raise
-            # The first bad record is the first line that holds its content.
-            raise DataError(e.reason, line=int(kept[e.row]) + 2) from None
+            raise DataError(e.reason, line=line_of(kept[e.row])) from None
 
     def to_csv(self, path, *, na_token: str = "NA", one_based: bool = False) -> None:
-        if not np.all(self.weights == 1.0):
-            raise DataError("only unit-weight datasets can be written as record CSVs")
+        """Write each cell's record ``weight`` times, in ascending cell order."""
+        if np.any(self.weights % 1 != 0):
+            raise DataError("only datasets with whole-number weights can be written as "
+                            "record CSVs")
         axes = observable_axes(self.graph)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(self.columns)
-            for row in self.rows:
+            for row, weight in zip(self.rows, self.weights):
                 out = []
                 for a, v in zip(axes, row):
                     if a.kind == "proxy" and v == a.size - 1:
@@ -231,7 +231,7 @@ class Dataset:
                         out.append(int(v) + 1)
                     else:
                         out.append(int(v))
-                writer.writerow(out)
+                writer.writerows([out] * int(weight))
 
 
 def population_dataset(obs: ObservedLawTable) -> Dataset:
@@ -407,20 +407,17 @@ class LikelihoodModel:
 
     # -- data binding ---------------------------------------------------------
 
-    def bind(self, data: Dataset) -> "_BoundData":
-        """The data as its observed cells of positive weight, each with its total weight."""
-        axes = observable_axes(self.graph)
-        if observable_axes(data.graph) != axes:
+    def bind(self, data: Dataset) -> Dataset:
+        """``data``, once checked to be over this model's observed table and not empty."""
+        if observable_axes(data.graph) != observable_axes(self.graph):
             raise FitError("dataset columns, level counts or kinds do not match "
                            "the model graph")
-        weights = np.bincount(data.cells, weights=data.weights, minlength=self._n_obs)
-        patterns = np.flatnonzero(weights > 0)
-        if not len(patterns):
+        if not len(data.patterns):
             raise FitError("empty dataset")
-        return _BoundData(patterns, weights[patterns])
+        return data
 
-    def cell_weights(self, bound: "_BoundData") -> np.ndarray:
-        """The weight of every observed cell of a bound dataset."""
+    def cell_weights(self, bound: Dataset) -> np.ndarray:
+        """The weight of every observed cell of a dataset."""
         weights = np.zeros(self._n_obs)
         weights[bound.patterns] = bound.weights
         return weights
@@ -429,11 +426,11 @@ class LikelihoodModel:
         """The CPT probabilities of ``theta`` as rows (B, ...), and each row's
         observed-cell weights (B, n_obs).
 
-        ``bound`` is a bound dataset, shared by every row, or an array of
+        ``bound`` is a dataset, shared by every row, or an array of
         observed-cell weights with one row per row of ``theta``.
         """
         probs = np.atleast_2d(self._cpt_probs(theta))
-        weights = self.cell_weights(bound) if isinstance(bound, _BoundData) else bound
+        weights = self.cell_weights(bound) if isinstance(bound, Dataset) else bound
         return probs, np.broadcast_to(np.asarray(weights, dtype=float),
                                       (len(probs), self._n_obs))
 
@@ -445,7 +442,7 @@ class LikelihoodModel:
     # contractions go through einsum's loops rather than BLAS, whose kernels
     # may order a sum by the data's alignment.
 
-    def pattern_probs(self, theta: np.ndarray, bound: "_BoundData") -> np.ndarray:
+    def pattern_probs(self, theta: np.ndarray, bound: Dataset) -> np.ndarray:
         """The probability of each observed cell of positive weight in ``bound``."""
         _, mass = self._masses(np.atleast_2d(self._cpt_probs(theta)))
         return mass[:, bound.patterns].reshape(np.shape(theta)[:-1] + (-1,))
@@ -522,13 +519,6 @@ class LikelihoodModel:
                     out.append((name, tuple(zip(self.parents[name], pa)), level,
                                 off + row_i * (L - 1), row_i))
         return out
-
-
-@dataclass
-class _BoundData:
-    """A dataset's observed cells of positive weight, and each cell's total weight."""
-    patterns: np.ndarray  # flat observed-cell indices, ascending
-    weights: np.ndarray
 
 
 # -- module-level operations --------------------------------------------------------

@@ -295,8 +295,7 @@ class CategoricalLaw:
     @staticmethod
     def parent_order(graph: MissingDataGraph, name: str) -> tuple[str, ...]:
         """Parents of ``name`` in graph declaration order (a proxy parents nothing)."""
-        order = {v.name: i for i, v in enumerate(graph.vertices)}
-        return tuple(sorted(graph.parents(name), key=order.__getitem__))
+        return graph.parents(name)
 
     def strictly_positive(self, eps_pos: float = EPS_POS) -> bool:
         return all(float(x) >= eps_pos for arr in self.cpts.values() for x in arr.flat)

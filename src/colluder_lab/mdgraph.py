@@ -186,8 +186,10 @@ class MissingDataGraph:
         self._bidirected = tuple(bidirected)
         self._pairs = tuple(final_pairs)
 
+        # Each vertex's parents in declaration order, which orders a CPT's axes.
+        order = {n: i for i, n in enumerate(by_name)}
         par: dict[str, list[str]] = {n: [] for n in by_name}
-        for u, w in directed:
+        for u, w in sorted(directed, key=lambda e: order[e[0]]):
             par[w].append(u)
         self._parents = {n: tuple(par[n]) for n in by_name}
 
@@ -259,6 +261,7 @@ class MissingDataGraph:
         return name in self._by_name
 
     def parents(self, name: str) -> tuple[str, ...]:
+        """The parents of ``name`` in declaration order."""
         self.vertex(name)
         return self._parents[name]
 

@@ -27,37 +27,23 @@ from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map, observabl
 from .mdgraph import MissingDataGraph, VertexRole, json_object, load_json_source
 
 
-def _full_counts(law: CategoricalLaw, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial counts of ``n`` i.i.d. draws over the flattened full joint."""
-    if n < 1:
-        raise LawError("sample size must be positive")
-    probs = law.joint_table().values.astype(float).reshape(-1)
-    return rng.multinomial(n, probs / probs.sum())
-
-
 def sample_dataset(law: CategoricalLaw, n: int, seed=None) -> Dataset:
-    """Draw ``n`` i.i.d. records by forward sampling and masking the proxies."""
-    rng = np.random.default_rng(seed)
-    counts = _full_counts(law, n, rng)
-    cells = np.repeat(coarsening_map(law.graph).reshape(-1), counts)
-    rng.shuffle(cells)
-    shape = [a.size for a in observable_axes(law.graph)]
-    return Dataset(law.graph, np.stack(np.unravel_index(cells, shape), axis=1))
+    """Draw ``n`` i.i.d. records by forward sampling and masking the proxies.
 
-
-def sample_counts(law: CategoricalLaw, n: int, seed=None) -> Dataset:
-    """The records :func:`sample_dataset` draws for ``seed``, as observed-cell counts.
-
-    One record per observed cell that occurs, in ascending cell order, with
-    its count as weight.  Fitting it gives the same result as fitting the
-    records, without building them.
+    The dataset holds the records as observed-cell counts.
     """
     return Dataset.from_cell_weights(law.graph, _cell_counts(law, n, seed))
 
 
 def _cell_counts(law: CategoricalLaw, n: int, seed) -> np.ndarray:
-    """The count of every observed cell among the records drawn for ``seed``."""
-    counts = _full_counts(law, n, np.random.default_rng(seed))
+    """The count of every observed cell among ``n`` i.i.d. records drawn for ``seed``.
+
+    One multinomial draw over the flattened full joint, summed by the coarsening map.
+    """
+    if n < 1:
+        raise LawError("sample size must be positive")
+    probs = law.joint_table().values.astype(float).reshape(-1)
+    counts = np.random.default_rng(seed).multinomial(n, probs / probs.sum())
     size = int(np.prod([a.size for a in observable_axes(law.graph)]))
     return np.bincount(coarsening_map(law.graph).reshape(-1), weights=counts, minlength=size)
 

@@ -148,7 +148,8 @@ class TestFit:
         g = ccm_graph(2, 2)
         law = random_law(g, seed=5)
         data = sample_dataset(law, 800, seed=6)
-        complete = Dataset(g, data.rows[(data.rows[:, 2] == 1) & (data.rows[:, 3] == 1)])
+        keep = (data.rows[:, 2] == 1) & (data.rows[:, 3] == 1)
+        complete = Dataset(g, data.rows[keep], data.weights[keep])
         csv_path = tmp_path / "d.csv"
         complete.to_csv(csv_path)
         out_path = tmp_path / "fit.json"
@@ -158,8 +159,7 @@ class TestFit:
         table = capsys.readouterr().out
         assert "Parameter" in table and "p(Y=1 | X=0)" in table
         doc = json.loads(out_path.read_text())
-        x = complete.rows[:, 0]
-        want = float((x == 1).mean())
+        want = complete.weights[complete.rows[:, 0] == 1].sum() / complete.weights.sum()
         est = [p for p in doc["parameters"] if p["vertex"] == "X"][0]["estimate"]
         assert est == pytest.approx(want, abs=1e-6)
 

@@ -14,7 +14,7 @@ from colluder_lab import (CategoricalLaw, DataError, Dataset, FitConfig,
                           observable_axes, observed_law, population_dataset, random_law)
 from colluder_lab.estimate import _newton, maximize, starting_points
 from colluder_lab.lawtable import coarsening_map
-from colluder_lab.simstudy import sample_counts, sample_dataset
+from colluder_lab.simstudy import sample_dataset
 from conftest import exact_random_law, per_parameter_report, small_graphs
 
 O = VertexRole.FULLY_OBSERVED
@@ -70,6 +70,22 @@ def line_by_line_rows(path, graph, na_token="NA", one_based=False):
     return np.array(rows, dtype=np.int64).reshape(len(rows), len(axes))
 
 
+def counted(rows):
+    """Each distinct record, in ascending order, and its count."""
+    distinct, counts = np.unique(rows, axis=0, return_counts=True)
+    return distinct.tolist(), counts.tolist()
+
+
+def records_of(data):
+    """Each cell's record of a count dataset, repeated its count times."""
+    return np.repeat(data.rows, data.weights.astype(int), axis=0)
+
+
+def assert_same_data(a, b):
+    for field in ("patterns", "weights", "rows"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 @settings(max_examples=30, deadline=None)
 @given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1), one_based=st.booleans(),
        na_token=st.sampled_from(["NA", "?", "missing"]))
@@ -80,8 +96,36 @@ def test_csv_round_trip_property(tmp_path_factory, graph, seed, one_based, na_to
     path = tmp_path_factory.mktemp("csv") / "d.csv"
     data.to_csv(path, na_token=na_token, one_based=one_based)
     back = Dataset.from_csv(path, graph, na_token=na_token, one_based=one_based)
-    assert np.array_equal(back.rows, data.rows)
-    assert np.array_equal(back.rows, line_by_line_rows(path, graph, na_token, one_based))
+    assert_same_data(back, data)
+    assert counted(line_by_line_rows(path, graph, na_token, one_based)) == \
+        (back.rows.tolist(), back.weights.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
+def test_a_dataset_is_its_observed_cell_counts(graph, seed):
+    # Shuffling the records, splitting a record's weight across duplicates, or
+    # building from the cell counts gives the same dataset, and the same fit.
+    rng = np.random.default_rng(seed)
+    law = CategoricalLaw(graph, {k: v.astype(float)
+                                 for k, v in exact_random_law(graph, rng).cpts.items()})
+    records = records_of(sample_dataset(law, int(rng.integers(1, 300)), seed=seed))
+    shuffled = Dataset(graph, records[rng.permutation(len(records))])
+    split = rng.random(len(records)) < 0.3  # these records become two of weight 1/4 and 3/4
+    weights = np.where(split, 0.25, 1.0)
+    duplicated = Dataset(graph, np.concatenate([records, records[split]]),
+                         np.concatenate([weights, np.full(split.sum(), 0.75)]))
+    shape = [a.size for a in observable_axes(graph)]
+    counts = Dataset.from_cell_weights(graph, np.bincount(
+        np.ravel_multi_index(records.T, shape), minlength=int(np.prod(shape))))
+    for data in (duplicated, counts):
+        assert_same_data(data, shuffled)
+    assert counted(records) == (shuffled.rows.tolist(), shuffled.weights.tolist())
+    config = FitConfig(restarts=2, seed=seed, max_iterations=40, allow_nonidentifiable=True)
+    a, b = fit(Dataset(graph, records), graph, config), fit(counts, graph, config)
+    assert np.array_equal(a.theta, b.theta)
+    assert (a.log_likelihood, a.grad_norm, a.iterations) == \
+        (b.log_likelihood, b.grad_norm, b.iterations)
 
 
 class TestDataset:
@@ -124,24 +168,28 @@ class TestDataset:
         d = sample_dataset(random_law(fig1b, seed=1), 500, seed=2)
         path = tmp_path / "d.csv"
         d.to_csv(path)
-        d2 = Dataset.from_csv(path, fig1b)
-        assert np.array_equal(d.rows, d2.rows)
+        assert_same_data(Dataset.from_csv(path, fig1b), d)
 
-    @pytest.mark.parametrize("weight", [1.000005, 0.999995, 2.0])
-    def test_csv_needs_exactly_unit_weights(self, fig1b, tmp_path, weight):
+    @pytest.mark.parametrize("weight", [1.000005, 0.999995, 2.5])
+    def test_csv_needs_whole_number_weights(self, fig1b, tmp_path, weight):
         d = sample_dataset(random_law(fig1b, seed=1), 20, seed=2)
-        weights = np.ones(d.n_records)
-        weights[3] = weight
-        with pytest.raises(DataError, match="unit-weight"):
+        weights = d.weights.copy()
+        weights[0] = weight
+        with pytest.raises(DataError, match="whole-number weights"):
             Dataset(fig1b, d.rows, weights).to_csv(tmp_path / "d.csv")
         assert not (tmp_path / "d.csv").exists()
+
+    def test_csv_writes_each_record_weight_times(self, fig1b, tmp_path):
+        d = Dataset(fig1b, [[NA, 1, 0, 1], [1, 0, 1, 1], [NA, 1, 0, 1]], weights=[1.0, 3.0, 1.0])
+        d.to_csv(tmp_path / "d.csv")
+        assert (tmp_path / "d.csv").read_text().splitlines() == \
+            ["X,Y,R_X,R_Y"] + ["1,0,1,1"] * 3 + ["NA,1,0,1"] * 2
 
     def test_csv_one_based_round_trip(self, fig1b, tmp_path):
         d = sample_dataset(random_law(fig1b, seed=1), 200, seed=2)
         path = tmp_path / "d.csv"
         d.to_csv(path, one_based=True, na_token="?")
-        d2 = Dataset.from_csv(path, fig1b, one_based=True, na_token="?")
-        assert np.array_equal(d.rows, d2.rows)
+        assert_same_data(Dataset.from_csv(path, fig1b, one_based=True, na_token="?"), d)
 
     def test_csv_inconsistent_record_line_number(self, fig1b, tmp_path):
         path = tmp_path / "bad.csv"
@@ -160,6 +208,18 @@ class TestDataset:
         path.write_text("X,Y,R_X,R_Y\nNA,0,NA,1\n")
         with pytest.raises(DataError, match="NA not allowed"):
             Dataset.from_csv(path, fig1b)
+
+    @pytest.mark.parametrize("line, one_based", [("2,1", False), ("-1,1", False), ("0,1", True),
+                                                 ("3,2", True)])
+    @pytest.mark.parametrize("r_x", [0, 1])
+    def test_csv_code_outside_the_levels_is_out_of_range(self, tmp_path, line, one_based, r_x):
+        # Only the NA token spells NA, not the NA level's code or the in-memory alias -1.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"X,Y,R_X,R_Y\n{line},{r_x},1\n")
+        code = line.split(",")[0]
+        with pytest.raises(DataError, match=rf"^value {code} out of range for column 'X' "
+                                            rf"\(line 2\)$"):
+            Dataset.from_csv(path, ccm_graph(2, 2), one_based=one_based)
 
     @pytest.mark.parametrize("record, message", [
         ("1,5,1,1", "out of range"), ("0,NA,1,1", "NA exactly when"),
@@ -199,21 +259,24 @@ class TestDataset:
         path = tmp_path / "d.csv"
         path.write_text('X,Y,R_X,R_Y\n1,0,1,1\n 1, 0 ,1,1\n"1",0,"1",1\n'
                         'NA,1,0,1\n NA ,"1",0,1\n1,0,1,1\n')
-        rows = Dataset.from_csv(path, fig1b).rows
-        assert rows.tolist() == [[1, 0, 1, 1]] * 3 + [[2, 1, 0, 1]] * 2 + [[1, 0, 1, 1]]
+        data = Dataset.from_csv(path, fig1b)
+        assert (data.rows.tolist(), data.weights.tolist()) == ([[1, 0, 1, 1], [2, 1, 0, 1]],
+                                                               [4, 2])
 
     def test_csv_crlf_line_endings(self, fig1b, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"X,Y,R_X,R_Y\r\n1,0,1,1\r\nNA,1,0,1\n1,0,1,1\r\n\r\n0,NA,1,0\r\n")
-        rows = Dataset.from_csv(path, fig1b).rows
-        assert rows.tolist() == [[1, 0, 1, 1], [2, 1, 0, 1], [1, 0, 1, 1], [0, 2, 1, 0]]
+        data = Dataset.from_csv(path, fig1b)
+        assert (data.rows.tolist(), data.weights.tolist()) == \
+            ([[0, 2, 1, 0], [1, 0, 1, 1], [2, 1, 0, 1]], [1, 2, 1])
 
     def test_csv_utf8_byte_order_mark(self, fig1b, tmp_path):
         # spreadsheets export "CSV UTF-8" with a byte-order mark before the header
         path = tmp_path / "d.csv"
         path.write_bytes("X,Y,R_X,R_Y\n1,0,1,1\nNA,1,0,1\n".encode("utf-8-sig"))
-        rows = Dataset.from_csv(path, fig1b).rows
-        assert rows.tolist() == [[1, 0, 1, 1], [2, 1, 0, 1]]
+        data = Dataset.from_csv(path, fig1b)
+        assert (data.rows.tolist(), data.weights.tolist()) == ([[1, 0, 1, 1], [2, 1, 0, 1]],
+                                                               [1, 1])
 
     def test_csv_header_only_is_an_empty_dataset(self, fig1b, tmp_path):
         path = tmp_path / "d.csv"
@@ -232,13 +295,12 @@ class TestDataset:
     def test_csv_rows_match_a_per_line_parse(self, tmp_path):
         graph = ccm_graph(3, 3)
         data = sample_dataset(random_law(graph, seed=42), 5000, seed=43)
-        perm = np.random.default_rng(44).permutation(data.n_records)
-        data = Dataset(graph, data.rows[perm], data.weights[perm])
         path = tmp_path / "d.csv"
         data.to_csv(path, one_based=True)
-        # Respell some records, add blank lines and reorder the columns.
+        # Shuffle and respell the records, add blank lines and reorder the columns.
         rng = np.random.default_rng(45)
         header, *lines = path.read_text().splitlines()
+        lines = [lines[i] for i in np.random.default_rng(44).permutation(len(lines))]
         order = [2, 0, 3, 1]
         out = [",".join(header.split(",")[i] for i in order)]
         for line in lines:
@@ -249,9 +311,10 @@ class TestDataset:
             if rng.random() < 0.01:
                 out.append(" " * int(rng.integers(3)))
         path.write_text("\n".join(out) + "\n")
-        rows = Dataset.from_csv(path, graph, one_based=True).rows
-        assert np.array_equal(rows, line_by_line_rows(path, graph, one_based=True))
-        assert np.array_equal(rows, data.rows)
+        back = Dataset.from_csv(path, graph, one_based=True)
+        assert counted(line_by_line_rows(path, graph, one_based=True)) == \
+            (back.rows.tolist(), back.weights.tolist())
+        assert_same_data(back, data)
 
 
 class TestBind:
@@ -277,16 +340,6 @@ class TestBind:
                     for full in completion_set(record, graph)] if consistent else []
             assert np.flatnonzero(cells == obs).tolist() == sorted(want)
 
-    def test_count_dataset_fits_like_its_records(self, fig1b):
-        law = random_law(fig1b, seed=39)
-        records = sample_dataset(law, 20_000, seed=40)
-        counts = sample_counts(law, 20_000, seed=40)
-        assert counts.n_records <= 36 and counts.total_weight == 20_000
-        config = FitConfig(restarts=2, seed=41)
-        a, b = fit(records, fig1b, config), fit(counts, fig1b, config)
-        assert np.array_equal(a.theta, b.theta)
-        assert a.log_likelihood == b.log_likelihood
-
 
 class TestLogLikelihood:
     def test_complete_data_equals_sum_of_joint_logs(self, fig1b):
@@ -295,8 +348,8 @@ class TestLogLikelihood:
         model = LikelihoodModel(fig1b)
         theta = model.cpts_to_theta(law.cpts)
         from colluder_lab import joint_probability
-        want = sum(math.log(joint_probability(law, dict(zip(data.columns, row))))
-                   for row in data.rows.tolist())
+        want = sum(w * math.log(joint_probability(law, dict(zip(data.columns, row))))
+                   for row, w in zip(data.rows.tolist(), data.weights))
         assert log_likelihood(theta, data, fig1b) == pytest.approx(want, abs=1e-12)
 
     def test_single_double_missing_record_marginal(self, fig1b):
@@ -317,11 +370,13 @@ class TestLogLikelihood:
         data = sample_dataset(law, 300, seed=5)
         model = LikelihoodModel(fig1b)
         theta = model.cpts_to_theta(law.cpts)
-        rng = np.random.default_rng(6)
-        perm = rng.permutation(data.n_records)
-        assert log_likelihood(theta, data, fig1b) == pytest.approx(
-            log_likelihood(theta, Dataset(fig1b, data.rows[perm], data.weights[perm]), fig1b),
-            abs=1e-9)
+        # The first ten records become twenty of weight 1/2, and the records are shuffled.
+        records = records_of(data)
+        records = np.concatenate([records, records[:10]])
+        weights = np.concatenate([np.full(10, 0.5), np.ones(len(records) - 20), np.full(10, 0.5)])
+        perm = np.random.default_rng(6).permutation(len(records))
+        assert log_likelihood(theta, Dataset(fig1b, records[perm], weights[perm]), fig1b) == \
+            log_likelihood(theta, data, fig1b)
 
     def test_population_log_likelihood_maximized_at_truth(self, fig1b):
         law = random_law(fig1b, seed=7)
@@ -430,10 +485,10 @@ def weighted_sample(graph, seed, n=60):
     rng = np.random.default_rng(seed)
     exact = exact_random_law(graph, rng)
     law = CategoricalLaw(graph, {k: v.astype(float) for k, v in exact.cpts.items()})
-    data = sample_dataset(law, n, seed=seed)
+    records = records_of(sample_dataset(law, n, seed=seed))
     weights = rng.choice([0.0, 0.5, 1.0, 3.0], size=n, p=[0.35, 0.15, 0.3, 0.2])
     weights[0] = 1.0
-    return Dataset(graph, data.rows, weights), rng
+    return Dataset(graph, records, weights), rng
 
 
 @settings(max_examples=30, deadline=None)
@@ -544,20 +599,17 @@ class TestFit:
                 run()
 
     def test_complete_data_recovers_frequencies(self, fig1b):
-        rows = []
-        rng = np.random.default_rng(15)
         law = random_law(fig1b, seed=16)
         data = sample_dataset(law, 4000, seed=17)
-        full = data.rows[(data.rows[:, 2] == 1) & (data.rows[:, 3] == 1)]
-        complete = Dataset(fig1b, full)
+        keep = (data.rows[:, 2] == 1) & (data.rows[:, 3] == 1)
+        complete = Dataset(fig1b, data.rows[keep], data.weights[keep])
         res = fit(complete, fig1b, FitConfig(restarts=2, seed=18))
-        # closed-form MLE: empirical frequencies per CPT row
-        x = complete.rows[:, 0]
+        # closed-form MLE: weighted empirical frequencies per CPT row
+        x, y, w = complete.rows[:, 0], complete.rows[:, 1], complete.weights
         assert float(np.asarray(res.cpts["X"], float)[0]) == pytest.approx(
-            float((x == 0).mean()), abs=1e-6)
-        y0 = complete.rows[x == 0, 1]
+            w[x == 0].sum() / w.sum(), abs=1e-6)
         assert float(np.asarray(res.cpts["Y"], float)[0, 0]) == pytest.approx(
-            float((y0 == 0).mean()), abs=1e-6)
+            w[(x == 0) & (y == 0)].sum() / w[x == 0].sum(), abs=1e-6)
 
     def test_population_recovery(self, fig1b):
         law = random_law(fig1b, seed=19)
@@ -616,7 +668,7 @@ class TestFit:
         swapped_rows = data.rows.copy()
         observed = swapped_rows[:, 1] != 2
         swapped_rows[observed, 1] = 1 - swapped_rows[observed, 1]
-        res_swapped = fit(Dataset(fig1b, swapped_rows), fig1b,
+        res_swapped = fit(Dataset(fig1b, swapped_rows, data.weights), fig1b,
                           FitConfig(restarts=3, seed=28))
         assert res.log_likelihood == pytest.approx(res_swapped.log_likelihood, abs=1e-9)
         pyx = np.asarray(res.cpts["Y"], float)
@@ -650,8 +702,9 @@ class TestFit:
         })
         data = sample_dataset(law, 11708, seed=30)
         # marginal missingness mirrors the survey workload: ~15% and ~8%
-        assert np.isclose((data.rows[:, 0] == 3).mean(), 0.147, atol=0.02)
-        assert (data.rows[:, 1] == 3).mean() < 0.12
+        share = [data.weights[data.rows[:, i] == 3].sum() / 11708 for i in (0, 1)]
+        assert np.isclose(share[0], 0.147, atol=0.02)
+        assert share[1] < 0.12
         res = fit(data, g, FitConfig(restarts=3, seed=31))
         assert res.converged
         assert len(res.parameters) == 15
@@ -715,9 +768,9 @@ def test_batched_fit_equals_each_datasets_own_fit(graph, seed, n_data):
     # is what fit() reports for that dataset.
     rng = np.random.default_rng(seed)
     model = LikelihoodModel(graph)
-    data = [sample_counts(CategoricalLaw(graph, {k: v.astype(float) for k, v in
-                                                 exact_random_law(graph, rng).cpts.items()}),
-                          int(rng.integers(20, 400)), seed=int(rng.integers(1 << 30)))
+    data = [sample_dataset(CategoricalLaw(graph, {k: v.astype(float) for k, v in
+                                                  exact_random_law(graph, rng).cpts.items()}),
+                           int(rng.integers(20, 400)), seed=int(rng.integers(1 << 30)))
             for _ in range(n_data)]
     weights = np.stack([model.cell_weights(model.bind(d)) for d in data])
     fit_seeds = [int(s) for s in rng.integers(1 << 30, size=n_data)]

@@ -583,6 +583,17 @@ class TestSerialization:
         with pytest.raises(LawError, match="unknown law keys"):
             CategoricalLaw.from_json(doc)
 
+    def test_parents_in_declaration_order_whatever_the_edge_order(self):
+        doc = ccm_graph(2, 2).to_json()
+        doc["edges"].reverse()  # R_X -> R_Y is now listed before X -> R_Y
+        g = MissingDataGraph.from_json(doc)
+        assert g.parents("R_Y") == CategoricalLaw.parent_order(g, "R_Y") == ("X", "R_X")
+        law = random_law(g, seed=9)
+        back = CategoricalLaw.from_json(json.dumps(law.to_json()))
+        assert back.graph.parents("R_Y") == ("X", "R_X")
+        for name, cpt in law.cpts.items():
+            assert np.array_equal(back.cpts[name], cpt)
+
     def test_parent_order_reconciled(self):
         g = ccm_graph(2, 2)
         law = random_law(g, seed=9)
