@@ -19,7 +19,7 @@ from .fixtures import ccm_graph, cross_censoring_graph, example_graph, example_g
 from .identify import (BinaryColluderQuantities, ColluderSystem,
                        IdentifiabilityVerdict, binary_closed_form,
                        build_colluder_system, colluder_mechanism, decide_full_law,
-                       enumerate_strata, or_factorization_check,
+                       enumerate_strata, identified_cpts, or_factorization_check,
                        quantities_from_observed, rank_test, solve_colluder)
 from .lawtable import (Axis, CategoricalLaw, ObservedLawTable, ProbabilityTable,
                        SimConstraints, conditional, joint_probability,

@@ -12,9 +12,13 @@ Newton on that Hessian.
 The objective and its derivatives take a batch of parameter vectors, one per
 row, each with its own observed-cell weights, and a row's result does not
 depend on the other rows.  A fit climbs all of its starts as one batch, and a
-simulation study climbs every start of many datasets at once.  Each Newton
-step builds one posterior per row and takes the gradient and the Hessian
-from it.
+simulation study climbs every start of many datasets at once, with as many
+starts per dataset as it needs.  Each Newton step builds one posterior per
+row and takes the gradient and the Hessian from it.
+
+:func:`fit` starts from the uniform law and random laws only.  A simulation
+study also starts each dataset from its identified law and may stop there
+(see :mod:`colluder_lab.simstudy`).
 """
 
 from __future__ import annotations
@@ -712,25 +716,26 @@ def starting_points(model: LikelihoodModel, restarts: int, seed) -> np.ndarray:
     return np.array(starts)
 
 
-def maximize(model: LikelihoodModel, weights: np.ndarray, starts: np.ndarray, max_steps: int):
+def maximize(model: LikelihoodModel, weights: np.ndarray, starts, max_steps: int):
     """Climb every start of every dataset in one Newton batch; keep each dataset's best.
 
     ``weights`` (C, n_obs) holds each dataset's observed-cell weights and
-    ``starts`` (C, R, k) its starts.  Returns per dataset the best start's
-    point, log-likelihood and index (the first of the highest), its final
-    gradient norm and whether it converged, and the steps of every start
-    (C, R).
+    ``starts`` its starts: C arrays (R_c, k), one per dataset, whose start
+    counts may differ, or one array (C, R, k).  Returns per dataset the best
+    start's point, log-likelihood and index (the first of the highest), its
+    final gradient norm and whether it converged, and the steps of every
+    start (C arrays (R_c,)).
     """
-    n, r = starts.shape[:2]
-    rows = np.repeat(weights, r, axis=0)
-    theta, grad_norm, steps, capped = _newton(model, starts.reshape(n * r, -1), rows, max_steps)
-    ll = model.log_likelihood(theta, rows).reshape(n, r)
-    best = np.argmax(ll, axis=1)
-    pick = np.arange(n) * r + best
+    sizes = np.array([len(s) for s in starts])
+    first = np.cumsum(sizes) - sizes
+    rows = np.repeat(weights, sizes, axis=0)
+    theta, grad_norm, steps, capped = _newton(model, np.concatenate(starts), rows, max_steps)
+    ll = model.log_likelihood(theta, rows)
+    pick = first + np.array([np.argmax(ll[i:i + r]) for i, r in zip(first, sizes)], dtype=int)
     # A best start stopped by its step cap has an unconfirmed optimum.
     converged = (grad_norm[pick] <= _GRAD_TOL) & ~capped[pick]
-    return (theta[pick], ll[np.arange(n), best], best, grad_norm[pick], converged,
-            steps.reshape(n, r))
+    return (theta[pick], ll[pick], pick - first, grad_norm[pick], converged,
+            np.split(steps, first[1:]))
 
 
 def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None) -> FitResult:

@@ -7,7 +7,9 @@ their observed tables.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -17,7 +19,7 @@ from .errors import (ConditionalIndependenceError, GraphQueryError, LawError,
                      PositivityError, RankDeficiencyError)
 from .lawtable import (EPS_POS, Axis, CategoricalLaw, ObservedLawTable,
                        ProbabilityTable, conditional)
-from .mdgraph import Colluder, MissingDataGraph, VertexRole, m_separated
+from .mdgraph import Colluder, MissingDataGraph, VertexRole, find_colluders, m_separated
 
 #: Relative tolerance for the numerical rank of a colluder matrix.
 RANK_TOL = 1e-10
@@ -98,11 +100,12 @@ def enumerate_strata(g: MissingDataGraph, col: Colluder):
 
 
 def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
-                          col: Colluder) -> ColluderSystem:
+                          col: Colluder, fractions: bool = False) -> ColluderSystem:
     """The colluder's system at every stratum, read in one pass off the observed table.
 
     Each mass is its exact total rounded once to float, so the entries equal
-    per-event ``float(event_prob(...))`` arithmetic.  Raises
+    per-event ``float(event_prob(...))`` arithmetic; with ``fractions`` each
+    mass is its exact total as a ``Fraction`` and the system is exact.  Raises
     :class:`ConditionalIndependenceError` when the required m-separation fails
     and :class:`PositivityError` for the first stratum whose mass, or whose
     mass of some {X=x_j, R_X=1, R_Y=1}, is below ``EPS_POS``.
@@ -119,6 +122,7 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
     enumerable, indicators = stratum_variables(g, col)
     strata = tuple(enumerate_strata(g, col))
     exact = obs.rationals()
+    value = exact.fractions if fractions else exact.floats
     index = [slice(None)] * len(obs.axes)
     for n in indicators:
         index[obs.axis(n)] = 1
@@ -128,8 +132,8 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
     order = [kept.index(n) for n in (*enumerable, x_name, y_name, rx, ry)]
     t = np.transpose(exact.numerators[tuple(index)], order).reshape(-1, m + 1, q + 1, 2, 2)
 
-    p_z = exact.floats(t.sum(axis=(1, 2, 3, 4)))
-    p_x = exact.floats(t[:, :m, :, 1, 1].sum(axis=2))
+    p_z = value(t.sum(axis=(1, 2, 3, 4)))
+    p_x = value(t[:, :m, :, 1, 1].sum(axis=2))
     null = np.flatnonzero((p_z < EPS_POS) | (p_x < EPS_POS).any(axis=1))
     if null.size:
         z = strata[null[0]]
@@ -140,10 +144,10 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
             f"positivity violated: event {{{x_name}={j}, {rx}=1, {ry}=1}} "
             f"has zero mass at stratum {z}", stratum=z)
 
-    p_ry1 = exact.floats(t[..., 1].sum(axis=(1, 2, 3))) / p_z
-    joint = exact.floats(t[:, :m, :q, 1, 1])
+    p_ry1 = value(t[..., 1].sum(axis=(1, 2, 3))) / p_z
+    joint = value(t[:, :m, :q, 1, 1])
     a = np.swapaxes(joint / p_x[:, :, None] * p_ry1[:, None, None], 1, 2)
-    b = exact.floats(np.moveaxis(t[:, :, :q, :, 1].sum(axis=1), 2, 1)) / p_z[:, None, None]
+    b = value(np.moveaxis(t[:, :, :q, :, 1].sum(axis=1), 2, 1)) / p_z[:, None, None]
     return ColluderSystem(col, strata, np.ascontiguousarray(a), b)
 
 
@@ -154,16 +158,36 @@ def rank_test(sys: ColluderSystem) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(sv > RANK_TOL * sv[:, :1], axis=1), sv
 
 
-def solve_colluder(sys: ColluderSystem) -> ColluderSolution:
-    """Solve every A s = b by the Moore-Penrose inverse; requires full column rank.
+def _least_squares(sys: ColluderSystem) -> np.ndarray:
+    """The least-squares solution (S, 2, m) of every system; requires full column rank.
 
-    For square systems this is the plain inverse, and for consistent
-    overdetermined systems it is exact.  The first rank-deficient stratum
-    raises :class:`RankDeficiencyError`, then the first system with a
-    residual above 1e-8 raises :class:`LawError`.  Raw values (S, 2, m) are
-    returned unclipped; entries outside [0, 1] by more than 1e-8 are flagged.
+    A float system is solved by ``lstsq``, and an exact one by Gauss-Jordan
+    elimination in ``Fraction`` arithmetic, on its normal equations where it
+    is overdetermined.  The first rank-deficient stratum raises
+    :class:`RankDeficiencyError`.
     """
-    m = sys.a.shape[2]
+    q, m = sys.a.shape[1:]
+    if sys.a.dtype == object:
+        values = []
+        for s, (a, b) in enumerate(zip(sys.a, sys.b)):
+            aug = np.concatenate([a.T @ a, a.T @ b.T] if q > m else [a, b.T], axis=1)
+            rank = 0
+            for j in range(m):
+                pivot = next((i for i in range(rank, m) if aug[i, j] != 0), None)
+                if pivot is None:
+                    continue
+                aug[[rank, pivot]] = aug[[pivot, rank]]
+                aug[rank] = aug[rank] / aug[rank, j]
+                for i in range(m):
+                    if i != rank:
+                        aug[i] = aug[i] - aug[i, j] * aug[rank]
+                rank += 1
+            if rank < m:
+                raise RankDeficiencyError(
+                    f"not identifiable at this stratum: rank {rank} < {m}",
+                    colluder=sys.colluder, stratum=sys.strata[s], rank=rank, required=m)
+            values.append(aug[:, m:].T)
+        return np.stack(values)
     rank, sv = rank_test(sys)
     deficient = np.flatnonzero(rank < m)
     if deficient.size:
@@ -172,8 +196,19 @@ def solve_colluder(sys: ColluderSystem) -> ColluderSolution:
             f"not identifiable at this stratum: rank {rank[s]} < {m}",
             colluder=sys.colluder, stratum=sys.strata[s], rank=int(rank[s]),
             required=m, singular_values=sv[s])
-    values = np.stack([np.linalg.lstsq(a, b.T, rcond=None)[0].T
-                       for a, b in zip(sys.a, sys.b)])
+    return np.stack([np.linalg.lstsq(a, b.T, rcond=None)[0].T for a, b in zip(sys.a, sys.b)])
+
+
+def solve_colluder(sys: ColluderSystem) -> ColluderSolution:
+    """Solve every float A s = b by the Moore-Penrose inverse; requires full column rank.
+
+    For square systems this is the plain inverse, and for consistent
+    overdetermined systems it is exact.  The first rank-deficient stratum
+    raises :class:`RankDeficiencyError`, then the first system with a
+    residual above 1e-8 raises :class:`LawError`.  Raw values (S, 2, m) are
+    returned unclipped; entries outside [0, 1] by more than 1e-8 are flagged.
+    """
+    values = _least_squares(sys)
     residual = np.abs(values @ np.swapaxes(sys.a, 1, 2) - sys.b).max(axis=2)
     inconsistent = residual[residual > 1e-8]
     if inconsistent.size:
@@ -219,6 +254,90 @@ def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph,
         [g.vertex(n).levels for n in labels[:-1]] + [1])
     mech = np.transpose(mech, [labels.index(a.name) for a in axes])
     return ProbabilityTable(axes, np.broadcast_to(mech, [a.size for a in axes]))
+
+
+# -- the identified full law ------------------------------------------------------
+
+
+def _ccm_colluder(g: MissingDataGraph) -> Colluder:
+    """The colluder {X, R_X} of R_Y in a CCM-family graph.
+
+    The family holds X and Y with their indicators and nothing else: X and
+    R_X are roots, Y is a root or a child of X, and R_Y is a child of X and
+    R_X only.  Any other graph raises :class:`GraphQueryError` naming the
+    first vertex, indicators first, whose CPT no rule reads.
+    """
+    colluders = find_colluders(g)
+    if not colluders:
+        raise GraphQueryError("identified_cpts covers the CCM family only: the graph has "
+                              "no colluder")
+    col = colluders[0]
+    x, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
+    rules = {rx: set(), ry: {x, rx}, x: set(), g.true_of(ry): {x}}
+    for v in sorted(g.non_proxy_vertices(),
+                    key=lambda v: v.role is not VertexRole.RESPONSE_INDICATOR):
+        parents = set(g.parents(v.name))
+        if v.name not in rules or not parents <= rules[v.name]:
+            raise GraphQueryError(
+                f"identified_cpts covers the CCM family only: no rule reads the CPT of "
+                f"{v.name} given {sorted(parents)} off the observed law")
+    return col
+
+
+def identified_cpts(obs: ObservedLawTable) -> dict[str, np.ndarray]:
+    """Every CPT of a CCM-family graph read off its observed law, unclipped.
+
+    With X, Y, R_X and R_Y as in :func:`~colluder_lab.fixtures.ccm_graph`:
+
+    - p(R_X) and p(R_Y | X, R_X = 1) are observed conditionals;
+    - p(X) and p(Y | X) are conditionals of p(X, Y, R = 1) divided by the
+      indicators' CPTs at R = 1.  Those do not involve Y, and p(R_X) no
+      variable, so the division leaves p(X | R_X = 1) and p(Y | X, R = 1);
+    - p(R_Y = 1 | X, R_X = 0) comes from the colluder system.  Its arm r
+      solves s_rj = p(x_j) p(R_X = r) p(R_Y = 1 | x_j, r) / p(R_Y = 1), so
+      the value is s_0j / s_1j * p(R_X = 1) p(R_Y = 1 | x_j, R_X = 1) / p(R_X = 0).
+
+    An exact table gives ``Fraction`` CPTs, equal to the law's own where the
+    colluder matrix has full column rank.  A float table gives float CPTs,
+    each conditional one correctly rounded ratio; there the colluder systems
+    take their least-squares solution, so a sampled overdetermined system
+    (m < q) is read too.  Entries may lie outside [0, 1] for a sampled table.
+    Raises :class:`GraphQueryError` for a graph outside the family,
+    :class:`PositivityError` for an empty conditioning event and
+    :class:`RankDeficiencyError` for a rank-deficient colluder matrix.
+    """
+    g = obs.graph
+    col = _ccm_colluder(g)
+    x, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
+    y = g.true_of(ry)
+    m, q = g.vertex(x).levels, g.vertex(y).levels
+    exact = not obs._rounded
+    s = _least_squares(build_colluder_system(obs, g, col, fractions=exact))[0]
+    table = obs.rationals()
+    t = np.transpose(table.numerators, [obs.axis(n) for n in (x, y, rx, ry)])
+    n_rx = t.sum(axis=(0, 1, 3))
+    if table.floats(n_rx[0]) < EPS_POS:
+        raise PositivityError(f"positivity violated: event {{{rx}=0}} has zero mass")
+
+    def ratio(num, den):
+        """num / den of integer sums, exact or correctly rounded."""
+        out = np.frompyfunc(Fraction if exact else operator.truediv, 2, 1)(num, den)
+        return np.asarray(out, dtype=object if exact else float)
+
+    n_x_ry = t[:m, :, 1, :].sum(axis=1)  # (X, R_Y) at R_X = 1
+    n_xy = t[:m, :q, 1, 1]
+    ry_at_1 = ratio(n_x_ry, n_x_ry.sum(axis=1, keepdims=True))
+    ry1_at_0 = s[0] / s[1] * ratio(n_rx[1] * n_x_ry[:, 1], n_rx[0] * n_x_ry.sum(axis=1))
+    cpt = np.stack([np.stack([1 - ry1_at_0, ry1_at_0], axis=1), ry_at_1], axis=1)
+    cpts = {
+        x: ratio(n_x_ry.sum(axis=1), n_rx[1]),
+        y: ratio(n_xy, n_xy.sum(axis=1, keepdims=True)) if g.parents(y)
+        else ratio(n_xy.sum(axis=0), n_xy.sum()),
+        rx: ratio(n_rx, n_rx.sum()),
+        # (X, R_X, R_Y) -> R_Y's parents in declaration order
+        ry: np.transpose(cpt, [(x, rx).index(p) for p in g.parents(ry)] + [2]),
+    }
+    return {v.name: cpts[v.name] for v in g.non_proxy_vertices()}
 
 
 # -- binary closed form ---------------------------------------------------------

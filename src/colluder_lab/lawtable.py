@@ -57,10 +57,11 @@ class Rationals:
         nums[:] = [n * (den // d) for n, d in ratios]
         return cls(nums.reshape(values.shape), den)
 
-    def fractions(self) -> np.ndarray:
-        """The values as an object array of ``Fraction``."""
+    def fractions(self, numerators) -> np.ndarray:
+        """Each of ``numerators`` (an array of ints) over this denominator, an object
+        array of ``Fraction``."""
         den = self.denominator
-        return np.asarray(np.frompyfunc(lambda n: Fraction(n, den), 1, 1)(self.numerators),
+        return np.asarray(np.frompyfunc(lambda n: Fraction(n, den), 1, 1)(numerators),
                           dtype=object)
 
     def floats(self, numerators) -> np.ndarray:
@@ -130,7 +131,7 @@ class ProbabilityTable:
     @property
     def values(self) -> np.ndarray:
         if self._values is None:
-            values = self._exact.fractions()
+            values = self._exact.fractions(self._exact.numerators)
             values.setflags(write=False)
             self._values = values
         return self._values

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colluder_lab import (BinaryColluderQuantities, ColluderSystem,
@@ -13,7 +13,7 @@ from colluder_lab import (BinaryColluderQuantities, ColluderSystem,
                           binary_closed_form, build_colluder_system, ccm_graph,
                           colluder_mechanism, cross_censoring_graph,
                           decide_full_law, example_graph, find_colluders,
-                          observed_law, or_factorization_check,
+                          identified_cpts, observed_law, or_factorization_check,
                           quantities_from_observed, random_law, rank_test,
                           solve_colluder)
 from colluder_lab.identify import enumerate_strata
@@ -364,6 +364,57 @@ class TestStackedSystems:
                     assert one_rank[0] == rank[s]
                     assert one_sv[0].tobytes() == sv[s].tobytes()
                     assert solve_colluder(one).values[0].tobytes() == values[s].tobytes()
+
+
+class TestIdentifiedCpts:
+    """The whole full law of a CCM-family graph, read off its observed law."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mq=st.sampled_from([(m, q) for q in range(1, 5) for m in range(1, q + 1)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_exact_law_read_back_exactly(self, mq, seed):
+        g = ccm_graph(*mq)
+        law = exact_random_law(g, np.random.default_rng(seed))
+        obs = observed_law(law)
+        _, sv = rank_test(build_colluder_system(obs, g, find_colluders(g)[0]))
+        assume(sv[0, -1] > 1e-6 * sv[0, 0])
+        got = identified_cpts(obs)
+        assert list(got) == list(law.cpts)
+        for name, cpt in law.cpts.items():
+            assert got[name].shape == cpt.shape
+            assert all(type(x) is Fraction for x in got[name].flat)
+            assert np.array_equal(got[name], cpt), name
+
+    def test_parents_follow_declaration_order(self):
+        # R_X declared before X: R_Y's CPT is indexed (R_X, X, R_Y).
+        g = MissingDataGraph(
+            [Vertex("R_X", R, 2), Vertex("Y", X1, 3), Vertex("R_Y", R, 2), Vertex("X", X1, 2)],
+            [("X", "Y"), ("X", "R_Y"), ("R_X", "R_Y")], pairs=[("X", "R_X"), ("Y", "R_Y")])
+        assert g.parents("R_Y") == ("R_X", "X")
+        law = exact_random_law(g, np.random.default_rng(3))
+        got = identified_cpts(observed_law(law))
+        for name, cpt in law.cpts.items():
+            assert np.array_equal(got[name], cpt), name
+
+    def test_float_law_read_back_to_rounding(self):
+        for m, q in [(2, 2), (3, 3), (2, 4), (4, 4)]:
+            law = random_law(ccm_graph(m, q), seed=m * 10 + q)
+            got = identified_cpts(observed_law(law))
+            for name, cpt in law.cpts.items():
+                assert got[name].dtype == float
+                np.testing.assert_allclose(got[name], cpt, rtol=0, atol=1e-12)
+
+    def test_independent_variables_are_rank_deficient(self):
+        law = exact_random_law(ccm_graph(2, 2, dependency=False), np.random.default_rng(0))
+        with pytest.raises(RankDeficiencyError):
+            identified_cpts(observed_law(law))
+
+    @pytest.mark.parametrize("graph, indicator", [(cross_censoring_graph(), "R_X"),
+                                                  (example_graph("d", 3), "R_Z")])
+    def test_graphs_outside_the_family_refused(self, graph, indicator):
+        law = exact_random_law(graph, np.random.default_rng(1))
+        with pytest.raises(GraphQueryError, match=f"CPT of {indicator} given"):
+            identified_cpts(observed_law(law))
 
 
 class TestSoundness:

@@ -3,13 +3,16 @@ import json
 import multiprocessing
 import os
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from colluder_lab import (CategoricalLaw, ColluderLabError, LawError, SimConstraints,
-                          SimScenario, VertexRole, ccm_graph,
-                          random_law, run_scenario, sample_dataset, simstudy)
+from colluder_lab import (CategoricalLaw, ColluderLabError, LawError, LikelihoodModel,
+                          ObservedLawTable, SimConstraints, SimScenario, VertexRole,
+                          ccm_graph, identified_cpts, observable_axes, random_law,
+                          run_scenario, sample_dataset, simstudy)
+from colluder_lab.estimate import maximize, starting_points
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 
 O = VertexRole.FULLY_OBSERVED
@@ -153,10 +156,12 @@ class TestRunScenario:
             json.dumps(r2.to_json(), sort_keys=True)
 
     def test_report_round_trip(self):
-        sc = SimScenario(m=2, q=2, sample_sizes=(500,), replications=2, seed=7)
+        sc = SimScenario(m=2, q=2, sample_sizes=(500, 100000), replications=2, seed=7)
         rep = run_scenario(sc)
         doc = json.loads(json.dumps(rep.to_json()))
         assert doc == rep.to_json()
+        assert doc["certified"] == {"500": rep.certified[500], "100000": 2}
+        assert f"n=500: {rep.certified[500]}, n=100000: 2" in rep.format_table()
 
     def test_report_round_trip_keeps_max_tries(self):
         sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=1, seed=7,
@@ -266,11 +271,12 @@ class TestRunScenario:
         sc = SimScenario(m=2, q=2, sample_sizes=(300, 600), replications=4, seed=2,
                          max_failure_rate=0.25)
         cells = [(n, r) for n in range(2) for r in range(4)]
-        errors = dict(zip(cells, simstudy._run_cells(sc, cells)))
+        errors = {c: e for c, (e, _) in zip(cells, simstudy._run_cells(sc, cells))}
         run_cells = simstudy._run_cells
 
         def one_failure(scenario, cells):
-            return [None if c == (0, 1) else e for c, e in zip(cells, run_cells(scenario, cells))]
+            return [(None, False) if c == (0, 1) else r
+                    for c, r in zip(cells, run_cells(scenario, cells))]
 
         monkeypatch.setattr(simstudy, "_run_cells", one_failure)
         report = run_scenario(sc)
@@ -286,8 +292,8 @@ class TestRunScenario:
         run_cells = simstudy._run_cells
 
         def two_failures(scenario, cells):
-            return [None if c in ((1, 0), (1, 3)) else e
-                    for c, e in zip(cells, run_cells(scenario, cells))]
+            return [(None, False) if c in ((1, 0), (1, 3)) else r
+                    for c, r in zip(cells, run_cells(scenario, cells))]
 
         monkeypatch.setattr(simstudy, "_run_cells", two_failures)
         with pytest.raises(ColluderLabError,
@@ -308,12 +314,120 @@ class TestRunScenario:
             rep.summary("other", 1000).rmse_mean
 
 
+def _design_cells(name, replications):
+    """The model of a bundled design and the observed-cell counts and fit seeds of
+    its first ``replications`` cells at every sample size."""
+    sc = SimScenario.from_json(resources.files("colluder_lab").joinpath("data", name).read_text())
+    draws = [simstudy._run_cell(sc, n_idx, rep) for n_idx in range(len(sc.sample_sizes))
+             for rep in range(replications)]
+    return (LikelihoodModel(sc.graph()), np.stack([c for _, c, _ in draws]),
+            [seed for *_, seed in draws], sc.restarts)
+
+
+def _outside(model, counts):
+    """Whether the identified law of each cell's frequencies has an entry outside (0, 1)."""
+    shape = [a.size for a in observable_axes(model.graph)]
+    return [any(np.any((c <= 0.0) | (c >= 1.0)) for c in identified_cpts(
+        ObservedLawTable(model.graph, (cell / cell.sum()).reshape(shape))).values())
+        for cell in counts]
+
+
+def _spy_on_maximize(monkeypatch):
+    """Record the starts of every ``maximize`` call that ``simstudy`` makes."""
+    batches = []
+
+    def spy(model, weights, starts, max_steps):
+        batches.append([np.array(s) for s in starts])
+        return maximize(model, weights, starts, max_steps)
+
+    monkeypatch.setattr(simstudy, "maximize", spy)
+    return batches
+
+
+class TestCertificate:
+    def test_saturated_interior_cells_are_certified(self):
+        model, counts, seeds, restarts = _design_cells("ccm22.json", 4)
+        inside = [not o for o in _outside(model, counts)]
+        _, converged, certified = simstudy._fit_cells(model, counts, seeds, restarts)
+        assert converged.all() and certified.tolist() == inside
+        assert any(inside) and not all(inside)
+
+    def test_no_certificate_without_saturation(self, monkeypatch):
+        sc = SimScenario(m=2, q=3, sample_sizes=(100000,), replications=6, seed=3)
+        model = LikelihoodModel(sc.graph())
+        assert model.n_params < len(model._reachable) - 1
+        draws = [simstudy._run_cell(sc, 0, rep) for rep in range(6)]
+        counts = np.stack([c for _, c, _ in draws])
+        seeds = [s for *_, s in draws]
+        assert not any(_outside(model, counts))
+        batches = _spy_on_maximize(monkeypatch)
+        _, converged, certified = simstudy._fit_cells(model, counts, seeds, sc.restarts)
+        assert converged.all() and not certified.any()
+        # No plug-in climbs alone: every cell climbs it and its random starts in one batch.
+        assert len(batches) == 1
+        for cell, seed, starts in zip(counts, seeds, batches[0]):
+            assert np.array_equal(starts, np.vstack([simstudy._plug_in(model, cell),
+                                                     starting_points(model, sc.restarts, seed)]))
+
+    def test_no_certificate_where_the_masses_miss_the_frequencies(self, monkeypatch):
+        # Every cell first climbs the uniform law alone.  Where the identified law is
+        # inside, that climb ends at it; where it is outside, it converges to a
+        # boundary optimum whose observed-cell masses are not the frequencies.
+        model, counts, seeds, restarts = _design_cells("ccm44.json", 6)
+        outside = _outside(model, counts)
+        assert any(outside) and not all(outside)
+        monkeypatch.setattr(simstudy, "_plug_in", lambda model, _: np.zeros(model.n_params))
+        _, converged, certified = simstudy._fit_cells(model, counts, seeds, restarts)
+        assert converged.all() and certified.tolist() == [not o for o in outside]
+
+    def test_uncertified_cells_climb_their_random_starts(self, monkeypatch):
+        model, counts, seeds, restarts = _design_cells("ccm44.json", 6)
+        batches = _spy_on_maximize(monkeypatch)
+        _, _, certified = simstudy._fit_cells(model, counts, seeds, restarts)
+        assert certified.any() and not certified.all()
+        rest = np.flatnonzero(~certified)
+        assert len(batches[-1]) == len(rest)
+        for i, starts in zip(rest, batches[-1]):
+            assert np.array_equal(starts, starting_points(model, restarts, seeds[i]))
+
+    def test_no_certificate_with_an_empty_reachable_cell(self):
+        model, counts, seeds, restarts = _design_cells("ccm22.json", 1)
+        cell = counts[-1]
+        assert simstudy._fit_cells(model, cell[None], seeds[-1:], restarts)[2].all()
+        emptied = np.repeat(cell[None], len(model._reachable), axis=0)
+        emptied[np.arange(len(model._reachable)), model._reachable] = 0.0
+        _, _, certified = simstudy._fit_cells(model, emptied, seeds[-1:] * len(emptied),
+                                              restarts)
+        assert not certified.any()
+
+    def test_no_certificate_with_a_plug_in_outside(self):
+        model, counts, seeds, restarts = _design_cells("ccm44.json", 6)
+        outside = np.flatnonzero(_outside(model, counts))
+        assert len(outside)
+        _, _, certified = simstudy._fit_cells(model, counts[outside],
+                                              [seeds[i] for i in outside], restarts)
+        assert not certified.any()
+
+    @pytest.mark.parametrize("design", ["ccm22.json", "ccm44.json"])
+    def test_fit_agrees_with_the_random_starts_alone(self, design):
+        model, counts, seeds, restarts = _design_cells(design, 30)
+        theta, converged, certified = simstudy._fit_cells(model, counts, seeds, restarts)
+        starts = np.stack([starting_points(model, restarts, s) for s in seeds])
+        base, base_ll, _, _, base_converged, _ = maximize(model, counts, starts, 10_000)
+        ll = model.log_likelihood(theta, counts)
+        assert np.all(ll >= base_ll - 1e-9 * np.abs(base_ll))
+        both = converged & base_converged
+        assert both.any() and certified.any()
+        est, base_est = (model._cpt_probs(t)[:, model._free] for t in (theta, base))
+        np.testing.assert_allclose(est[both], base_est[both], rtol=0, atol=1e-8)
+
+
 def _cells_reporting_blas_threads(scenario, cells):
     """Stands in for a worker's batch of simulation cells: every error entry
     is the worker's largest OpenBLAS thread count."""
     threads = max(get() for _, get in simstudy._openblas_thread_controls())
     n_params = len(simstudy._parameter_layout(scenario.graph()))
-    return [np.full(n_params, float(threads)) for _ in cells]
+    return [(np.full(n_params, float(threads)), False) for _ in cells]
 
 
 def _cells_reporting(measure, barrier=None):
@@ -324,7 +438,7 @@ def _cells_reporting(measure, barrier=None):
         if barrier is not None:
             barrier.wait(timeout=60)
         n_params = len(simstudy._parameter_layout(scenario.graph()))
-        return [np.full(n_params, float(measure())) for _ in cells]
+        return [(np.full(n_params, float(measure())), False) for _ in cells]
     return run_cells
 
 
