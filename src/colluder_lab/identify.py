@@ -2,12 +2,12 @@
 
 All operations are pure functions of immutable inputs.  The linear systems
 are built from observed-data quantities only; full laws enter only through
-their observed tables.
+their observed tables.  Colluder systems are solved in floats; the identified
+law of a CCM-family table solves one arm exactly, in the table's integer counts.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -19,7 +19,8 @@ from .errors import (ConditionalIndependenceError, GraphQueryError, LawError,
                      PositivityError, RankDeficiencyError)
 from .lawtable import (EPS_POS, Axis, CategoricalLaw, ObservedLawTable,
                        ProbabilityTable, conditional)
-from .mdgraph import Colluder, MissingDataGraph, VertexRole, find_colluders, m_separated
+from .mdgraph import (Colluder, MissingDataGraph, VertexRole, find_colluders,
+                      find_self_censoring, m_separated)
 
 #: Relative tolerance for the numerical rank of a colluder matrix.
 RANK_TOL = 1e-10
@@ -30,7 +31,7 @@ RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ColluderSystem:
-    """The linear systems A s = b of one colluder at every stratum, both arms r.
+    """The float linear systems A s = b of one colluder at every stratum, both arms r.
 
     The leading axis follows ``strata``, :func:`enumerate_strata`'s order.
     ``a[z, i, j] = p(Y=y_i | R_X=1, X=x_j, R_Y=1, Z=z) * p(R_Y=1 | Z=z)``
@@ -99,17 +100,12 @@ def enumerate_strata(g: MissingDataGraph, col: Colluder):
         yield {**dict(zip(enumerable, combo)), **base}
 
 
-def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
-                          col: Colluder, fractions: bool = False) -> ColluderSystem:
-    """The colluder's system at every stratum, read in one pass off the observed table.
-
-    Each mass is its exact total rounded once to float, so the entries equal
-    per-event ``float(event_prob(...))`` arithmetic; with ``fractions`` each
-    mass is its exact total as a ``Fraction`` and the system is exact.  Raises
-    :class:`ConditionalIndependenceError` when the required m-separation fails
-    and :class:`PositivityError` for the first stratum whose mass, or whose
-    mass of some {X=x_j, R_X=1, R_Y=1}, is below ``EPS_POS``.
-    """
+def _stratum_counts(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder):
+    """The strata, the table's exact value and its integer numerators t[z, x, y, r_x, r_y]
+    (S, m + 1, q + 1, 2, 2), with p(z) (S,) and p(x_j, R_X=1, R_Y=1, z) (S, m) rounded
+    once to float.  Raises :class:`ConditionalIndependenceError` when the required
+    m-separation fails and :class:`PositivityError` for the first stratum whose mass,
+    or whose mass of some {X=x_j, R_X=1, R_Y=1}, is below ``EPS_POS``."""
     x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y_name = g.true_of(ry)
     if not separation_condition(g, col):
@@ -122,7 +118,6 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
     enumerable, indicators = stratum_variables(g, col)
     strata = tuple(enumerate_strata(g, col))
     exact = obs.rationals()
-    value = exact.fractions if fractions else exact.floats
     index = [slice(None)] * len(obs.axes)
     for n in indicators:
         index[obs.axis(n)] = 1
@@ -132,8 +127,8 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
     order = [kept.index(n) for n in (*enumerable, x_name, y_name, rx, ry)]
     t = np.transpose(exact.numerators[tuple(index)], order).reshape(-1, m + 1, q + 1, 2, 2)
 
-    p_z = value(t.sum(axis=(1, 2, 3, 4)))
-    p_x = value(t[:, :m, :, 1, 1].sum(axis=2))
+    p_z = exact.floats(t.sum(axis=(1, 2, 3, 4)))
+    p_x = exact.floats(t[:, :m, :, 1, 1].sum(axis=2))
     null = np.flatnonzero((p_z < EPS_POS) | (p_x < EPS_POS).any(axis=1))
     if null.size:
         z = strata[null[0]]
@@ -143,11 +138,20 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
         raise PositivityError(
             f"positivity violated: event {{{x_name}={j}, {rx}=1, {ry}=1}} "
             f"has zero mass at stratum {z}", stratum=z)
+    return strata, exact, t, p_z, p_x
 
-    p_ry1 = value(t[..., 1].sum(axis=(1, 2, 3))) / p_z
-    joint = value(t[:, :m, :q, 1, 1])
+
+def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
+                          col: Colluder) -> ColluderSystem:
+    """The colluder's float system at every stratum, read in one pass off the observed
+    table: each mass is its exact total rounded once, so the entries equal per-event
+    ``float(event_prob(...))`` arithmetic.  Raises as :func:`_stratum_counts` does."""
+    strata, exact, t, p_z, p_x = _stratum_counts(obs, g, col)
+    m, q = p_x.shape[1], t.shape[2] - 1
+    p_ry1 = exact.floats(t[..., 1].sum(axis=(1, 2, 3))) / p_z
+    joint = exact.floats(t[:, :m, :q, 1, 1])
     a = np.swapaxes(joint / p_x[:, :, None] * p_ry1[:, None, None], 1, 2)
-    b = value(np.moveaxis(t[:, :, :q, :, 1].sum(axis=1), 2, 1)) / p_z[:, None, None]
+    b = exact.floats(np.moveaxis(t[:, :, :q, :, 1].sum(axis=1), 2, 1)) / p_z[:, None, None]
     return ColluderSystem(col, strata, np.ascontiguousarray(a), b)
 
 
@@ -158,36 +162,9 @@ def rank_test(sys: ColluderSystem) -> tuple[np.ndarray, np.ndarray]:
     return np.sum(sv > RANK_TOL * sv[:, :1], axis=1), sv
 
 
-def _least_squares(sys: ColluderSystem) -> np.ndarray:
-    """The least-squares solution (S, 2, m) of every system; requires full column rank.
-
-    A float system is solved by ``lstsq``, and an exact one by Gauss-Jordan
-    elimination in ``Fraction`` arithmetic, on its normal equations where it
-    is overdetermined.  The first rank-deficient stratum raises
-    :class:`RankDeficiencyError`.
-    """
-    q, m = sys.a.shape[1:]
-    if sys.a.dtype == object:
-        values = []
-        for s, (a, b) in enumerate(zip(sys.a, sys.b)):
-            aug = np.concatenate([a.T @ a, a.T @ b.T] if q > m else [a, b.T], axis=1)
-            rank = 0
-            for j in range(m):
-                pivot = next((i for i in range(rank, m) if aug[i, j] != 0), None)
-                if pivot is None:
-                    continue
-                aug[[rank, pivot]] = aug[[pivot, rank]]
-                aug[rank] = aug[rank] / aug[rank, j]
-                for i in range(m):
-                    if i != rank:
-                        aug[i] = aug[i] - aug[i, j] * aug[rank]
-                rank += 1
-            if rank < m:
-                raise RankDeficiencyError(
-                    f"not identifiable at this stratum: rank {rank} < {m}",
-                    colluder=sys.colluder, stratum=sys.strata[s], rank=rank, required=m)
-            values.append(aug[:, m:].T)
-        return np.stack(values)
+def _require_full_rank(sys: ColluderSystem) -> None:
+    """Raise :class:`RankDeficiencyError` at the first stratum below full numerical rank."""
+    m = sys.a.shape[2]
     rank, sv = rank_test(sys)
     deficient = np.flatnonzero(rank < m)
     if deficient.size:
@@ -196,7 +173,6 @@ def _least_squares(sys: ColluderSystem) -> np.ndarray:
             f"not identifiable at this stratum: rank {rank[s]} < {m}",
             colluder=sys.colluder, stratum=sys.strata[s], rank=int(rank[s]),
             required=m, singular_values=sv[s])
-    return np.stack([np.linalg.lstsq(a, b.T, rcond=None)[0].T for a, b in zip(sys.a, sys.b)])
 
 
 def solve_colluder(sys: ColluderSystem) -> ColluderSolution:
@@ -208,13 +184,40 @@ def solve_colluder(sys: ColluderSystem) -> ColluderSolution:
     residual above 1e-8 raises :class:`LawError`.  Raw values (S, 2, m) are
     returned unclipped; entries outside [0, 1] by more than 1e-8 are flagged.
     """
-    values = _least_squares(sys)
+    _require_full_rank(sys)
+    values = np.stack([np.linalg.lstsq(a, b.T, rcond=None)[0].T for a, b in zip(sys.a, sys.b)])
     residual = np.abs(values @ np.swapaxes(sys.a, 1, 2) - sys.b).max(axis=2)
     inconsistent = residual[residual > 1e-8]
     if inconsistent.size:
         raise LawError(f"colluder system inconsistent: residual {inconsistent[0]:.3e} exceeds 1e-8")
     flagged = np.argwhere((values < -1e-8) | (values > 1 + 1e-8)).tolist()
     return ColluderSolution(values, float(residual.max()), tuple(map(tuple, flagged)))
+
+
+def _solve_integers(a: np.ndarray, b: np.ndarray, col: Colluder, stratum: dict):
+    """The exact least-squares solution s = num / den of the integer system a s = b,
+    a (q, m), by fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) of a where square and of its normal equations otherwise.  Every division
+    is exact, and the elimination ends at den times the identity.  A rank below m
+    raises :class:`RankDeficiencyError`."""
+    q, m = a.shape
+    if q != m:
+        a, b = a.T @ a, a.T @ b
+    rows = [[*row, v] for row, v in zip(a.tolist(), b.tolist())]
+    rank, den = 0, 1
+    for j in range(m):
+        pivot = next((i for i in range(rank, m) if rows[i][j]), None)
+        if pivot is not None:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            top = rows[rank]
+            rows = [row if i == rank else [(top[j] * v - row[j] * w) // den
+                                           for v, w in zip(row, top)]
+                    for i, row in enumerate(rows)]
+            den, rank = top[j], rank + 1
+    if rank < m:
+        raise RankDeficiencyError(f"not identifiable at this stratum: rank {rank} < {m}",
+                                  colluder=col, stratum=stratum, rank=rank, required=m)
+    return np.array([row[m] for row in rows], dtype=object), den
 
 
 def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph,
@@ -296,48 +299,48 @@ def identified_cpts(obs: ObservedLawTable) -> dict[str, np.ndarray]:
     - p(R_Y = 1 | X, R_X = 0) comes from the colluder system.  Its arm r
       solves s_rj = p(x_j) p(R_X = r) p(R_Y = 1 | x_j, r) / p(R_Y = 1), so
       the value is s_0j / s_1j * p(R_X = 1) p(R_Y = 1 | x_j, R_X = 1) / p(R_X = 0).
+      In the counts n(.) of the table's numerators, arm 0 is J u = b with
+      J_kj = n(x_j, y_k, R = 1) and b_k = n(y_k, R_X = 0, R_Y = 1), A's columns
+      rescaled by n(x_j, R = 1) n / n(R_Y = 1), which moves no least-squares
+      minimizer; arm 1 has right side J 1, so at full column rank it solves to
+      ones and u_j = s_0j / s_1j.  J u = b is solved exactly in integers.
 
-    An exact table gives ``Fraction`` CPTs, equal to the law's own where the
-    colluder matrix has full column rank.  A float table gives float CPTs,
-    each conditional one correctly rounded ratio; there the colluder systems
-    take their least-squares solution, so a sampled overdetermined system
-    (m < q) is read too.  Entries may lie outside [0, 1] for a sampled table.
-    Raises :class:`GraphQueryError` for a graph outside the family,
-    :class:`PositivityError` for an empty conditioning event and
-    :class:`RankDeficiencyError` for a rank-deficient colluder matrix.
+    An exact table gives ``Fraction`` CPTs, equal to the law's own at full
+    column rank.  A float table is read at its exact value, each entry then
+    rounded once, if its float colluder system passes :func:`rank_test`.  A
+    sampled system with m < q takes its least-squares solution, and entries
+    may lie outside [0, 1].  Raises :class:`GraphQueryError` for a graph
+    outside the family, :class:`PositivityError` for an empty conditioning
+    event and :class:`RankDeficiencyError` for a rank-deficient colluder matrix.
     """
     g = obs.graph
     col = _ccm_colluder(g)
     x, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y = g.true_of(ry)
-    m, q = g.vertex(x).levels, g.vertex(y).levels
-    exact = not obs._rounded
-    s = _least_squares(build_colluder_system(obs, g, col, fractions=exact))[0]
-    table = obs.rationals()
-    t = np.transpose(table.numerators, [obs.axis(n) for n in (x, y, rx, ry)])
+    if obs._rounded:
+        _require_full_rank(build_colluder_system(obs, g, col))
+    strata, table, (t,), _, _ = _stratum_counts(obs, g, col)  # t over (X, Y, R_X, R_Y)
     n_rx = t.sum(axis=(0, 1, 3))
+    n_x_ry = t[:-1, :, 1, :].sum(axis=1)  # (X, R_Y) at R_X = 1; the last levels are NA
+    n_xy = t[:-1, :-1, 1, 1]
+    num, den = _solve_integers(n_xy.T, t[:, :-1, 0, 1].sum(axis=0), col, strata[0])
     if table.floats(n_rx[0]) < EPS_POS:
         raise PositivityError(f"positivity violated: event {{{rx}=0}} has zero mass")
 
-    def ratio(num, den):
-        """num / den of integer sums, exact or correctly rounded."""
-        out = np.frompyfunc(Fraction if exact else operator.truediv, 2, 1)(num, den)
-        return np.asarray(out, dtype=object if exact else float)
-
-    n_x_ry = t[:m, :, 1, :].sum(axis=1)  # (X, R_Y) at R_X = 1
-    n_xy = t[:m, :q, 1, 1]
-    ry_at_1 = ratio(n_x_ry, n_x_ry.sum(axis=1, keepdims=True))
-    ry1_at_0 = s[0] / s[1] * ratio(n_rx[1] * n_x_ry[:, 1], n_rx[0] * n_x_ry.sum(axis=1))
-    cpt = np.stack([np.stack([1 - ry1_at_0, ry1_at_0], axis=1), ry_at_1], axis=1)
+    ratio = np.frompyfunc(Fraction, 2, 1)  # num / den of integer arrays, one Fraction each
+    top, bottom = num * n_rx[1] * n_x_ry[:, 1], den * n_rx[0] * n_x_ry.sum(axis=1)
+    ry_cpt = np.stack([ratio(np.stack([bottom - top, top], axis=1), bottom[:, None]),
+                       ratio(n_x_ry, n_x_ry.sum(axis=1, keepdims=True))], axis=1)
     cpts = {
         x: ratio(n_x_ry.sum(axis=1), n_rx[1]),
         y: ratio(n_xy, n_xy.sum(axis=1, keepdims=True)) if g.parents(y)
         else ratio(n_xy.sum(axis=0), n_xy.sum()),
         rx: ratio(n_rx, n_rx.sum()),
         # (X, R_X, R_Y) -> R_Y's parents in declaration order
-        ry: np.transpose(cpt, [(x, rx).index(p) for p in g.parents(ry)] + [2]),
+        ry: np.transpose(ry_cpt, [(x, rx).index(p) for p in g.parents(ry)] + [2]),
     }
-    return {v.name: cpts[v.name] for v in g.non_proxy_vertices()}
+    return {v.name: cpts[v.name].astype(float) if obs._rounded else cpts[v.name]
+            for v in g.non_proxy_vertices()}
 
 
 # -- binary closed form ---------------------------------------------------------
@@ -490,8 +493,6 @@ def decide_full_law(g: MissingDataGraph) -> IdentifiabilityVerdict:
     full-rank requirement depends on the distribution and must be tested
     against a law or dataset stratum by stratum.
     """
-    from .mdgraph import find_colluders, find_self_censoring
-
     reasons: list[Finding] = []
     for t, rr in find_self_censoring(g):
         reasons.append(Finding("self-censoring", None, f"self-censoring edge {t} -> {rr}"))
@@ -499,8 +500,7 @@ def decide_full_law(g: MissingDataGraph) -> IdentifiabilityVerdict:
     colluders = find_colluders(g)
     for col in colluders:
         y_true = g.true_of(col.target_indicator)
-        m = g.vertex(col.true_variable).levels
-        q = g.vertex(y_true).levels
+        m, q = g.vertex(col.true_variable).levels, g.vertex(y_true).levels
         if m is None or q is None:
             raise GraphQueryError(
                 f"missing category counts: colluder {col} involves a continuous variable")

@@ -139,12 +139,12 @@ def _plug_in(model: LikelihoodModel, counts: np.ndarray):
     parameter space.
 
     The law is :func:`~colluder_lab.identify.identified_cpts` of the cell's
-    frequencies, an exact table of counts over their total, so each CPT entry
-    is its exact value rounded once to float.  A law outside the parameter
-    space puts the maximum on its boundary.  On the bundled designs a start
-    clipped into the interior from there took 15-21 Newton steps, a quarter
-    of the work of the random starts, and in 283 such cells never ended
-    above them, so it is not climbed.
+    frequencies, an exact table of counts over their total: its colluder arm
+    is solved exactly in the integer counts, and each CPT entry is its exact
+    value rounded once to float.  A law outside the parameter space puts the
+    maximum on its boundary.  On the bundled designs a start clipped into the
+    interior from there took 15-21 Newton steps, a quarter of the work of the
+    random starts, and in 283 such cells never ended above them.
     """
     shape = [a.size for a in observable_axes(model.graph)]
     freq = Rationals(counts.astype(np.int64).astype(object).reshape(shape), int(counts.sum()))

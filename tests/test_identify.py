@@ -1,23 +1,24 @@
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from colluder_lab import (BinaryColluderQuantities, ColluderSystem,
                           ConditionalIndependenceError, GraphQueryError,
-                          LawError, MissingDataGraph, PositivityError,
+                          LawError, LikelihoodModel, MissingDataGraph, PositivityError,
                           RankDeficiencyError, Vertex, VertexRole,
                           appendix_a_law, appendix_b_pair, appendix_c_pair,
                           binary_closed_form, build_colluder_system, ccm_graph,
                           colluder_mechanism, cross_censoring_graph,
                           decide_full_law, example_graph, find_colluders,
                           identified_cpts, observed_law, or_factorization_check,
-                          quantities_from_observed, random_law, rank_test,
-                          solve_colluder)
+                          observable_axes, quantities_from_observed, random_law,
+                          rank_test, simstudy, solve_colluder)
 from colluder_lab.identify import enumerate_strata
-from colluder_lab.lawtable import CategoricalLaw, ObservedLawTable, SimConstraints
+from colluder_lab.lawtable import CategoricalLaw, ObservedLawTable, Rationals, SimConstraints
 from conftest import (appendix_a_params, exact_random_law, loop_colluder_mechanism,
                       loop_colluder_system, mechanism_oracle, small_graphs)
 
@@ -366,6 +367,13 @@ class TestStackedSystems:
                     assert solve_colluder(one).values[0].tobytes() == values[s].tobytes()
 
 
+def count_table(g, counts) -> ObservedLawTable:
+    """The exact observed table of integer observed-cell ``counts`` over their total."""
+    counts = np.asarray(counts).astype(np.int64)
+    nums = counts.astype(object).reshape([a.size for a in observable_axes(g)])
+    return ObservedLawTable(g, Rationals(nums, int(counts.sum())))
+
+
 class TestIdentifiedCpts:
     """The whole full law of a CCM-family graph, read off its observed law."""
 
@@ -408,6 +416,63 @@ class TestIdentifiedCpts:
         law = exact_random_law(ccm_graph(2, 2, dependency=False), np.random.default_rng(0))
         with pytest.raises(RankDeficiencyError):
             identified_cpts(observed_law(law))
+
+    def test_exact_rank_deficiency_names_its_colluder(self):
+        law = exact_random_law(ccm_graph(2, 2, dependency=False), np.random.default_rng(0))
+        with pytest.raises(RankDeficiencyError) as err:
+            identified_cpts(observed_law(law))
+        assert err.value.signature() == ("{X, R_X} of R_Y", (), 1, 2)
+
+    def test_float_table_keeps_the_numerical_rank_rule(self):
+        # The float table's exact value has full rank; read exactly, it would
+        # give p(R_Y = 0 | X = 0, R_X = 0) = -18.3.
+        law = random_law(ccm_graph(2, 2, dependency=False), seed=1)
+        with pytest.raises(RankDeficiencyError) as err:
+            identified_cpts(observed_law(law))
+        assert err.value.signature() == ("{X, R_X} of R_Y", (), 1, 2)
+        assert len(err.value.singular_values) == 2
+
+    def test_empty_event_is_refused_exact_and_float(self):
+        g = ccm_graph(2, 2)
+        counts = simstudy._cell_counts(random_law(g, seed=2), 1000, 2)
+        counts = counts.reshape([a.size for a in observable_axes(g)])
+        counts[0, :, 1, 1] = 0  # X = 0 never seen with R_X = R_Y = 1
+        message = re.escape("positivity violated: event {X=0, R_X=1, R_Y=1} has zero mass "
+                            "at stratum {}")
+        for obs in (count_table(g, counts), ObservedLawTable(g, counts / counts.sum())):
+            with pytest.raises(PositivityError, match=message):
+                identified_cpts(obs)
+        model = LikelihoodModel(g)
+        for cells in (counts, counts.astype(np.int64)):
+            assert simstudy._plug_in(model, cells.reshape(-1)) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(mq=st.sampled_from([(m, q) for q in range(1, 5) for m in range(1, q + 1)]),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(20, 5000))
+    def test_sampled_counts_read_exactly(self, mq, seed, n):
+        # A sampled table's colluder system is inconsistent in general: a
+        # square one is still solved exactly, so the law read off reproduces
+        # the table, and an overdetermined one takes its exact least-squares
+        # solution s, with J^T (J s - b) = 0.
+        g, (m, q) = ccm_graph(*mq), mq
+        law = exact_random_law(g, np.random.default_rng(seed))
+        obs = count_table(g, simstudy._cell_counts(law, n, seed))
+        try:
+            cpts = identified_cpts(obs)
+        except (PositivityError, RankDeficiencyError):
+            reject()
+        if m == q:
+            assume(all(0 <= v <= 1 for c in cpts.values() for v in c.flat))
+            assert np.array_equal(observed_law(CategoricalLaw(g, cpts)).values, obs.values)
+            return
+        p = obs.event_prob
+        j_mat = np.array([[p({"X": j, "Y": k, "R_X": 1, "R_Y": 1}) for j in range(m)]
+                          for k in range(q)], dtype=object)
+        b = np.array([p({"Y": k, "R_X": 0, "R_Y": 1}) for k in range(q)], dtype=object)
+        s = np.array([cpts["R_Y"][j, 0, 1] * p({"R_X": 0}) * p({"X": j, "R_X": 1})
+                      / (p({"R_X": 1}) * p({"X": j, "R_X": 1, "R_Y": 1})) for j in range(m)],
+                     dtype=object)
+        assert not np.any(j_mat.T @ (j_mat @ s - b))
 
     @pytest.mark.parametrize("graph, indicator", [(cross_censoring_graph(), "R_X"),
                                                   (example_graph("d", 3), "R_Z")])
