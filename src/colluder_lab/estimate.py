@@ -16,9 +16,13 @@ simulation study climbs every start of many datasets at once, with as many
 starts per dataset as it needs.  Each Newton step builds one posterior per
 row and takes the gradient and the Hessian from it.
 
-:func:`fit` starts from the uniform law and random laws only.  A simulation
-study also starts each dataset from its identified law and may stop there
-(see :mod:`colluder_lab.simstudy`).
+Datasets given as observed-cell counts are fitted by :func:`fit_counts`.  A
+dataset's plug-in start (:func:`plug_in`) is the identified law of its
+frequencies.  In a saturated model an interior plug-in is the maximum: a
+dataset whose climb from it reproduces its frequencies, which maximize the
+multinomial likelihood over every observed law, is certified and climbs no
+other start.  A simulation study passes each cell's plug-in; :func:`fit`
+passes none and climbs the uniform law and random laws only.
 """
 
 from __future__ import annotations
@@ -31,9 +35,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, FitError, check_integer
-from .lawtable import (Axis, CategoricalLaw, ObservedLawTable, coarsening_map, cpt_subscripts,
-                       joint_from_cpts, observable_axes)
+from .errors import ColluderLabError, DataError, FitError, check_integer
+from .identify import identified_cpts
+from .lawtable import (Axis, CategoricalLaw, ObservedLawTable, Rationals, coarsening_map,
+                       cpt_subscripts, joint_from_cpts, observable_axes)
 from .mdgraph import MissingDataGraph, VertexRole
 
 _THETA_BOUND = 40.0
@@ -138,8 +143,11 @@ class Dataset:
         of :func:`~colluder_lab.lawtable.observable_axes`, or flat in
         row-major order), such as counts or probabilities.
         """
-        weights = np.asarray(weights, dtype=float).reshape(
-            [a.size for a in observable_axes(graph)])
+        shape, weights = [a.size for a in observable_axes(graph)], np.asarray(weights, float)
+        if weights.size != np.prod(shape):
+            raise DataError(f"{weights.size} observed-cell weights given, expected "
+                            f"{np.prod(shape)}")
+        weights = weights.reshape(shape)
         nonzero = weights != 0
         return cls(graph, np.argwhere(nonzero), weights[nonzero])
 
@@ -354,6 +362,10 @@ class LikelihoodModel:
     def theta_to_cpts(self, theta: np.ndarray) -> dict[str, np.ndarray]:
         """Map unconstrained parameters to CPTs (reference level pinned at 0)."""
         return self._cpts(self._cpt_probs(theta))
+
+    def probabilities(self, theta: np.ndarray) -> np.ndarray:
+        """Each CPT row's probabilities of levels 1 and up, in parameter order."""
+        return self._cpt_probs(theta)[..., self._free]
 
     def _cpt_probs(self, theta: np.ndarray) -> np.ndarray:
         """Every CPT row's probabilities, flat in the layout of ``_gathers``.
@@ -738,6 +750,62 @@ def maximize(model: LikelihoodModel, weights: np.ndarray, starts, max_steps: int
             np.split(steps, first[1:]))
 
 
+#: A fitted observed-cell mass equals a cell's frequency to rounding when it lies
+#: within this fraction of it; the log-likelihood of n records is then within
+#: n * _CERTIFY_RTOL**2 of the multinomial maximum.
+_CERTIFY_RTOL = 1e-9
+
+
+def plug_in(model: LikelihoodModel, counts: np.ndarray):
+    """:func:`~colluder_lab.identify.identified_cpts` of the exact frequencies of
+    observed-cell ``counts``, each entry rounded once, as a start.  None where it
+    cannot be read (an empty stratum, a rank-deficient colluder matrix) or lies
+    outside the parameter space, which puts the maximum on the boundary: on the
+    bundled designs a start clipped into the interior from there cost a quarter of
+    the random starts' Newton steps and in 283 cells never ended above them."""
+    shape = [a.size for a in observable_axes(model.graph)]
+    freq = Rationals(counts.astype(np.int64).astype(object).reshape(shape), int(counts.sum()))
+    try:
+        cpts = {name: c.astype(float) for name, c
+                in identified_cpts(ObservedLawTable(model.graph, freq)).items()}
+    except ColluderLabError:
+        return None
+    if not all(np.all((c > 0.0) & (c < 1.0)) for c in cpts.values()):
+        return None
+    return model.cpts_to_theta(cpts)
+
+
+def fit_counts(model: LikelihoodModel, counts: np.ndarray, plug_ins, seeds, restarts: int,
+               max_steps: int):
+    """Fit each dataset's observed-cell ``counts`` (C, n_obs) from its start in
+    ``plug_ins`` (a point or None) and ``restarts`` starts drawn from its seed in
+    ``seeds`` (see :func:`starting_points`).
+
+    In a saturated model (one parameter per free observed cell) the plug-ins
+    first climb alone, in one Newton batch; a dataset is certified, and done,
+    when that climb converged to observed-cell masses equal to its frequencies
+    to rounding.  Every other dataset climbs its plug-in and random starts in
+    one batch.  Returns what :func:`maximize` returns and whether the
+    certificate settled each dataset (C,).
+    """
+    fitted, certified = {}, np.zeros(len(counts), dtype=bool)  # maximize's fields by index
+    alone = [i for i, p in enumerate(plug_ins) if p is not None]
+    if alone and model.n_params == len(model._reachable) - 1:
+        climbed = maximize(model, counts[alone], [plug_ins[i][None] for i in alone], max_steps)
+        _, mass = model._masses(model._cpt_probs(climbed[0]))
+        freq = counts[alone] / counts[alone].sum(axis=1, keepdims=True)
+        certified[alone] = climbed[4] & np.all(np.abs(mass - freq) <= _CERTIFY_RTOL * freq, axis=1)
+        fitted.update(zip(alone, zip(*climbed)))
+    rest = np.flatnonzero(~certified)
+    if len(rest):
+        starts = [starting_points(model, restarts, seeds[i]) for i in rest]
+        starts = [s if plug_ins[i] is None else np.vstack([plug_ins[i], s])
+                  for i, s in zip(rest, starts)]
+        fitted.update(zip(rest, zip(*maximize(model, counts[rest], starts, max_steps))))
+    *arrays, steps = zip(*(fitted[i] for i in range(len(counts))))
+    return (*map(np.array, arrays), list(steps), certified)
+
+
 def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None) -> FitResult:
     """Maximum likelihood estimation with multiple restarts and Wald intervals.
 
@@ -758,12 +826,11 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
                 "graph is structurally non-identifiable; pass allow_nonidentifiable=True "
                 f"to fit anyway: {[r.detail for r in verdict.reasons]}")
 
-    starts = starting_points(model, config.restarts, config.seed)
-    theta, ll, best_i, grad_norm, converged, steps = (a[0] for a in maximize(
-        model, model.cell_weights(bound)[None], starts[None], config.max_iterations))
+    theta, ll, best_i, grad_norm, converged, steps, _ = (a[0] for a in fit_counts(
+        model, model.cell_weights(bound)[None], [None], [config.seed], config.restarts,
+        config.max_iterations))
 
-    probs = model._cpt_probs(theta)
-    est = probs[model._free]
+    est = model.probabilities(theta)
     boundary = (est <= _BOUNDARY_TOL) | (est >= 1.0 - _BOUNDARY_TOL)
     eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
     lam_max = float(eigval.max(initial=0.0))
@@ -785,7 +852,7 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
     parameters = [ParameterEstimate(name, given, level, float(e), s, c, bool(b), bool(r))
                   for (name, given, level, *_), e, s, c, b, r
                   in zip(model.parameter_coords(), est, se, ci, boundary, reliable)]
-    return FitResult(theta=theta, cpts=model._cpts(probs), log_likelihood=float(ll),
+    return FitResult(theta=theta, cpts=model.theta_to_cpts(theta), log_likelihood=float(ll),
                      grad_norm=float(grad_norm), parameters=parameters,
                      converged=bool(converged), iterations=int(steps.sum()),
-                     restarts=len(starts), best_restart=int(best_i), graph=graph)
+                     restarts=len(steps), best_restart=int(best_i), graph=graph)

@@ -103,17 +103,11 @@ def enumerate_strata(g: MissingDataGraph, col: Colluder):
 def _stratum_counts(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder):
     """The strata, the table's exact value and its integer numerators t[z, x, y, r_x, r_y]
     (S, m + 1, q + 1, 2, 2), with p(z) (S,) and p(x_j, R_X=1, R_Y=1, z) (S, m) rounded
-    once to float.  Raises :class:`ConditionalIndependenceError` when the required
-    m-separation fails and :class:`PositivityError` for the first stratum whose mass,
-    or whose mass of some {X=x_j, R_X=1, R_Y=1}, is below ``EPS_POS``."""
+    once to float.  Raises :class:`PositivityError` for the first stratum whose mass,
+    or whose mass of some {X=x_j, R_X=1, R_Y=1}, is below ``EPS_POS``.  The caller
+    checks the m-separation that makes the counts a colluder system."""
     x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y_name = g.true_of(ry)
-    if not separation_condition(g, col):
-        raise ConditionalIndependenceError(
-            f"conditional independence violated: {rx} is not "
-            f"m-separated from {y_name} given the remaining variables",
-            colluder=col)
-
     m, q = g.vertex(x_name).levels, g.vertex(y_name).levels
     enumerable, indicators = stratum_variables(g, col)
     strata = tuple(enumerate_strata(g, col))
@@ -145,7 +139,13 @@ def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
                           col: Colluder) -> ColluderSystem:
     """The colluder's float system at every stratum, read in one pass off the observed
     table: each mass is its exact total rounded once, so the entries equal per-event
-    ``float(event_prob(...))`` arithmetic.  Raises as :func:`_stratum_counts` does."""
+    ``float(event_prob(...))`` arithmetic.  Raises :class:`ConditionalIndependenceError`
+    when the required m-separation fails, then as :func:`_stratum_counts` does."""
+    if not separation_condition(g, col):
+        raise ConditionalIndependenceError(
+            f"conditional independence violated: {col.response_of_true} is not "
+            f"m-separated from {g.true_of(col.target_indicator)} given the remaining "
+            f"variables", colluder=col)
     strata, exact, t, p_z, p_x = _stratum_counts(obs, g, col)
     m, q = p_x.shape[1], t.shape[2] - 1
     p_ry1 = exact.floats(t[..., 1].sum(axis=(1, 2, 3))) / p_z
@@ -267,9 +267,15 @@ def _ccm_colluder(g: MissingDataGraph) -> Colluder:
 
     The family holds X and Y with their indicators and nothing else: X and
     R_X are roots, Y is a root or a child of X, and R_Y is a child of X and
-    R_X only.  Any other graph raises :class:`GraphQueryError` naming the
-    first vertex, indicators first, whose CPT no rule reads.
+    R_X only, with no bidirected edge; R_X is then m-separated from Y given X
+    and R_Y.  Any other graph raises :class:`GraphQueryError` naming its
+    bidirected edges or the first vertex, indicators first, whose CPT no rule
+    reads.
     """
+    if g.bidirected_edges:
+        edges = ", ".join(f"{u}<->{w}" for u, w in g.bidirected_edges)
+        raise GraphQueryError(f"identified_cpts covers the CCM family only: the graph has "
+                              f"bidirected edges {edges}")
     colluders = find_colluders(g)
     if not colluders:
         raise GraphQueryError("identified_cpts covers the CCM family only: the graph has "

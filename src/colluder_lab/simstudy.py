@@ -5,13 +5,9 @@ index, replication index), and a cell's fit does not depend on the other
 cells fitted in its batch, so results are reproducible under any scheduling;
 aggregation is a deterministic fold in replication order.
 
-Each cell first reads the identified law of its own counts
-(:func:`~colluder_lab.identify.identified_cpts`), the plug-in start.  The
-CCM(m, m) designs are saturated, so an interior plug-in is the maximum
-likelihood estimate: a cell whose climb from it reproduces its observed-cell
-frequencies is certified and climbs no other start.  Every other cell climbs
-its random starts, beside its plug-in where that lies inside the parameter
-space.
+Each cell is fitted by :func:`~colluder_lab.estimate.fit_counts` from its
+plug-in start (:func:`~colluder_lab.estimate.plug_in`), where the
+saturated-model certificate may settle it, and its random starts.
 """
 
 from __future__ import annotations
@@ -28,11 +24,10 @@ import numpy as np
 from .errors import ColluderLabError, LawError, check_integer, is_finite_real
 # ``fit`` is not called here, but perfbench's tracer wraps ``simstudy.fit``.
 from .estimate import (Dataset, FitConfig, LikelihoodModel, ParameterEstimate,  # noqa: F401
-                       fit, maximize, starting_points)
+                       fit, fit_counts, plug_in)
 from .fixtures import ccm_graph
-from .identify import identified_cpts
-from .lawtable import (CategoricalLaw, ObservedLawTable, Rationals, SimConstraints,
-                       coarsening_map, observable_axes, random_law)
+from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map, observable_axes,
+                       random_law)
 from .mdgraph import MissingDataGraph, VertexRole, json_object, load_json_source
 
 
@@ -127,74 +122,6 @@ def _run_cell(scenario: SimScenario, n_idx: int, rep: int):
     return law, counts, int(fit_seed.generate_state(1)[0])
 
 
-#: A fitted observed-cell mass equals a cell's frequency to rounding when it lies
-#: within this fraction of it; the log-likelihood of n records is then within
-#: n * _CERTIFY_RTOL**2 of the multinomial maximum.
-_CERTIFY_RTOL = 1e-9
-
-
-def _plug_in(model: LikelihoodModel, counts: np.ndarray):
-    """A cell's identified law as a start; None where it cannot be read, as for an
-    empty stratum or a rank-deficient colluder matrix, or lies outside the
-    parameter space.
-
-    The law is :func:`~colluder_lab.identify.identified_cpts` of the cell's
-    frequencies, an exact table of counts over their total: its colluder arm
-    is solved exactly in the integer counts, and each CPT entry is its exact
-    value rounded once to float.  A law outside the parameter space puts the
-    maximum on its boundary.  On the bundled designs a start clipped into the
-    interior from there took 15-21 Newton steps, a quarter of the work of the
-    random starts, and in 283 such cells never ended above them.
-    """
-    shape = [a.size for a in observable_axes(model.graph)]
-    freq = Rationals(counts.astype(np.int64).astype(object).reshape(shape), int(counts.sum()))
-    try:
-        cpts = {name: c.astype(float) for name, c
-                in identified_cpts(ObservedLawTable(model.graph, freq)).items()}
-    except ColluderLabError:
-        return None
-    if not all(np.all((c > 0.0) & (c < 1.0)) for c in cpts.values()):
-        return None
-    return model.cpts_to_theta(cpts)
-
-
-def _fit_cells(model: LikelihoodModel, counts: np.ndarray, seeds, restarts: int):
-    """Fit each cell's observed-cell ``counts`` (C, n_obs), with random starts drawn
-    from its seed in ``seeds``.
-
-    Where the model is saturated (one parameter per free observed cell), a
-    cell with a plug-in start (see :func:`_plug_in`) first climbs it alone,
-    all such cells in one Newton batch.  The cell is certified, and done,
-    when that climb converged to observed-cell masses equal to the cell's
-    frequencies to rounding: the frequencies maximize the multinomial
-    likelihood over every observed law, so no start reaches more.  Every
-    other cell climbs its ``starting_points`` rows, after its plug-in where
-    it has one, all in one batch.  Returns each cell's best point, whether
-    it converged and whether the certificate settled it.
-    """
-    plug_ins = [_plug_in(model, c) for c in counts]
-    theta = np.empty((len(counts), model.n_params))
-    converged = np.zeros(len(counts), dtype=bool)
-    certified = np.zeros(len(counts), dtype=bool)
-    max_steps = FitConfig().max_iterations
-    alone = [i for i, p in enumerate(plug_ins) if p is not None]
-    if alone and model.n_params == len(model._reachable) - 1:
-        th, _, _, _, ok, _ = maximize(model, counts[alone], [plug_ins[i][None] for i in alone],
-                                      max_steps)
-        _, mass = model._masses(model._cpt_probs(th))
-        freq = counts[alone] / counts[alone].sum(axis=1, keepdims=True)
-        settled = ok & np.all(np.abs(mass - freq) <= _CERTIFY_RTOL * freq, axis=1)
-        theta[alone], converged[alone], certified[alone] = th, ok, settled
-    rest = np.flatnonzero(~certified)
-    if len(rest):
-        starts = [starting_points(model, restarts, seeds[i]) for i in rest]
-        starts = [s if plug_ins[i] is None else np.vstack([plug_ins[i], s])
-                  for i, s in zip(rest, starts)]
-        theta[rest], _, _, _, converged[rest], _ = maximize(model, counts[rest], starts,
-                                                            max_steps)
-    return theta, converged, certified
-
-
 #: The most cells one Newton batch holds.  A batch keeps about 70 kB per start of a
 #: CCM(4,4) cell, and a cell holds 1 start when the certificate settles it,
 #: ``restarts`` + 1 with a plug-in it does not settle and ``restarts`` without one,
@@ -205,7 +132,8 @@ _BATCH_CELLS = 64
 
 def _run_cells(scenario: SimScenario, cells) -> list:
     """Fit the (sample-size index, replication) ``cells`` in batches of at most
-    ``_BATCH_CELLS`` cells (see :func:`_fit_cells`).  Each cell's result is its
+    ``_BATCH_CELLS`` cells, each from its plug-in start and its random starts
+    (see :func:`~colluder_lab.estimate.fit_counts`).  Each cell's result is its
     error vector, or None where the fit did not converge, and whether the
     certificate settled it."""
     if len(cells) > _BATCH_CELLS:
@@ -213,9 +141,11 @@ def _run_cells(scenario: SimScenario, cells) -> list:
                 for r in _run_cells(scenario, cells[i:i + _BATCH_CELLS])]
     model = LikelihoodModel(scenario.graph())
     draws = [_run_cell(scenario, n_idx, rep) for n_idx, rep in cells]
-    theta, converged, certified = _fit_cells(model, np.stack([c for _, c, _ in draws]),
-                                             [seed for *_, seed in draws], scenario.restarts)
-    est = model._cpt_probs(theta)[:, model._free]
+    counts = np.stack([c for _, c, _ in draws])
+    theta, *_, converged, _, certified = fit_counts(
+        model, counts, [plug_in(model, c) for c in counts], [seed for *_, seed in draws],
+        scenario.restarts, FitConfig().max_iterations)
+    est = model.probabilities(theta)
     # A law's CPT entries of levels 1 and up, vertex by vertex, are in parameter order.
     return [(e - np.concatenate([law.cpts[name][..., 1:].reshape(-1) for name in model.names])
              if ok else None, bool(c))
@@ -348,15 +278,12 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     """Run every (sample size, replication) cell and aggregate bias and RMSE by group.
 
     Each cell's law and sample are drawn from its own seed; the cells are
-    then fitted in Newton batches of up to ``_BATCH_CELLS`` cells, each
-    from its plug-in start and, unless the saturated-model certificate
-    settles it there, its random starts (see :func:`_fit_cells`).
-    ``threads`` must be at least 1.  With
-    ``threads`` = w > 1 the cells are split into w contiguous shares: the
-    calling process fits the first share while w - 1 forked worker processes
-    fit the others, each process with its BLAS limited to one thread, and
-    the results are joined in cell order.  The report is the same for any
-    value.
+    then fitted in batches of up to ``_BATCH_CELLS`` cells (see
+    :func:`_run_cells`).  ``threads`` must be at least 1.  With ``threads`` =
+    w > 1 the cells are split into w contiguous shares: the calling process
+    fits the first share while w - 1 forked worker processes fit the others,
+    each process with its BLAS limited to one thread, and the results are
+    joined in cell order.  The report is the same for any value.
     Non-convergent fits are excluded from the aggregates and counted; the
     scenario fails if more than ``max_failure_rate`` of the replications at
     any sample size did not converge.  The report also counts the

@@ -164,6 +164,10 @@ class TestDataset:
         with pytest.raises(DataError, match="finite and non-negative"):
             Dataset.from_cell_weights(fig1b, cells)
 
+    def test_wrong_number_of_cell_weights_rejected(self, fig1b):
+        with pytest.raises(DataError, match="5 observed-cell weights given, expected 36"):
+            Dataset.from_cell_weights(fig1b, np.ones(5))
+
     def test_csv_round_trip(self, fig1b, tmp_path):
         d = sample_dataset(random_law(fig1b, seed=1), 500, seed=2)
         path = tmp_path / "d.csv"

@@ -17,6 +17,7 @@ from colluder_lab import (BinaryColluderQuantities, ColluderSystem,
                           identified_cpts, observed_law, or_factorization_check,
                           observable_axes, quantities_from_observed, random_law,
                           rank_test, simstudy, solve_colluder)
+from colluder_lab.estimate import plug_in
 from colluder_lab.identify import enumerate_strata
 from colluder_lab.lawtable import CategoricalLaw, ObservedLawTable, Rationals, SimConstraints
 from conftest import (appendix_a_params, exact_random_law, loop_colluder_mechanism,
@@ -181,6 +182,20 @@ class TestMechanism:
         _, law, obs, col = setup_a
         mech = colluder_mechanism(obs, law.graph, col)
         assert np.allclose(mech.values[:, 0, :], mech.values[:, 1, :], atol=1e-12)
+
+    def test_inconsistent_system_refused(self):
+        # Sampled frequencies of CCM(2, 3) held as floats: the overdetermined
+        # system has no exact solution.
+        g = ccm_graph(2, 3)
+        probs = np.asarray(observed_law(random_law(g, seed=4)).values, float)
+        counts = np.random.default_rng(1).multinomial(2000, probs.reshape(-1) / probs.sum())
+        obs = ObservedLawTable(g, (counts / counts.sum()).reshape(probs.shape))
+        col = find_colluders(g)[0]
+        message = re.escape("colluder system inconsistent: residual 6.898e-03 exceeds 1e-8")
+        with pytest.raises(LawError, match=message):
+            solve_colluder(build_colluder_system(obs, g, col))
+        with pytest.raises(LawError, match=message):
+            colluder_mechanism(obs, g, col)
 
     def test_shared_pair_graph_strata(self):
         # two colluders of the same pair: the mechanism conditions on both
@@ -444,7 +459,7 @@ class TestIdentifiedCpts:
                 identified_cpts(obs)
         model = LikelihoodModel(g)
         for cells in (counts, counts.astype(np.int64)):
-            assert simstudy._plug_in(model, cells.reshape(-1)) is None
+            assert plug_in(model, cells.reshape(-1)) is None
 
     @settings(max_examples=100, deadline=None)
     @given(mq=st.sampled_from([(m, q) for q in range(1, 5) for m in range(1, q + 1)]),
@@ -479,6 +494,26 @@ class TestIdentifiedCpts:
     def test_graphs_outside_the_family_refused(self, graph, indicator):
         law = exact_random_law(graph, np.random.default_rng(1))
         with pytest.raises(GraphQueryError, match=f"CPT of {indicator} given"):
+            identified_cpts(observed_law(law))
+
+    @staticmethod
+    def _two_variable_graph(directed, bidirected=()):
+        return MissingDataGraph(
+            [Vertex("X", X1, 2), Vertex("Y", X1, 2), Vertex("R_X", R, 2), Vertex("R_Y", R, 2)],
+            directed, bidirected, pairs=[("X", "R_X"), ("Y", "R_Y")])
+
+    @pytest.mark.parametrize("edge", [("X", "Y"), ("R_X", "R_Y"), ("R_X", "Y")])
+    def test_bidirected_edges_refused(self, edge):
+        # CCM(2, 2) with one bidirected edge added, read at a CCM(2, 2) law's table.
+        g = self._two_variable_graph([("X", "Y"), ("X", "R_Y"), ("R_X", "R_Y")], [edge])
+        obs = observed_law(exact_random_law(ccm_graph(2, 2), np.random.default_rng(1)))
+        with pytest.raises(GraphQueryError, match=f"bidirected edges {edge[0]}<->{edge[1]}$"):
+            identified_cpts(ObservedLawTable(g, obs.values))
+
+    def test_graph_without_colluder_refused(self):
+        g = self._two_variable_graph([("X", "Y"), ("X", "R_Y")])
+        law = exact_random_law(g, np.random.default_rng(1))
+        with pytest.raises(GraphQueryError, match="the graph has no colluder"):
             identified_cpts(observed_law(law))
 
 

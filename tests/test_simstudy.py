@@ -1,9 +1,11 @@
+import ast
 import contextlib
 import json
 import multiprocessing
 import os
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from colluder_lab import (CategoricalLaw, ColluderLabError, LawError, Likelihood
                           ObservedLawTable, SimConstraints, SimScenario, VertexRole,
                           ccm_graph, identified_cpts, observable_axes, random_law,
                           run_scenario, sample_dataset, simstudy)
-from colluder_lab.estimate import maximize, starting_points
+from colluder_lab import estimate
+from colluder_lab.estimate import maximize, plug_in, starting_points
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 
 O = VertexRole.FULLY_OBSERVED
@@ -333,22 +336,33 @@ def _outside(model, counts):
 
 
 def _spy_on_maximize(monkeypatch):
-    """Record the starts of every ``maximize`` call that ``simstudy`` makes."""
+    """Record the starts of every ``maximize`` call that ``fit_counts`` makes."""
     batches = []
 
     def spy(model, weights, starts, max_steps):
         batches.append([np.array(s) for s in starts])
         return maximize(model, weights, starts, max_steps)
 
-    monkeypatch.setattr(simstudy, "maximize", spy)
+    monkeypatch.setattr(estimate, "maximize", spy)
     return batches
+
+
+def _fit_cells(model, counts, seeds, restarts, plug_ins=None):
+    """Each cell's fit as a simulation study makes it, from its plug-in start unless
+    ``plug_ins`` are given: its point, whether it converged and whether the
+    certificate settled it."""
+    if plug_ins is None:
+        plug_ins = [plug_in(model, c) for c in counts]
+    theta, *_, converged, _, certified = estimate.fit_counts(model, counts, plug_ins, seeds,
+                                                             restarts, 10_000)
+    return theta, converged, certified
 
 
 class TestCertificate:
     def test_saturated_interior_cells_are_certified(self):
         model, counts, seeds, restarts = _design_cells("ccm22.json", 4)
         inside = [not o for o in _outside(model, counts)]
-        _, converged, certified = simstudy._fit_cells(model, counts, seeds, restarts)
+        _, converged, certified = _fit_cells(model, counts, seeds, restarts)
         assert converged.all() and certified.tolist() == inside
         assert any(inside) and not all(inside)
 
@@ -361,42 +375,58 @@ class TestCertificate:
         seeds = [s for *_, s in draws]
         assert not any(_outside(model, counts))
         batches = _spy_on_maximize(monkeypatch)
-        _, converged, certified = simstudy._fit_cells(model, counts, seeds, sc.restarts)
+        _, converged, certified = _fit_cells(model, counts, seeds, sc.restarts)
         assert converged.all() and not certified.any()
         # No plug-in climbs alone: every cell climbs it and its random starts in one batch.
         assert len(batches) == 1
         for cell, seed, starts in zip(counts, seeds, batches[0]):
-            assert np.array_equal(starts, np.vstack([simstudy._plug_in(model, cell),
+            assert np.array_equal(starts, np.vstack([plug_in(model, cell),
                                                      starting_points(model, sc.restarts, seed)]))
 
-    def test_no_certificate_where_the_masses_miss_the_frequencies(self, monkeypatch):
+    def test_no_certificate_where_the_masses_miss_the_frequencies(self):
         # Every cell first climbs the uniform law alone.  Where the identified law is
         # inside, that climb ends at it; where it is outside, it converges to a
         # boundary optimum whose observed-cell masses are not the frequencies.
         model, counts, seeds, restarts = _design_cells("ccm44.json", 6)
         outside = _outside(model, counts)
         assert any(outside) and not all(outside)
-        monkeypatch.setattr(simstudy, "_plug_in", lambda model, _: np.zeros(model.n_params))
-        _, converged, certified = simstudy._fit_cells(model, counts, seeds, restarts)
+        uniform = [np.zeros(model.n_params)] * len(counts)
+        _, converged, certified = _fit_cells(model, counts, seeds, restarts, uniform)
         assert converged.all() and certified.tolist() == [not o for o in outside]
 
     def test_uncertified_cells_climb_their_random_starts(self, monkeypatch):
         model, counts, seeds, restarts = _design_cells("ccm44.json", 6)
         batches = _spy_on_maximize(monkeypatch)
-        _, _, certified = simstudy._fit_cells(model, counts, seeds, restarts)
+        _, _, certified = _fit_cells(model, counts, seeds, restarts)
         assert certified.any() and not certified.all()
         rest = np.flatnonzero(~certified)
         assert len(batches[-1]) == len(rest)
         for i, starts in zip(rest, batches[-1]):
             assert np.array_equal(starts, starting_points(model, restarts, seeds[i]))
 
+    def test_each_cell_ends_as_fitted_alone(self):
+        # Certified cells keep their certificate climb, the others their final
+        # batch's, each under its own index.
+        model, counts, seeds, restarts = _design_cells("ccm44.json", 6)
+        plug_ins = [plug_in(model, c) for c in counts]
+        fitted = estimate.fit_counts(model, counts, plug_ins, seeds, restarts, 10_000)
+        certified = fitted[-1]
+        assert certified.any() and not certified.all()
+        for i in range(len(counts)):
+            alone = estimate.fit_counts(model, counts[i:i + 1], plug_ins[i:i + 1],
+                                        seeds[i:i + 1], restarts, 10_000)
+            for field, one in zip(fitted, alone):
+                assert np.asarray(field[i]).tobytes() == np.asarray(one[0]).tobytes()
+            starts = 1 if certified[i] else restarts + (plug_ins[i] is not None)
+            assert len(fitted[5][i]) == starts
+
     def test_no_certificate_with_an_empty_reachable_cell(self):
         model, counts, seeds, restarts = _design_cells("ccm22.json", 1)
         cell = counts[-1]
-        assert simstudy._fit_cells(model, cell[None], seeds[-1:], restarts)[2].all()
+        assert _fit_cells(model, cell[None], seeds[-1:], restarts)[2].all()
         emptied = np.repeat(cell[None], len(model._reachable), axis=0)
         emptied[np.arange(len(model._reachable)), model._reachable] = 0.0
-        _, _, certified = simstudy._fit_cells(model, emptied, seeds[-1:] * len(emptied),
+        _, _, certified = _fit_cells(model, emptied, seeds[-1:] * len(emptied),
                                               restarts)
         assert not certified.any()
 
@@ -404,14 +434,14 @@ class TestCertificate:
         model, counts, seeds, restarts = _design_cells("ccm44.json", 6)
         outside = np.flatnonzero(_outside(model, counts))
         assert len(outside)
-        _, _, certified = simstudy._fit_cells(model, counts[outside],
+        _, _, certified = _fit_cells(model, counts[outside],
                                               [seeds[i] for i in outside], restarts)
         assert not certified.any()
 
     @pytest.mark.parametrize("design", ["ccm22.json", "ccm44.json"])
     def test_fit_agrees_with_the_random_starts_alone(self, design):
         model, counts, seeds, restarts = _design_cells(design, 30)
-        theta, converged, certified = simstudy._fit_cells(model, counts, seeds, restarts)
+        theta, converged, certified = _fit_cells(model, counts, seeds, restarts)
         starts = np.stack([starting_points(model, restarts, s) for s in seeds])
         base, base_ll, _, _, base_converged, _ = maximize(model, counts, starts, 10_000)
         ll = model.log_likelihood(theta, counts)
@@ -420,6 +450,21 @@ class TestCertificate:
         assert both.any() and certified.any()
         est, base_est = (model._cpt_probs(t)[:, model._free] for t in (theta, base))
         np.testing.assert_allclose(est[both], base_est[both], rtol=0, atol=1e-8)
+
+
+def test_simstudy_leaves_fitting_to_estimate():
+    """simstudy draws, bins and aggregates: it reads no private attribute of a
+    likelihood model and imports none of the fitting and identification routines
+    that ``estimate.fit_counts`` and ``estimate.plug_in`` wrap."""
+    tree = ast.parse(Path(simstudy.__file__).read_text())
+    private = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+               and isinstance(node.value, ast.Name) and node.value.id == "model"
+               and node.attr.startswith("_")]
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert private == []
+    assert not imported & {"maximize", "starting_points", "identified_cpts", "Rationals",
+                           "ObservedLawTable"}
 
 
 def _cells_reporting_blas_threads(scenario, cells):
