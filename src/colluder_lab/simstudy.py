@@ -8,6 +8,13 @@ aggregation is a deterministic fold in replication order.
 Each cell is fitted by :func:`~colluder_lab.estimate.fit_counts` from its
 plug-in start (:func:`~colluder_lab.estimate.plug_in`), where the
 saturated-model certificate may settle it, and its random starts.
+
+A study on w > 1 processes forks w - 1 children, one per extra share of its
+cells.  A child fits its share and sends the results, or the exception its
+share raised, back through a one-way pipe; nothing is pickled to it.  The
+``fork`` start method is pinned: a forked child inherits the caller's BLAS
+cap and its module state, which a ``spawn`` or ``forkserver`` child (the
+Linux default from Python 3.14) would not.
 """
 
 from __future__ import annotations
@@ -15,8 +22,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import itertools
+import multiprocessing
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -113,11 +120,12 @@ def _parameter_layout(graph: MissingDataGraph) -> list[tuple[str, str, str]]:
     return coords
 
 
-def _run_cell(scenario: SimScenario, n_idx: int, rep: int):
-    """One replication's draws: its law, its sample's observed-cell counts and its fit seed."""
+def _run_cell(scenario: SimScenario, n_idx: int, rep: int, graph: MissingDataGraph):
+    """One replication's draws on the scenario's ``graph``: its law, its sample's
+    observed-cell counts and its fit seed."""
     ss = np.random.SeedSequence((scenario.seed, n_idx, rep))
     law_seed, data_seed, fit_seed = ss.spawn(3)
-    law = random_law(scenario.graph(), scenario.constraints, law_seed)
+    law = random_law(graph, scenario.constraints, law_seed)
     counts = _cell_counts(law, scenario.sample_sizes[n_idx], data_seed)
     return law, counts, int(fit_seed.generate_state(1)[0])
 
@@ -139,8 +147,9 @@ def _run_cells(scenario: SimScenario, cells) -> list:
     if len(cells) > _BATCH_CELLS:
         return [r for i in range(0, len(cells), _BATCH_CELLS)
                 for r in _run_cells(scenario, cells[i:i + _BATCH_CELLS])]
-    model = LikelihoodModel(scenario.graph())
-    draws = [_run_cell(scenario, n_idx, rep) for n_idx, rep in cells]
+    graph = scenario.graph()
+    model = LikelihoodModel(graph)
+    draws = [_run_cell(scenario, n_idx, rep, graph) for n_idx, rep in cells]
     counts = np.stack([c for _, c, _ in draws])
     theta, *_, converged, _, certified = fit_counts(
         model, counts, [plug_in(model, c) for c in counts], [seed for *_, seed in draws],
@@ -267,11 +276,29 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _fit_share(scenario: SimScenario, cells) -> list:
-    """A worker's share of a study.  The pool pickles this function by name, and it
-    looks up :func:`_run_cells` when the share runs, on the one BLAS thread the
-    worker inherits from the caller's :func:`_one_blas_thread` block."""
-    return _run_cells(scenario, cells)
+def _send_share(sender, scenario: SimScenario, cells) -> None:
+    """A child's share of a study: send ``(True, results)``, or ``(False, exception)``
+    if the share raised.  :func:`_run_cells` is looked up when the share runs, on
+    the one BLAS thread the child inherits from the caller's
+    :func:`_one_blas_thread` block."""
+    try:
+        message = (True, _run_cells(scenario, cells))
+    except Exception as exc:
+        message = (False, exc)
+    sender.send(message)
+
+
+def _receive_share(number: int, child, receiver) -> list:
+    """Share ``number``'s results as its child sent them; raise what the share raised."""
+    try:
+        ok, payload = receiver.recv()
+    except (EOFError, OSError):
+        child.join()
+        raise ColluderLabError(f"share {number} of the study: its worker process exited "
+                               f"with code {child.exitcode} before sending results") from None
+    if not ok:
+        raise payload
+    return payload
 
 
 def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
@@ -280,10 +307,15 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     Each cell's law and sample are drawn from its own seed; the cells are
     then fitted in batches of up to ``_BATCH_CELLS`` cells (see
     :func:`_run_cells`).  ``threads`` must be at least 1.  With ``threads`` =
-    w > 1 the cells are split into w contiguous shares: the calling process
-    fits the first share while w - 1 forked worker processes fit the others,
-    each process with its BLAS limited to one thread, and the results are
-    joined in cell order.  The report is the same for any value.
+    w > 1 the cells are split into w contiguous shares and the caller's BLAS
+    is limited to one thread; then one child per share after the first is
+    forked with the ``fork`` start method, so that it inherits that limit
+    and the module's state.  The caller fits the first share and reads each
+    child's results from its pipe in share order.  An exception a share
+    raised is raised in the caller, and a child that exits without sending
+    its results raises :class:`ColluderLabError`; the children still running
+    are then terminated.  Every child is joined before this returns or
+    raises.  The report is the same for any value.
     Non-convergent fits are excluded from the aggregates and counted; the
     scenario fails if more than ``max_failure_rate`` of the replications at
     any sample size did not converge.  The report also counts the
@@ -301,9 +333,29 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     if workers > 1:
         first, *others = [cells[len(cells) * i // workers:len(cells) * (i + 1) // workers]
                           for i in range(workers)]
-        with _one_blas_thread(), ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            forked = pool.map(_fit_share, [scenario] * len(others), others)
-            results = _run_cells(scenario, first) + [r for share in forked for r in share]
+        context = multiprocessing.get_context("fork")
+        children = []
+        with _one_blas_thread():
+            try:
+                for share in others:
+                    receiver, sender = context.Pipe(duplex=False)
+                    child = context.Process(target=_send_share, args=(sender, scenario, share))
+                    child.start()
+                    # Closed before the next fork, so that the pipe reads EOF once
+                    # this child exits, also when it dies without sending.
+                    sender.close()
+                    children.append((child, receiver))
+                results = _run_cells(scenario, first)
+                for number, (child, receiver) in enumerate(children, start=2):
+                    results += _receive_share(number, child, receiver)
+            except BaseException:
+                for child, _ in children:
+                    child.terminate()
+                raise
+            finally:
+                for child, receiver in children:
+                    child.join()
+                    receiver.close()
     else:
         results = _run_cells(scenario, cells)
 

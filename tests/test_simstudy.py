@@ -3,6 +3,10 @@ import contextlib
 import json
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -250,6 +254,57 @@ class TestRunScenario:
         with pytest.raises(RuntimeError, match="share failed"):
             run_scenario(sc, threads=2)
 
+    @pytest.mark.parametrize("threads, first_forked", [(2, (0, 2)), (3, (0, 1))])
+    def test_worker_share_error_reaches_caller(self, monkeypatch, threads, first_forked):
+        # Every forked share raises; the caller reads share 2 first.
+        monkeypatch.setattr(simstudy, "_run_cells", _cells_failing_outside(os.getpid()))
+        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+        with pytest.raises(LookupError, match=re.escape(f"share from {first_forked} failed")):
+            run_scenario(sc, threads=threads)
+
+    @pytest.mark.parametrize("fail_in, error", [(None, None), ("caller", RuntimeError),
+                                                ("worker", LookupError)])
+    def test_no_child_outlives_the_study(self, monkeypatch, fail_in, error):
+        if fail_in is not None:
+            failing = _cells_failing_in if fail_in == "caller" else _cells_failing_outside
+            monkeypatch.setattr(simstudy, "_run_cells", failing(os.getpid()))
+        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            run_scenario(sc, threads=3)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("share, status, stderr", [
+        # A worker that dies without sending its results.
+        ("os._exit(3) if os.getpid() != caller else run_cells(scenario, cells)", "1",
+         "error: share 2 of the study: its worker process exited with code 3 "
+         "before sending results\n"),
+        # A caller share that raises while its worker is still fitting.
+        ("time.sleep(600) if os.getpid() != caller else 1 / 0", "ZeroDivisionError", ""),
+    ])
+    def test_failed_study_stops_its_workers(self, tmp_path, share, status, stderr):
+        # In a child interpreter with a deadline, so that a study waiting on its
+        # workers fails the test instead of hanging the suite.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(SimScenario(m=2, q=2, sample_sizes=(300,),
+                                                   replications=4, seed=9).to_json()))
+        src = str(Path(simstudy.__file__).resolve().parents[1])
+        code = textwrap.dedent(f"""\
+            import multiprocessing, os, sys, time
+            sys.path.insert(0, {src!r})
+            from colluder_lab import cli, simstudy
+            caller, run_cells = os.getpid(), simstudy._run_cells
+            simstudy._run_cells = lambda scenario, cells: {share}
+            try:
+                status = cli.main(["simulate", {str(scenario)!r}, "--threads", "2",
+                                   "--out", {str(tmp_path / "report")!r}])
+            except ZeroDivisionError as exc:
+                status = type(exc).__name__
+            print(status, multiprocessing.active_children())
+            """)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=60)
+        assert (out.stdout, out.stderr) == (f"{status} []\n", stderr)
+
     @pytest.mark.skipif(not simstudy._openblas_thread_controls(),
                         reason="no OpenBLAS thread control symbol is loaded")
     @pytest.mark.parametrize("fail", [False, True])
@@ -321,7 +376,8 @@ def _design_cells(name, replications):
     """The model of a bundled design and the observed-cell counts and fit seeds of
     its first ``replications`` cells at every sample size."""
     sc = SimScenario.from_json(resources.files("colluder_lab").joinpath("data", name).read_text())
-    draws = [simstudy._run_cell(sc, n_idx, rep) for n_idx in range(len(sc.sample_sizes))
+    draws = [simstudy._run_cell(sc, n_idx, rep, sc.graph())
+             for n_idx in range(len(sc.sample_sizes))
              for rep in range(replications)]
     return (LikelihoodModel(sc.graph()), np.stack([c for _, c, _ in draws]),
             [seed for *_, seed in draws], sc.restarts)
@@ -370,7 +426,7 @@ class TestCertificate:
         sc = SimScenario(m=2, q=3, sample_sizes=(100000,), replications=6, seed=3)
         model = LikelihoodModel(sc.graph())
         assert model.n_params < len(model._reachable) - 1
-        draws = [simstudy._run_cell(sc, 0, rep) for rep in range(6)]
+        draws = [simstudy._run_cell(sc, 0, rep, sc.graph()) for rep in range(6)]
         counts = np.stack([c for _, c, _ in draws])
         seeds = [s for *_, s in draws]
         assert not any(_outside(model, counts))
@@ -495,5 +551,17 @@ def _cells_failing_in(pid):
     def run_cells(scenario, cells):
         if os.getpid() == pid:
             raise RuntimeError("share failed")
+        return report(scenario, cells)
+    return run_cells
+
+
+def _cells_failing_outside(pid):
+    """A stand-in for a share of simulation cells that raises outside process ``pid``,
+    naming the share's first cell, and reports the process id in ``pid``."""
+    report = _cells_reporting(os.getpid)
+
+    def run_cells(scenario, cells):
+        if os.getpid() != pid:
+            raise LookupError(f"share from {cells[0]} failed")
         return report(scenario, cells)
     return run_cells
