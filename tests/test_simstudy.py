@@ -279,7 +279,7 @@ class TestRunScenario:
          "error: share 2 of the study: its worker process exited with code 3 "
          "before sending results\n"),
         # A caller share that raises while its worker is still fitting.
-        ("time.sleep(600) if os.getpid() != caller else 1 / 0", "ZeroDivisionError", ""),
+        ("time.sleep(120) if os.getpid() != caller else 1 / 0", "ZeroDivisionError", ""),
     ])
     def test_failed_study_stops_its_workers(self, tmp_path, share, status, stderr):
         # In a child interpreter with a deadline, so that a study waiting on its
