@@ -2,9 +2,11 @@
 
 A record's probability is the mass of its observed cell: the sum of the
 full-joint cells that :func:`~colluder_lab.lawtable.coarsening_map` sends
-there (the record's completion set).  CPT rows are mapped to unconstrained
-parameters by exponential normalization with the first level pinned as
-reference.  Derivatives are exact: the score sums each full cell's
+there (the record's completion set).  So for fitting, a dataset is its weight
+per observed cell, :attr:`Dataset.counts`, and that vector is the only data
+form the likelihood and its derivatives take.  CPT rows are mapped to
+unconstrained parameters by exponential normalization with the first level
+pinned as reference.  Derivatives are exact: the score sums each full cell's
 complete-data score over its expected count given the data, and the Hessian
 follows from Louis's identity.  Every start is fitted by damped modified
 Newton on that Hessian.
@@ -68,10 +70,12 @@ class Dataset:
 
     The likelihood reads the data only through each observed cell's total
     weight, so that is all a dataset keeps: records with the same content
-    merge, and their order is not kept.  A dataset holds one entry per
-    observed cell of positive weight, in ascending cell order: ``patterns``
-    holds the flat observed-cell indices, ``weights`` each cell's total
-    weight and ``rows`` each cell's record.
+    merge, and their order is not kept.  ``counts`` holds every observed
+    cell's total weight, flat in row-major order, which is what the
+    likelihood takes.  Beside it, one entry per observed cell of positive
+    weight, in ascending cell order: ``patterns`` holds the flat
+    observed-cell indices, ``weights`` each cell's total weight and ``rows``
+    each cell's record.  All four arrays are read-only.
     """
 
     NA = -1  # convenience alias accepted in input rows; stored as the NA level
@@ -127,12 +131,12 @@ class Dataset:
             raise DataError("weights must have one entry per record")
         if not np.all(np.isfinite(weights) & (weights >= 0)):
             raise DataError("weights must be finite and non-negative")
-        totals = np.bincount(cells, weights=weights, minlength=len(produced))
         self.columns = tuple(names)
-        self.patterns = np.flatnonzero(totals > 0)
-        self.weights = totals[self.patterns]
+        self.counts = np.bincount(cells, weights=weights, minlength=len(produced))
+        self.patterns = np.flatnonzero(self.counts > 0)
+        self.weights = self.counts[self.patterns]
         self.rows = np.stack(np.unravel_index(self.patterns, sizes), axis=1)
-        for arr in (self.patterns, self.weights, self.rows):
+        for arr in (self.counts, self.patterns, self.weights, self.rows):
             arr.setflags(write=False)
 
     @classmethod
@@ -141,15 +145,26 @@ class Dataset:
 
         ``weights`` has one entry per cell of the observed table (the shape
         of :func:`~colluder_lab.lawtable.observable_axes`, or flat in
-        row-major order), such as counts or probabilities.
+        row-major order), such as counts or probabilities.  Weight on a cell
+        that :func:`~colluder_lab.lawtable.coarsening_map` never produces is
+        refused, naming the cell's column values.
         """
-        shape, weights = [a.size for a in observable_axes(graph)], np.asarray(weights, float)
+        axes, weights = observable_axes(graph), np.asarray(weights, float)
+        shape = [a.size for a in axes]
         if weights.size != np.prod(shape):
             raise DataError(f"{weights.size} observed-cell weights given, expected "
                             f"{np.prod(shape)}")
         weights = weights.reshape(shape)
         nonzero = weights != 0
-        return cls(graph, np.argwhere(nonzero), weights[nonzero])
+        cells = np.argwhere(nonzero)
+        try:
+            return cls(graph, cells, weights[nonzero])
+        except DataError as e:
+            if e.row is None:
+                raise
+            values = ", ".join(f"{a.name}={'NA' if a.kind == 'proxy' and v == a.size - 1 else v}"
+                               for a, v in zip(axes, cells[e.row].tolist()))
+            raise DataError(f"{e.reason} (observed cell {values})") from None
 
     # -- CSV --------------------------------------------------------------
 
@@ -291,7 +306,7 @@ class LikelihoodModel:
             raise FitError(f"the likelihood factors over directed parents only and would "
                            f"drop the bidirected edges {edges}")
         self.graph = graph
-        verts = graph.non_proxy_vertices()
+        verts = graph.vertices
         for v in verts:
             if v.levels is None:
                 raise FitError(f"vertex {v.name!r} is continuous; the categorical "
@@ -432,45 +447,40 @@ class LikelihoodModel:
             raise FitError("empty dataset")
         return data
 
-    def cell_weights(self, bound: Dataset) -> np.ndarray:
-        """The weight of every observed cell of a dataset."""
-        weights = np.zeros(self._n_obs)
-        weights[bound.patterns] = bound.weights
-        return weights
-
-    def _rows(self, theta: np.ndarray, bound):
+    def _rows(self, theta: np.ndarray, weights):
         """The CPT probabilities of ``theta`` as rows (B, ...), and each row's
         observed-cell weights (B, n_obs).
 
-        ``bound`` is a dataset, shared by every row, or an array of
-        observed-cell weights with one row per row of ``theta``.
+        ``weights`` is one vector of observed-cell weights (n_obs,), shared by
+        every row, or one row of them per row of ``theta``.
         """
         probs = np.atleast_2d(self._cpt_probs(theta))
-        weights = self.cell_weights(bound) if isinstance(bound, Dataset) else bound
         return probs, np.broadcast_to(np.asarray(weights, dtype=float),
                                       (len(probs), self._n_obs))
 
     # -- objective -------------------------------------------------------------
     #
     # Each method takes one parameter vector (k,) or a batch (B, k), and
-    # answers for each row.  A row's arithmetic does not depend on the other
-    # rows or on where the row lies in memory: sums run along fixed axes, and
-    # contractions go through einsum's loops rather than BLAS, whose kernels
-    # may order a sum by the data's alignment.
+    # answers for each row.  The data are observed-cell weights, such as a
+    # dataset's ``counts``: one vector (n_obs,) for every row, or one row of
+    # weights (B, n_obs) per row of theta.  A row's arithmetic does not depend
+    # on the other rows or on where the row lies in memory: sums run along
+    # fixed axes, and contractions go through einsum's loops rather than BLAS,
+    # whose kernels may order a sum by the data's alignment.
 
-    def pattern_probs(self, theta: np.ndarray, bound: Dataset) -> np.ndarray:
-        """The probability of each observed cell of positive weight in ``bound``."""
+    def pattern_probs(self, theta: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """The probability of each observed cell of positive weight in ``weights`` (n_obs,)."""
         _, mass = self._masses(np.atleast_2d(self._cpt_probs(theta)))
-        return mass[:, bound.patterns].reshape(np.shape(theta)[:-1] + (-1,))
+        return mass[:, np.asarray(weights) > 0.0].reshape(np.shape(theta)[:-1] + (-1,))
 
-    def log_likelihood(self, theta: np.ndarray, bound):
+    def log_likelihood(self, theta: np.ndarray, weights):
         """Weighted log-likelihood; -inf when a weighted record has probability zero.
 
         A float for one parameter vector, an array (B,) for a batch.  The
         line search rejects such points by their -inf value, while
         :meth:`gradient` and :meth:`hessian` raise :class:`FitError` there.
         """
-        probs, weights = self._rows(theta, bound)
+        probs, weights = self._rows(theta, weights)
         _, mass = self._masses(probs)
         ll = np.sum(weights * np.log(np.where(mass > 0.0, mass, 1.0)), axis=1)
         ll[np.any((weights > 0.0) & (mass <= 0.0), axis=1)] = -np.inf
@@ -504,15 +514,15 @@ class LikelihoodModel:
         info[:, diag, diag] += row_counts * p
         return np.einsum("bfi,bfj->bij", centered, centered) - info
 
-    def gradient(self, theta: np.ndarray, bound) -> np.ndarray:
+    def gradient(self, theta: np.ndarray, weights) -> np.ndarray:
         """Exact score: the complete-data score summed over expected full-cell counts.
 
         Raises :class:`FitError` when a weighted record has probability zero.
         """
-        p, _, _, expected = self._posterior(*self._rows(theta, bound))
+        p, _, _, expected = self._posterior(*self._rows(theta, weights))
         return self._score(p, expected).reshape(np.shape(theta))
 
-    def hessian(self, theta: np.ndarray, bound) -> np.ndarray:
+    def hessian(self, theta: np.ndarray, weights) -> np.ndarray:
         """Exact second derivatives by Louis's identity.
 
         The observed information is the expected complete-data information
@@ -520,7 +530,7 @@ class LikelihoodModel:
         both taken over the full cells' expected counts.  Raises
         :class:`FitError` when a weighted record has probability zero.
         """
-        post = self._posterior(*self._rows(theta, bound))
+        post = self._posterior(*self._rows(theta, weights))
         return self._hessian(*post).reshape(np.shape(theta) + (self.n_params,))
 
     # -- labels ------------------------------------------------------------------
@@ -543,13 +553,13 @@ class LikelihoodModel:
 def log_likelihood(theta: np.ndarray, data: Dataset, graph: MissingDataGraph) -> float:
     """Marginalized log-likelihood: sum over records of log sum over completions."""
     model = LikelihoodModel(graph)
-    return model.log_likelihood(np.asarray(theta, dtype=float), model.bind(data))
+    return model.log_likelihood(np.asarray(theta, dtype=float), model.bind(data).counts)
 
 
 def grad_log_likelihood(theta: np.ndarray, data: Dataset, graph: MissingDataGraph) -> np.ndarray:
     """Exact analytic gradient of :func:`log_likelihood` in the unconstrained parameters."""
     model = LikelihoodModel(graph)
-    return model.gradient(np.asarray(theta, dtype=float), model.bind(data))
+    return model.gradient(np.asarray(theta, dtype=float), model.bind(data).counts)
 
 
 # -- fitting --------------------------------------------------------------------------
@@ -816,7 +826,7 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
     """
     config = config or FitConfig()
     model = LikelihoodModel(graph)
-    bound = model.bind(data)
+    counts = model.bind(data).counts
 
     if not config.allow_nonidentifiable:
         from .identify import decide_full_law
@@ -827,12 +837,11 @@ def fit(data: Dataset, graph: MissingDataGraph, config: FitConfig | None = None)
                 f"to fit anyway: {[r.detail for r in verdict.reasons]}")
 
     theta, ll, best_i, grad_norm, converged, steps, _ = (a[0] for a in fit_counts(
-        model, model.cell_weights(bound)[None], [None], [config.seed], config.restarts,
-        config.max_iterations))
+        model, counts[None], [None], [config.seed], config.restarts, config.max_iterations))
 
     est = model.probabilities(theta)
     boundary = (est <= _BOUNDARY_TOL) | (est >= 1.0 - _BOUNDARY_TOL)
-    eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
+    eigval, eigvec = np.linalg.eigh(-model.hessian(theta, counts))
     lam_max = float(eigval.max(initial=0.0))
     null_mask = eigval <= _INFO_REL_TOL * max(lam_max, 0.0)
     inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))

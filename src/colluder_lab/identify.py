@@ -59,9 +59,9 @@ class ColluderSolution:
 
 def separation_condition(g: MissingDataGraph, col: Colluder) -> bool:
     """The conditional independence required to read the system off observed data:
-    R_X independent of Y given everything else except proxies."""
+    R_X independent of Y given every other vertex."""
     y_true = g.true_of(col.target_indicator)
-    cond = [v.name for v in g.non_proxy_vertices()
+    cond = [v.name for v in g.vertices
             if v.name not in (col.response_of_true, y_true)]
     return m_separated(g, {col.response_of_true}, {y_true}, cond)
 
@@ -76,7 +76,7 @@ def stratum_variables(g: MissingDataGraph, col: Colluder) -> tuple[tuple[str, ..
     y_true = g.true_of(col.target_indicator)
     enumerable = []
     indicators = []
-    for v in g.non_proxy_vertices():
+    for v in g.vertices:
         if v.name in (col.true_variable, y_true, col.response_of_true, col.target_indicator):
             continue
         if v.role is VertexRole.RESPONSE_INDICATOR:
@@ -243,7 +243,7 @@ def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph,
             f"positivity violated: {x_name}={j} has no mass at stratum {sys.strata[s]}",
             stratum=sys.strata[s])
 
-    variables = [v for v in g.non_proxy_vertices()
+    variables = [v for v in g.vertices
                  if v.role is not VertexRole.RESPONSE_INDICATOR]
     axes = [Axis(v.name, v.levels, "observed" if v.role is VertexRole.FULLY_OBSERVED else "true")
             for v in variables]
@@ -283,7 +283,7 @@ def _ccm_colluder(g: MissingDataGraph) -> Colluder:
     col = colluders[0]
     x, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     rules = {rx: set(), ry: {x, rx}, x: set(), g.true_of(ry): {x}}
-    for v in sorted(g.non_proxy_vertices(),
+    for v in sorted(g.vertices,
                     key=lambda v: v.role is not VertexRole.RESPONSE_INDICATOR):
         parents = set(g.parents(v.name))
         if v.name not in rules or not parents <= rules[v.name]:
@@ -346,7 +346,7 @@ def identified_cpts(obs: ObservedLawTable) -> dict[str, np.ndarray]:
         ry: np.transpose(ry_cpt, [(x, rx).index(p) for p in g.parents(ry)] + [2]),
     }
     return {v.name: cpts[v.name].astype(float) if obs._rounded else cpts[v.name]
-            for v in g.non_proxy_vertices()}
+            for v in g.vertices}
 
 
 # -- binary closed form ---------------------------------------------------------
@@ -427,7 +427,7 @@ def or_factorization_check(law: CategoricalLaw, ordering: Sequence[str]) -> floa
         raise LawError(f"ordering must be a permutation of {sorted(r_names)}")
     ordering = list(ordering)
     K = len(ordering)
-    cond_names = [v.name for v in g.non_proxy_vertices()
+    cond_names = [v.name for v in g.vertices
                   if v.role is not VertexRole.RESPONSE_INDICATOR]
 
     joint = law.joint_table()

@@ -90,7 +90,7 @@ def observable_axes(graph: MissingDataGraph) -> tuple[Axis, ...]:
     contribute binary axes.
     """
     axes = []
-    for v in graph.non_proxy_vertices():
+    for v in graph.vertices:
         if v.levels is None:
             raise LawError(f"vertex {v.name!r} is continuous; observed tables are categorical only")
         if v.role is VertexRole.TRUE_VARIABLE:
@@ -235,7 +235,7 @@ def _fraction(entry) -> Fraction:
 
 
 class CategoricalLaw:
-    """A full law factored into one CPT per non-proxy vertex of the graph.
+    """A full law factored into one CPT per vertex of the graph.
 
     ``cpts[v]`` has shape ``(*parent_levels, levels_of_v)`` with parents in
     graph declaration order; every row is a probability vector.  Entries may
@@ -251,7 +251,7 @@ class CategoricalLaw:
         self.graph = graph
         self._exact_cpts: dict[str, Rationals] = {}
         clean: dict[str, np.ndarray] = {}
-        for v in graph.non_proxy_vertices():
+        for v in graph.vertices:
             if v.levels is None:
                 raise LawError(f"vertex {v.name!r} is continuous; categorical laws only")
             if v.name not in cpts:
@@ -290,12 +290,12 @@ class CategoricalLaw:
             clean[v.name] = arr
         extra = set(cpts) - set(clean)
         if extra:
-            raise LawError(f"CPTs given for unknown or proxy vertices: {sorted(extra)}")
+            raise LawError(f"CPTs given for unknown vertices: {sorted(extra)}")
         self.cpts = clean
 
     @staticmethod
     def parent_order(graph: MissingDataGraph, name: str) -> tuple[str, ...]:
-        """Parents of ``name`` in graph declaration order (a proxy parents nothing)."""
+        """Parents of ``name`` in graph declaration order."""
         return graph.parents(name)
 
     def strictly_positive(self, eps_pos: float = EPS_POS) -> bool:
@@ -305,12 +305,12 @@ class CategoricalLaw:
         return all(arr.dtype == object for arr in self.cpts.values())
 
     def joint_table(self) -> ProbabilityTable:
-        """The full joint over non-proxy vertices, in declaration order.
+        """The full joint over the vertices, in declaration order.
 
         An exact law's joint is :class:`Rationals`: the product of its CPTs'
         integer numerators over the product of their denominators.
         """
-        verts = self.graph.non_proxy_vertices()
+        verts = self.graph.vertices
         subscripts = cpt_subscripts(self.graph)
         if self.is_exact():
             cpts = [self._exact_cpts[v.name] for v in verts]
@@ -387,7 +387,7 @@ class CategoricalLaw:
 def joint_probability(law: CategoricalLaw, assignment: Mapping[str, int]):
     """Full-law probability of one configuration: the product of CPT entries."""
     prob = Fraction(1) if law.is_exact() else 1.0
-    for v in law.graph.non_proxy_vertices():
+    for v in law.graph.vertices:
         if v.name not in assignment:
             raise LawError(f"assignment is missing vertex {v.name!r}")
         level = assignment[v.name]
@@ -400,12 +400,12 @@ def joint_probability(law: CategoricalLaw, assignment: Mapping[str, int]):
 
 
 def cpt_subscripts(graph: MissingDataGraph) -> list[str]:
-    """einsum subscripts of each non-proxy vertex's CPT, in declaration order.
+    """einsum subscripts of each vertex's CPT, in declaration order.
 
     Each vertex has one letter; a CPT's subscript is its parents' letters in
     :meth:`CategoricalLaw.parent_order`, then its own.
     """
-    names = [v.name for v in graph.non_proxy_vertices()]
+    names = [v.name for v in graph.vertices]
     if len(names) > len(ascii_letters):
         raise LawError(f"{len(names)} vertices exceed the {len(ascii_letters)} einsum "
                        f"subscripts of the table-based joint")
@@ -428,14 +428,14 @@ def joint_from_cpts(subscripts: Sequence[str], cpts: Sequence[np.ndarray]) -> np
 def coarsening_map(graph: MissingDataGraph) -> np.ndarray:
     """The observation process as an array: full cell -> flat observed cell.
 
-    An integer array over the full-joint shape (non-proxy vertices in
-    declaration order).  Each entry is the row-major flat index, in the
-    shape of :func:`observable_axes`, of the observed cell that full cell
-    produces: a proxy takes the true value when its indicator is 1 and its
-    NA level otherwise; every other vertex is copied.
+    An integer array over the full-joint shape (vertices in declaration
+    order).  Each entry is the row-major flat index, in the shape of
+    :func:`observable_axes`, of the observed cell that full cell produces: a
+    proxy takes the true value when its indicator is 1 and its NA level
+    otherwise; every other vertex is copied.
     """
     axes = observable_axes(graph)
-    full = np.indices([v.levels for v in graph.non_proxy_vertices()])
+    full = np.indices([v.levels for v in graph.vertices])
     pos = {a.name: i for i, a in enumerate(axes)}
     observed = list(full)
     for p in graph.pairs:
@@ -588,7 +588,7 @@ def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = Non
     rng = np.random.default_rng(seed)
 
     cpts: dict[str, np.ndarray] = {}
-    for v in graph.non_proxy_vertices():
+    for v in graph.vertices:
         parents = CategoricalLaw.parent_order(graph, v.name)
         shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
         if None in shape:

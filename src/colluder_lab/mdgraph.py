@@ -1,11 +1,13 @@
 """Missing-data graphs: vertex roles, m-separation, colluders.
 
 A missing-data graph partitions its vertices into fully observed variables,
-partially observed true variables, their binary response indicators, and
-deterministic observed proxies generated from the pairs.  Only a legal
-missing-data graph can be constructed, so no query re-checks the structure.
-Graphs are immutable after construction and all queries are read-only, so
-they can be shared freely across threads.
+partially observed true variables and their binary response indicators.  A
+variable's observed proxy is a deterministic function of the pair (the true
+value when the indicator is 1, NA otherwise), so the graph holds no vertex
+for it: :func:`~colluder_lab.lawtable.coarsening_map` models the observation.
+Only a legal missing-data graph can be constructed, so no query re-checks the
+structure.  Graphs are immutable after construction and all queries are
+read-only, so they can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .errors import ColluderLabError, GraphFormatError, GraphQueryError
 class VertexRole(Enum):
     FULLY_OBSERVED = "O"
     TRUE_VARIABLE = "X1"
-    PROXY = "X"
     RESPONSE_INDICATOR = "R"
 
 
@@ -43,11 +44,10 @@ class Vertex:
 
 @dataclass(frozen=True)
 class Pair:
-    """Pairing of a true variable with its response indicator and proxy."""
+    """Pairing of a true variable with its response indicator."""
 
     true: str
     indicator: str
-    proxy: str
 
 
 @dataclass(frozen=True)
@@ -107,17 +107,14 @@ def _json_objects(doc: dict, key: str, noun: str, required: tuple[str, ...],
 
 
 class MissingDataGraph:
-    """A missing-data graph over variables, response indicators, and proxies.
+    """A missing-data graph over variables and response indicators.
 
     Parameters
     ----------
     vertices:
-        ``Vertex`` instances, none of them a proxy: one proxy per declared
-        pair, ``<true>_obs``, is generated together with its two
-        deterministic incoming edges.
+        ``Vertex`` instances.
     directed, bidirected:
-        Edge lists of name pairs, none touching a proxy.  Bidirected edges
-        are unordered.
+        Edge lists of name pairs.  Bidirected edges are unordered.
     pairs:
         ``(true, indicator)`` name pairs declaring which response indicator
         belongs to which true variable.  The pairing is always explicit and
@@ -138,33 +135,17 @@ class MissingDataGraph:
     ):
         by_name: dict[str, Vertex] = {}
         for v in vertices:
-            if v.role is VertexRole.PROXY:
-                raise GraphFormatError(
-                    f"proxy {v.name!r} is declared; proxies are generated from the pairs")
             if v.levels is not None and v.levels < 1:
                 raise GraphFormatError(f"vertex {v.name!r} has non-positive level count")
             if v.name in by_name:
                 raise GraphFormatError("duplicate vertex names")
             by_name[v.name] = v
 
-        raw_pairs = [(t, r) for t, r in pairs]
-        for t, r in raw_pairs:
-            for n in (t, r):
+        pairs = [Pair(t, r) for t, r in pairs]
+        for p in pairs:
+            for n in (p.true, p.indicator):
                 if n not in by_name:
                     raise GraphFormatError(f"pair references unknown vertex {n!r}")
-
-        proxy_of: dict[str, str] = {}
-        final_pairs = []
-        for t, r in raw_pairs:
-            if t not in proxy_of:
-                proxy = proxy_of[t] = f"{t}_obs"
-                if proxy in by_name:
-                    raise GraphFormatError(
-                        f"auto-generated proxy name {proxy!r} collides with an existing vertex")
-                levels = by_name[t].levels
-                by_name[proxy] = Vertex(proxy, VertexRole.PROXY,
-                                        None if levels is None else levels + 1)
-            final_pairs.append(Pair(t, r, proxy_of[t]))
 
         directed = list(dict.fromkeys(tuple(e) for e in directed))
         bidirected = list(dict.fromkeys(tuple(sorted(e)) for e in bidirected))
@@ -172,19 +153,14 @@ class MissingDataGraph:
             for n in (u, w):
                 if n not in by_name:
                     raise GraphFormatError(f"edge ({u!r}, {w!r}) references unknown vertex")
-                if by_name[n].role is VertexRole.PROXY:
-                    raise GraphFormatError(f"edge ({u!r}, {w!r}) touches proxy {n!r}; "
-                                           f"proxy edges are generated from the pairs")
             if u == w:
                 raise GraphFormatError(f"self-loop on vertex {u!r}")
-        for p in final_pairs:
-            directed += [(p.true, p.proxy), (p.indicator, p.proxy)]
 
         self._vertices = tuple(by_name.values())
         self._by_name = by_name
         self._directed = tuple(directed)
         self._bidirected = tuple(bidirected)
-        self._pairs = tuple(final_pairs)
+        self._pairs = tuple(pairs)
 
         # Each vertex's parents in declaration order, which orders a CPT's axes.
         order = {n: i for i, n in enumerate(by_name)}
@@ -194,7 +170,6 @@ class MissingDataGraph:
         self._parents = {n: tuple(par[n]) for n in by_name}
 
         self._true_of_indicator = {p.indicator: p.true for p in self._pairs}
-        self._proxy_of_true = proxy_of
 
         violations = self._violations()
         if violations:
@@ -269,24 +244,14 @@ class MissingDataGraph:
         return tuple(v for v in self._vertices if v.role is role)
 
     def non_proxy_vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for v in self._vertices if v.role is not VertexRole.PROXY)
+        """The same as :attr:`vertices`; ``perfbench/workloads.py`` still calls it."""
+        return self._vertices
 
     def true_of(self, indicator_name: str) -> str:
         try:
             return self._true_of_indicator[indicator_name]
         except KeyError:
             raise GraphQueryError(f"{indicator_name!r} has no paired true variable") from None
-
-    def proxy_of(self, true_name: str) -> str:
-        try:
-            return self._proxy_of_true[true_name]
-        except KeyError:
-            raise GraphQueryError(f"{true_name!r} has no paired proxy") from None
-
-    def _declared_directed(self) -> list[tuple[str, str]]:
-        """The directed edges other than the generated ones into proxies."""
-        return [(u, w) for u, w in self._directed
-                if self._by_name[w].role is not VertexRole.PROXY]
 
     def has_directed(self, u: str, w: str) -> bool:
         return (u, w) in set(self._directed)
@@ -304,17 +269,14 @@ class MissingDataGraph:
         return out
 
     def relabel(self, mapping: Mapping[str, str]) -> "MissingDataGraph":
-        """Return a copy with non-proxy vertices renamed according to ``mapping``.
-
-        Proxies are generated anew, so each follows its true variable's name.
-        """
+        """Return a copy with vertices renamed according to ``mapping``."""
 
         def m(n: str) -> str:
             return mapping.get(n, n)
 
         return MissingDataGraph(
-            [Vertex(m(v.name), v.role, v.levels) for v in self.non_proxy_vertices()],
-            [(m(u), m(w)) for u, w in self._declared_directed()],
+            [Vertex(m(v.name), v.role, v.levels) for v in self._vertices],
+            [(m(u), m(w)) for u, w in self._directed],
             [(m(u), m(w)) for u, w in self._bidirected],
             [(m(p.true), m(p.indicator)) for p in self._pairs],
         )
@@ -326,7 +288,7 @@ class MissingDataGraph:
 
     @classmethod
     def from_json(cls, source) -> "MissingDataGraph":
-        """Parse the JSON graph format (proxies implicit, unknown keys rejected).
+        """Parse the JSON graph format (unknown keys rejected).
 
         ``source`` may be a path, a JSON string, or an already-decoded dict.
         """
@@ -370,13 +332,13 @@ class MissingDataGraph:
         return cls(vertices, directed, bidirected, pairs)
 
     def to_json(self) -> dict:
-        """Emit the JSON graph format (proxies and their edges omitted)."""
+        """Emit the JSON graph format."""
         code = {VertexRole.FULLY_OBSERVED: "O", VertexRole.TRUE_VARIABLE: "X1",
                 VertexRole.RESPONSE_INDICATOR: "R"}
         verts = [{"name": v.name, "role": code[v.role],
                   "levels": v.levels if v.levels is not None else CONTINUOUS}
-                 for v in self.non_proxy_vertices()]
-        edges = [{"from": u, "to": w, "type": "directed"} for u, w in self._declared_directed()]
+                 for v in self._vertices]
+        edges = [{"from": u, "to": w, "type": "directed"} for u, w in self._directed]
         for u, w in self._bidirected:
             edges.append({"from": u, "to": w, "type": "bidirected"})
         return {"vertices": verts, "edges": edges,

@@ -52,7 +52,7 @@ BAD_GRAPH_DOCS = [
     (colluder_doc(edges=_EDGES + [{"from": "R_X", "to": "Y"}]),
      "[response-parents-variable] response indicator 'R_X' is a parent of 'Y'"),
     (colluder_doc(edges=_EDGES + [{"from": "Y", "to": "X_obs"}]),
-     "edge ('Y', 'X_obs') touches proxy 'X_obs'"),
+     "edge ('Y', 'X_obs') references unknown vertex"),
     (colluder_doc(pairs=[{"true": "X", "indicator": "R_X"}]),
      "[pairing] true variable 'Y' has 0 paired response indicators"),
 ]
@@ -151,11 +151,8 @@ def brute_joint_probability(law, assignment) -> float:
     graph = law.graph
     order = {v.name: i for i, v in enumerate(graph.vertices)}
     prob = 1.0
-    for v in graph.non_proxy_vertices():
-        parents = sorted(
-            (p for p in graph.parents(v.name)
-             if graph.vertex(p).role is not VertexRole.PROXY),
-            key=order.__getitem__)
+    for v in graph.vertices:
+        parents = sorted(graph.parents(v.name), key=order.__getitem__)
         idx = tuple(assignment[p] for p in parents) + (assignment[v.name],)
         prob *= float(np.asarray(law.cpts[v.name], dtype=float)[idx])
     return prob
@@ -171,7 +168,7 @@ def mechanism_oracle(law, response: str):
     values = joint.values.astype(float)
     names = list(joint.names)
     graph = law.graph
-    r_names = [v.name for v in graph.non_proxy_vertices()
+    r_names = [v.name for v in graph.vertices
                if v.role is VertexRole.RESPONSE_INDICATOR]
 
     def prob(assignment, r):
@@ -232,7 +229,7 @@ def small_graphs(draw, min_pairs=1):
 def exact_random_law(graph, rng) -> CategoricalLaw:
     """A strictly positive law whose CPT rows are rationals with small denominators."""
     cpts = {}
-    for v in graph.non_proxy_vertices():
+    for v in graph.vertices:
         parents = CategoricalLaw.parent_order(graph, v.name)
         shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
         ticks = rng.integers(1, 20, size=shape)
@@ -246,14 +243,14 @@ def exact_random_law(graph, rng) -> CategoricalLaw:
 # -- per-parameter reporting reference -----------------------------------------------
 
 
-def per_parameter_report(model, theta, bound):
+def per_parameter_report(model, theta, counts):
     """Estimate, SE, CI, boundary and reliability flags of every parameter at
     ``theta``, one parameter at a time: each estimate read from its CPT row,
     and each delta-method gradient built by hand over the row's free levels."""
     from statistics import NormalDist
 
     cpts = model.theta_to_cpts(theta)
-    eigval, eigvec = np.linalg.eigh(-model.hessian(theta, bound))
+    eigval, eigvec = np.linalg.eigh(-model.hessian(theta, counts))
     lam_max = float(eigval.max(initial=0.0))
     null_mask = eigval <= 1e-8 * max(lam_max, 0.0)
     inv = np.where(null_mask, 0.0, 1.0 / np.where(null_mask, 1.0, eigval))
@@ -330,7 +327,7 @@ def loop_colluder_mechanism(obs, g, col, eps_pos=EPS_POS):
     if not separation_condition(g, col):
         raise ConditionalIndependenceError("not m-separated", colluder=col)
     x_name, y_name = col.true_variable, g.true_of(col.target_indicator)
-    variables = [v for v in g.non_proxy_vertices()
+    variables = [v for v in g.vertices
                  if v.role is not VertexRole.RESPONSE_INDICATOR]
     names = [v.name for v in variables] + [col.response_of_true]
     out = np.zeros([v.levels for v in variables] + [2])
@@ -363,7 +360,7 @@ def loop_random_law(graph, constraints=None, seed=None) -> CategoricalLaw:
     rng = np.random.default_rng(seed)
     lo, hi = c.response_interval
     cpts = {}
-    for v in graph.non_proxy_vertices():
+    for v in graph.vertices:
         parents = CategoricalLaw.parent_order(graph, v.name)
         shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
         n_rows = int(np.prod(shape[:-1]))

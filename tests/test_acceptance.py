@@ -171,17 +171,17 @@ def test_criterion_6_gradient_matches_finite_differences(capsys):
             law = random_law(graph, seed=int(rng.integers(1 << 31)))
             data = sample_dataset(law, int(rng.integers(50, 500)),
                                   seed=int(rng.integers(1 << 31)))
-            bound = model.bind(data)
+            counts = model.bind(data).counts
             theta = rng.normal(scale=1.0, size=model.n_params)
-            gan = model.gradient(theta, bound)
+            gan = model.gradient(theta, counts)
             gfd = np.zeros_like(gan)
             h = 1e-5
             for i in range(len(theta)):
                 up, dn = theta.copy(), theta.copy()
                 up[i] += h
                 dn[i] -= h
-                gfd[i] = (model.log_likelihood(up, bound)
-                          - model.log_likelihood(dn, bound)) / (2 * h)
+                gfd[i] = (model.log_likelihood(up, counts)
+                          - model.log_likelihood(dn, counts)) / (2 * h)
             rel = np.abs(gan - gfd).max() / max(1.0, float(np.abs(gan).max()))
             worst = max(worst, rel)
     assert worst <= 1e-6

@@ -24,13 +24,13 @@ R = VertexRole.RESPONSE_INDICATOR
 NA = Dataset.NA
 
 
-def fd_gradient(model, theta, bound, h=1e-5):
+def fd_gradient(model, theta, counts, h=1e-5):
     out = np.zeros_like(theta)
     for i in range(len(theta)):
         up, dn = theta.copy(), theta.copy()
         up[i] += h
         dn[i] -= h
-        out[i] = (model.log_likelihood(up, bound) - model.log_likelihood(dn, bound)) / (2 * h)
+        out[i] = (model.log_likelihood(up, counts) - model.log_likelihood(dn, counts)) / (2 * h)
     return out
 
 
@@ -105,7 +105,8 @@ def test_csv_round_trip_property(tmp_path_factory, graph, seed, one_based, na_to
 @given(graph=small_graphs(), seed=st.integers(0, 2**32 - 1))
 def test_a_dataset_is_its_observed_cell_counts(graph, seed):
     # Shuffling the records, splitting a record's weight across duplicates, or
-    # building from the cell counts gives the same dataset, and the same fit.
+    # building from the cell counts gives the same dataset, the same counts,
+    # and the same fit.
     rng = np.random.default_rng(seed)
     law = CategoricalLaw(graph, {k: v.astype(float)
                                  for k, v in exact_random_law(graph, rng).cpts.items()})
@@ -116,13 +117,20 @@ def test_a_dataset_is_its_observed_cell_counts(graph, seed):
     duplicated = Dataset(graph, np.concatenate([records, records[split]]),
                          np.concatenate([weights, np.full(split.sum(), 0.75)]))
     shape = [a.size for a in observable_axes(graph)]
-    counts = Dataset.from_cell_weights(graph, np.bincount(
+    from_cells = Dataset.from_cell_weights(graph, np.bincount(
         np.ravel_multi_index(records.T, shape), minlength=int(np.prod(shape))))
-    for data in (duplicated, counts):
+    for data in (duplicated, from_cells):
         assert_same_data(data, shuffled)
+        assert np.array_equal(data.counts, shuffled.counts)
     assert counted(records) == (shuffled.rows.tolist(), shuffled.weights.tolist())
+    assert not shuffled.counts.flags.writeable
+    # The likelihood of the counts is the weighted sum over the positive cells.
+    model = LikelihoodModel(graph)
+    theta = rng.normal(size=model.n_params)
+    want = math.fsum(shuffled.weights * np.log(model.pattern_probs(theta, shuffled.counts)))
+    assert model.log_likelihood(theta, shuffled.counts) == pytest.approx(want, rel=1e-12)
     config = FitConfig(restarts=2, seed=seed, max_iterations=40, allow_nonidentifiable=True)
-    a, b = fit(Dataset(graph, records), graph, config), fit(counts, graph, config)
+    a, b = fit(Dataset(graph, records), graph, config), fit(from_cells, graph, config)
     assert np.array_equal(a.theta, b.theta)
     assert (a.log_likelihood, a.grad_norm, a.iterations) == \
         (b.log_likelihood, b.grad_norm, b.iterations)
@@ -162,6 +170,14 @@ class TestDataset:
         cells = np.array(observed_law(random_law(fig1b, seed=1)).values, float).reshape(-1)
         cells[np.flatnonzero(cells)[0]] = bad
         with pytest.raises(DataError, match="finite and non-negative"):
+            Dataset.from_cell_weights(fig1b, cells)
+
+    def test_cell_weight_the_observation_never_produces_names_the_cell(self, fig1b):
+        cells = np.zeros([a.size for a in observable_axes(fig1b)])
+        cells[0, 0, 1, 1] = 3.0
+        cells[1, 2, 1, 1] = 1.0  # Y is NA while R_Y = 1
+        with pytest.raises(DataError, match=r"NA exactly when its response indicator is 0 "
+                                            r"\(observed cell X=1, Y=NA, R_X=1, R_Y=1\)$"):
             Dataset.from_cell_weights(fig1b, cells)
 
     def test_wrong_number_of_cell_weights_rejected(self, fig1b):
@@ -396,15 +412,15 @@ class TestLogLikelihood:
     def test_zero_probability_record_flagged(self, fig1b):
         data = Dataset(fig1b, [[1, 0, 1, 1]])
         model = LikelihoodModel(fig1b)
-        bound = model.bind(data)
+        counts = model.bind(data).counts
         # A logit beyond exp's underflow gives p(X=1) exactly 0.
         theta = np.zeros(model.n_params)
         theta[next(c[3] for c in model.parameter_coords() if c[0] == "X")] = -800.0
-        assert model.pattern_probs(theta, bound)[0] == 0.0
-        assert model.log_likelihood(theta, bound) == -np.inf
+        assert model.pattern_probs(theta, counts)[0] == 0.0
+        assert model.log_likelihood(theta, counts) == -np.inf
         for derivative in (model.gradient, model.hessian):
             with pytest.raises(FitError, match="probability zero"):
-                derivative(theta, bound)
+                derivative(theta, counts)
         assert log_likelihood(np.full(model.n_params, -30.0), data, fig1b) < -80
 
 
@@ -415,9 +431,9 @@ def test_pattern_probs_reproduce_the_observed_law(graph, seed):
     law = CategoricalLaw(graph, {k: v.astype(float) for k, v in exact.cpts.items()})
     obs = observed_law(law)
     model = LikelihoodModel(graph)
-    bound = model.bind(population_dataset(obs))
-    probs = model.pattern_probs(model.cpts_to_theta(law.cpts), bound)
-    assert np.allclose(probs, obs.values.reshape(-1)[bound.patterns], rtol=0, atol=1e-12)
+    data = model.bind(population_dataset(obs))
+    probs = model.pattern_probs(model.cpts_to_theta(law.cpts), data.counts)
+    assert np.allclose(probs, obs.values.reshape(-1)[data.patterns], rtol=0, atol=1e-12)
     assert abs(probs.sum() - 1.0) <= 1e-12
 
 
@@ -430,10 +446,10 @@ class TestGradient:
         for _ in range(10):
             law = random_law(g, seed=int(rng.integers(1 << 30)))
             data = sample_dataset(law, 200, seed=int(rng.integers(1 << 30)))
-            bound = model.bind(data)
+            counts = model.bind(data).counts
             theta = rng.normal(scale=1.0, size=model.n_params)
-            gan = model.gradient(theta, bound)
-            gfd = fd_gradient(model, theta, bound)
+            gan = model.gradient(theta, counts)
+            gfd = fd_gradient(model, theta, counts)
             scale = max(1.0, float(np.abs(gan).max()))
             assert np.abs(gan - gfd).max() / scale <= 1e-6
 
@@ -442,7 +458,7 @@ class TestGradient:
         data = population_dataset(observed_law(law))
         model = LikelihoodModel(fig1b)
         theta = model.cpts_to_theta(law.cpts)
-        assert np.linalg.norm(model.gradient(theta, model.bind(data))) <= 1e-8
+        assert np.linalg.norm(model.gradient(theta, model.bind(data).counts)) <= 1e-8
 
     def test_complete_data_multinomial_score(self):
         # single binary vertex: score is n1 - n * p1
@@ -451,7 +467,7 @@ class TestGradient:
         data = Dataset(g, [[1]] * 7 + [[0]] * 3)
         theta = np.array([0.4])
         p1 = math.exp(0.4) / (1 + math.exp(0.4))
-        got = model.gradient(theta, model.bind(data))
+        got = model.gradient(theta, model.bind(data).counts)
         assert got[0] == pytest.approx(7 - 10 * p1, abs=1e-12)
 
     def test_module_level_wrapper(self, fig1b):
@@ -460,7 +476,7 @@ class TestGradient:
         model = LikelihoodModel(fig1b)
         theta = model.cpts_to_theta(law.cpts)
         assert np.allclose(grad_log_likelihood(theta, data, fig1b),
-                           model.gradient(theta, model.bind(data)))
+                           model.gradient(theta, model.bind(data).counts))
 
 
 class TestHessian:
@@ -471,16 +487,16 @@ class TestHessian:
         rng = np.random.default_rng(14)
         for _ in range(5):
             law = random_law(graph, seed=int(rng.integers(1 << 30)))
-            bound = model.bind(sample_dataset(law, 300, seed=int(rng.integers(1 << 30))))
+            counts = model.bind(sample_dataset(law, 300, seed=int(rng.integers(1 << 30)))).counts
             theta = rng.normal(scale=1.0, size=model.n_params)
             fd = np.zeros((model.n_params, model.n_params))
             for i in range(model.n_params):
                 up, dn = theta.copy(), theta.copy()
                 up[i] += 1e-5
                 dn[i] -= 1e-5
-                fd[i] = (model.gradient(up, bound) - model.gradient(dn, bound)) / 2e-5
+                fd[i] = (model.gradient(up, counts) - model.gradient(dn, counts)) / 2e-5
             fd = (fd + fd.T) / 2.0
-            exact = model.hessian(theta, bound)
+            exact = model.hessian(theta, counts)
             assert np.abs(exact - fd).max() / max(1.0, float(np.abs(exact).max())) <= 1e-6
 
 
@@ -500,14 +516,14 @@ def weighted_sample(graph, seed, n=60):
 def test_derivatives_match_finite_differences_with_zero_weights(graph, seed):
     data, rng = weighted_sample(graph, seed)
     model = LikelihoodModel(graph)
-    bound = model.bind(data)
+    counts = model.bind(data).counts
     theta = rng.normal(scale=1.0, size=model.n_params)
-    g = model.gradient(theta, bound)
-    assert np.abs(g - fd_gradient(model, theta, bound)).max() \
+    g = model.gradient(theta, counts)
+    assert np.abs(g - fd_gradient(model, theta, counts)).max() \
         <= 1e-6 * max(1.0, float(np.abs(g).max()))
-    fd = np.array([(model.gradient(theta + e, bound) - model.gradient(theta - e, bound)) / 2e-5
+    fd = np.array([(model.gradient(theta + e, counts) - model.gradient(theta - e, counts)) / 2e-5
                    for e in np.eye(model.n_params) * 1e-5])
-    exact = model.hessian(theta, bound)
+    exact = model.hessian(theta, counts)
     assert np.abs(exact - (fd + fd.T) / 2.0).max() <= 1e-6 * max(1.0, float(np.abs(exact).max()))
 
 
@@ -518,14 +534,24 @@ def test_fit_reports_parameters_like_a_per_parameter_loop(graph, seed):
     res = fit(data, graph, FitConfig(restarts=1, seed=seed, max_iterations=40,
                                      allow_nonidentifiable=True))
     model = LikelihoodModel(graph)
-    ref = per_parameter_report(model, res.theta, model.bind(data))
+    counts = model.bind(data).counts
+    ref = per_parameter_report(model, res.theta, counts)
+    # A variance is dp' cov dp, summed here in another order than fit's.  Its
+    # rounding is at most about n_params * eps * ||dp||^2 / lam_min, and the
+    # variance is at least ||dp||^2 / lam_max, over the kept information
+    # eigenvalues lam; a standard error has half that relative error.
+    info = np.linalg.eigvalsh(-model.hessian(res.theta, counts))
+    kept = info[info > 1e-8 * max(info.max(initial=0.0), 0.0)]
+    rtol = model.n_params * np.finfo(float).eps * kept.max(initial=1.0) / kept.min(initial=1.0)
     assert len(res.parameters) == len(ref)
     for p, (name, given_, level, est, se, ci, boundary, reliable) in zip(res.parameters, ref):
         assert (p.vertex, p.given, p.level, p.estimate) == (name, given_, level, est)
         assert (p.boundary, p.reliable) == (boundary, reliable)
         assert (p.se is None, p.ci is None) == (se is None, ci is None)
         if se is not None:
-            assert np.allclose([p.se, *p.ci], [se, *ci], rtol=1e-12, atol=0)
+            assert abs(p.se - se) <= rtol * se
+            # est -/+ z * se, clipped to [0, 1], with z < 2 and one rounding.
+            assert np.allclose(p.ci, ci, rtol=0, atol=2 * rtol * se + np.finfo(float).eps)
     for name, cpt in model.theta_to_cpts(res.theta).items():
         assert np.array_equal(res.cpts[name], cpt)
 
@@ -533,7 +559,7 @@ def test_fit_reports_parameters_like_a_per_parameter_loop(graph, seed):
 def per_block_cpts(graph, theta):
     """CPTs one vertex at a time: a softmax over each row's [0, free logits]."""
     cpts, off = {}, 0
-    for v in graph.non_proxy_vertices():
+    for v in graph.vertices:
         shape = tuple(graph.vertex(p).levels
                       for p in CategoricalLaw.parent_order(graph, v.name)) + (v.levels,)
         n_rows, L = int(np.prod(shape[:-1])), shape[-1]
@@ -776,7 +802,7 @@ def test_batched_fit_equals_each_datasets_own_fit(graph, seed, n_data):
                                                   exact_random_law(graph, rng).cpts.items()}),
                            int(rng.integers(20, 400)), seed=int(rng.integers(1 << 30)))
             for _ in range(n_data)]
-    weights = np.stack([model.cell_weights(model.bind(d)) for d in data])
+    weights = np.stack([model.bind(d).counts for d in data])
     fit_seeds = [int(s) for s in rng.integers(1 << 30, size=n_data)]
     starts = np.stack([starting_points(model, 2, s) for s in fit_seeds])
     rows, row_weights = starts.reshape(2 * n_data, -1), np.repeat(weights, 2, axis=0)

@@ -267,7 +267,7 @@ def draw_outcome(draw, graph, constraints, seed):
 def response_rows(graph):
     """The row count of each response indicator's CPT that has parents."""
     return [math.prod(graph.vertex(p).levels for p in parents)
-            for v in graph.non_proxy_vertices() if v.role is R
+            for v in graph.vertices if v.role is R
             for parents in [CategoricalLaw.parent_order(graph, v.name)] if parents]
 
 
@@ -291,7 +291,7 @@ def law_settings(draw):
 def assert_meets(law, c):
     """Every CPT of ``law`` meets ``c`` as a ``>=`` on its floats."""
     lo, hi = c.response_interval
-    for v in law.graph.non_proxy_vertices():
+    for v in law.graph.vertices:
         rows = np.asarray(law.cpts[v.name], float).reshape(-1, v.levels)
         if v.role is R and not CategoricalLaw.parent_order(law.graph, v.name):
             assert rows[0, 1] == c.exogenous_response_prob
@@ -379,7 +379,7 @@ class TestRandomLaw:
             lo, hi = c.response_interval
             msg = str(e)
             if msg.startswith("min_prob"):
-                assert any(c.min_prob * v.levels >= 1.0 for v in g.non_proxy_vertices()
+                assert any(c.min_prob * v.levels >= 1.0 for v in g.vertices
                            if v.role is not R)
             elif msg.startswith("cannot place"):
                 n = max(response_rows(g))

@@ -50,15 +50,10 @@ class TestValidation:
                 [("X", "Y"), ("Y", "X"), ("X", "R_Y"), ("R_X", "R_Y")],
                 pairs=[("X", "R_X"), ("Y", "R_Y")])
 
-    def test_declared_proxy_rejected(self):
-        with pytest.raises(GraphFormatError, match="proxy 'Xp' is declared"):
-            MissingDataGraph(
-                [Vertex("X", X1, 2), Vertex("R_X", R, 2), Vertex("Xp", VertexRole.PROXY, 3)],
-                [("X", "Xp"), ("R_X", "Xp")], pairs=[("X", "R_X")])
-
     @pytest.mark.parametrize("edge", [("X", "X_obs"), ("X_obs", "Y")])
     def test_edge_touching_proxy_rejected(self, edge):
-        with pytest.raises(GraphFormatError, match="touches proxy 'X_obs'"):
+        # The graph holds no proxy vertex, so a proxy's name is an unknown vertex.
+        with pytest.raises(GraphFormatError, match="references unknown vertex"):
             MissingDataGraph([Vertex("X", X1, 2), Vertex("Y", O, 2), Vertex("R_X", R, 2)],
                              [edge], pairs=[("X", "R_X")])
 
@@ -124,10 +119,11 @@ class TestConstructorContract:
 
 
 class TestConstruction:
-    def test_auto_proxy_generated(self, fig1b):
-        assert fig1b.proxy_of("X") == "X_obs"
-        assert set(fig1b.parents("X_obs")) == {"X", "R_X"}
-        assert fig1b.vertex("X_obs").levels == 3
+    def test_graph_holds_only_its_declared_vertices_and_edges(self, fig1b):
+        assert [v.name for v in fig1b.vertices] == ["X", "Y", "R_X", "R_Y"]
+        assert fig1b.non_proxy_vertices() == fig1b.vertices
+        assert set(fig1b.directed_edges) == {("X", "Y"), ("X", "R_Y"), ("R_X", "R_Y")}
+        assert "X_obs" not in fig1b
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(GraphFormatError):
@@ -285,7 +281,6 @@ class TestRelabelEquivariance:
         g = example_graph("d")
         mapping = {"X": "P", "Y": "Q", "Z": "S", "R_X": "R_P", "R_Y": "R_Q", "R_Z": "R_S"}
         h = g.relabel(mapping)
-        assert [h.proxy_of(t) for t in "PQS"] == ["P_obs", "Q_obs", "S_obs"]
         want = {Colluder(mapping[c.true_variable], mapping[c.response_of_true],
                          mapping[c.target_indicator]) for c in find_colluders(g)}
         assert set(find_colluders(h)) == want
