@@ -70,7 +70,7 @@ def _cmd_solve_colluder(args) -> int:
     failed = 0
     for col in colluders:
         try:
-            mech = colluder_mechanism(obs, graph, col)
+            mech = colluder_mechanism(obs, col)
             entries.append({"colluder": str(col),
                             "axes": list(mech.names),
                             "values": mech.values.tolist()})
@@ -149,14 +149,14 @@ def _cmd_oracle(args) -> int:
 
     if args.construction == "appendix-b":
         try:
-            pair = appendix_b_pair(Fraction(3, 10), Fraction(1, 2), Fraction(2, 5),
-                                   Fraction(1, 5), Fraction(3, 10), Fraction(2, 5),
-                                   Fraction(1, 2), Fraction(3, 5), Fraction(7, 10),
-                                   Fraction(4, 10))
+            pair = appendix_b_pair(Fraction(3, 10), Fraction(2, 5), Fraction(1, 5),
+                                   Fraction(3, 10), Fraction(2, 5), Fraction(1, 2),
+                                   Fraction(3, 5), Fraction(7, 10), Fraction(4, 10))
         except ColluderLabError as e:
             print(f"verification FAILED: {e}")
             return EXIT_NEGATIVE
-        print(f"claim: {pair.claim}; witness cells differing: {len(pair.witness_cells)}")
+        print(f"claim: AgreeObservedDisagreeFull; witness cells differing: "
+              f"{len(pair.witness_cells)}")
         print("verification passed: ternary construction agrees on the observed law only")
         return EXIT_OK
 
@@ -167,7 +167,7 @@ def _cmd_oracle(args) -> int:
                   g=Fraction(9, 20), h=Fraction(1, 5))
     law = appendix_a_law(**params)
     obs = observed_law(law)
-    q = quantities_from_observed(obs, law.graph, find_colluders(law.graph)[0])
+    q = quantities_from_observed(obs, find_colluders(law.graph)[0])
     p0, p1 = binary_closed_form(q)
     want0, want1 = 1 - params["d"], 1 - params["f"]
     print(f"closed form: p(R_Y=1|X=0,R_X=0) = {p0:.12f} (truth {float(want0):.12f})")

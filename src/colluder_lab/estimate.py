@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ColluderLabError, DataError, FitError, check_integer
 from .identify import identified_cpts
-from .lawtable import (Axis, CategoricalLaw, ObservedLawTable, Rationals, coarsening_map,
+from .lawtable import (Axis, ObservedLawTable, Rationals, coarsening_map,
                        cpt_subscripts, joint_from_cpts, observable_axes)
 from .mdgraph import MissingDataGraph, VertexRole
 
@@ -314,7 +314,7 @@ class LikelihoodModel:
         self.names = [v.name for v in verts]
         self.levels = [v.levels for v in verts]
         self.pos = {n: i for i, n in enumerate(self.names)}
-        self.parents = {v.name: CategoricalLaw.parent_order(graph, v.name) for v in verts}
+        self.parents = {v.name: graph.parents(v.name) for v in verts}
         self.shape = tuple(self.levels)
         self._subs = cpt_subscripts(graph)
         # The observation process: each full cell's flat observed-cell index.

@@ -26,15 +26,10 @@ def ccm_graph(m: int = 2, q: int = 2, dependency: bool = True) -> MissingDataGra
 
 
 def cross_censoring_graph(m: int = 2, q: int = 2, dependency: bool = True) -> MissingDataGraph:
-    """The colluder graph with an extra edge Y -> R_X censoring across variables."""
-    directed = [("X", "R_Y"), ("R_X", "R_Y"), ("Y", "R_X")]
-    if dependency:
-        directed.insert(0, ("X", "Y"))
-    return MissingDataGraph(
-        [Vertex("X", _X1, m), Vertex("Y", _X1, q), Vertex("R_X", _R, 2), Vertex("R_Y", _R, 2)],
-        directed,
-        pairs=[("X", "R_X"), ("Y", "R_Y")],
-    )
+    """:func:`ccm_graph` with an extra edge Y -> R_X censoring across variables."""
+    g = ccm_graph(m, q, dependency)
+    return MissingDataGraph(g.vertices, [*g.directed_edges, ("Y", "R_X")],
+                            pairs=[(p.true, p.indicator) for p in g.pairs])
 
 
 def example_graph(key: str, levels: int = 2) -> MissingDataGraph:

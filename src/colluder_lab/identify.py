@@ -2,8 +2,9 @@
 
 All operations are pure functions of immutable inputs.  The linear systems
 are built from observed-data quantities only; full laws enter only through
-their observed tables.  Colluder systems are solved in floats; the identified
-law of a CCM-family table solves one arm exactly, in the table's integer counts.
+their observed tables, and a reader of a table takes the graph the table
+carries.  Colluder systems are solved in floats; the identified law of a
+CCM-family table solves one arm exactly, in the table's integer counts.
 """
 
 from __future__ import annotations
@@ -100,12 +101,13 @@ def enumerate_strata(g: MissingDataGraph, col: Colluder):
         yield {**dict(zip(enumerable, combo)), **base}
 
 
-def _stratum_counts(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder):
+def _stratum_counts(obs: ObservedLawTable, col: Colluder):
     """The strata, the table's exact value and its integer numerators t[z, x, y, r_x, r_y]
     (S, m + 1, q + 1, 2, 2), with p(z) (S,) and p(x_j, R_X=1, R_Y=1, z) (S, m) rounded
     once to float.  Raises :class:`PositivityError` for the first stratum whose mass,
     or whose mass of some {X=x_j, R_X=1, R_Y=1}, is below ``EPS_POS``.  The caller
     checks the m-separation that makes the counts a colluder system."""
+    g = obs.graph
     x_name, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y_name = g.true_of(ry)
     m, q = g.vertex(x_name).levels, g.vertex(y_name).levels
@@ -135,18 +137,18 @@ def _stratum_counts(obs: ObservedLawTable, g: MissingDataGraph, col: Colluder):
     return strata, exact, t, p_z, p_x
 
 
-def build_colluder_system(obs: ObservedLawTable, g: MissingDataGraph,
-                          col: Colluder) -> ColluderSystem:
+def build_colluder_system(obs: ObservedLawTable, col: Colluder) -> ColluderSystem:
     """The colluder's float system at every stratum, read in one pass off the observed
     table: each mass is its exact total rounded once, so the entries equal per-event
     ``float(event_prob(...))`` arithmetic.  Raises :class:`ConditionalIndependenceError`
     when the required m-separation fails, then as :func:`_stratum_counts` does."""
+    g = obs.graph
     if not separation_condition(g, col):
         raise ConditionalIndependenceError(
             f"conditional independence violated: {col.response_of_true} is not "
             f"m-separated from {g.true_of(col.target_indicator)} given the remaining "
             f"variables", colluder=col)
-    strata, exact, t, p_z, p_x = _stratum_counts(obs, g, col)
+    strata, exact, t, p_z, p_x = _stratum_counts(obs, col)
     m, q = p_x.shape[1], t.shape[2] - 1
     p_ry1 = exact.floats(t[..., 1].sum(axis=(1, 2, 3))) / p_z
     joint = exact.floats(t[:, :m, :q, 1, 1])
@@ -220,8 +222,7 @@ def _solve_integers(a: np.ndarray, b: np.ndarray, col: Colluder, stratum: dict):
     return np.array([row[m] for row in rows], dtype=object), den
 
 
-def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph,
-                       col: Colluder) -> ProbabilityTable:
+def colluder_mechanism(obs: ObservedLawTable, col: Colluder) -> ProbabilityTable:
     """The identified conditional law of R_X given all variables, other indicators at 1.
 
     Solves both arms of the colluder equations at every stratum and returns
@@ -232,7 +233,8 @@ def colluder_mechanism(obs: ObservedLawTable, g: MissingDataGraph,
     this order, each naming the first stratum that fails it: positivity of
     every stratum, rank, residual, and a level of X with no mass.
     """
-    sys = build_colluder_system(obs, g, col)
+    g = obs.graph
+    sys = build_colluder_system(obs, col)
     sol = solve_colluder(sys).values
     x_name, rx, y_name = col.true_variable, col.response_of_true, g.true_of(col.target_indicator)
     mass = sol[:, 0] + sol[:, 1]
@@ -324,8 +326,8 @@ def identified_cpts(obs: ObservedLawTable) -> dict[str, np.ndarray]:
     x, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y = g.true_of(ry)
     if obs._rounded:
-        _require_full_rank(build_colluder_system(obs, g, col))
-    strata, table, (t,), _, _ = _stratum_counts(obs, g, col)  # t over (X, Y, R_X, R_Y)
+        _require_full_rank(build_colluder_system(obs, col))
+    strata, table, (t,), _, _ = _stratum_counts(obs, col)  # t over (X, Y, R_X, R_Y)
     n_rx = t.sum(axis=(0, 1, 3))
     n_x_ry = t[:-1, :, 1, :].sum(axis=1)  # (X, R_Y) at R_X = 1; the last levels are NA
     n_xy = t[:-1, :-1, 1, 1]
@@ -375,9 +377,9 @@ class BinaryColluderQuantities:
                 raise LawError(f"quantity {name}={v!r} must lie strictly inside (0, 1)")
 
 
-def quantities_from_observed(obs: ObservedLawTable, g: MissingDataGraph,
-                             col: Colluder) -> BinaryColluderQuantities:
+def quantities_from_observed(obs: ObservedLawTable, col: Colluder) -> BinaryColluderQuantities:
     """Read the closed-form quantities off an observed law of a binary two-variable model."""
+    g = obs.graph
     x, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
     y = g.true_of(ry)
     if g.vertex(x).levels != 2 or g.vertex(y).levels != 2:

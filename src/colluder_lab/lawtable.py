@@ -219,12 +219,15 @@ class ObservedLawTable(ProbabilityTable):
 
     def consistent(self) -> bool:
         """True when mass totals 1 and the cells :func:`coarsening_map` never produces
-        hold no mass."""
+        hold no mass: exactly for an exact table, within 1e-12 for a float one."""
         exact = self.rationals()
         nums = exact.numerators.reshape(-1)
         unreachable = np.ones(nums.size, dtype=bool)
         unreachable[coarsening_map(self.graph).reshape(-1)] = False
-        total, stray = exact.floats([nums.sum(), nums[unreachable].sum()])
+        total, stray = nums.sum(), nums[unreachable].sum()
+        if not self._rounded:
+            return total == exact.denominator and stray == 0
+        total, stray = exact.floats([total, stray])
         return abs(total - 1.0) <= _ROW_SUM_TOL and stray <= _ROW_SUM_TOL
 
 
@@ -256,7 +259,7 @@ class CategoricalLaw:
                 raise LawError(f"vertex {v.name!r} is continuous; categorical laws only")
             if v.name not in cpts:
                 raise LawError(f"missing CPT for vertex {v.name!r}")
-            parents = self.parent_order(graph, v.name)
+            parents = graph.parents(v.name)
             arr = np.asarray(cpts[v.name]).copy()
             want = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
             if arr.shape != want:
@@ -271,19 +274,22 @@ class CategoricalLaw:
                 if bad:
                     raise LawError(f"exact CPT for {v.name!r} holds a non-rational entry "
                                    f"{bad[0]!r}")
+                # judged on the integer numerators: a row sums to the denominator
                 exact = self._exact_cpts[v.name] = Rationals.of(arr)
-                rows = exact.floats(exact.numerators).reshape(-1, v.levels)
-                sums = exact.floats(exact.numerators.reshape(-1, v.levels).sum(axis=1))
+                rows, one = exact.numerators.reshape(-1, v.levels), exact.denominator
+                sums = rows.sum(axis=1)
+                off_sum = sums != one
             else:
-                rows = np.asarray(arr, dtype=float).reshape(-1, v.levels)
+                rows, one = np.asarray(arr, dtype=float).reshape(-1, v.levels), 1.0
                 if not np.isfinite(rows).all():
                     raise LawError(f"CPT for {v.name!r} holds a non-finite entry")
                 sums = np.array([math.fsum(row) for row in rows])
+                off_sum = np.abs(sums - 1.0) > _ROW_SUM_TOL
             # the first bad row, and in it the sum before the range
-            off_sum = np.abs(sums - 1.0) > _ROW_SUM_TOL
-            bad = np.flatnonzero(off_sum | np.any((rows < 0) | (rows > 1), axis=1))
+            bad = np.flatnonzero(off_sum | np.any((rows < 0) | (rows > one), axis=1))
             if bad.size and off_sum[bad[0]]:
-                raise LawError(f"CPT row for {v.name!r} sums to {float(sums[bad[0]])!r}, not 1")
+                raise LawError(f"CPT row for {v.name!r} sums to "
+                               f"{float(sums[bad[0]] / one)!r}, not 1")
             if bad.size:
                 raise LawError(f"CPT entry for {v.name!r} outside [0, 1]")
             arr.setflags(write=False)
@@ -293,10 +299,8 @@ class CategoricalLaw:
             raise LawError(f"CPTs given for unknown vertices: {sorted(extra)}")
         self.cpts = clean
 
-    @staticmethod
-    def parent_order(graph: MissingDataGraph, name: str) -> tuple[str, ...]:
-        """Parents of ``name`` in graph declaration order."""
-        return graph.parents(name)
+    #: :meth:`MissingDataGraph.parents`; ``perfbench/workloads.py`` still calls it.
+    parent_order = staticmethod(MissingDataGraph.parents)
 
     def strictly_positive(self, eps_pos: float = EPS_POS) -> bool:
         return all(float(x) >= eps_pos for arr in self.cpts.values() for x in arr.flat)
@@ -336,7 +340,7 @@ class CategoricalLaw:
         for name, arr in self.cpts.items():
             enc = exact if arr.dtype == object else approx
             nested = np.frompyfunc(enc, 1, 1)(arr).tolist()
-            cpts[name] = {"parents": list(self.parent_order(self.graph, name)),
+            cpts[name] = {"parents": list(self.graph.parents(name)),
                           "table": nested}
         return {"graph": self.graph.to_json(), "cpts": cpts}
 
@@ -357,7 +361,7 @@ class CategoricalLaw:
             if "table" not in entry:
                 raise LawError(f"CPT {name!r} needs a 'table'")
             declared = entry.get("parents", [])
-            canonical = list(cls.parent_order(graph, name))
+            canonical = list(graph.parents(name))
             if not isinstance(declared, list) or sorted(declared, key=str) != sorted(canonical):
                 raise LawError(f"CPT parents for {name!r} are {declared}, graph says {canonical}")
             arr = np.array(entry["table"], dtype=object)
@@ -393,7 +397,7 @@ def joint_probability(law: CategoricalLaw, assignment: Mapping[str, int]):
         level = assignment[v.name]
         if not 0 <= level < v.levels:
             raise LawError(f"level {level} out of range for {v.name!r}")
-        parents = CategoricalLaw.parent_order(law.graph, v.name)
+        parents = law.graph.parents(v.name)
         key = tuple(assignment[p] for p in parents) + (level,)
         prob = prob * law.cpts[v.name][key]
     return prob
@@ -403,14 +407,14 @@ def cpt_subscripts(graph: MissingDataGraph) -> list[str]:
     """einsum subscripts of each vertex's CPT, in declaration order.
 
     Each vertex has one letter; a CPT's subscript is its parents' letters in
-    :meth:`CategoricalLaw.parent_order`, then its own.
+    :meth:`MissingDataGraph.parents`, then its own.
     """
     names = [v.name for v in graph.vertices]
     if len(names) > len(ascii_letters):
         raise LawError(f"{len(names)} vertices exceed the {len(ascii_letters)} einsum "
                        f"subscripts of the table-based joint")
     letters = dict(zip(names, ascii_letters))
-    return ["".join(letters[p] for p in CategoricalLaw.parent_order(graph, n)) + letters[n]
+    return ["".join(letters[p] for p in graph.parents(n)) + letters[n]
             for n in names]
 
 
@@ -589,7 +593,7 @@ def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = Non
 
     cpts: dict[str, np.ndarray] = {}
     for v in graph.vertices:
-        parents = CategoricalLaw.parent_order(graph, v.name)
+        parents = graph.parents(v.name)
         shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
         if None in shape:
             raise LawError(f"{v.name!r} or one of its parents is continuous; cannot sample a "

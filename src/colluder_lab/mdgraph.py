@@ -283,9 +283,6 @@ class MissingDataGraph:
 
     # -- serialization -----------------------------------------------------
 
-    _ROLE_CODES = {"O": VertexRole.FULLY_OBSERVED, "X1": VertexRole.TRUE_VARIABLE,
-                   "R": VertexRole.RESPONSE_INDICATOR}
-
     @classmethod
     def from_json(cls, source) -> "MissingDataGraph":
         """Parse the JSON graph format (unknown keys rejected).
@@ -299,10 +296,11 @@ class MissingDataGraph:
 
         vertices = []
         for item in _json_objects(obj, "vertices", "vertex", ("name", "role"), ("levels",)):
-            role_code = item["role"]
-            if role_code not in cls._ROLE_CODES:
-                raise GraphFormatError(f"unknown role {role_code!r} (expected O, X1, or R)")
-            role = cls._ROLE_CODES[role_code]
+            try:
+                role = VertexRole(item["role"])
+            except ValueError:
+                raise GraphFormatError(f"unknown role {item['role']!r} "
+                                       f"(expected O, X1, or R)") from None
             levels = item.get("levels")
             if role is VertexRole.RESPONSE_INDICATOR:
                 if levels not in (None, 2):
@@ -333,9 +331,7 @@ class MissingDataGraph:
 
     def to_json(self) -> dict:
         """Emit the JSON graph format."""
-        code = {VertexRole.FULLY_OBSERVED: "O", VertexRole.TRUE_VARIABLE: "X1",
-                VertexRole.RESPONSE_INDICATOR: "R"}
-        verts = [{"name": v.name, "role": code[v.role],
+        verts = [{"name": v.name, "role": v.role.value,
                   "levels": v.levels if v.levels is not None else CONTINUOUS}
                  for v in self._vertices]
         edges = [{"from": u, "to": w, "type": "directed"} for u, w in self._directed]

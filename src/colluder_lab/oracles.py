@@ -3,7 +3,8 @@
 Everything here is computed in exact rational arithmetic: the constructions
 assert exact equalities between observed laws (and exact inequalities
 between full laws), so floats only appear when a caller converts results at
-the boundary.
+the boundary.  A construction fixes its own constants, and a parameter count
+reads its level counts and edges off the graph it is given.
 """
 
 from __future__ import annotations
@@ -38,20 +39,12 @@ def _object_array(rows) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConstructionPair:
-    """Two laws plus the claim relating their observed and full laws.
-
-    For claim ``AgreeObservedDisagreeFull`` the observed tables are equal
-    cell by cell in exact arithmetic while the full laws differ on every
-    listed witness configuration.
-    """
+    """Two laws whose observed tables are equal cell by cell in exact arithmetic
+    while the full laws differ on every listed witness configuration."""
 
     law1: CategoricalLaw
     law2: CategoricalLaw
-    claim: str
     witness_cells: tuple[dict, ...]
-
-    def observed_pair(self) -> tuple[ObservedLawTable, ObservedLawTable]:
-        return observed_law(self.law1), observed_law(self.law2)
 
 
 def _verify_pair(law1: CategoricalLaw, law2: CategoricalLaw
@@ -66,7 +59,7 @@ def _verify_pair(law1: CategoricalLaw, law2: CategoricalLaw
                       for idx in np.argwhere(j1.values != j2.values))
     if not witnesses:
         raise LawError("construction failed: full laws agree everywhere")
-    return ConstructionPair(law1, law2, "AgreeObservedDisagreeFull", witnesses), obs1
+    return ConstructionPair(law1, law2, witnesses), obs1
 
 
 # -- identifiable binary construction ------------------------------------------
@@ -101,29 +94,26 @@ def appendix_a_law(a, b, c, d, e, f, g, h) -> CategoricalLaw:
 # -- ternary non-identifiable construction ---------------------------------------
 
 
-def appendix_b_pair(a, c, e, g, h, i, j, k, l, n) -> ConstructionPair:
+def appendix_b_pair(a, e, g, h, i, j, k, l, n) -> ConstructionPair:
     """Two ternary-X laws that agree on the observed law but not the full law.
 
-    X has p(X) = (1/4, c, 1/4) with c = 1/2 pinned (equal first and last
-    cells are what make the swap below invisible in the observed law), Y is
+    X has p(X) = (1/4, 1/2, 1/4) (equal first and last cells are what make
+    the swap below invisible in the observed law), ``a`` = p(R_X=0), Y is
     binary with p(Y=0 | X) = (n, e, n), and the observation probabilities
     p(R_Y=0 | R_X, X) are (g, h, i, j, k, l) at (R_X, X) = (0,0), (1,0),
     (0,1), (1,1), (0,2), (1,2).  The second model swaps g and k.
     """
-    a, c, e, n = _frac(a), _frac(c), _frac(e), _frac(n)
+    a, e, n = _frac(a), _frac(e), _frac(n)
     g, h, i, j, k, l = _frac(g), _frac(h), _frac(i), _frac(j), _frac(k), _frac(l)
-    _check_open_unit(a=a, c=c, e=e, g=g, h=h, i=i, j=j, k=k, l=l, n=n)
+    _check_open_unit(a=a, e=e, g=g, h=h, i=i, j=j, k=k, l=l, n=n)
     if g == k:
         raise LawError("g = k collapses the construction: the two full laws coincide")
-    b = Fraction(1, 4)
-    if c != Fraction(1, 2):
-        raise LawError("the construction needs p(X=1) = 1/2 so that p(X=0) = p(X=2)")
     graph = ccm_graph(3, 2)
     one = Fraction(1)
 
     def law(g_, k_):
         cpts = {
-            "X": _object_array([b, c, one - b - c]),
+            "X": _object_array([Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]),
             "Y": _object_array([[n, one - n], [e, one - e], [n, one - n]]),
             "R_X": _object_array([a, one - a]),
             "R_Y": _object_array([
@@ -201,20 +191,17 @@ def appendix_c_pair() -> ConstructionPair:
 # -- parameter counting ------------------------------------------------------------
 
 
-def parameter_count(g: MissingDataGraph, with_xy_edge: bool, m: int, q: int
-                    ) -> tuple[int, int, int]:
+def parameter_count(g: MissingDataGraph) -> tuple[int, int, int]:
     """Free-parameter counts certifying non-identifiability of cross-censoring models.
 
-    Returns ``(full_law_params, observed_law_param_bound, deficit)`` for the
-    cross-censoring fixture with X of ``m`` levels and Y of ``q`` levels.
+    Returns ``(full_law_params, observed_law_param_bound, deficit)`` for a
+    cross-censoring graph whose colluder's X has ``m`` levels and Y ``q``.
     With the edge X -> Y the full law has ``mq + 2m + q - 1`` parameters
     against at most ``mq + m + q`` for the observed law; without it the
     counts are ``3m + 2q - 2`` against ``2m + 2q - 1``.  Either way the
     deficit is ``m - 1``: for m > 1 infinitely many full laws map to each
     observed law.
     """
-    if m < 1 or q < 1:
-        raise LawError("level counts must be positive")
     cols = find_colluders(g)
     if len(cols) != 1:
         raise LawError("parameter counting applies to the single-colluder cross-censoring fixture")
@@ -223,13 +210,11 @@ def parameter_count(g: MissingDataGraph, with_xy_edge: bool, m: int, q: int
     y = g.true_of(ry)
     if not g.has_directed(y, rx):
         raise LawError(f"fixture must contain the cross-censoring edge {y} -> {rx}")
-    if g.has_directed(x, y) != with_xy_edge:
-        raise LawError(f"fixture has_directed({x}, {y}) does not match with_xy_edge={with_xy_edge}")
-    if g.vertex(x).levels != m or g.vertex(y).levels != q:
-        raise LawError(f"fixture level counts are ({g.vertex(x).levels}, {g.vertex(y).levels}), "
-                       f"expected ({m}, {q})")
+    m, q = g.vertex(x).levels, g.vertex(y).levels
+    if m is None or q is None:
+        raise LawError(f"parameter counting needs categorical {x} and {y}")
 
-    if with_xy_edge:
+    if g.has_directed(x, y):
         full = m * q + 2 * m + q - 1
         bound = m * q + m + q
     else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import itertools
 import multiprocessing
 from collections.abc import Callable
@@ -80,6 +81,8 @@ class SimScenario:
             raise LawError("sample_sizes must not be empty")
         for n in self.sample_sizes:
             check_integer("sample size", n, 1, LawError)
+        if len(set(self.sample_sizes)) < len(self.sample_sizes):
+            raise LawError(f"sample_sizes must be distinct, got {list(self.sample_sizes)}")
         rate = self.max_failure_rate
         if not (is_finite_real(rate) and 0.0 <= rate <= 1.0):
             raise LawError(f"max_failure_rate must lie in [0, 1], got {rate!r}")
@@ -223,19 +226,22 @@ class SimReport:
         return "\n".join(lines)
 
 
-def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
+@functools.cache
+def _openblas_thread_controls() -> tuple[tuple[Callable, Callable], ...]:
     """``(set_num_threads, get_num_threads)`` of each OpenBLAS mapped into this process.
 
     numpy and scipy wheels each bundle their own OpenBLAS under its own
     symbol prefix.  Empty where ``/proc/self/maps`` is unreadable or no
-    loaded library exports the functions.
+    loaded library exports the functions.  Found once per process: numpy's
+    OpenBLAS is mapped when this module is imported, and a fit runs no other
+    BLAS, so one loaded later needs no cap.
     """
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
                             if "openblas" in line.lower()})
     except OSError:
-        return []
+        return ()
     controls = []
     for path in paths:
         try:
@@ -250,7 +256,7 @@ def _openblas_thread_controls() -> list[tuple[Callable, Callable]]:
                 getter.argtypes, getter.restype = [], ctypes.c_int
                 controls.append((setter, getter))
                 break
-    return controls
+    return tuple(controls)
 
 
 @contextlib.contextmanager
@@ -394,7 +400,7 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
 
 
 def _vertex_label(graph: MissingDataGraph, name: str) -> str:
-    parents = CategoricalLaw.parent_order(graph, name)
+    parents = graph.parents(name)
     head = f"p({name}=1" if graph.vertex(name).role is VertexRole.RESPONSE_INDICATOR \
         else f"p({name}"
     return head + (f" | {', '.join(parents)})" if parents else ")")

@@ -230,7 +230,7 @@ def exact_random_law(graph, rng) -> CategoricalLaw:
     """A strictly positive law whose CPT rows are rationals with small denominators."""
     cpts = {}
     for v in graph.vertices:
-        parents = CategoricalLaw.parent_order(graph, v.name)
+        parents = graph.parents(v.name)
         shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
         ticks = rng.integers(1, 20, size=shape)
         arr = np.empty(shape, dtype=object)
@@ -361,7 +361,7 @@ def loop_random_law(graph, constraints=None, seed=None) -> CategoricalLaw:
     lo, hi = c.response_interval
     cpts = {}
     for v in graph.vertices:
-        parents = CategoricalLaw.parent_order(graph, v.name)
+        parents = graph.parents(v.name)
         shape = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
         n_rows = int(np.prod(shape[:-1]))
         if v.role is VertexRole.RESPONSE_INDICATOR:

@@ -23,7 +23,7 @@ from colluder_lab import (CategoricalLaw, FitConfig, LikelihoodModel,
 from colluder_lab.cli import main
 from conftest import mechanism_oracle
 
-B_ARGS = dict(a=Fraction(3, 10), c=Fraction(1, 2), e=Fraction(2, 5),
+B_ARGS = dict(a=Fraction(3, 10), e=Fraction(2, 5),
               g=Fraction(1, 5), h=Fraction(3, 10), i=Fraction(2, 5),
               j=Fraction(1, 2), k=Fraction(3, 5), l=Fraction(7, 10),
               n=Fraction(4, 10))
@@ -68,11 +68,11 @@ def test_criterion_2_closed_form_vs_linear_system(capsys):
         obs = observed_law(flaw)
         col = find_colluders(graph)[0]
 
-        p0, p1 = binary_closed_form(quantities_from_observed(obs, graph, col))
+        p0, p1 = binary_closed_form(quantities_from_observed(obs, col))
         assert abs(p0 - (1 - d)) <= 1e-10
         assert abs(p1 - (1 - f)) <= 1e-10
 
-        mech = colluder_mechanism(obs, graph, col)
+        mech = colluder_mechanism(obs, col)
         oracle = mechanism_oracle(flaw, "R_X")
         for x in range(2):
             for y in range(2):
@@ -94,7 +94,7 @@ def test_criterion_3_rank_soundness_and_completeness(capsys):
     for i in range(100):
         law = random_law(wide, seed=int(rng.integers(1 << 31)))
         obs = observed_law(law)
-        sys = build_colluder_system(obs, wide, col_wide)
+        sys = build_colluder_system(obs, col_wide)
         rank, _ = rank_test(sys)
         assert rank[0] < sys.a.shape[2]
         with pytest.raises(RankDeficiencyError):
@@ -108,7 +108,7 @@ def test_criterion_3_rank_soundness_and_completeness(capsys):
         for i in range(100):
             law = random_law(graph, seed=int(rng.integers(1 << 31)))
             obs = observed_law(law)
-            sys = build_colluder_system(obs, graph, col)
+            sys = build_colluder_system(obs, col)
             rank, _ = rank_test(sys)
             if rank[0] < m:
                 continue
@@ -239,7 +239,7 @@ def test_criterion_8_nonidentifiable_flat_ridge(capsys):
     signatures = []
     for law in (pair.law1, pair.law2):
         with pytest.raises(RankDeficiencyError) as exc:
-            colluder_mechanism(observed_law(law), graph, col)
+            colluder_mechanism(observed_law(law), col)
         signatures.append(exc.value.signature())
     assert signatures[0] == signatures[1]
     with capsys.disabled():
@@ -258,7 +258,7 @@ def test_criterion_9_population_recovery_end_to_end(capsys):
         while done < 10:
             law = random_law(graph, seed=int(rng.integers(1 << 31)))
             obs = observed_law(law)
-            rank, sv = rank_test(build_colluder_system(obs, graph, col))
+            rank, sv = rank_test(build_colluder_system(obs, col))
             if rank[0] < m or sv[0, -1] < 1e-2 * sv[0, 0]:
                 continue  # criterion quantifies over identifiable laws
             data = population_dataset(obs)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import colluder_lab
-from colluder_lab import (Dataset, ccm_graph, cross_censoring_graph, decide_full_law,
-                          example_graph, observed_law, random_law)
+from colluder_lab import (Dataset, LawError, SimScenario, ccm_graph, cross_censoring_graph,
+                          decide_full_law, example_graph, observed_law, random_law)
 from colluder_lab.cli import main
 from colluder_lab.simstudy import sample_dataset
 from conftest import BAD_GRAPH_DOCS
@@ -85,7 +85,7 @@ class TestSolveColluder:
         entry = doc["colluders"][0]
         assert entry["colluder"] == "{X, R_X} of R_Y"
         from colluder_lab import colluder_mechanism, find_colluders
-        mech = colluder_mechanism(observed_law(law), g, find_colluders(g)[0])
+        mech = colluder_mechanism(observed_law(law), find_colluders(g)[0])
         assert np.allclose(np.array(entry["values"]), mech.values)
 
     def test_nonidentifiable_law_exits_two(self, tmp_path, capsys):
@@ -347,6 +347,18 @@ class TestSimulate:
                                      "replications": 2, "max_failure_rate": -1.0}))
         assert main(["simulate", str(spath)]) == 1
         assert "max_failure_rate must lie in [0, 1]" in capsys.readouterr().err
+
+    def test_repeated_sample_size_exits_one(self, tmp_path, capsys):
+        # Each sample size keys its summaries, so a repeat would drop replications.
+        with pytest.raises(LawError, match=r"^sample_sizes must be distinct, got \[500, 500\]$"):
+            SimScenario(m=2, q=2, sample_sizes=(500, 500), replications=3, seed=1)
+        spath = tmp_path / "repeat.json"
+        spath.write_text(json.dumps({"m": 2, "q": 2, "sample_sizes": [100, 200, 100],
+                                     "replications": 2}))
+        assert main(["simulate", str(spath)]) == 1
+        assert capsys.readouterr().err == ("error: sample_sizes must be distinct, "
+                                           "got [100, 200, 100]\n")
+        assert not (tmp_path / "repeat-report.json").exists()
 
     @pytest.mark.parametrize("doc, match", [
         (5, "scenario must be a JSON object, got 5"),

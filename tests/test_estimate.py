@@ -561,7 +561,7 @@ def per_block_cpts(graph, theta):
     cpts, off = {}, 0
     for v in graph.vertices:
         shape = tuple(graph.vertex(p).levels
-                      for p in CategoricalLaw.parent_order(graph, v.name)) + (v.levels,)
+                      for p in graph.parents(v.name)) + (v.levels,)
         n_rows, L = int(np.prod(shape[:-1])), shape[-1]
         block = theta[off:off + n_rows * (L - 1)].reshape(n_rows, L - 1)
         off += n_rows * (L - 1)
@@ -706,10 +706,9 @@ class TestFit:
         assert np.allclose(pyx[:, ::-1], pyx_swapped, atol=5e-6)
 
     def test_flat_ridge_on_nonidentifiable_pair(self):
-        pair = appendix_b_pair(Fraction(3, 10), Fraction(1, 2), Fraction(2, 5),
-                               Fraction(1, 5), Fraction(3, 10), Fraction(2, 5),
-                               Fraction(1, 2), Fraction(3, 5), Fraction(7, 10),
-                               Fraction(4, 10))
+        pair = appendix_b_pair(Fraction(3, 10), Fraction(2, 5), Fraction(1, 5),
+                               Fraction(3, 10), Fraction(2, 5), Fraction(1, 2),
+                               Fraction(3, 5), Fraction(7, 10), Fraction(4, 10))
         g = pair.law1.graph
         data = sample_dataset(pair.law1, 2000, seed=29)
         model = LikelihoodModel(g)

@@ -51,7 +51,7 @@ class TestBuildSystem:
         (a, b, c, d, e, f, g, h), law, obs, col = setup_a
         joint = law.joint_table().values.astype(float)
         p_ry1 = joint[:, :, :, 1].sum()
-        sys = build_colluder_system(obs, law.graph, col)
+        sys = build_colluder_system(obs, col)
         assert sys.strata == ({},)
         # first factor of each entry is p(Y=y | X=x), free of the indicators here
         want = np.array([[c, h], [1 - c, 1 - h]]) * p_ry1
@@ -64,7 +64,7 @@ class TestBuildSystem:
         _, law, obs, col = setup_a
         joint = law.joint_table().values.astype(float)
         p_ry1 = joint[:, :, :, 1].sum()
-        sol = solve_colluder(build_colluder_system(obs, law.graph, col))
+        sol = solve_colluder(build_colluder_system(obs, col))
         assert sol.values.shape == (1, 2, 2)
         for r in (0, 1):
             truth = [joint[j, :, r, 1].sum() / p_ry1 for j in range(2)]
@@ -86,7 +86,7 @@ class TestBuildSystem:
         })
         obs = observed_law(law)
         col = find_colluders(g)[0]
-        sys = build_colluder_system(obs, g, col)
+        sys = build_colluder_system(obs, col)
         assert sys.a.shape == (1, 2, 1)
         sol = solve_colluder(sys)
         joint = law.joint_table().values.astype(float)
@@ -98,7 +98,7 @@ class TestBuildSystem:
         law = random_law(g, seed=4)
         obs = observed_law(law)
         col = find_colluders(g)[0]
-        sys = build_colluder_system(obs, g, col)
+        sys = build_colluder_system(obs, col)
         assert sys.a.shape == (1, 2, 3)
         rank, _ = rank_test(sys)
         assert rank.shape == (1,) and rank[0] <= 2
@@ -111,7 +111,7 @@ class TestBuildSystem:
         obs = observed_law(law)
         col = find_colluders(g)[0]
         with pytest.raises(ConditionalIndependenceError, match="conditional independence"):
-            build_colluder_system(obs, g, col)
+            build_colluder_system(obs, col)
 
     def test_null_stratum_raises(self):
         g = MissingDataGraph(
@@ -126,14 +126,14 @@ class TestBuildSystem:
         obs = observed_law(law)
         col = find_colluders(g)[0]
         with pytest.raises(PositivityError, match="positivity violated at stratum") as exc:
-            build_colluder_system(obs, g, col)
+            build_colluder_system(obs, col)
         assert exc.value.stratum == {"W": 1}
 
 
 class TestRank:
     def test_full_rank_under_dependency(self, setup_a):
         _, law, obs, col = setup_a
-        rank, sv = rank_test(build_colluder_system(obs, law.graph, col))
+        rank, sv = rank_test(build_colluder_system(obs, col))
         assert rank.tolist() == [2]
         assert sv[0, 1] > 1e-3 * sv[0, 0]
 
@@ -142,7 +142,7 @@ class TestRank:
         law = appendix_a_law(0.3, 0.4, 0.6, 0.25, 0.5, 0.35, 0.45, 0.6 + 1e-13)
         obs = observed_law(law)
         col = find_colluders(law.graph)[0]
-        sys = build_colluder_system(obs, law.graph, col)
+        sys = build_colluder_system(obs, col)
         rank, _ = rank_test(sys)
         assert rank.tolist() == [1]
         with pytest.raises(RankDeficiencyError):
@@ -150,7 +150,7 @@ class TestRank:
 
     def test_square_full_rank_matches_plain_inverse(self, setup_a):
         _, law, obs, col = setup_a
-        sys = build_colluder_system(obs, law.graph, col)
+        sys = build_colluder_system(obs, col)
         sol = solve_colluder(sys)
         for r in (0, 1):
             direct = np.linalg.solve(sys.a[0], sys.b[0, r])
@@ -161,7 +161,7 @@ class TestRank:
         law = random_law(g, seed=8)
         obs = observed_law(law)
         col = find_colluders(g)[0]
-        sys = build_colluder_system(obs, g, col)
+        sys = build_colluder_system(obs, col)
         assert sys.a.shape == (1, 3, 2)
         sol = solve_colluder(sys)
         assert sol.residual <= 1e-10
@@ -170,7 +170,7 @@ class TestRank:
 class TestMechanism:
     def test_matches_full_law_oracle(self, setup_a):
         _, law, obs, col = setup_a
-        mech = colluder_mechanism(obs, law.graph, col)
+        mech = colluder_mechanism(obs, col)
         oracle = mechanism_oracle(law, "R_X")
         for x in range(2):
             for y in range(2):
@@ -180,7 +180,7 @@ class TestMechanism:
 
     def test_constant_in_partner_variable(self, setup_a):
         _, law, obs, col = setup_a
-        mech = colluder_mechanism(obs, law.graph, col)
+        mech = colluder_mechanism(obs, col)
         assert np.allclose(mech.values[:, 0, :], mech.values[:, 1, :], atol=1e-12)
 
     def test_inconsistent_system_refused(self):
@@ -193,9 +193,9 @@ class TestMechanism:
         col = find_colluders(g)[0]
         message = re.escape("colluder system inconsistent: residual 6.898e-03 exceeds 1e-8")
         with pytest.raises(LawError, match=message):
-            solve_colluder(build_colluder_system(obs, g, col))
+            solve_colluder(build_colluder_system(obs, col))
         with pytest.raises(LawError, match=message):
-            colluder_mechanism(obs, g, col)
+            colluder_mechanism(obs, col)
 
     def test_shared_pair_graph_strata(self):
         # two colluders of the same pair: the mechanism conditions on both
@@ -204,7 +204,7 @@ class TestMechanism:
         law = random_law(g, seed=12)
         obs = observed_law(law)
         col = [c for c in find_colluders(g) if c.target_indicator == "R_Y"][0]
-        mech = colluder_mechanism(obs, g, col)
+        mech = colluder_mechanism(obs, col)
         assert mech.names == ("X", "Y", "Z", "R_X")
         oracle = mechanism_oracle(law, "R_X")
         for x in range(2):
@@ -218,7 +218,7 @@ class TestMechanism:
         obs = observed_law(law)
         col = find_colluders(law.graph)[0]
         with pytest.raises(RankDeficiencyError) as exc:
-            colluder_mechanism(obs, law.graph, col)
+            colluder_mechanism(obs, col)
         assert exc.value.stratum == {}
         assert exc.value.rank == 1 and exc.value.required == 2
 
@@ -248,7 +248,7 @@ def assert_same_as_per_entry(law):
     for each in (law, float_copy(law)):
         obs, g = observed_law(each), each.graph
         for col in find_colluders(g):
-            got = mechanism_or_error(lambda: colluder_mechanism(obs, g, col))
+            got = mechanism_or_error(lambda: colluder_mechanism(obs, col))
             want = mechanism_or_error(lambda: loop_colluder_mechanism(obs, g, col))
             if isinstance(want, tuple) and isinstance(want[0], type):
                 if want[0] is ConditionalIndependenceError:
@@ -290,7 +290,7 @@ class TestStackedSystems:
         assert_same_as_per_entry(law)
         col = find_colluders(law.graph)[0]
         with pytest.raises(RankDeficiencyError) as exc:
-            colluder_mechanism(observed_law(law), law.graph, col)
+            colluder_mechanism(observed_law(law), col)
         assert exc.value.stratum == {} and exc.value.rank == 2
 
     def _stratum_law(self, pin_w, equal_y_at=1):
@@ -320,7 +320,7 @@ class TestStackedSystems:
         col = find_colluders(law.graph)[0]
         for each in (law, float_copy(law)):
             with pytest.raises(error) as exc:
-                colluder_mechanism(observed_law(each), each.graph, col)
+                colluder_mechanism(observed_law(each), col)
             assert exc.value.stratum == {"W": 1}
 
     def test_positivity_of_every_stratum_comes_first(self):
@@ -330,7 +330,7 @@ class TestStackedSystems:
         col = find_colluders(law.graph)[0]
         for each in (law, float_copy(law)):
             with pytest.raises(PositivityError, match="positivity violated at stratum") as exc:
-                colluder_mechanism(observed_law(each), each.graph, col)
+                colluder_mechanism(observed_law(each), col)
             assert exc.value.stratum == {"W": 1}
 
     def test_build_system_reads_one_stratum(self):
@@ -339,7 +339,7 @@ class TestStackedSystems:
         for each in (law, float_copy(law)):
             obs, g = observed_law(each), each.graph
             for col in find_colluders(g):
-                got = build_colluder_system(obs, g, col)
+                got = build_colluder_system(obs, col)
                 assert got.strata == tuple(enumerate_strata(g, col))
                 for s, z in enumerate(got.strata):
                     want = loop_colluder_system(obs, g, col, z)
@@ -370,7 +370,7 @@ class TestStackedSystems:
         for each in (law, float_copy(law)):
             obs, g = observed_law(each), each.graph
             for col in find_colluders(g):
-                sys = build_colluder_system(obs, g, col)
+                sys = build_colluder_system(obs, col)
                 rank, sv = rank_test(sys)
                 values = solve_colluder(sys).values
                 assert values.shape == (len(sys.strata), 2, 3)
@@ -399,7 +399,7 @@ class TestIdentifiedCpts:
         g = ccm_graph(*mq)
         law = exact_random_law(g, np.random.default_rng(seed))
         obs = observed_law(law)
-        _, sv = rank_test(build_colluder_system(obs, g, find_colluders(g)[0]))
+        _, sv = rank_test(build_colluder_system(obs, find_colluders(g)[0]))
         assume(sv[0, -1] > 1e-6 * sv[0, 0])
         got = identified_cpts(obs)
         assert list(got) == list(law.cpts)
@@ -560,7 +560,7 @@ class TestSoundness:
         for seed in range(3):
             obs, g, oracle = self._confounded_setup(key, seed)
             col = find_colluders(g)[0]
-            mech = colluder_mechanism(obs, g, col)
+            mech = colluder_mechanism(obs, col)
             for x in range(2):
                 for y in range(2):
                     want = oracle({"X": x, "Y": y}, 0)
@@ -573,7 +573,7 @@ class TestSoundness:
             law = random_law(g, seed=seed)
             obs = observed_law(law)
             for col in find_colluders(g):
-                mech = colluder_mechanism(obs, g, col)
+                mech = colluder_mechanism(obs, col)
                 oracle = mechanism_oracle(law, col.response_of_true)
                 shape = [2, 2, 2]
                 for idx in np.ndindex(*shape):
@@ -585,7 +585,7 @@ class TestSoundness:
 class TestClosedForm:
     def test_recovers_response_probabilities(self, setup_a):
         (a, b, c, d, e, f, g, h), law, obs, col = setup_a
-        qty = quantities_from_observed(obs, law.graph, col)
+        qty = quantities_from_observed(obs, col)
         p0, p1 = binary_closed_form(qty)
         assert p0 == pytest.approx(1 - d, abs=1e-12)
         assert p1 == pytest.approx(1 - f, abs=1e-12)
@@ -593,7 +593,7 @@ class TestClosedForm:
     def test_symmetric_law(self):
         law = appendix_a_law(0.3, 0.4, 0.6, 0.25, 0.5, 0.25, 0.45, 0.2)
         obs = observed_law(law)
-        qty = quantities_from_observed(obs, law.graph, find_colluders(law.graph)[0])
+        qty = quantities_from_observed(obs, find_colluders(law.graph)[0])
         p0, p1 = binary_closed_form(qty)
         assert p0 == pytest.approx(p1, abs=1e-12)
         assert p0 == pytest.approx(0.75, abs=1e-12)
@@ -604,7 +604,7 @@ class TestClosedForm:
             a, b, c, d, e, f, g, h = appendix_a_params(rng)
             law = appendix_a_law(a, b, c, d, e, f, g, h)
             obs = observed_law(law)
-            qty = quantities_from_observed(obs, law.graph, find_colluders(law.graph)[0])
+            qty = quantities_from_observed(obs, find_colluders(law.graph)[0])
             got = binary_closed_form(qty)
             want = binary_matrix_oracle(qty)
             assert np.allclose(got, want, atol=1e-12)
@@ -723,21 +723,20 @@ class TestObservationalInvariance:
         errors = []
         for law in (pair.law1, pair.law2):
             with pytest.raises(ConditionalIndependenceError) as exc:
-                colluder_mechanism(observed_law(law), g, col)
+                colluder_mechanism(observed_law(law), col)
             errors.append(str(exc.value))
         assert errors[0] == errors[1]
 
     def test_ternary_pair_rank_failures_identical(self):
-        pair = appendix_b_pair(Fraction(3, 10), Fraction(1, 2), Fraction(2, 5),
-                               Fraction(1, 5), Fraction(3, 10), Fraction(2, 5),
-                               Fraction(1, 2), Fraction(3, 5), Fraction(7, 10),
-                               Fraction(4, 10))
+        pair = appendix_b_pair(Fraction(3, 10), Fraction(2, 5), Fraction(1, 5),
+                               Fraction(3, 10), Fraction(2, 5), Fraction(1, 2),
+                               Fraction(3, 5), Fraction(7, 10), Fraction(4, 10))
         g = pair.law1.graph
         col = find_colluders(g)[0]
         sigs = []
         for law in (pair.law1, pair.law2):
             with pytest.raises(RankDeficiencyError) as exc:
-                colluder_mechanism(observed_law(law), g, col)
+                colluder_mechanism(observed_law(law), col)
             sigs.append(exc.value.signature())
         assert sigs[0] == sigs[1]
 
@@ -762,12 +761,12 @@ class TestBothStrategiesAgree:
             g_hat = float(obs.event_prob({"X": 1, "R_X": 1, "R_Y": 0})) / ((1 - a_hat) * (1 - b_hat))
 
             # route 1: closed form for the unobserved response arm
-            qty = quantities_from_observed(obs, graph, col)
+            qty = quantities_from_observed(obs, col)
             ry0_route1 = binary_closed_form(qty)
 
             # route 2: the solved mechanism, moved to the unobserved arm via
             # the odds ratio against the fully observed arm
-            mech = colluder_mechanism(obs, graph, col)
+            mech = colluder_mechanism(obs, col)
             ry0_route2 = []
             for x in (0, 1):
                 mu0 = mech.values[x, 0, 0]

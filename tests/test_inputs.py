@@ -7,6 +7,7 @@ map produces it.
 """
 
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,11 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colluder_lab import (CategoricalLaw, ColluderLabError, DataError, Dataset, FitConfig,
-                          FitError, GraphFormatError, LawError, MissingDataGraph,
-                          SimConstraints, SimScenario, Vertex, VertexRole, ccm_graph,
-                          observable_axes, random_law)
+from colluder_lab import (Axis, CategoricalLaw, ColluderLabError, DataError, Dataset,
+                          FitConfig, FitError, GraphFormatError, GraphQueryError, LawError,
+                          LikelihoodModel, MissingDataGraph, ObservedLawTable,
+                          PositivityError, ProbabilityTable, SimConstraints, SimScenario,
+                          Vertex, VertexRole, ccm_graph, colluder_mechanism, completion_set,
+                          enumerate_strata, example_graph, find_colluders, joint_probability,
+                          observable_axes, observed_law, quantities_from_observed, random_law,
+                          sample_dataset)
 from colluder_lab.errors import check_integer
+from colluder_lab.lawtable import Rationals
 from conftest import colluder_doc, small_graphs
 
 
@@ -177,6 +183,109 @@ class TestBooleansAndFractions:
         doc["cpts"]["X"]["table"] = table
         with pytest.raises(LawError, match="CPT for 'X' holds a boolean entry"):
             CategoricalLaw.from_json(json.dumps(doc))
+
+
+CCM = ccm_graph(2, 2)
+CCM_LAW = random_law(CCM, seed=9)
+TABLE = ProbabilityTable([Axis("X", 2)], np.array([0.25, 0.75]))
+
+
+def ccm_with(*vertices: Vertex) -> MissingDataGraph:
+    """CCM(2, 2) beside further unconnected vertices."""
+    return MissingDataGraph([*CCM.vertices, *vertices], CCM.directed_edges,
+                            pairs=[(p.true, p.indicator) for p in CCM.pairs])
+
+
+def continuous_vertex() -> MissingDataGraph:
+    return MissingDataGraph([Vertex("X", VertexRole.FULLY_OBSERVED)])
+
+
+def read_empty_csv(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    return Dataset.from_csv(path, CCM)
+
+
+def negative_colluder_mass():
+    """:func:`colluder_mechanism` on a consistent exact table of CCM(2, 2) that no law
+    has: p(Y | X, R = 1) is (0.9, 0.1) at X = 0 and (0.1, 0.9) at X = 1, and every
+    record with R_X = 0 and R_Y = 1 has Y = 1, so arm 0 solves to s_00 = -5/48
+    against s_10 = 1/12."""
+    counts = {(0, 0, 1, 1): 9, (0, 1, 1, 1): 1, (1, 0, 1, 1): 1, (1, 1, 1, 1): 9,
+              (2, 1, 0, 1): 100, (0, 2, 1, 0): 40, (1, 2, 1, 0): 40}
+    nums = np.zeros([a.size for a in observable_axes(CCM)], dtype=object)
+    for cell, n in counts.items():
+        nums[cell] = n
+    obs = ObservedLawTable(CCM, Rationals(nums, 200))
+    assert obs.consistent()
+    return colluder_mechanism(obs, find_colluders(CCM)[0])
+
+
+#: Each input refusal no other test reaches: a call taking a temporary directory,
+#: the error class it raises and its whole message.
+REFUSALS = {
+    "graph-level-count": (lambda _: MissingDataGraph([Vertex("X", VertexRole.TRUE_VARIABLE, 0)]),
+                          GraphFormatError, "vertex 'X' has non-positive level count"),
+    "graph-pair-vertex": (lambda _: MissingDataGraph(
+        [Vertex("X", VertexRole.TRUE_VARIABLE, 2)], pairs=[("X", "R_X")]),
+        GraphFormatError, "pair references unknown vertex 'R_X'"),
+    "graph-no-vertices": (lambda _: MissingDataGraph.from_json({"edges": []}),
+                          GraphFormatError, "missing 'vertices'"),
+    "graph-indicator-levels": (lambda _: MissingDataGraph.from_json(
+        {"vertices": [{"name": "R", "role": "R", "levels": 3}]}),
+        GraphFormatError, "response indicator 'R' must be binary"),
+    "graph-edge-type": (lambda _: MissingDataGraph.from_json(
+        colluder_doc(edges=[{"from": "X", "to": "Y", "type": "undirected"}])),
+        GraphFormatError, "unknown edge type 'undirected'"),
+    "axes-continuous": (lambda _: observable_axes(continuous_vertex()), LawError,
+                        "vertex 'X' is continuous; observed tables are categorical only"),
+    "table-shape": (lambda _: ProbabilityTable([Axis("X", 2)], np.zeros(3)), LawError,
+                    "table shape (3,) does not match axes"),
+    "table-axis": (lambda _: TABLE.axis("Z"), GraphQueryError, "table has no axis 'Z'"),
+    "table-level": (lambda _: TABLE.event_prob({"X": 2}), LawError,
+                    "level 2 out of range for axis 'X'"),
+    "law-continuous": (lambda _: CategoricalLaw(continuous_vertex(), {}), LawError,
+                       "vertex 'X' is continuous; categorical laws only"),
+    "law-unknown-cpt": (lambda _: CategoricalLaw(CCM, {**CCM_LAW.cpts, "Z": [1.0]}),
+                        LawError, "CPTs given for unknown vertices: ['Z']"),
+    "joint-assignment": (lambda _: joint_probability(CCM_LAW, {"X": 0}), LawError,
+                         "assignment is missing vertex 'Y'"),
+    "records-width": (lambda _: Dataset(CCM, [[0, 0, 1]]), DataError,
+                      "records have 3 columns, expected 4"),
+    "records-columns": (lambda _: Dataset(CCM, [[0, 0, 1, 1]], columns=["X", "Y", "R_X", "Q"]),
+                        DataError, "columns ['X', 'Y', 'R_X', 'Q'] do not match graph "
+                                   "vertices ['X', 'Y', 'R_X', 'R_Y']"),
+    "records-weights": (lambda _: Dataset(CCM, [[0, 0, 1, 1]], weights=[1.0, 2.0]),
+                        DataError, "weights must have one entry per record"),
+    "csv-empty": (read_empty_csv, DataError, "empty CSV file"),
+    "completion-columns": (lambda _: completion_set({"X": 0}, CCM), DataError,
+                           "record is missing columns ['Y', 'R_X', 'R_Y']"),
+    "model-continuous": (lambda _: LikelihoodModel(continuous_vertex()), FitError,
+                         "vertex 'X' is continuous; the categorical likelihood requires "
+                         "declared levels"),
+    "theta-shape": (lambda _: LikelihoodModel(CCM).probabilities(np.zeros(3)), FitError,
+                    "theta has shape (3,), expected (8,) or (B, 8)"),
+    "strata-continuous": (lambda _: list(enumerate_strata(
+        ccm_with(Vertex("Z", VertexRole.FULLY_OBSERVED)), find_colluders(CCM)[0])),
+        GraphQueryError, "stratum variable 'Z' is continuous; cannot enumerate strata"),
+    "closed-form-levels": (lambda _: quantities_from_observed(
+        observed_law(random_law(ccm_graph(3, 2), seed=9)), find_colluders(CCM)[0]),
+        LawError, "closed-form quantities require binary colluder variables"),
+    "closed-form-strata": (lambda _: quantities_from_observed(
+        observed_law(random_law(example_graph("d"), seed=9)), find_colluders(CCM)[0]),
+        LawError, "closed form applies to the two-variable model; extra variables ('Z',)"),
+    "colluder-mass": (lambda _: negative_colluder_mass(), PositivityError,
+                      "positivity violated: X=0 has no mass at stratum {}"),
+    "sample-size": (lambda _: sample_dataset(CCM_LAW, 0), LawError,
+                    "sample size must be positive"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_input_refusal(case, tmp_path):
+    call, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
 
 
 def per_pair_consistent(graph, record) -> bool:

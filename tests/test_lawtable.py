@@ -268,7 +268,7 @@ def response_rows(graph):
     """The row count of each response indicator's CPT that has parents."""
     return [math.prod(graph.vertex(p).levels for p in parents)
             for v in graph.vertices if v.role is R
-            for parents in [CategoricalLaw.parent_order(graph, v.name)] if parents]
+            for parents in [graph.parents(v.name)] if parents]
 
 
 @st.composite
@@ -293,7 +293,7 @@ def assert_meets(law, c):
     lo, hi = c.response_interval
     for v in law.graph.vertices:
         rows = np.asarray(law.cpts[v.name], float).reshape(-1, v.levels)
-        if v.role is R and not CategoricalLaw.parent_order(law.graph, v.name):
+        if v.role is R and not law.graph.parents(v.name):
             assert rows[0, 1] == c.exogenous_response_prob
         elif v.role is R:
             p = np.sort(rows[:, 1])
@@ -427,6 +427,39 @@ class TestLawValidation:
         g = MissingDataGraph([Vertex("A", O, 2)])
         with pytest.raises(LawError, match="outside"):
             CategoricalLaw(g, {"A": np.array([1.2, -0.2])})
+
+    def test_exact_rows_sum_to_exactly_one(self, law_a):
+        # 1e-14 over 1 is inside the float tolerance, which float rows keep.
+        x = np.array([Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**14)], dtype=object)
+        with pytest.raises(LawError, match=r"^CPT row for 'X' sums to 1\.00000000000001, not 1$"):
+            CategoricalLaw(law_a.graph, {**law_a.cpts, "X": x})
+        floats = {k: v.astype(float) for k, v in law_a.cpts.items()}
+        CategoricalLaw(law_a.graph, {**floats, "X": x.astype(float)})
+        x = np.array([Fraction(3, 2), Fraction(-1, 2)], dtype=object)
+        with pytest.raises(LawError, match=r"^CPT entry for 'X' outside \[0, 1\]$"):
+            CategoricalLaw(law_a.graph, {**law_a.cpts, "X": x})
+
+    def test_exact_table_is_consistent_only_when_exact(self, law_a):
+        # Mass 1e-14 times the table's own denominator off: within the float
+        # tolerance, which float tables keep.
+        obs = observed_law(law_a)
+        graph, exact, scale = obs.graph, obs.rationals(), 10**14
+        cell, stray = coarsening_map(graph).reshape(-1)[0], obs.values.size - 1
+        assert stray not in coarsening_map(graph)
+        nums = exact.numerators.reshape(-1) * scale
+        den = exact.denominator * scale
+
+        def table(bumps):
+            moved = nums.copy()
+            for i, n in bumps:
+                moved[i] += n
+            return Rationals(moved.reshape(obs.values.shape), den)
+
+        assert ObservedLawTable(graph, table([])).consistent()
+        for bumps in ([(cell, 1)], [(cell, -1), (stray, 1)]):
+            assert not ObservedLawTable(graph, table(bumps)).consistent()
+            floats = table(bumps).floats(table(bumps).numerators)
+            assert ObservedLawTable(graph, floats).consistent()
 
     def test_wrong_shape(self):
         g = ccm_graph(2, 2)
@@ -587,7 +620,7 @@ class TestSerialization:
         doc = ccm_graph(2, 2).to_json()
         doc["edges"].reverse()  # R_X -> R_Y is now listed before X -> R_Y
         g = MissingDataGraph.from_json(doc)
-        assert g.parents("R_Y") == CategoricalLaw.parent_order(g, "R_Y") == ("X", "R_X")
+        assert g.parents("R_Y") == ("X", "R_X")
         law = random_law(g, seed=9)
         back = CategoricalLaw.from_json(json.dumps(law.to_json()))
         assert back.graph.parents("R_Y") == ("X", "R_X")

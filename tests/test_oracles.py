@@ -3,17 +3,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from colluder_lab import (APPENDIX_C_OBSERVED, LawError, appendix_a_law,
-                          appendix_b_pair, appendix_c_pair, binary_closed_form,
-                          ccm_graph, colluder_mechanism, cross_censoring_graph,
-                          find_colluders, joint_probability, m_separated,
-                          observed_law, parameter_count, quantities_from_observed)
+from colluder_lab import (APPENDIX_C_OBSERVED, LawError, MissingDataGraph, Vertex,
+                          VertexRole, appendix_a_law, appendix_b_pair, appendix_c_pair,
+                          binary_closed_form, ccm_graph, colluder_mechanism,
+                          cross_censoring_graph, example_graph, find_colluders,
+                          joint_probability, m_separated, observed_law, parameter_count,
+                          quantities_from_observed)
 from colluder_lab.errors import (ConditionalIndependenceError,
                                  RankDeficiencyError)
 
 F = Fraction
 
-B_ARGS = dict(a=F(3, 10), c=F(1, 2), e=F(2, 5), g=F(1, 5), h=F(3, 10),
+B_ARGS = dict(a=F(3, 10), e=F(2, 5), g=F(1, 5), h=F(3, 10),
               i=F(2, 5), j=F(1, 2), k=F(3, 5), l=F(7, 10), n=F(4, 10))
 
 
@@ -43,7 +44,7 @@ class TestIdentifiableBinaryLaw:
                                    F(1, 2), F(7, 20), F(9, 20), F(1, 5))
         law = appendix_a_law(a, b, c, d, e, f, g_, h)
         obs = observed_law(law)
-        qty = quantities_from_observed(obs, law.graph, find_colluders(law.graph)[0])
+        qty = quantities_from_observed(obs, find_colluders(law.graph)[0])
         p0, p1 = binary_closed_form(qty)
         assert p0 == pytest.approx(float(1 - d), abs=1e-12)
         assert p1 == pytest.approx(float(1 - f), abs=1e-12)
@@ -87,12 +88,11 @@ class TestIdentifiableBinaryLaw:
 class TestTernaryPair:
     def test_observed_laws_agree_exactly(self):
         pair = appendix_b_pair(**B_ARGS)
-        assert pair.claim == "AgreeObservedDisagreeFull"
-        obs1, obs2 = pair.observed_pair()
+        obs1, obs2 = observed_law(pair.law1), observed_law(pair.law2)
         assert np.array_equal(obs1.values, obs2.values)
         cell = obs1.event_prob({"X": 3, "Y": 2, "R_X": 0, "R_Y": 0})
-        a, c, g_, i, k = (B_ARGS[x] for x in "acgik")
-        assert cell == a * (F(1, 4) * g_ + c * i + F(1, 4) * k)
+        a, g_, i, k = (B_ARGS[x] for x in "agik")
+        assert cell == a * (F(1, 4) * g_ + F(1, 2) * i + F(1, 4) * k)
 
     def test_witness_cells_follow_the_swap(self):
         pair = appendix_b_pair(**B_ARGS)
@@ -109,12 +109,6 @@ class TestTernaryPair:
         with pytest.raises(LawError, match="collapses"):
             appendix_b_pair(**args)
 
-    def test_off_balance_marginal_rejected(self):
-        args = dict(B_ARGS)
-        args["c"] = F(2, 5)
-        with pytest.raises(LawError, match="1/2"):
-            appendix_b_pair(**args)
-
     def test_pipeline_rank_failure_is_shared(self):
         pair = appendix_b_pair(**B_ARGS)
         g = pair.law1.graph
@@ -122,7 +116,7 @@ class TestTernaryPair:
         sigs = []
         for law in (pair.law1, pair.law2):
             with pytest.raises(RankDeficiencyError) as exc:
-                colluder_mechanism(observed_law(law), g, col)
+                colluder_mechanism(observed_law(law), col)
             sigs.append(exc.value.signature())
         assert sigs[0] == sigs[1]
 
@@ -156,23 +150,27 @@ class TestCrossCensoringPair:
 class TestParameterCount:
     def test_binary_with_dependency_edge(self):
         g = cross_censoring_graph(2, 2)
-        assert parameter_count(g, True, 2, 2) == (9, 8, 1)
+        assert parameter_count(g) == (9, 8, 1)
 
     def test_degenerate_single_level(self):
         g = cross_censoring_graph(1, 2)
-        assert parameter_count(g, True, 1, 2) == (5, 5, 0)
+        assert parameter_count(g) == (5, 5, 0)
 
     def test_ternary_without_dependency_edge(self):
         g = cross_censoring_graph(3, 3, dependency=False)
-        assert parameter_count(g, False, 3, 3) == (13, 11, 2)
+        assert parameter_count(g) == (13, 11, 2)
 
     def test_fixture_validation(self):
         with pytest.raises(LawError, match="cross-censoring"):
-            parameter_count(ccm_graph(2, 2), True, 2, 2)
-        with pytest.raises(LawError, match="with_xy_edge"):
-            parameter_count(cross_censoring_graph(2, 2), False, 2, 2)
-        with pytest.raises(LawError, match="level counts"):
-            parameter_count(cross_censoring_graph(2, 2), True, 3, 2)
+            parameter_count(ccm_graph(2, 2))
+        with pytest.raises(LawError, match="single-colluder"):
+            parameter_count(example_graph("d"))
+        g = cross_censoring_graph(2, 2)
+        continuous_x = MissingDataGraph([Vertex("X", VertexRole.TRUE_VARIABLE), *g.vertices[1:]],
+                                        g.directed_edges,
+                                        pairs=[(p.true, p.indicator) for p in g.pairs])
+        with pytest.raises(LawError, match="needs categorical X and Y"):
+            parameter_count(continuous_x)
 
 
 class TestEndToEnd:
@@ -181,15 +179,13 @@ class TestEndToEnd:
         law = appendix_a_law(0.3, 0.4, 0.6, 0.25, 0.5, 0.35, 0.45, 0.2)
         obs = observed_law(law)
         col = find_colluders(law.graph)[0]
-        mech = colluder_mechanism(obs, law.graph, col)
+        mech = colluder_mechanism(obs, col)
         assert mech.values.min() > 0
 
         # neither counterexample pair admits identification
         pair_b = appendix_b_pair(**B_ARGS)
         with pytest.raises(RankDeficiencyError):
-            colluder_mechanism(observed_law(pair_b.law1), pair_b.law1.graph,
-                               find_colluders(pair_b.law1.graph)[0])
+            colluder_mechanism(observed_law(pair_b.law1), find_colluders(pair_b.law1.graph)[0])
         pair_c = appendix_c_pair()
         with pytest.raises(ConditionalIndependenceError):
-            colluder_mechanism(observed_law(pair_c.law1), pair_c.law1.graph,
-                               find_colluders(pair_c.law1.graph)[0])
+            colluder_mechanism(observed_law(pair_c.law1), find_colluders(pair_c.law1.graph)[0])
