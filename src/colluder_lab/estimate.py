@@ -20,11 +20,12 @@ row and takes the gradient and the Hessian from it.
 
 Datasets given as observed-cell counts are fitted by :func:`fit_counts`.  A
 dataset's plug-in start (:func:`plug_in`) is the identified law of its
-frequencies.  In a saturated model an interior plug-in is the maximum: a
-dataset whose climb from it reproduces its frequencies, which maximize the
-multinomial likelihood over every observed law, is certified and climbs no
-other start.  A simulation study passes each cell's plug-in; :func:`fit`
-passes none and climbs the uniform law and random laws only.
+frequencies, read in float for a whole batch of datasets.  In a saturated
+model an interior plug-in is the maximum: a dataset whose climb from it
+reproduces its frequencies, which maximize the multinomial likelihood over
+every observed law, is certified and climbs no other start.  A simulation
+study passes each cell's plug-in; :func:`fit` passes none and climbs the
+uniform law and random laws only.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ColluderLabError, DataError, FitError, check_integer
-from .identify import identified_cpts
-from .lawtable import (Axis, ObservedLawTable, Rationals, coarsening_map,
-                       cpt_subscripts, joint_from_cpts, observable_axes)
+from .errors import DataError, FitError, GraphQueryError, check_integer
+from .identify import count_cpts
+from .lawtable import (Axis, ObservedLawTable, coarsening_map, cpt_subscripts,
+                       joint_from_cpts, observable_axes)
 from .mdgraph import MissingDataGraph, VertexRole
 
 _THETA_BOUND = 40.0
@@ -409,14 +410,17 @@ class LikelihoodModel:
         return cpts
 
     def cpts_to_theta(self, cpts: Mapping[str, np.ndarray]) -> np.ndarray:
-        theta = np.zeros(self.n_params)
+        """The parameters of ``cpts``; CPTs with a leading batch axis give one row each."""
+        name, *_, cpt_shape = self._blocks[0]
+        lead = np.shape(cpts[name])[:np.ndim(cpts[name]) - len(cpt_shape)]
+        theta = np.zeros(lead + (self.n_params,))
         for name, off, n_rows, L, cpt_shape in self._blocks:
-            arr = np.asarray(cpts[name], dtype=float).reshape(n_rows, L)
+            arr = np.asarray(cpts[name], dtype=float).reshape(lead + (n_rows, L))
             if np.any(arr <= 0.0):
                 raise FitError(f"CPT for {name!r} has a zero entry; the unconstrained "
                                f"transform covers the open simplex only")
-            theta[off:off + n_rows * (L - 1)] = (
-                np.log(arr[:, 1:]) - np.log(arr[:, :1])).reshape(-1)
+            theta[..., off:off + n_rows * (L - 1)] = (
+                np.log(arr[..., 1:]) - np.log(arr[..., :1])).reshape(lead + (n_rows * (L - 1),))
         return theta
 
     def joint(self, cpts: Mapping[str, np.ndarray]) -> np.ndarray:
@@ -766,23 +770,25 @@ def maximize(model: LikelihoodModel, weights: np.ndarray, starts, max_steps: int
 _CERTIFY_RTOL = 1e-9
 
 
-def plug_in(model: LikelihoodModel, counts: np.ndarray):
-    """:func:`~colluder_lab.identify.identified_cpts` of the exact frequencies of
-    observed-cell ``counts``, each entry rounded once, as a start.  None where it
-    cannot be read (an empty stratum, a rank-deficient colluder matrix) or lies
-    outside the parameter space, which puts the maximum on the boundary: on the
-    bundled designs a start clipped into the interior from there cost a quarter of
-    the random starts' Newton steps and in 283 cells never ended above them."""
-    shape = [a.size for a in observable_axes(model.graph)]
-    freq = Rationals(counts.astype(np.int64).astype(object).reshape(shape), int(counts.sum()))
+def plug_in(model: LikelihoodModel, counts: np.ndarray) -> list:
+    """The identified law of each of observed-cell ``counts`` (C, n_obs), read in float
+    by :func:`~colluder_lab.identify.count_cpts`, as a start: a parameter vector per
+    row, or None where it cannot be read (a graph outside the CCM family, an empty
+    event, a singular colluder matrix) or lies outside the parameter space, which
+    puts the maximum on the boundary: on the bundled designs a start clipped into
+    the interior from there cost a quarter of the random starts' Newton steps and in
+    283 cells never ended above them."""
+    starts = [None] * len(counts)
     try:
-        cpts = {name: c.astype(float) for name, c
-                in identified_cpts(ObservedLawTable(model.graph, freq)).items()}
-    except ColluderLabError:
-        return None
-    if not all(np.all((c > 0.0) & (c < 1.0)) for c in cpts.values()):
-        return None
-    return model.cpts_to_theta(cpts)
+        read, cpts = count_cpts(model.graph, counts)
+    except GraphQueryError:
+        return starts
+    inside = np.all([((c > 0.0) & (c < 1.0)).all(axis=tuple(range(1, c.ndim)))
+                     for c in cpts.values()], axis=0)
+    theta = model.cpts_to_theta({name: c[inside] for name, c in cpts.items()})
+    for i, point in zip(read[inside], theta):
+        starts[i] = point
+    return starts
 
 
 def fit_counts(model: LikelihoodModel, counts: np.ndarray, plug_ins, seeds, restarts: int,

@@ -4,7 +4,8 @@ All operations are pure functions of immutable inputs.  The linear systems
 are built from observed-data quantities only; full laws enter only through
 their observed tables, and a reader of a table takes the graph the table
 carries.  Colluder systems are solved in floats; the identified law of a
-CCM-family table solves one arm exactly, in the table's integer counts.
+CCM-family table solves one arm exactly, in the table's integer counts, and
+that of a batch of count tables solves it in float, from the same gather.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 
 from .errors import (ConditionalIndependenceError, GraphQueryError, LawError,
                      PositivityError, RankDeficiencyError)
-from .lawtable import (EPS_POS, Axis, CategoricalLaw, ObservedLawTable,
-                       ProbabilityTable, conditional)
+from .lawtable import (EPS_POS, Axis, CategoricalLaw, ObservedLawTable, ProbabilityTable,
+                       Rationals, conditional, observable_axes)
 from .mdgraph import (Colluder, MissingDataGraph, VertexRole, find_colluders,
                       find_self_censoring, m_separated)
 
@@ -231,11 +232,13 @@ def colluder_mechanism(obs: ObservedLawTable, col: Colluder) -> ProbabilityTable
     axis for R_X.  The value is ``s_rj / (s_0j + s_1j)`` and is constant in
     the true variable paired with the target indicator.  The checks run in
     this order, each naming the first stratum that fails it: positivity of
-    every stratum, rank, residual, and a level of X with no mass.
+    every stratum, rank, residual, a level of X with no mass, and, for an
+    exact table, an arm value outside [0, 1], which no law of the graph gives.
     """
     g = obs.graph
     sys = build_colluder_system(obs, col)
-    sol = solve_colluder(sys).values
+    solution = solve_colluder(sys)
+    sol = solution.values
     x_name, rx, y_name = col.true_variable, col.response_of_true, g.true_of(col.target_indicator)
     mass = sol[:, 0] + sol[:, 1]
     null = np.argwhere(mass < EPS_POS)
@@ -244,6 +247,11 @@ def colluder_mechanism(obs: ObservedLawTable, col: Colluder) -> ProbabilityTable
         raise PositivityError(
             f"positivity violated: {x_name}={j} has no mass at stratum {sys.strata[s]}",
             stratum=sys.strata[s])
+    if solution.out_of_range and not obs._rounded:
+        s, r, j = solution.out_of_range[0]
+        raise LawError(f"no law of the graph produces this table: arm {rx}={r} of colluder "
+                       f"{col} solves to {sol[s, r, j]:.6g} at {x_name}={j}, stratum "
+                       f"{sys.strata[s]}, outside [0, 1]")
 
     variables = [v for v in g.vertices
                  if v.role is not VertexRole.RESPONSE_INDICATOR]
@@ -295,6 +303,38 @@ def _ccm_colluder(g: MissingDataGraph) -> Colluder:
     return col
 
 
+def _ccm_gather(t: np.ndarray):
+    """The counts the identified law of a CCM-family table reads, off counts ``t``
+    (C, X, Y, R_X, R_Y) with the NA levels last: n(R_X) (C, 2), n(X, R_X = 1, R_Y)
+    (C, m, 2), n(X, Y, R = 1) (C, m, q), and b (C, q) with b_k = n(y_k, R_X = 0,
+    R_Y = 1), the right side of arm 0's system J u = b, J being n(X, Y, R = 1)
+    transposed."""
+    return (t.sum(axis=(1, 2, 4)), t[:, :-1, :, 1, :].sum(axis=2), t[:, :-1, :-1, 1, 1],
+            t[:, :, :-1, 0, 1].sum(axis=1))
+
+
+def _ccm_cpts(g: MissingDataGraph, col: Colluder, counts, num, den, ratio) -> dict:
+    """Every CPT of a CCM-family graph, with a leading axis over count tables, from
+    :func:`_ccm_gather`'s ``counts`` and arm 0's solution u = ``num`` / ``den``
+    (C, m).  Each entry is ``ratio`` of two count arrays: ``Fraction`` for integer
+    counts, float division for float ones."""
+    x, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
+    y = g.true_of(ry)
+    n_rx, n_x_ry, n_xy, _ = counts
+    top, bottom = num * n_rx[:, 1:] * n_x_ry[..., 1], den * n_rx[:, :1] * n_x_ry.sum(axis=2)
+    ry_cpt = np.stack([ratio(np.stack([bottom - top, top], axis=-1), bottom[..., None]),
+                       ratio(n_x_ry, n_x_ry.sum(axis=2, keepdims=True))], axis=2)
+    cpts = {
+        x: ratio(n_x_ry.sum(axis=2), n_rx[:, 1:]),
+        y: ratio(n_xy, n_xy.sum(axis=2, keepdims=True)) if g.parents(y)
+        else ratio(n_xy.sum(axis=1), n_xy.sum(axis=(1, 2))[:, None]),
+        rx: ratio(n_rx, n_rx.sum(axis=1, keepdims=True)),
+        # (C, X, R_X, R_Y) -> R_Y's parents in declaration order
+        ry: np.transpose(ry_cpt, [0, *(1 + (x, rx).index(p) for p in g.parents(ry)), 3]),
+    }
+    return {v.name: cpts[v.name] for v in g.vertices}
+
+
 def identified_cpts(obs: ObservedLawTable) -> dict[str, np.ndarray]:
     """Every CPT of a CCM-family graph read off its observed law, unclipped.
 
@@ -320,35 +360,78 @@ def identified_cpts(obs: ObservedLawTable) -> dict[str, np.ndarray]:
     may lie outside [0, 1].  Raises :class:`GraphQueryError` for a graph
     outside the family, :class:`PositivityError` for an empty conditioning
     event and :class:`RankDeficiencyError` for a rank-deficient colluder matrix.
+    :func:`count_cpts` reads many count tables at once, in float.
     """
     g = obs.graph
     col = _ccm_colluder(g)
-    x, rx, ry = col.true_variable, col.response_of_true, col.target_indicator
-    y = g.true_of(ry)
     if obs._rounded:
         _require_full_rank(build_colluder_system(obs, col))
-    strata, table, (t,), _, _ = _stratum_counts(obs, col)  # t over (X, Y, R_X, R_Y)
-    n_rx = t.sum(axis=(0, 1, 3))
-    n_x_ry = t[:-1, :, 1, :].sum(axis=1)  # (X, R_Y) at R_X = 1; the last levels are NA
-    n_xy = t[:-1, :-1, 1, 1]
-    num, den = _solve_integers(n_xy.T, t[:, :-1, 0, 1].sum(axis=0), col, strata[0])
+    strata, table, t, _, _ = _stratum_counts(obs, col)  # t over (X, Y, R_X, R_Y)
+    counts = _ccm_gather(t)
+    n_rx, _, n_xy, b = (c[0] for c in counts)
+    num, den = _solve_integers(n_xy.T, b, col, strata[0])
     if table.floats(n_rx[0]) < EPS_POS:
-        raise PositivityError(f"positivity violated: event {{{rx}=0}} has zero mass")
+        raise PositivityError(f"positivity violated: event {{{col.response_of_true}=0}} "
+                              f"has zero mass")
+    cpts = _ccm_cpts(g, col, counts, num[None], den, np.frompyfunc(Fraction, 2, 1))
+    return {name: c[0].astype(float) if obs._rounded else c[0] for name, c in cpts.items()}
 
-    ratio = np.frompyfunc(Fraction, 2, 1)  # num / den of integer arrays, one Fraction each
-    top, bottom = num * n_rx[1] * n_x_ry[:, 1], den * n_rx[0] * n_x_ry.sum(axis=1)
-    ry_cpt = np.stack([ratio(np.stack([bottom - top, top], axis=1), bottom[:, None]),
-                       ratio(n_x_ry, n_x_ry.sum(axis=1, keepdims=True))], axis=1)
-    cpts = {
-        x: ratio(n_x_ry.sum(axis=1), n_rx[1]),
-        y: ratio(n_xy, n_xy.sum(axis=1, keepdims=True)) if g.parents(y)
-        else ratio(n_xy.sum(axis=0), n_xy.sum()),
-        rx: ratio(n_rx, n_rx.sum()),
-        # (X, R_X, R_Y) -> R_Y's parents in declaration order
-        ry: np.transpose(ry_cpt, [(x, rx).index(p) for p in g.parents(ry)] + [2]),
-    }
-    return {v.name: cpts[v.name].astype(float) if obs._rounded else cpts[v.name]
-            for v in g.vertices}
+
+#: :func:`count_cpts` solves a table's arm-0 matrix in float where its |det| is above
+#: this fraction of Hadamard's bound (the product of its row norms).  Its rows scaled
+#: to unit norm then have a condition number below m^(m/2) / 1e-3, so the solution
+#: keeps at least 11 correct digits.
+_FLOAT_READ_DET = 1e-3
+#: A float-read entry of p(R_Y | X, R_X = 0) this close to 0 may be 0 exactly, whose
+#: sign rounding does not decide.
+_FLOAT_READ_EDGE = 1e-9
+
+
+def count_cpts(g: MissingDataGraph, counts: np.ndarray):
+    """:func:`identified_cpts` of each observed-cell count table in ``counts``
+    (C, n_obs) of a CCM-family graph, read in float in one pass: the indices of the
+    tables that could be read, and their CPTs with a leading axis in that order.
+
+    The tables are gathered once.  A table is not read where an event the exact
+    read divides by is empty, or where its arm-0 matrix (J, or J^T J for m < q,
+    the normal equations) is singular.  The matrices whose determinant is clear of
+    zero (``_FLOAT_READ_DET``) are solved in one stacked ``np.linalg.solve``.  The
+    others, and the tables whose solved entries come within ``_FLOAT_READ_EDGE`` of
+    0 or 1, are read exactly by :func:`identified_cpts`, which decides singularity
+    and the boundary exactly.  Every other entry is a ratio of integer counts, exact
+    in float below 2^53, so it equals the exact read's rounded entry.  Raises
+    :class:`GraphQueryError` for a graph outside the family.
+    """
+    col = _ccm_colluder(g)
+    rx, ry = col.response_of_true, col.target_indicator
+    axes = observable_axes(g)
+    names, shape = [a.name for a in axes], [a.size for a in axes]
+    order = [names.index(n) for n in (col.true_variable, g.true_of(ry), rx, ry)]
+    counts = np.asarray(counts, dtype=float)
+    t = counts.reshape([len(counts), *shape]).transpose([0, *(1 + i for i in order)])
+    gathered = _ccm_gather(t)
+    n_rx, _, n_xy, b = gathered
+    j = np.swapaxes(n_xy, 1, 2)
+    lhs, rhs = (j, b) if j.shape[1] == j.shape[2] else (n_xy @ j, (n_xy @ b[..., None])[..., 0])
+    filled = np.flatnonzero((n_xy.sum(axis=2) > 0).all(axis=1) & (n_rx[:, 0] > 0))
+    clear = (np.abs(np.linalg.det(lhs[filled]))
+             > _FLOAT_READ_DET * np.prod(np.linalg.norm(lhs[filled], axis=2), axis=1))
+    read = filled[clear]
+    u = np.linalg.solve(lhs[read], rhs[read][..., None])[..., 0]
+    cpts = _ccm_cpts(g, col, [c[read] for c in gathered], u, 1.0, np.divide)
+    arm = np.take(cpts[ry], 0, axis=1 + g.parents(ry).index(rx))  # (C, X, R_Y) at R_X = 0
+    edge = (np.abs(arm) <= _FLOAT_READ_EDGE).any(axis=(1, 2))
+    exact = []
+    for i in (*filled[~clear], *read[edge]):
+        table = Rationals(counts[i].astype(np.int64).astype(object).reshape(shape),
+                          int(counts[i].sum()))
+        try:
+            exact.append((i, identified_cpts(ObservedLawTable(g, table))))
+        except (PositivityError, RankDeficiencyError):
+            continue
+    return np.array([*read[~edge], *(i for i, _ in exact)], dtype=np.intp), {
+        name: np.concatenate([c[~edge], [e[name].astype(float) for _, e in exact]])
+        if exact else c[~edge] for name, c in cpts.items()}
 
 
 # -- binary closed form ---------------------------------------------------------

@@ -237,6 +237,30 @@ def _fraction(entry) -> Fraction:
     return Fraction(int(num), int(den)) if slash else Fraction(num)
 
 
+def _check_rows(name: str, rows: np.ndarray, one=1.0) -> None:
+    """Raise :class:`LawError` unless every row of ``rows`` (N, levels), the rows of
+    ``name``'s CPT, is a probability vector.
+
+    Float rows must be finite, with entries in [0, 1] and a correctly rounded sum
+    (``math.fsum``) within ``_ROW_SUM_TOL`` of 1.  An exact CPT's rows are judged on
+    its integer numerators: entries in [0, ``one``], its denominator, summing to it.
+    The error names the first bad row's sum before its range.
+    """
+    if rows.dtype == object:
+        sums = rows.sum(axis=1)
+        off_sum = sums != one
+    else:
+        if not np.isfinite(rows).all():
+            raise LawError(f"CPT for {name!r} holds a non-finite entry")
+        sums = np.array([math.fsum(row) for row in rows.tolist()])
+        off_sum = np.abs(sums - 1.0) > _ROW_SUM_TOL
+    bad = np.flatnonzero(off_sum | np.any((rows < 0) | (rows > one), axis=1))
+    if bad.size and off_sum[bad[0]]:
+        raise LawError(f"CPT row for {name!r} sums to {float(sums[bad[0]] / one)!r}, not 1")
+    if bad.size:
+        raise LawError(f"CPT entry for {name!r} outside [0, 1]")
+
+
 class CategoricalLaw:
     """A full law factored into one CPT per vertex of the graph.
 
@@ -274,24 +298,10 @@ class CategoricalLaw:
                 if bad:
                     raise LawError(f"exact CPT for {v.name!r} holds a non-rational entry "
                                    f"{bad[0]!r}")
-                # judged on the integer numerators: a row sums to the denominator
                 exact = self._exact_cpts[v.name] = Rationals.of(arr)
-                rows, one = exact.numerators.reshape(-1, v.levels), exact.denominator
-                sums = rows.sum(axis=1)
-                off_sum = sums != one
+                _check_rows(v.name, exact.numerators.reshape(-1, v.levels), exact.denominator)
             else:
-                rows, one = np.asarray(arr, dtype=float).reshape(-1, v.levels), 1.0
-                if not np.isfinite(rows).all():
-                    raise LawError(f"CPT for {v.name!r} holds a non-finite entry")
-                sums = np.array([math.fsum(row) for row in rows])
-                off_sum = np.abs(sums - 1.0) > _ROW_SUM_TOL
-            # the first bad row, and in it the sum before the range
-            bad = np.flatnonzero(off_sum | np.any((rows < 0) | (rows > one), axis=1))
-            if bad.size and off_sum[bad[0]]:
-                raise LawError(f"CPT row for {v.name!r} sums to "
-                               f"{float(sums[bad[0]] / one)!r}, not 1")
-            if bad.size:
-                raise LawError(f"CPT entry for {v.name!r} outside [0, 1]")
+                _check_rows(v.name, np.asarray(arr, dtype=float).reshape(-1, v.levels))
             arr.setflags(write=False)
             clean[v.name] = arr
         extra = set(cpts) - set(clean)
@@ -522,45 +532,58 @@ class SimConstraints:
         return cls(**json_object(obj, "constraints", [f.name for f in fields(cls)], LawError))
 
 
-#: The most pairwise-difference cells one batch of candidate blocks holds in
-#: :func:`_simplex_rows`, which bounds its memory when blocks keep failing.
+#: The most pairwise-difference cells one gap test of candidate blocks holds in
+#: :func:`_simplex_rows`, over all of its generators, which bounds its memory when
+#: blocks keep failing.
 _BATCH_CELLS = 1 << 20
 
 #: Every multiple of this in [0, 1) is a float, and so is any sum of them below 1.
 _GRID = 2.0 ** -53
 
 
-def _simplex_rows(rng: np.random.Generator, n_rows: int, levels: int,
+def _simplex_rows(rngs: Sequence[np.random.Generator], n_rows: int, levels: int,
                   c: SimConstraints, name: str) -> np.ndarray:
-    """``n_rows`` rows uniform on the simplex with every entry at least ``min_prob``,
-    pairwise at least ``dependency_gap`` apart in total variation.
+    """For each generator in ``rngs``, ``n_rows`` rows uniform on the simplex with every
+    entry at least ``min_prob``, pairwise at least ``dependency_gap`` apart in total
+    variation (len(rngs), n_rows, levels).
 
     A uniform row with every entry at least ``a`` is ``a + (1 - levels * a)`` times a
-    uniform row, so only the dependency gap rejects.  Blocks of ``n_rows`` rows are
-    drawn in batches of doubling size and the first block that clears the gap is
-    kept; the call fails after ``max_tries`` blocks.
+    uniform row, so only the dependency gap rejects.  Each generator draws blocks of
+    ``n_rows`` rows in batches of doubling size and keeps the first block that clears
+    the gap; a generator that has drawn ``max_tries`` blocks without one fails the
+    call.  The generators still drawing share each gap test, which holds at most
+    ``_BATCH_CELLS`` pairwise-difference cells, so a generator's draws do not depend
+    on the others.
     """
     floor = max(c.min_prob, 0.0)
     scale = 1.0 - levels * floor
+    ones = np.ones(levels)
     first, second = np.nonzero(~np.tri(n_rows, dtype=bool))  # the pairs of rows
     most = max(1, _BATCH_CELLS // max(1, first.size * levels))
-    tried, size = 0, 1
-    while tried < c.max_tries:
+    out = np.empty((len(rngs), n_rows, levels))
+    todo, tried, size = np.arange(len(rngs)), 0, 1
+    while todo.size:
+        if tried >= c.max_tries:
+            raise LawError(f"could not satisfy the dependency gap for {name!r}")
         size = min(size, most, c.max_tries - tried)
-        rows = floor + scale * rng.dirichlet(np.ones(levels), (size, n_rows))
-        gap = 0.5 * np.abs(rows[:, first] - rows[:, second]).sum(axis=-1)
-        passed = np.flatnonzero(np.all(gap >= c.dependency_gap, axis=1))
-        if passed.size:
-            return rows[passed[0]]
-        tried += size
-        size *= 2
-    raise LawError(f"could not satisfy the dependency gap for {name!r}")
+        step, failed = most // size, []  # generators per gap test
+        for group in (todo[i:i + step] for i in range(0, todo.size, step)):
+            rows = floor + scale * np.stack([rngs[i].dirichlet(ones, (size, n_rows))
+                                             for i in group])
+            gap = 0.5 * np.abs(rows[:, :, first] - rows[:, :, second]).sum(axis=-1)
+            passed = np.all(gap >= c.dependency_gap, axis=2)
+            hit = passed.any(axis=1)
+            out[group[hit]] = rows[hit, passed[hit].argmax(axis=1)]
+            failed.append(group[~hit])
+        todo, tried, size = np.concatenate(failed), tried + size, size * 2
+    return out
 
 
-def _response_probs(rng: np.random.Generator, n_rows: int, c: SimConstraints,
+def _response_probs(rngs: Sequence[np.random.Generator], n_rows: int, c: SimConstraints,
                     name: str) -> np.ndarray:
-    """``n_rows`` observation probabilities uniform on ``response_interval`` given that
-    every pair is at least ``response_min_gap`` apart.
+    """For each generator in ``rngs``, ``n_rows`` observation probabilities uniform on
+    ``response_interval`` given that every pair is at least ``response_min_gap`` apart
+    (len(rngs), n_rows).
 
     Such values are ``n_rows`` uniforms on ``[lo, hi - (n_rows - 1) * gap]``, each
     shifted up by ``gap`` times its rank (the spacings argument: Devroye,
@@ -576,20 +599,23 @@ def _response_probs(rng: np.random.Generator, n_rows: int, c: SimConstraints,
         raise LawError(f"cannot place {n_rows} response probabilities in "
                        f"{list(c.response_interval)} with pairwise gap {c.response_min_gap} "
                        f"for {name!r}")
-    u = np.floor(rng.uniform(0.0, room, n_rows) / _GRID) * _GRID
-    return lo + u + gap * np.argsort(np.argsort(u))
+    u = np.floor(np.stack([rng.uniform(0.0, room, n_rows) for rng in rngs]) / _GRID) * _GRID
+    return lo + u + gap * np.argsort(np.argsort(u, axis=1), axis=1)
 
 
-def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = None,
-               seed=None) -> CategoricalLaw:
-    """Sample a categorical law compatible with ``graph`` under ``constraints``.
+def random_cpts(graph: MissingDataGraph, constraints: SimConstraints | None,
+                seeds: Sequence) -> dict[str, np.ndarray]:
+    """The CPTs of one law per seed in ``seeds``, each with a leading axis over the seeds.
 
     Each CPT is drawn from the uniform distribution on the rows that meet
-    ``constraints`` (see :class:`SimConstraints`).  Deterministic given
-    ``seed``; the generator is owned by this call.
+    ``constraints`` (see :class:`SimConstraints`).  Every seed has its own generator,
+    which draws the vertices in declaration order, so a seed's law does not depend
+    on the other seeds; the draws of all seeds are transformed and tested together.
+    Every row is checked as :class:`CategoricalLaw` checks it.  A seed whose
+    generator exhausts ``max_tries`` raises what :func:`random_law` raises for it.
     """
     constraints = constraints or SimConstraints()
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
 
     cpts: dict[str, np.ndarray] = {}
     for v in graph.vertices:
@@ -601,17 +627,28 @@ def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = Non
         n_rows = math.prod(shape[:-1])
 
         if v.role is VertexRole.RESPONSE_INDICATOR:
-            vals = (_response_probs(rng, n_rows, constraints, v.name) if parents
-                    else np.array([constraints.exogenous_response_prob]))
-            cpts[v.name] = np.stack([1.0 - vals, vals], axis=1).reshape(shape)
-            continue
+            vals = (_response_probs(rngs, n_rows, constraints, v.name) if parents
+                    else np.full((len(rngs), 1), constraints.exogenous_response_prob))
+            rows = np.stack([1.0 - vals, vals], axis=-1)
+        else:
+            # fully observed or true variable: uniform-simplex rows
+            if constraints.dependency_gap > 1.0:
+                raise LawError("dependency gap above 1 is unreachable in total variation")
+            if constraints.min_prob * v.levels >= 1.0:
+                raise LawError(f"min_prob {constraints.min_prob} is infeasible for "
+                               f"{v.levels} levels")
+            rows = _simplex_rows(rngs, n_rows, v.levels, constraints, v.name)
+        _check_rows(v.name, rows.reshape(-1, v.levels))
+        cpts[v.name] = rows.reshape((len(rngs),) + shape)
+    return cpts
 
-        # fully observed or true variable: uniform-simplex rows
-        if constraints.dependency_gap > 1.0:
-            raise LawError("dependency gap above 1 is unreachable in total variation")
-        if constraints.min_prob * v.levels >= 1.0:
-            raise LawError(f"min_prob {constraints.min_prob} is infeasible for "
-                           f"{v.levels} levels")
-        cpts[v.name] = _simplex_rows(rng, n_rows, v.levels, constraints, v.name).reshape(shape)
 
-    return CategoricalLaw(graph, cpts)
+def random_law(graph: MissingDataGraph, constraints: SimConstraints | None = None,
+               seed=None) -> CategoricalLaw:
+    """Sample a categorical law compatible with ``graph`` under ``constraints``.
+
+    The one-seed case of :func:`random_cpts`.  Deterministic given ``seed``; the
+    generator is owned by this call.
+    """
+    cpts = random_cpts(graph, constraints, [seed])
+    return CategoricalLaw(graph, {name: cpt[0] for name, cpt in cpts.items()})

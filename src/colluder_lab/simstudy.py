@@ -7,7 +7,11 @@ aggregation is a deterministic fold in replication order.
 
 Each cell is fitted by :func:`~colluder_lab.estimate.fit_counts` from its
 plug-in start (:func:`~colluder_lab.estimate.plug_in`), where the
-saturated-model certificate may settle it, and its random starts.
+saturated-model certificate may settle it, and its random starts.  A batch of
+cells is handled at once at every stage: its laws are drawn by one
+:func:`~colluder_lab.lawtable.random_cpts` call, its samples binned by one
+``bincount`` and its plug-ins read in one float pass.  Each cell keeps its own
+generators, so its law and sample do not depend on its batch.
 
 A study on w > 1 processes forks w - 1 children, one per extra share of its
 cells.  A child fits its share and sends the results, or the exception its
@@ -30,11 +34,13 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ColluderLabError, LawError, check_integer, is_finite_real
-# ``fit`` is not called here, but perfbench's tracer wraps ``simstudy.fit``.
+# ``fit`` and ``random_law`` are not called here, but perfbench's tracer wraps
+# ``simstudy.fit`` and ``simstudy.random_law``.
 from .estimate import (Dataset, FitConfig, LikelihoodModel, ParameterEstimate,  # noqa: F401
                        fit, fit_counts, plug_in)
 from .fixtures import ccm_graph
-from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map, observable_axes,
+from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map,  # noqa: F401
+                       cpt_subscripts, joint_from_cpts, observable_axes, random_cpts,
                        random_law)
 from .mdgraph import MissingDataGraph, VertexRole, json_object, load_json_source
 
@@ -42,22 +48,32 @@ from .mdgraph import MissingDataGraph, VertexRole, json_object, load_json_source
 def sample_dataset(law: CategoricalLaw, n: int, seed=None) -> Dataset:
     """Draw ``n`` i.i.d. records by forward sampling and masking the proxies.
 
-    The dataset holds the records as observed-cell counts.
+    The dataset holds the records as observed-cell counts, drawn by
+    :func:`_cell_counts` from the law's joint; an exact law's joint is exact
+    until each cell is rounded once.
     """
-    return Dataset.from_cell_weights(law.graph, _cell_counts(law, n, seed))
+    joint = law.joint_table().values.astype(float)
+    return Dataset.from_cell_weights(law.graph, _cell_counts(law.graph, joint[None], [n],
+                                                             [seed])[0])
 
 
-def _cell_counts(law: CategoricalLaw, n: int, seed) -> np.ndarray:
-    """The count of every observed cell among ``n`` i.i.d. records drawn for ``seed``.
+def _cell_counts(graph: MissingDataGraph, joints: np.ndarray, sizes, seeds) -> np.ndarray:
+    """The count of every observed cell (C, n_obs) among ``sizes[i]`` i.i.d. records
+    drawn from ``joints[i]`` for ``seeds[i]``; ``joints`` is (C, *full-joint shape).
 
-    One multinomial draw over the flattened full joint, summed by the coarsening map.
+    One multinomial draw per joint over its flattened cells, each from its own
+    generator; the draws are then summed by the coarsening map in one ``bincount``.
     """
-    if n < 1:
+    if min(sizes) < 1:
         raise LawError("sample size must be positive")
-    probs = law.joint_table().values.astype(float).reshape(-1)
-    counts = np.random.default_rng(seed).multinomial(n, probs / probs.sum())
-    size = int(np.prod([a.size for a in observable_axes(law.graph)]))
-    return np.bincount(coarsening_map(law.graph).reshape(-1), weights=counts, minlength=size)
+    probs = joints.reshape(len(joints), -1)
+    probs = probs / probs.sum(axis=1, keepdims=True)
+    counts = np.stack([np.random.default_rng(seed).multinomial(n, p)
+                       for n, seed, p in zip(sizes, seeds, probs)])
+    n_obs = int(np.prod([a.size for a in observable_axes(graph)]))
+    cells = coarsening_map(graph).reshape(-1) + n_obs * np.arange(len(probs))[:, None]
+    return np.bincount(cells.reshape(-1), weights=counts.reshape(-1),
+                       minlength=len(probs) * n_obs).reshape(len(probs), n_obs)
 
 
 @dataclass(frozen=True)
@@ -123,14 +139,28 @@ def _parameter_layout(graph: MissingDataGraph) -> list[tuple[str, str, str]]:
     return coords
 
 
+def _draw_cells(scenario: SimScenario, graph: MissingDataGraph, cells):
+    """The draws of the (sample-size index, replication) ``cells`` on the scenario's
+    ``graph``: their laws' CPTs with a leading cell axis (see
+    :func:`~colluder_lab.lawtable.random_cpts`), their samples' observed-cell counts
+    (C, n_obs) and their fit seeds.  A cell's law, sample and fit seed come from
+    three seeds spawned from (scenario seed, sample-size index, replication), so
+    they do not depend on the cell's batch."""
+    seeds = [np.random.SeedSequence((scenario.seed, n_idx, rep)).spawn(3)
+             for n_idx, rep in cells]
+    cpts = random_cpts(graph, scenario.constraints, [law for law, _, _ in seeds])
+    joints = joint_from_cpts(cpt_subscripts(graph), [cpts[v.name] for v in graph.vertices])
+    counts = _cell_counts(graph, joints, [scenario.sample_sizes[n_idx] for n_idx, _ in cells],
+                          [data for _, data, _ in seeds])
+    return cpts, counts, [int(fit.generate_state(1)[0]) for *_, fit in seeds]
+
+
 def _run_cell(scenario: SimScenario, n_idx: int, rep: int, graph: MissingDataGraph):
     """One replication's draws on the scenario's ``graph``: its law, its sample's
-    observed-cell counts and its fit seed."""
-    ss = np.random.SeedSequence((scenario.seed, n_idx, rep))
-    law_seed, data_seed, fit_seed = ss.spawn(3)
-    law = random_law(graph, scenario.constraints, law_seed)
-    counts = _cell_counts(law, scenario.sample_sizes[n_idx], data_seed)
-    return law, counts, int(fit_seed.generate_state(1)[0])
+    observed-cell counts and its fit seed, as :func:`_draw_cells` draws them in any
+    batch.  A study draws its cells in batches; perfbench's tracer wraps this."""
+    cpts, counts, seeds = _draw_cells(scenario, graph, [(n_idx, rep)])
+    return CategoricalLaw(graph, {name: cpt[0] for name, cpt in cpts.items()}), counts[0], seeds[0]
 
 
 #: The most cells one Newton batch holds.  A batch keeps about 70 kB per start of a
@@ -144,24 +174,25 @@ _BATCH_CELLS = 64
 def _run_cells(scenario: SimScenario, cells) -> list:
     """Fit the (sample-size index, replication) ``cells`` in batches of at most
     ``_BATCH_CELLS`` cells, each from its plug-in start and its random starts
-    (see :func:`~colluder_lab.estimate.fit_counts`).  Each cell's result is its
-    error vector, or None where the fit did not converge, and whether the
-    certificate settled it."""
+    (see :func:`~colluder_lab.estimate.fit_counts`).  A batch's laws, samples and
+    plug-ins are drawn and read together (see :func:`_draw_cells` and
+    :func:`~colluder_lab.estimate.plug_in`).  Each cell's result is its error
+    vector, or None where the fit did not converge, and whether the certificate
+    settled it."""
     if len(cells) > _BATCH_CELLS:
         return [r for i in range(0, len(cells), _BATCH_CELLS)
                 for r in _run_cells(scenario, cells[i:i + _BATCH_CELLS])]
     graph = scenario.graph()
     model = LikelihoodModel(graph)
-    draws = [_run_cell(scenario, n_idx, rep, graph) for n_idx, rep in cells]
-    counts = np.stack([c for _, c, _ in draws])
+    cpts, counts, seeds = _draw_cells(scenario, graph, cells)
     theta, *_, converged, _, certified = fit_counts(
-        model, counts, [plug_in(model, c) for c in counts], [seed for *_, seed in draws],
-        scenario.restarts, FitConfig().max_iterations)
-    est = model.probabilities(theta)
+        model, counts, plug_in(model, counts), seeds, scenario.restarts,
+        FitConfig().max_iterations)
     # A law's CPT entries of levels 1 and up, vertex by vertex, are in parameter order.
-    return [(e - np.concatenate([law.cpts[name][..., 1:].reshape(-1) for name in model.names])
-             if ok else None, bool(c))
-            for (law, *_), e, ok, c in zip(draws, est, converged, certified)]
+    truth = np.concatenate([cpts[name][..., 1:].reshape(len(cells), -1)
+                            for name in model.names], axis=1)
+    return [(e - t if ok else None, bool(c))
+            for e, t, ok, c in zip(model.probabilities(theta), truth, converged, certified)]
 
 
 @dataclass(frozen=True)
@@ -182,6 +213,9 @@ class GroupSummary:
 
 @dataclass(frozen=True)
 class SimReport:
+    """A study's aggregates.  ``per_parameter[n]`` is None, and ``summaries`` hold
+    nothing for n, where no replication at sample size n converged."""
+
     scenario: SimScenario
     summaries: tuple[GroupSummary, ...]
     per_parameter: dict
@@ -223,6 +257,9 @@ class SimReport:
         lines.append("")
         lines.append(f"non-converged replications excluded: {fails}")
         lines.append(f"replications certified at the saturated optimum: {settled}")
+        empty = ", ".join(f"n={n}" for n, v in sorted(self.per_parameter.items()) if v is None)
+        if empty:
+            lines.append(f"no replication converged, so no bias or RMSE: {empty}")
         return "\n".join(lines)
 
 
@@ -324,8 +361,9 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     raises.  The report is the same for any value.
     Non-convergent fits are excluded from the aggregates and counted; the
     scenario fails if more than ``max_failure_rate`` of the replications at
-    any sample size did not converge.  The report also counts the
-    replications the certificate settled at each sample size.
+    any sample size did not converge, and a sample size at which none
+    converged has no aggregates.  The report also counts the replications the
+    certificate settled at each sample size.
     """
     check_integer("threads", threads, 1, ColluderLabError)
     graph = scenario.graph()
@@ -375,14 +413,18 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     }
     for n_idx, n in enumerate(scenario.sample_sizes):
         errs = [results[i] for i, (ni, _) in enumerate(cells) if ni == n_idx]
-        ok = np.array([e for e, _ in errs if e is not None])
-        failed = sum(1 for e, _ in errs if e is None)
+        ok = [e for e, _ in errs if e is not None]
+        failed = len(errs) - len(ok)
         failures[n] = failed
         certified[n] = sum(c for _, c in errs)
         if failed > scenario.max_failure_rate * scenario.replications:
             raise ColluderLabError(
                 f"scenario failed: {failed}/{scenario.replications} replications "
                 f"did not converge at n={n}")
+        if not ok:
+            per_parameter[n] = None
+            continue
+        ok = np.array(ok)
         bias = ok.mean(axis=0)
         rmse = np.sqrt((ok ** 2).mean(axis=0))
         per_parameter[n] = {lb: {"bias": float(b), "rmse": float(r)}

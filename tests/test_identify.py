@@ -18,7 +18,7 @@ from colluder_lab import (BinaryColluderQuantities, ColluderSystem,
                           observable_axes, quantities_from_observed, random_law,
                           rank_test, simstudy, solve_colluder)
 from colluder_lab.estimate import plug_in
-from colluder_lab.identify import enumerate_strata
+from colluder_lab.identify import count_cpts, enumerate_strata
 from colluder_lab.lawtable import CategoricalLaw, ObservedLawTable, Rationals, SimConstraints
 from conftest import (appendix_a_params, exact_random_law, loop_colluder_mechanism,
                       loop_colluder_system, mechanism_oracle, small_graphs)
@@ -212,6 +212,25 @@ class TestMechanism:
                 for z in range(2):
                     want = oracle({"X": x, "Y": y, "Z": z}, 0)
                     assert mech.values[x, y, z, 0] == pytest.approx(want, abs=1e-8)
+
+    def test_out_of_model_exact_table_refused(self):
+        # A consistent exact CCM(2, 2) table over 200 whose arm 0 solves to -0.0625 at
+        # X = 0: p(Y | X, R = 1) is (0.9, 0.1) and (0.1, 0.9), every record with
+        # R_X = 0 and R_Y = 1 has Y = 1, and 80 records of each X have R_Y = 0.
+        g = ccm_graph(2, 2)
+        counts = {(0, 0, 1, 1): 9, (0, 1, 1, 1): 1, (1, 0, 1, 1): 1, (1, 1, 1, 1): 9,
+                  (2, 1, 0, 1): 20, (0, 2, 1, 0): 80, (1, 2, 1, 0): 80}
+        nums = np.zeros([a.size for a in observable_axes(g)], dtype=object)
+        for cell, n in counts.items():
+            nums[cell] = n
+        obs = ObservedLawTable(g, Rationals(nums, 200))
+        col = find_colluders(g)[0]
+        assert obs.consistent()
+        assert solve_colluder(build_colluder_system(obs, col)).out_of_range == ((0, 0, 0),)
+        message = ("no law of the graph produces this table: arm R_X=0 of colluder "
+                   "{X, R_X} of R_Y solves to -0.0625 at X=0, stratum {}, outside [0, 1]")
+        with pytest.raises(LawError, match=f"^{re.escape(message)}$"):
+            colluder_mechanism(obs, col)
 
     def test_rank_failure_names_stratum(self):
         law = appendix_a_law(0.3, 0.4, 0.6, 0.25, 0.5, 0.35, 0.45, 0.6 + 1e-13)
@@ -449,7 +468,7 @@ class TestIdentifiedCpts:
 
     def test_empty_event_is_refused_exact_and_float(self):
         g = ccm_graph(2, 2)
-        counts = simstudy._cell_counts(random_law(g, seed=2), 1000, 2)
+        counts = np.array(simstudy.sample_dataset(random_law(g, seed=2), 1000, 2).counts)
         counts = counts.reshape([a.size for a in observable_axes(g)])
         counts[0, :, 1, 1] = 0  # X = 0 never seen with R_X = R_Y = 1
         message = re.escape("positivity violated: event {X=0, R_X=1, R_Y=1} has zero mass "
@@ -459,7 +478,7 @@ class TestIdentifiedCpts:
                 identified_cpts(obs)
         model = LikelihoodModel(g)
         for cells in (counts, counts.astype(np.int64)):
-            assert plug_in(model, cells.reshape(-1)) is None
+            assert plug_in(model, cells.reshape(1, -1)) == [None]
 
     @settings(max_examples=100, deadline=None)
     @given(mq=st.sampled_from([(m, q) for q in range(1, 5) for m in range(1, q + 1)]),
@@ -471,7 +490,7 @@ class TestIdentifiedCpts:
         # solution s, with J^T (J s - b) = 0.
         g, (m, q) = ccm_graph(*mq), mq
         law = exact_random_law(g, np.random.default_rng(seed))
-        obs = count_table(g, simstudy._cell_counts(law, n, seed))
+        obs = count_table(g, simstudy.sample_dataset(law, n, seed).counts)
         try:
             cpts = identified_cpts(obs)
         except (PositivityError, RankDeficiencyError):
@@ -488,6 +507,52 @@ class TestIdentifiedCpts:
                       / (p({"R_X": 1}) * p({"X": j, "R_X": 1, "R_Y": 1})) for j in range(m)],
                      dtype=object)
         assert not np.any(j_mat.T @ (j_mat @ s - b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(mq=st.sampled_from([(m, q) for q in range(1, 5) for m in range(1, q + 1)]),
+           dependency=st.booleans(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
+           emptied=st.sampled_from(["none", "X=0 at R=1", "R_X=0", "a cell"]))
+    def test_float_read_agrees_with_the_exact_read(self, mq, dependency, seed, n, emptied):
+        # Sampled tables, one of them emptied and, for m > 1, one with a singular J
+        # (the counts at X = 1 copied from X = 0).  The float read reads the tables
+        # the exact read reads; every entry but p(R_Y | X, R_X = 0) is the exact
+        # entry rounded, and those are within 1e-10 of their row's largest entry: an
+        # entry near 0 whose complement is near 1 loses digits to cancellation in any
+        # float read.  The plug-in is None exactly where the exact read fails or
+        # leaves (0, 1).
+        g, (m, q) = ccm_graph(*mq, dependency=dependency), mq
+        rng = np.random.default_rng(seed)
+        shape = [a.size for a in observable_axes(g)]
+        counts = np.stack([simstudy.sample_dataset(exact_random_law(g, rng), n, seed + k).counts
+                           for k in range(4)])
+        tables = counts.reshape(-1, *shape)
+        if m > 1:
+            tables[0, 1, :q, 1, 1] = tables[0, 0, :q, 1, 1]
+        table = tables[int(rng.integers(len(tables)))]
+        if emptied == "X=0 at R=1":
+            table[0, :, 1, 1] = 0
+        elif emptied == "R_X=0":
+            table[:, :, 0] = 0
+        elif emptied == "a cell":
+            table.reshape(-1)[rng.choice(np.flatnonzero(table))] = 0
+        assume(counts.any(axis=1).all())  # a sample has records
+        read, cpts = count_cpts(g, counts)
+        starts = plug_in(LikelihoodModel(g), counts)
+        axis = g.parents("R_Y").index("R_X")
+        for i, cell in enumerate(counts):
+            try:
+                want = identified_cpts(count_table(g, cell))
+            except (PositivityError, RankDeficiencyError):
+                assert i not in read and starts[i] is None
+                continue
+            want = {k: v.astype(float) for k, v in want.items()}
+            got = {k: v[list(read).index(i)] for k, v in cpts.items()}
+            assert (starts[i] is not None) == all(np.all((v > 0) & (v < 1)) for v in want.values())
+            for name in ("X", "Y", "R_X"):
+                assert got[name].tobytes() == want[name].tobytes()
+            assert np.take(got["R_Y"], 1, axis).tobytes() == np.take(want["R_Y"], 1, axis).tobytes()
+            arm, exact = np.take(got["R_Y"], 0, axis), np.take(want["R_Y"], 0, axis)
+            assert np.all(np.abs(arm - exact) <= 1e-10 * np.abs(exact).max(axis=-1, keepdims=True))
 
     @pytest.mark.parametrize("graph, indicator", [(cross_censoring_graph(), "R_X"),
                                                   (example_graph("d", 3), "R_Z")])

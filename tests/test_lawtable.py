@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -12,7 +13,8 @@ from colluder_lab import (Axis, CategoricalLaw, LawError, MissingDataGraph,
                           PositivityError, ProbabilityTable, SimConstraints, SimScenario, Vertex,
                           VertexRole, appendix_a_law, ccm_graph, conditional, example_graph,
                           joint_probability, observed_law, random_law)
-from colluder_lab.lawtable import ObservedLawTable, Rationals, coarsening_map
+from colluder_lab import lawtable
+from colluder_lab.lawtable import ObservedLawTable, Rationals, coarsening_map, random_cpts
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
 from conftest import (brute_joint_probability, exact_random_law, loop_observed_law,
                       loop_random_law, small_graphs)
@@ -288,6 +290,21 @@ def law_settings(draw):
                                  max_tries=draw(st.integers(1, 50)))
 
 
+@st.composite
+def ccm_designs(draw):
+    """CCM(m, q), 1 <= m <= q <= 4, with or without X -> Y; constraints, some of them
+    infeasible or failing within their tries; and up to six seeds."""
+    m, q = draw(st.sampled_from([(m, q) for q in range(1, 5) for m in range(1, q + 1)]))
+    lo = draw(st.floats(0.05, 0.8))
+    hi = draw(st.floats(lo + 0.05, 0.95))
+    constraints = SimConstraints(
+        exogenous_response_prob=draw(st.floats(0.0, 1.0)), response_interval=(lo, hi),
+        response_min_gap=draw(st.floats(0.0, 0.02)), dependency_gap=draw(st.floats(-0.1, 0.7)),
+        min_prob=draw(st.floats(-0.1, 0.24)), max_tries=draw(st.integers(1, 100)))
+    seeds = draw(st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=6))
+    return ccm_graph(m, q, dependency=draw(st.booleans())), constraints, seeds
+
+
 def assert_meets(law, c):
     """Every CPT of ``law`` meets ``c`` as a ``>=`` on its floats."""
     lo, hi = c.response_interval
@@ -410,6 +427,42 @@ class TestRandomLaw:
         diff = new.mean(axis=0) - loop.mean(axis=0)
         se = np.sqrt((new.var(axis=0) + loop.var(axis=0)) / n)
         assert np.all(np.abs(diff) <= 4.0 * se + 1e-12), np.abs(diff) / se
+
+    @settings(max_examples=80, deadline=None)
+    @given(design=ccm_designs())
+    def test_batch_draws_each_seeds_law(self, design):
+        # Row i of every CPT of the batch is random_law's law for seeds[i], bit for
+        # bit; a batch with a failing seed raises what random_law raises for it.
+        g, c, seeds = design
+        outcomes = [draw_outcome(random_law, g, c, seed) for seed in seeds]
+        errors = [o for o in outcomes if isinstance(o, str)]
+        if errors:
+            with pytest.raises(LawError) as err:
+                random_cpts(g, c, seeds)
+            assert str(err.value) in errors
+            return
+        cpts = random_cpts(g, c, seeds)
+        assert [{name: cpt[i].tobytes() for name, cpt in cpts.items()}
+                for i in range(len(seeds))] == outcomes
+
+    def test_batch_with_a_failing_seed_raises_its_error(self):
+        g, c = ccm_graph(2, 2), SimConstraints(dependency_gap=0.5, max_tries=1)
+        outcomes = [draw_outcome(random_law, g, c, seed) for seed in range(20)]
+        failing = [seed for seed, o in enumerate(outcomes) if isinstance(o, str)]
+        assert 0 < len(failing) < 20
+        assert outcomes[failing[0]] == "could not satisfy the dependency gap for 'Y'"
+        with pytest.raises(LawError, match=f"^{re.escape(outcomes[failing[0]])}$"):
+            random_cpts(g, c, range(20))
+
+    def test_batch_memory_bound_spans_the_batch(self, monkeypatch):
+        # With room for 4 blocks per gap test, 5 seeds share their tests and still
+        # draw their own laws.
+        g, c = ccm_graph(2, 3), SimConstraints(dependency_gap=0.45, min_prob=0.15)
+        monkeypatch.setattr(lawtable, "_BATCH_CELLS", 4 * 3)
+        want = [draw_outcome(random_law, g, c, seed) for seed in range(5)]
+        cpts = random_cpts(g, c, range(5))
+        assert [{name: cpt[i].tobytes() for name, cpt in cpts.items()}
+                for i in range(5)] == want
 
     def test_continuous_vertex_rejected(self):
         g = MissingDataGraph([Vertex("A", O, None)])

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colluder_lab import (CategoricalLaw, ColluderLabError, LawError, LikelihoodModel,
                           ObservedLawTable, SimConstraints, SimScenario, VertexRole,
@@ -344,6 +346,24 @@ class TestRunScenario:
         assert [v["bias"] for v in report.per_parameter[300].values()] == \
             [float(b) for b in kept.mean(axis=0)]
 
+    def test_sample_size_without_a_converged_replication(self, monkeypatch):
+        sc = SimScenario(m=2, q=2, sample_sizes=(300, 600), replications=3, seed=2,
+                         max_failure_rate=1.0)
+        run_cells = simstudy._run_cells
+
+        def failing_at_300(scenario, cells):
+            return [(None, False) if c[0] == 0 else r
+                    for c, r in zip(cells, run_cells(scenario, cells))]
+
+        monkeypatch.setattr(simstudy, "_run_cells", failing_at_300)
+        report = run_scenario(sc)
+        assert report.failures == {300: 3, 600: 0}
+        assert report.per_parameter[300] is None and report.per_parameter[600]
+        assert {s.n for s in report.summaries} == {600}
+        assert report.to_json()["per_parameter"]["300"] is None
+        assert report.format_table().endswith(
+            "\nno replication converged, so no bias or RMSE: n=300")
+
     def test_failures_above_the_rate_abort(self, monkeypatch):
         sc = SimScenario(m=2, q=2, sample_sizes=(300, 600), replications=4, seed=2,
                          max_failure_rate=0.25)
@@ -408,7 +428,7 @@ def _fit_cells(model, counts, seeds, restarts, plug_ins=None):
     ``plug_ins`` are given: its point, whether it converged and whether the
     certificate settled it."""
     if plug_ins is None:
-        plug_ins = [plug_in(model, c) for c in counts]
+        plug_ins = plug_in(model, counts)
     theta, *_, converged, _, certified = estimate.fit_counts(model, counts, plug_ins, seeds,
                                                              restarts, 10_000)
     return theta, converged, certified
@@ -436,7 +456,7 @@ class TestCertificate:
         # No plug-in climbs alone: every cell climbs it and its random starts in one batch.
         assert len(batches) == 1
         for cell, seed, starts in zip(counts, seeds, batches[0]):
-            assert np.array_equal(starts, np.vstack([plug_in(model, cell),
+            assert np.array_equal(starts, np.vstack([plug_in(model, cell[None])[0],
                                                      starting_points(model, sc.restarts, seed)]))
 
     def test_no_certificate_where_the_masses_miss_the_frequencies(self):
@@ -464,7 +484,7 @@ class TestCertificate:
         # Certified cells keep their certificate climb, the others their final
         # batch's, each under its own index.
         model, counts, seeds, restarts = _design_cells("ccm44.json", 6)
-        plug_ins = [plug_in(model, c) for c in counts]
+        plug_ins = plug_in(model, counts)
         fitted = estimate.fit_counts(model, counts, plug_ins, seeds, restarts, 10_000)
         certified = fitted[-1]
         assert certified.any() and not certified.all()
@@ -506,6 +526,48 @@ class TestCertificate:
         assert both.any() and certified.any()
         est, base_est = (model._cpt_probs(t)[:, model._free] for t in (theta, base))
         np.testing.assert_allclose(est[both], base_est[both], rtol=0, atol=1e-8)
+
+
+class TestBatchedCells:
+    @settings(max_examples=40, deadline=None)
+    @given(mq=st.sampled_from([(m, q) for q in range(1, 5) for m in range(1, q + 1)]),
+           gap=st.floats(-0.1, 0.3), min_prob=st.floats(-0.1, 0.15),
+           sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=3, unique=True),
+           replications=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_batch_draws_each_cells_law_and_sample(self, mq, gap, min_prob, sizes,
+                                                   replications, seed):
+        # Each cell of a batch draws the law random_law draws for its law seed, the
+        # counts sample_dataset draws for its data seed, and its fit seed, bit for bit.
+        sc = SimScenario(*mq, sample_sizes=tuple(sizes), replications=replications, seed=seed,
+                         constraints=SimConstraints(dependency_gap=gap, min_prob=min_prob))
+        g = sc.graph()
+        cells = [(n_idx, rep) for n_idx in range(len(sizes)) for rep in range(replications)]
+        cpts, counts, fit_seeds = simstudy._draw_cells(sc, g, cells)
+        for k, (n_idx, rep) in enumerate(cells):
+            law_seed, data_seed, fit_seed = np.random.SeedSequence((seed, n_idx, rep)).spawn(3)
+            law = random_law(g, sc.constraints, law_seed)
+            assert all(cpts[v.name][k].tobytes() == law.cpts[v.name].tobytes()
+                       for v in g.vertices)
+            sample = sample_dataset(law, sizes[n_idx], data_seed)
+            assert counts[k].tobytes() == sample.counts.tobytes()
+            assert fit_seeds[k] == int(fit_seed.generate_state(1)[0])
+
+    def test_exact_law_keeps_its_exact_joint(self):
+        # The joint of an exact law's CPTs rounded to float differs in the last bits
+        # from its exact joint rounded; sampling draws from the latter.
+        def rows(*pairs):
+            return np.array([Fraction(a, b) for a, b in pairs], dtype=object)
+
+        law = CategoricalLaw(ccm_graph(2, 2), {
+            "X": rows((1, 3), (2, 3)), "R_X": rows((1, 10), (9, 10)),
+            "Y": rows((1, 7), (6, 7), (3, 5), (2, 5)).reshape(2, 2),
+            "R_Y": rows((1, 3), (2, 3), (1, 11), (10, 11),
+                        (2, 9), (7, 9), (1, 6), (5, 6)).reshape(2, 2, 2)})
+        joint = law.joint_table().values.astype(float)
+        rounded = CategoricalLaw(law.graph, {k: v.astype(float) for k, v in law.cpts.items()})
+        assert np.any(joint != rounded.joint_table().values)
+        want = simstudy._cell_counts(law.graph, joint[None], [10_000], [5])[0]
+        assert sample_dataset(law, 10_000, seed=5).counts.tobytes() == want.tobytes()
 
 
 def test_simstudy_leaves_fitting_to_estimate():
