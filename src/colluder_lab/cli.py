@@ -239,7 +239,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ColluderLabError, FileNotFoundError) as e:
+    except (ColluderLabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

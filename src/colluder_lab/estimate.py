@@ -31,6 +31,7 @@ uniform law and random laws only.
 from __future__ import annotations
 
 import csv
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -174,24 +175,50 @@ class Dataset:
                  one_based: bool = False) -> "Dataset":
         """The records of a CSV file with a header row.
 
-        Each distinct line is parsed and checked once, with its number of
-        occurrences as weight, and each distinct field of a column is
-        converted once, so reading costs about as much as the file's distinct
-        lines.  Blank lines are skipped.  An error names the first line of
-        the file that holds the bad content; a quoted field cannot span lines.
+        The lines are counted as they stream from the file, so memory grows
+        with the file's distinct lines, not with its records.  Each distinct
+        line is then parsed and checked once, with its number of occurrences
+        as weight, and each distinct field of a column is converted once.
+        Blank lines are skipped.  An error names the first line of the file
+        that holds the bad content, which only an error reads the file again
+        to find; a quoted field cannot span lines, and a line must be UTF-8.
         """
         axes = {a.name: a for a in observable_axes(graph)}
-        with open(path, encoding="utf-8-sig") as fh:
-            text = fh.read()
-        if not text:
+
+        def read():
+            # A byte that is not UTF-8 reads as a lone surrogate, which no UTF-8 text holds.
+            return open(path, encoding="utf-8-sig", errors="surrogateescape")
+
+        def utf8(text: str) -> bool:
+            try:
+                text.encode()
+            except UnicodeEncodeError:
+                return False
+            return True
+
+        with read() as fh:
+            header = fh.readline()
+            # Keys are lines without their "\n", so that a last line without one
+            # merges into its twin.
+            counts = Counter()
+            for line, n in Counter(fh).items():
+                counts[line.removesuffix("\n")] += n
+        if not header:
             raise DataError("empty CSV file")
-        header, *lines = text.split("\n")
+        header = header.removesuffix("\n")
+        if not utf8(header):
+            raise DataError("not UTF-8 text", line=1)
         header = [h.strip() for h in next(csv.reader([header]))]
         if sorted(header) != sorted(axes):
             raise DataError(f"CSV columns {header} do not match graph vertices {list(axes)}")
 
-        def line_of(content: str) -> int:
-            return lines.index(content) + 2
+        def line_of(content: str) -> int | None:
+            with read() as fh:
+                next(fh)
+                for number, line in enumerate(fh, start=2):
+                    if line.removesuffix("\n") == content:
+                        return number
+            return None
 
         def level(a: Axis, cell: str, line: str) -> int:
             cell = cell.strip()
@@ -213,12 +240,13 @@ class Dataset:
 
         # Each distinct line once, with its count; each column's distinct raw
         # fields map to their levels.
-        counts = Counter(lines)
         columns = [axes[h] for h in header]
         levels = [{} for _ in header]
         reader = csv.reader(counts)
         kept, table = [], []
         for i, (line, rec) in enumerate(zip(counts, reader), start=1):
+            if not utf8(line):
+                raise DataError("not UTF-8 text", line=line_of(line))
             if reader.line_num != i:
                 raise DataError("quoted field runs past the end of the line",
                                 line=line_of(line))
@@ -259,7 +287,7 @@ class Dataset:
                         out.append(int(v) + 1)
                     else:
                         out.append(int(v))
-                writer.writerows([out] * int(weight))
+                writer.writerows(itertools.repeat(out, int(weight)))
 
 
 def population_dataset(obs: ObservedLawTable) -> Dataset:

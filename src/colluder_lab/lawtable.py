@@ -113,6 +113,8 @@ class ProbabilityTable:
     def __init__(self, axes: Sequence[Axis], values):
         axes = tuple(axes)
         if isinstance(values, Rationals):
+            if values.denominator < 1:
+                raise LawError(f"table denominator {values.denominator} is not positive")
             nums = np.array(values.numerators, dtype=object)
             nums.setflags(write=False)
             self._exact = Rationals(nums, values.denominator)

@@ -181,9 +181,9 @@ class TestFit:
 
     def test_missing_data_file_exits_one(self, tmp_path, capsys):
         gpath = write_graph(tmp_path, ccm_graph(2, 2))
-        assert main(["fit", "--graph", gpath, "--data", str(tmp_path / "absent.csv"),
-                     "--seed", "1"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        for data in (tmp_path / "absent.csv", tmp_path):
+            assert main(["fit", "--graph", gpath, "--data", str(data), "--seed", "1"]) == 1
+            assert capsys.readouterr().err.startswith("error:")
 
     def test_inconsistent_record_exits_one(self, tmp_path, capsys):
         g = ccm_graph(2, 2)

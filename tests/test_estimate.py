@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -277,11 +278,14 @@ class TestDataset:
 
     def test_csv_lines_differing_in_spacing_or_quoting_read_alike(self, fig1b, tmp_path):
         path = tmp_path / "d.csv"
-        path.write_text('X,Y,R_X,R_Y\n1,0,1,1\n 1, 0 ,1,1\n"1",0,"1",1\n'
-                        'NA,1,0,1\n NA ,"1",0,1\n1,0,1,1\n')
-        data = Dataset.from_csv(path, fig1b)
-        assert (data.rows.tolist(), data.weights.tolist()) == ([[1, 0, 1, 1], [2, 1, 0, 1]],
-                                                               [4, 2])
+        text = ('X,Y,R_X,R_Y\n1,0,1,1\n 1, 0 ,1,1\n"1",0,"1",1\n'
+                'NA,1,0,1\n NA ,"1",0,1\n1,0,1,1\n')
+        # The last line repeats the first record, with and without its newline.
+        for text in (text, text.removesuffix("\n")):
+            path.write_text(text)
+            data = Dataset.from_csv(path, fig1b)
+            assert (data.rows.tolist(), data.weights.tolist()) == \
+                ([[1, 0, 1, 1], [2, 1, 0, 1]], [4, 2])
 
     def test_csv_crlf_line_endings(self, fig1b, tmp_path):
         path = tmp_path / "d.csv"
@@ -311,6 +315,20 @@ class TestDataset:
         data = Dataset(fig1b, [[0, 1, 1, 1], [NA, 0, 0, 1]], weights=[0.0, 0.0])
         with pytest.raises(FitError, match="empty dataset"):
             fit(data, fig1b)
+
+    def test_csv_reading_memory_grows_with_distinct_lines(self, tmp_path):
+        graph = ccm_graph(3, 3)
+        data = sample_dataset(random_law(graph, seed=42), 200_000, seed=43)
+        path = tmp_path / "d.csv"
+        data.to_csv(path)
+        tracemalloc.start()
+        try:
+            back = Dataset.from_csv(path, graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert_same_data(back, data)
+        assert peak <= 2**20, f"from_csv peaked at {peak / 2**20:.2f} MB"
 
     def test_csv_rows_match_a_per_line_parse(self, tmp_path):
         graph = ccm_graph(3, 3)

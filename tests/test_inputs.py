@@ -206,6 +206,12 @@ def read_empty_csv(tmp_path):
     return Dataset.from_csv(path, CCM)
 
 
+def read_latin1_csv(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("X,Y,R_X,R_Y\n0,0,1,1\n0,é,1,1\n1,0,1,1\n".encode("latin-1"))
+    return Dataset.from_csv(path, CCM)
+
+
 def negative_colluder_mass():
     """:func:`colluder_mechanism` on a consistent exact table of CCM(2, 2) that no law
     has: p(Y | X, R = 1) is (0.9, 0.1) at X = 0 and (0.1, 0.9) at X = 1, and every
@@ -244,6 +250,9 @@ REFUSALS = {
     "table-axis": (lambda _: TABLE.axis("Z"), GraphQueryError, "table has no axis 'Z'"),
     "table-level": (lambda _: TABLE.event_prob({"X": 2}), LawError,
                     "level 2 out of range for axis 'X'"),
+    "table-denominator": (lambda _: ObservedLawTable(CCM, Rationals(
+        np.zeros([a.size for a in observable_axes(CCM)], dtype=object), 0)), LawError,
+        "table denominator 0 is not positive"),
     "law-continuous": (lambda _: CategoricalLaw(continuous_vertex(), {}), LawError,
                        "vertex 'X' is continuous; categorical laws only"),
     "law-unknown-cpt": (lambda _: CategoricalLaw(CCM, {**CCM_LAW.cpts, "Z": [1.0]}),
@@ -258,6 +267,7 @@ REFUSALS = {
     "records-weights": (lambda _: Dataset(CCM, [[0, 0, 1, 1]], weights=[1.0, 2.0]),
                         DataError, "weights must have one entry per record"),
     "csv-empty": (read_empty_csv, DataError, "empty CSV file"),
+    "csv-not-utf8": (read_latin1_csv, DataError, "not UTF-8 text (line 3)"),
     "completion-columns": (lambda _: completion_set({"X": 0}, CCM), DataError,
                            "record is missing columns ['Y', 'R_X', 'R_Y']"),
     "model-continuous": (lambda _: LikelihoodModel(continuous_vertex()), FitError,
