@@ -12,10 +12,8 @@ marginalized observed-data likelihood.
 from .errors import (ColluderLabError, ConditionalIndependenceError, DataError,
                      FitError, GraphFormatError, GraphQueryError, LawError,
                      PositivityError, RankDeficiencyError)
-from .estimate import (Dataset, FitConfig, FitResult, LikelihoodModel,
-                       completion_set, fit, grad_log_likelihood, log_likelihood,
-                       population_dataset)
-from .fixtures import ccm_graph, cross_censoring_graph, example_graph, example_graphs
+from .estimate import Dataset, FitConfig, FitResult, LikelihoodModel, fit
+from .fixtures import ccm_graph, cross_censoring_graph, example_graph
 from .identify import (BinaryColluderQuantities, ColluderSystem,
                        IdentifiabilityVerdict, binary_closed_form,
                        build_colluder_system, colluder_mechanism, decide_full_law,

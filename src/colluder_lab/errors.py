@@ -67,11 +67,6 @@ class RankDeficiencyError(ColluderLabError):
         self.singular_values = None if singular_values is None else list(singular_values)
         super().__init__(message)
 
-    def signature(self) -> tuple:
-        """Hashable identity of the failure, for comparing structured errors."""
-        stratum = tuple(sorted(self.stratum.items())) if self.stratum else ()
-        return (str(self.colluder), stratum, self.rank, self.required)
-
 
 class FitError(ColluderLabError):
     """Estimation cannot proceed (empty data, graph mismatch, non-identifiable model)."""

@@ -41,8 +41,7 @@ import numpy as np
 
 from .errors import DataError, FitError, GraphQueryError, check_integer
 from .identify import count_cpts
-from .lawtable import (Axis, ObservedLawTable, coarsening_map, cpt_subscripts,
-                       joint_from_cpts, observable_axes)
+from .lawtable import Axis, coarsening_map, cpt_subscripts, joint_from_cpts, observable_axes
 from .mdgraph import MissingDataGraph, VertexRole
 
 _THETA_BOUND = 40.0
@@ -288,39 +287,6 @@ class Dataset:
                     else:
                         out.append(int(v))
                 writer.writerows(itertools.repeat(out, int(weight)))
-
-
-def population_dataset(obs: ObservedLawTable) -> Dataset:
-    """A weighted dataset carrying the exact observed law (one record per positive cell)."""
-    return Dataset.from_cell_weights(obs.graph, obs.values)
-
-
-def completion_set(record: Mapping[str, int], graph: MissingDataGraph) -> list[dict]:
-    """All full configurations compatible with one observed record.
-
-    The record assigns every observable column (NA for a partially observed
-    variable may be given as the NA level or -1).  Singleton when nothing is
-    missing; otherwise the hidden true values range over their state spaces.
-    """
-    axes = observable_axes(graph)
-    missing = [a.name for a in axes if a.name not in record]
-    if missing:
-        raise DataError(f"record is missing columns {missing}")
-    options: list[tuple[str, range | tuple]] = []
-    for a in axes:
-        v = record[a.name]
-        if a.kind == "proxy":
-            levels = a.size - 1
-            if v in (Dataset.NA, levels):
-                options.append((a.name, range(levels)))
-            else:
-                options.append((a.name, (v,)))
-        else:
-            options.append((a.name, (v,)))
-    out: list[dict] = [{}]
-    for name, vals in options:
-        out = [{**d, name: v} for d in out for v in vals]
-    return out
 
 
 # -- likelihood model -------------------------------------------------------------
@@ -577,21 +543,6 @@ class LikelihoodModel:
                     out.append((name, tuple(zip(self.parents[name], pa)), level,
                                 off + row_i * (L - 1), row_i))
         return out
-
-
-# -- module-level operations --------------------------------------------------------
-
-
-def log_likelihood(theta: np.ndarray, data: Dataset, graph: MissingDataGraph) -> float:
-    """Marginalized log-likelihood: sum over records of log sum over completions."""
-    model = LikelihoodModel(graph)
-    return model.log_likelihood(np.asarray(theta, dtype=float), model.bind(data).counts)
-
-
-def grad_log_likelihood(theta: np.ndarray, data: Dataset, graph: MissingDataGraph) -> np.ndarray:
-    """Exact analytic gradient of :func:`log_likelihood` in the unconstrained parameters."""
-    model = LikelihoodModel(graph)
-    return model.gradient(np.asarray(theta, dtype=float), model.bind(data).counts)
 
 
 # -- fitting --------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .errors import GraphQueryError
 from .mdgraph import MissingDataGraph, Vertex, VertexRole
 
 _X1 = VertexRole.TRUE_VARIABLE
@@ -59,8 +60,4 @@ def example_graph(key: str, levels: int = 2) -> MissingDataGraph:
     if key == "f":
         return MissingDataGraph(
             three, base + [("X", "Z"), ("X", "R_Z"), ("R_X", "R_Z")], [], three_pairs)
-    raise ValueError(f"unknown example graph {key!r} (expected 'a'..'f')")
-
-
-def example_graphs(levels: int = 2) -> dict[str, MissingDataGraph]:
-    return {k: example_graph(k, levels) for k in "abcdef"}
+    raise GraphQueryError(f"unknown example graph {key!r} (expected 'a'..'f')")

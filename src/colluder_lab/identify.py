@@ -579,7 +579,9 @@ def decide_full_law(g: MissingDataGraph) -> IdentifiabilityVerdict:
 
     Non-identifiability is certain when a self-censoring edge exists, when a
     colluder fails the required m-separation, or when a colluder matrix
-    cannot reach full column rank because it has fewer rows than columns.
+    cannot reach full column rank: it has fewer rows than columns, or X is
+    m-separated from Y given the strata, R_X and R_Y, so that its m >= 2
+    columns are one law of Y.
     Otherwise the graph is identifiable *subject to rank*: the remaining
     full-rank requirement depends on the distribution and must be tested
     against a law or dataset stratum by stratum.
@@ -604,6 +606,15 @@ def decide_full_law(g: MissingDataGraph) -> IdentifiabilityVerdict:
             reasons.append(Finding(
                 "structural-rank", str(col),
                 f"colluder matrix is {q}x{m}: rank at most {q} < {m}, never full column rank"))
+        enumerable, indicators = stratum_variables(g, col)
+        if m >= 2 and m_separated(g, {col.true_variable}, {y_true},
+                                  [*enumerable, *indicators, col.response_of_true,
+                                   col.target_indicator]):
+            reasons.append(Finding(
+                "structural-rank", str(col),
+                f"{col.true_variable} is m-separated from {y_true} given the strata, "
+                f"{col.response_of_true} and {col.target_indicator}: every column of the "
+                f"colluder matrix is the same law of {y_true}, so its rank is at most 1 < {m}"))
 
     if reasons:
         return IdentifiabilityVerdict("NotIdentifiable", tuple(reasons), False)

@@ -314,9 +314,6 @@ class CategoricalLaw:
     #: :meth:`MissingDataGraph.parents`; ``perfbench/workloads.py`` still calls it.
     parent_order = staticmethod(MissingDataGraph.parents)
 
-    def strictly_positive(self, eps_pos: float = EPS_POS) -> bool:
-        return all(float(x) >= eps_pos for arr in self.cpts.values() for x in arr.flat)
-
     def is_exact(self) -> bool:
         return all(arr.dtype == object for arr in self.cpts.values())
 

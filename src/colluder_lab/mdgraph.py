@@ -17,8 +17,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
+from numbers import Integral
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ColluderLabError, GraphFormatError, GraphQueryError
 
@@ -62,16 +63,25 @@ class Colluder:
         return f"{{{self.true_variable}, {self.response_of_true}}} of {self.target_indicator}"
 
 
+def _read_utf8(path: Path, error: type[ColluderLabError]) -> str:
+    """The file's text decoded as UTF-8, whatever the locale; a byte-order mark is
+    dropped, and bytes that are not UTF-8 raise ``error`` naming the file."""
+    try:
+        return path.read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise error(f"{path} is not UTF-8 text (byte {e.start})") from None
+
+
 def load_json_source(source, error: type[ColluderLabError]):
     """Decode a JSON document given as a path or a JSON string; any other value is
-    returned as it is.  Broken JSON raises ``error``."""
+    returned as it is.  Broken JSON, or a file that is not UTF-8, raises ``error``."""
     if isinstance(source, Path):
-        text = source.read_text()
+        text = _read_utf8(source, error)
     elif isinstance(source, str):
         text = source
         try:
             if Path(text).exists():
-                text = Path(text).read_text()
+                text = _read_utf8(Path(text), error)
         except OSError:
             pass
     else:
@@ -135,8 +145,12 @@ class MissingDataGraph:
     ):
         by_name: dict[str, Vertex] = {}
         for v in vertices:
-            if v.levels is not None and v.levels < 1:
-                raise GraphFormatError(f"vertex {v.name!r} has non-positive level count")
+            if v.levels is not None:
+                if isinstance(v.levels, bool) or not isinstance(v.levels, Integral):
+                    raise GraphFormatError(f"vertex {v.name!r} level count must be an "
+                                           f"integer, got {v.levels!r}")
+                if v.levels < 1:
+                    raise GraphFormatError(f"vertex {v.name!r} has non-positive level count")
             if v.name in by_name:
                 raise GraphFormatError("duplicate vertex names")
             by_name[v.name] = v
@@ -232,9 +246,6 @@ class MissingDataGraph:
         except KeyError:
             raise GraphQueryError(f"unknown vertex {name!r}") from None
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def parents(self, name: str) -> tuple[str, ...]:
         """The parents of ``name`` in declaration order."""
         self.vertex(name)
@@ -267,19 +278,6 @@ class MissingDataGraph:
             out.add(n)
             stack.extend(self._parents[n])
         return out
-
-    def relabel(self, mapping: Mapping[str, str]) -> "MissingDataGraph":
-        """Return a copy with vertices renamed according to ``mapping``."""
-
-        def m(n: str) -> str:
-            return mapping.get(n, n)
-
-        return MissingDataGraph(
-            [Vertex(m(v.name), v.role, v.levels) for v in self._vertices],
-            [(m(u), m(w)) for u, w in self._directed],
-            [(m(u), m(w)) for u, w in self._bidirected],
-            [(m(p.true), m(p.indicator)) for p in self._pairs],
-        )
 
     # -- serialization -----------------------------------------------------
 

@@ -222,12 +222,6 @@ class SimReport:
     failures: dict
     certified: dict
 
-    def summary(self, group: str, n: int) -> GroupSummary:
-        for s in self.summaries:
-            if s.group == group and s.n == n:
-                return s
-        raise KeyError((group, n))
-
     def to_json(self) -> dict:
         return {"scenario": self.scenario.to_json(),
                 "summaries": [s.to_json() for s in self.summaries],

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from colluder_lab import (CategoricalLaw, ColluderSystem, ConditionalIndependenceError, LawError,
-                          MissingDataGraph, PositivityError, SimConstraints, Vertex, VertexRole,
-                          ccm_graph, enumerate_strata, solve_colluder)
+from colluder_lab import (CategoricalLaw, ColluderSystem, ConditionalIndependenceError, Dataset,
+                          LawError, MissingDataGraph, PositivityError, SimConstraints, Vertex,
+                          VertexRole, ccm_graph, enumerate_strata, observable_axes,
+                          solve_colluder)
 from colluder_lab.identify import separation_condition
 from colluder_lab.lawtable import EPS_POS
 
@@ -65,6 +66,34 @@ def appendix_a_params(rng=None, lo=0.05, hi=0.95, min_ch_gap=1e-3):
         a, b, c, d, e, f, g, h = rng.uniform(lo, hi, size=8)
         if abs(c - h) >= min_ch_gap:
             return a, b, c, d, e, f, g, h
+
+
+def relabel(graph: MissingDataGraph, mapping) -> MissingDataGraph:
+    """A copy of ``graph`` with vertices renamed according to ``mapping``."""
+
+    def m(n: str) -> str:
+        return mapping.get(n, n)
+
+    return MissingDataGraph(
+        [Vertex(m(v.name), v.role, v.levels) for v in graph.vertices],
+        [(m(u), m(w)) for u, w in graph.directed_edges],
+        [(m(u), m(w)) for u, w in graph.bidirected_edges],
+        [(m(p.true), m(p.indicator)) for p in graph.pairs],
+    )
+
+
+def summary(report, group: str, n: int):
+    """The report's summary of parameter ``group`` at sample size ``n``."""
+    for s in report.summaries:
+        if s.group == group and s.n == n:
+            return s
+    raise KeyError((group, n))
+
+
+def failure_signature(e) -> tuple:
+    """Hashable identity of a :class:`RankDeficiencyError`, for comparing failures."""
+    stratum = tuple(sorted(e.stratum.items())) if e.stratum else ()
+    return (str(e.colluder), stratum, e.rank, e.required)
 
 
 # -- brute-force separation oracle ------------------------------------------------
@@ -203,6 +232,24 @@ def loop_observed_law(law) -> np.ndarray:
         obs = tuple(cell[n] if n not in indicator or cell[indicator[n]] == 1
                     else graph.vertex(n).levels for n in names)
         out[obs] += joint.values[idx]
+    return out
+
+
+def completion_set(record, graph: MissingDataGraph) -> list[dict]:
+    """All full configurations compatible with one observed record.
+
+    The record assigns every observable column (NA for a partially observed
+    variable may be given as the NA level or -1).  Singleton when nothing is
+    missing; otherwise the hidden true values range over their state spaces.
+    """
+    out: list[dict] = [{}]
+    for a in observable_axes(graph):
+        v = record[a.name]
+        if a.kind == "proxy" and v in (Dataset.NA, a.size - 1):
+            vals = range(a.size - 1)
+        else:
+            vals = (v,)
+        out = [{**d, a.name: level} for d in out for level in vals]
     return out
 
 

@@ -35,6 +35,20 @@ class TestCheckId:
         assert doc["decision"] == "NotIdentifiable"
         assert doc["reasons"][0]["kind"] == "m-separation"
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_independent_variables_exit_two(self, tmp_path, capsys, m):
+        path = write_graph(tmp_path, ccm_graph(m, m, dependency=False))
+        assert main(["check-id", path]) == 2
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["kind"] for r in doc["reasons"]] == ["structural-rank"]
+
+    def test_graph_file_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(ccm_graph(2, 2).to_json()).replace("X", "X\u00e9")
+                         .encode("latin-1"))
+        assert main(["check-id", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path} is not UTF-8 text (byte ")
+
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")

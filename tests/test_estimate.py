@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from colluder_lab import (CategoricalLaw, DataError, Dataset, FitConfig,
                           FitError, LikelihoodModel, MissingDataGraph, Vertex,
-                          VertexRole, appendix_b_pair, ccm_graph, completion_set,
-                          example_graph, fit, grad_log_likelihood, log_likelihood,
-                          observable_axes, observed_law, population_dataset, random_law)
+                          VertexRole, appendix_b_pair, ccm_graph, example_graph, fit,
+                          observable_axes, observed_law, random_law)
 from colluder_lab.estimate import _newton, maximize, starting_points
 from colluder_lab.lawtable import coarsening_map
 from colluder_lab.simstudy import sample_dataset
-from conftest import exact_random_law, per_parameter_report, small_graphs
+from conftest import completion_set, exact_random_law, per_parameter_report, small_graphs
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -388,7 +387,8 @@ class TestLogLikelihood:
         from colluder_lab import joint_probability
         want = sum(w * math.log(joint_probability(law, dict(zip(data.columns, row))))
                    for row, w in zip(data.rows.tolist(), data.weights))
-        assert log_likelihood(theta, data, fig1b) == pytest.approx(want, abs=1e-12)
+        assert model.log_likelihood(theta, model.bind(data).counts) == \
+            pytest.approx(want, abs=1e-12)
 
     def test_single_double_missing_record_marginal(self, fig1b):
         law = CategoricalLaw(fig1b, {
@@ -401,7 +401,8 @@ class TestLogLikelihood:
         theta = model.cpts_to_theta(law.cpts)
         data = Dataset(fig1b, [[NA, NA, 0, 0]])
         # marginal over the four hidden cells: p(R_X=0, R_Y=0) = 0.25
-        assert log_likelihood(theta, data, fig1b) == pytest.approx(math.log(0.25), abs=1e-12)
+        assert model.log_likelihood(theta, model.bind(data).counts) == \
+            pytest.approx(math.log(0.25), abs=1e-12)
 
     def test_permutation_and_duplication_invariance(self, fig1b):
         law = random_law(fig1b, seed=4)
@@ -413,19 +414,21 @@ class TestLogLikelihood:
         records = np.concatenate([records, records[:10]])
         weights = np.concatenate([np.full(10, 0.5), np.ones(len(records) - 20), np.full(10, 0.5)])
         perm = np.random.default_rng(6).permutation(len(records))
-        assert log_likelihood(theta, Dataset(fig1b, records[perm], weights[perm]), fig1b) == \
-            log_likelihood(theta, data, fig1b)
+        shuffled = model.bind(Dataset(fig1b, records[perm], weights[perm]))
+        assert model.log_likelihood(theta, shuffled.counts) == \
+            model.log_likelihood(theta, model.bind(data).counts)
 
     def test_population_log_likelihood_maximized_at_truth(self, fig1b):
         law = random_law(fig1b, seed=7)
-        data = population_dataset(observed_law(law))
+        data = Dataset.from_cell_weights(law.graph, observed_law(law).values)
         model = LikelihoodModel(fig1b)
         theta = model.cpts_to_theta(law.cpts)
-        base = log_likelihood(theta, data, fig1b)
+        counts = model.bind(data).counts
+        base = model.log_likelihood(theta, counts)
         rng = np.random.default_rng(8)
         for _ in range(25):
             delta = rng.normal(scale=0.05, size=theta.shape)
-            assert log_likelihood(theta + delta, data, fig1b) < base + 1e-12
+            assert model.log_likelihood(theta + delta, counts) < base + 1e-12
 
     def test_zero_probability_record_flagged(self, fig1b):
         data = Dataset(fig1b, [[1, 0, 1, 1]])
@@ -439,7 +442,7 @@ class TestLogLikelihood:
         for derivative in (model.gradient, model.hessian):
             with pytest.raises(FitError, match="probability zero"):
                 derivative(theta, counts)
-        assert log_likelihood(np.full(model.n_params, -30.0), data, fig1b) < -80
+        assert model.log_likelihood(np.full(model.n_params, -30.0), counts) < -80
 
 
 @settings(max_examples=40, deadline=None)
@@ -449,7 +452,7 @@ def test_pattern_probs_reproduce_the_observed_law(graph, seed):
     law = CategoricalLaw(graph, {k: v.astype(float) for k, v in exact.cpts.items()})
     obs = observed_law(law)
     model = LikelihoodModel(graph)
-    data = model.bind(population_dataset(obs))
+    data = model.bind(Dataset.from_cell_weights(obs.graph, obs.values))
     probs = model.pattern_probs(model.cpts_to_theta(law.cpts), data.counts)
     assert np.allclose(probs, obs.values.reshape(-1)[data.patterns], rtol=0, atol=1e-12)
     assert abs(probs.sum() - 1.0) <= 1e-12
@@ -473,7 +476,7 @@ class TestGradient:
 
     def test_stationary_at_population_optimum(self, fig1b):
         law = random_law(fig1b, seed=11)
-        data = population_dataset(observed_law(law))
+        data = Dataset.from_cell_weights(law.graph, observed_law(law).values)
         model = LikelihoodModel(fig1b)
         theta = model.cpts_to_theta(law.cpts)
         assert np.linalg.norm(model.gradient(theta, model.bind(data).counts)) <= 1e-8
@@ -487,14 +490,6 @@ class TestGradient:
         p1 = math.exp(0.4) / (1 + math.exp(0.4))
         got = model.gradient(theta, model.bind(data).counts)
         assert got[0] == pytest.approx(7 - 10 * p1, abs=1e-12)
-
-    def test_module_level_wrapper(self, fig1b):
-        law = random_law(fig1b, seed=12)
-        data = sample_dataset(law, 100, seed=13)
-        model = LikelihoodModel(fig1b)
-        theta = model.cpts_to_theta(law.cpts)
-        assert np.allclose(grad_log_likelihood(theta, data, fig1b),
-                           model.gradient(theta, model.bind(data).counts))
 
 
 class TestHessian:
@@ -661,7 +656,7 @@ class TestFit:
 
     def test_population_recovery(self, fig1b):
         law = random_law(fig1b, seed=19)
-        data = population_dataset(observed_law(law))
+        data = Dataset.from_cell_weights(law.graph, observed_law(law).values)
         res = fit(data, fig1b, FitConfig(restarts=3, seed=20))
         for name in law.cpts:
             assert np.abs(np.asarray(res.cpts[name], float)
@@ -688,6 +683,14 @@ class TestFit:
             fit(data, g)
         res = fit(data, g, FitConfig(restarts=1, seed=23, allow_nonidentifiable=True))
         assert res.log_likelihood < 0
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_independent_variables_need_flag(self, m):
+        g = ccm_graph(m, m, dependency=False)
+        data = sample_dataset(random_law(g, seed=m), 200, seed=22)
+        with pytest.raises(FitError, match="non-identifiable"):
+            fit(data, g)
+        assert fit(data, g, FitConfig(restarts=1, seed=23, allow_nonidentifiable=True)).cpts
 
     def test_wald_se_matches_binomial_formula(self):
         g = MissingDataGraph([Vertex("A", O, 2)])
@@ -730,8 +733,9 @@ class TestFit:
         g = pair.law1.graph
         data = sample_dataset(pair.law1, 2000, seed=29)
         model = LikelihoodModel(g)
-        ll1 = log_likelihood(model.cpts_to_theta(pair.law1.cpts), data, g)
-        ll2 = log_likelihood(model.cpts_to_theta(pair.law2.cpts), data, g)
+        counts = model.bind(data).counts
+        ll1 = model.log_likelihood(model.cpts_to_theta(pair.law1.cpts), counts)
+        ll2 = model.log_likelihood(model.cpts_to_theta(pair.law2.cpts), counts)
         assert abs(ll1 - ll2) <= 1e-9
 
     def test_survey_style_fit_covers_truth(self):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from colluder_lab import (BinaryColluderQuantities, ColluderSystem,
@@ -20,8 +20,9 @@ from colluder_lab import (BinaryColluderQuantities, ColluderSystem,
 from colluder_lab.estimate import plug_in
 from colluder_lab.identify import count_cpts, enumerate_strata
 from colluder_lab.lawtable import CategoricalLaw, ObservedLawTable, Rationals, SimConstraints
-from conftest import (appendix_a_params, exact_random_law, loop_colluder_mechanism,
-                      loop_colluder_system, mechanism_oracle, small_graphs)
+from conftest import (appendix_a_params, exact_random_law, failure_signature,
+                      loop_colluder_mechanism, loop_colluder_system, mechanism_oracle,
+                      small_graphs)
 
 O = VertexRole.FULLY_OBSERVED
 X1 = VertexRole.TRUE_VARIABLE
@@ -455,7 +456,7 @@ class TestIdentifiedCpts:
         law = exact_random_law(ccm_graph(2, 2, dependency=False), np.random.default_rng(0))
         with pytest.raises(RankDeficiencyError) as err:
             identified_cpts(observed_law(law))
-        assert err.value.signature() == ("{X, R_X} of R_Y", (), 1, 2)
+        assert failure_signature(err.value) == ("{X, R_X} of R_Y", (), 1, 2)
 
     def test_float_table_keeps_the_numerical_rank_rule(self):
         # The float table's exact value has full rank; read exactly, it would
@@ -463,7 +464,7 @@ class TestIdentifiedCpts:
         law = random_law(ccm_graph(2, 2, dependency=False), seed=1)
         with pytest.raises(RankDeficiencyError) as err:
             identified_cpts(observed_law(law))
-        assert err.value.signature() == ("{X, R_X} of R_Y", (), 1, 2)
+        assert failure_signature(err.value) == ("{X, R_X} of R_Y", (), 1, 2)
         assert len(err.value.singular_values) == 2
 
     def test_empty_event_is_refused_exact_and_float(self):
@@ -512,6 +513,8 @@ class TestIdentifiedCpts:
     @given(mq=st.sampled_from([(m, q) for q in range(1, 5) for m in range(1, q + 1)]),
            dependency=st.booleans(), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3000),
            emptied=st.sampled_from(["none", "X=0 at R=1", "R_X=0", "a cell"]))
+    # The singular-J copy empties this one-record table, leaving no cell to empty.
+    @example(mq=(3, 3), dependency=False, seed=202920, n=1, emptied="a cell")
     def test_float_read_agrees_with_the_exact_read(self, mq, dependency, seed, n, emptied):
         # Sampled tables, one of them emptied and, for m > 1, one with a singular J
         # (the counts at X = 1 copied from X = 0).  The float read reads the tables
@@ -533,7 +536,7 @@ class TestIdentifiedCpts:
             table[0, :, 1, 1] = 0
         elif emptied == "R_X=0":
             table[:, :, 0] = 0
-        elif emptied == "a cell":
+        elif emptied == "a cell" and table.any():
             table.reshape(-1)[rng.choice(np.flatnonzero(table))] = 0
         assume(counts.any(axis=1).all())  # a sample has records
         read, cpts = count_cpts(g, counts)
@@ -734,6 +737,21 @@ class TestVerdicts:
         assert not v.identifiable
         assert [r.kind for r in v.reasons] == ["structural-rank"]
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_independent_variables_give_equal_columns(self, m):
+        # Without X -> Y, X is m-separated from Y given R_X and R_Y, so every
+        # column of the colluder matrix is the same law of Y: rank 1 < m.  The
+        # example graphs keep their verdicts at m levels.
+        v = decide_full_law(ccm_graph(m, m, dependency=False))
+        assert not v.identifiable and not v.rank_condition_pending
+        assert [r.kind for r in v.reasons] == ["structural-rank"]
+        assert "rank is at most 1" in v.reasons[0].detail
+        law = random_law(ccm_graph(m, m, dependency=False), seed=m)
+        system = build_colluder_system(observed_law(law), find_colluders(law.graph)[0])
+        assert rank_test(system)[0].tolist() == [1]
+        decisions = {k: decide_full_law(example_graph(k, m)).identifiable for k in "abcdef"}
+        assert decisions == {"a": True, "b": True, "c": False, "d": True, "e": True, "f": True}
+
     def test_self_censoring_detected(self):
         g = MissingDataGraph(
             [Vertex("X", X1, 2), Vertex("Y", X1, 2), Vertex("R_X", R, 2),
@@ -802,7 +820,7 @@ class TestObservationalInvariance:
         for law in (pair.law1, pair.law2):
             with pytest.raises(RankDeficiencyError) as exc:
                 colluder_mechanism(observed_law(law), col)
-            sigs.append(exc.value.signature())
+            sigs.append(failure_signature(exc.value))
         assert sigs[0] == sigs[1]
 
 

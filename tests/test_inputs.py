@@ -7,8 +7,10 @@ map produces it.
 """
 
 import json
+import os
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from colluder_lab import (Axis, CategoricalLaw, ColluderLabError, DataError, Dat
                           FitConfig, FitError, GraphFormatError, GraphQueryError, LawError,
                           LikelihoodModel, MissingDataGraph, ObservedLawTable,
                           PositivityError, ProbabilityTable, SimConstraints, SimScenario,
-                          Vertex, VertexRole, ccm_graph, colluder_mechanism, completion_set,
+                          Vertex, VertexRole, ccm_graph, colluder_mechanism,
                           enumerate_strata, example_graph, find_colluders, joint_probability,
                           observable_axes, observed_law, quantities_from_observed, random_law,
                           sample_dataset)
@@ -68,6 +70,13 @@ class TestJsonReaders:
             read({**valid(), "bogus": 1})
         with pytest.raises(error, match=rf"unknown {reader} keys: \['bogus'\]"):
             read(json.dumps({**valid(), "bogus": 1}))
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_utf8_file_with_byte_order_mark_is_read(self, reader, tmp_path):
+        read, _, valid = READERS[reader]
+        path = tmp_path / "doc.json"
+        path.write_bytes(json.dumps(valid()).encode("utf-8-sig"))
+        assert read(path).to_json() == read(valid()).to_json()
 
     def test_constraints_reader(self):
         with pytest.raises(LawError, match="constraints must be a JSON object, got 5"):
@@ -212,6 +221,20 @@ def read_latin1_csv(tmp_path):
     return Dataset.from_csv(path, CCM)
 
 
+def read_latin1_json(read):
+    """A call that writes a Latin-1 JSON file (a string holding "é") into its temporary
+    directory and hands ``read`` the file's name relative to that directory."""
+    def call(tmp_path):
+        (tmp_path / "latin1.json").write_bytes('{"name": "Xé"}'.encode("latin-1"))
+        cwd = os.getcwd()
+        os.chdir(tmp_path)
+        try:
+            return read(Path("latin1.json"))
+        finally:
+            os.chdir(cwd)
+    return call
+
+
 def negative_colluder_mass():
     """:func:`colluder_mechanism` on a consistent exact table of CCM(2, 2) that no law
     has: p(Y | X, R = 1) is (0.9, 0.1) at X = 0 and (0.1, 0.9) at X = 1, and every
@@ -232,9 +255,21 @@ def negative_colluder_mass():
 REFUSALS = {
     "graph-level-count": (lambda _: MissingDataGraph([Vertex("X", VertexRole.TRUE_VARIABLE, 0)]),
                           GraphFormatError, "vertex 'X' has non-positive level count"),
+    "graph-level-fraction": (lambda _: MissingDataGraph(
+        [Vertex("X", VertexRole.TRUE_VARIABLE, 2.5)]), GraphFormatError,
+        "vertex 'X' level count must be an integer, got 2.5"),
+    "graph-level-bool": (lambda _: MissingDataGraph([Vertex("X", VertexRole.FULLY_OBSERVED, True)]),
+                         GraphFormatError, "vertex 'X' level count must be an integer, got True"),
+    "graph-level-string": (lambda _: MissingDataGraph(
+        [Vertex("X", VertexRole.FULLY_OBSERVED, "3")]), GraphFormatError,
+        "vertex 'X' level count must be an integer, got '3'"),
+    "example-graph-key": (lambda _: example_graph("z"), GraphQueryError,
+                          "unknown example graph 'z' (expected 'a'..'f')"),
     "graph-pair-vertex": (lambda _: MissingDataGraph(
         [Vertex("X", VertexRole.TRUE_VARIABLE, 2)], pairs=[("X", "R_X")]),
         GraphFormatError, "pair references unknown vertex 'R_X'"),
+    "graph-not-utf8": (read_latin1_json(MissingDataGraph.from_json), GraphFormatError,
+                       "latin1.json is not UTF-8 text (byte 11)"),
     "graph-no-vertices": (lambda _: MissingDataGraph.from_json({"edges": []}),
                           GraphFormatError, "missing 'vertices'"),
     "graph-indicator-levels": (lambda _: MissingDataGraph.from_json(
@@ -253,6 +288,10 @@ REFUSALS = {
     "table-denominator": (lambda _: ObservedLawTable(CCM, Rationals(
         np.zeros([a.size for a in observable_axes(CCM)], dtype=object), 0)), LawError,
         "table denominator 0 is not positive"),
+    "law-not-utf8": (read_latin1_json(CategoricalLaw.from_json), LawError,
+                     "latin1.json is not UTF-8 text (byte 11)"),
+    "scenario-not-utf8": (read_latin1_json(SimScenario.from_json), LawError,
+                          "latin1.json is not UTF-8 text (byte 11)"),
     "law-continuous": (lambda _: CategoricalLaw(continuous_vertex(), {}), LawError,
                        "vertex 'X' is continuous; categorical laws only"),
     "law-unknown-cpt": (lambda _: CategoricalLaw(CCM, {**CCM_LAW.cpts, "Z": [1.0]}),
@@ -268,8 +307,6 @@ REFUSALS = {
                         DataError, "weights must have one entry per record"),
     "csv-empty": (read_empty_csv, DataError, "empty CSV file"),
     "csv-not-utf8": (read_latin1_csv, DataError, "not UTF-8 text (line 3)"),
-    "completion-columns": (lambda _: completion_set({"X": 0}, CCM), DataError,
-                           "record is missing columns ['Y', 'R_X', 'R_Y']"),
     "model-continuous": (lambda _: LikelihoodModel(continuous_vertex()), FitError,
                          "vertex 'X' is continuous; the categorical likelihood requires "
                          "declared levels"),

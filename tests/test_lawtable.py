@@ -533,12 +533,6 @@ class TestLawValidation:
         with pytest.raises(LawError, match="'A' holds a non-finite entry"):
             CategoricalLaw(g, {"A": np.array(row)})
 
-    def test_positivity_flag(self, law_a):
-        assert law_a.strictly_positive()
-        g = MissingDataGraph([Vertex("A", O, 2)])
-        law = CategoricalLaw(g, {"A": np.array([1.0, 0.0])})
-        assert not law.strictly_positive()
-
 
 class TestBidirectedGraphs:
     """A law factors over directed parents, so a bidirected edge would be dropped."""

@@ -11,6 +11,7 @@ from colluder_lab import (APPENDIX_C_OBSERVED, LawError, MissingDataGraph, Verte
                           quantities_from_observed)
 from colluder_lab.errors import (ConditionalIndependenceError,
                                  RankDeficiencyError)
+from conftest import failure_signature
 
 F = Fraction
 
@@ -117,7 +118,7 @@ class TestTernaryPair:
         for law in (pair.law1, pair.law2):
             with pytest.raises(RankDeficiencyError) as exc:
                 colluder_mechanism(observed_law(law), col)
-            sigs.append(exc.value.signature())
+            sigs.append(failure_signature(exc.value))
         assert sigs[0] == sigs[1]
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colluder_lab import (CategoricalLaw, ColluderLabError, LawError, LikelihoodModel,
@@ -23,6 +23,7 @@ from colluder_lab import (CategoricalLaw, ColluderLabError, LawError, Likelihood
 from colluder_lab import estimate
 from colluder_lab.estimate import maximize, plug_in, starting_points
 from colluder_lab.oracles import _cross_censoring_law, _APPENDIX_C_PARAMS
+from conftest import summary
 
 O = VertexRole.FULLY_OBSERVED
 
@@ -183,8 +184,8 @@ class TestRunScenario:
         rep = run_scenario(sc)
         groups = {s.group for s in rep.summaries}
         assert groups == {"colluder", "other"}
-        assert rep.summary("colluder", 400).label == "p(R_Y=1 | X, R_X)"
-        assert rep.summary("other", 400).label == "p(R_X=1), p(X), p(Y | X)"
+        assert summary(rep, "colluder", 400).label == "p(R_Y=1 | X, R_X)"
+        assert summary(rep, "other", 400).label == "p(R_X=1), p(X), p(Y | X)"
         table = rep.format_table()
         assert "RMSE" in table and "p(R_Y=1 | X, R_X)" in table
 
@@ -382,14 +383,14 @@ class TestRunScenario:
         sc = SimScenario(m=4, q=4, sample_sizes=(1000, 100000), replications=3,
                          seed=10, constraints=SimConstraints(dependency_gap=0.3))
         rep = run_scenario(sc)
-        assert rep.summary("colluder", 100000).rmse_mean < \
-            rep.summary("colluder", 1000).rmse_mean
+        assert summary(rep, "colluder", 100000).rmse_mean < \
+            summary(rep, "colluder", 1000).rmse_mean
 
     def test_colluder_group_harder_than_other(self):
         sc = SimScenario(m=2, q=2, sample_sizes=(1000,), replications=5, seed=11)
         rep = run_scenario(sc)
-        assert rep.summary("colluder", 1000).rmse_mean >= \
-            rep.summary("other", 1000).rmse_mean
+        assert summary(rep, "colluder", 1000).rmse_mean >= \
+            summary(rep, "other", 1000).rmse_mean
 
 
 def _design_cells(name, replications):
@@ -534,18 +535,31 @@ class TestBatchedCells:
            gap=st.floats(-0.1, 0.3), min_prob=st.floats(-0.1, 0.15),
            sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=3, unique=True),
            replications=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    # No law meets these constraints: the batch raises what random_law raises.
+    @example(mq=(4, 4), gap=0.28125, min_prob=0.1484375, sizes=[1], replications=1, seed=0)
     def test_batch_draws_each_cells_law_and_sample(self, mq, gap, min_prob, sizes,
                                                    replications, seed):
         # Each cell of a batch draws the law random_law draws for its law seed, the
-        # counts sample_dataset draws for its data seed, and its fit seed, bit for bit.
+        # counts sample_dataset draws for its data seed, and its fit seed, bit for bit;
+        # a batch with a cell whose law cannot be drawn raises that cell's error.
         sc = SimScenario(*mq, sample_sizes=tuple(sizes), replications=replications, seed=seed,
                          constraints=SimConstraints(dependency_gap=gap, min_prob=min_prob))
         g = sc.graph()
         cells = [(n_idx, rep) for n_idx in range(len(sizes)) for rep in range(replications)]
-        cpts, counts, fit_seeds = simstudy._draw_cells(sc, g, cells)
-        for k, (n_idx, rep) in enumerate(cells):
+        draws, errors = [], []
+        for n_idx, rep in cells:
             law_seed, data_seed, fit_seed = np.random.SeedSequence((seed, n_idx, rep)).spawn(3)
-            law = random_law(g, sc.constraints, law_seed)
+            try:
+                draws.append((random_law(g, sc.constraints, law_seed), data_seed, fit_seed))
+            except LawError as e:
+                errors.append(str(e))
+        if errors:
+            with pytest.raises(LawError) as err:
+                simstudy._draw_cells(sc, g, cells)
+            assert str(err.value) in errors
+            return
+        cpts, counts, fit_seeds = simstudy._draw_cells(sc, g, cells)
+        for k, ((n_idx, _), (law, data_seed, fit_seed)) in enumerate(zip(cells, draws)):
             assert all(cpts[v.name][k].tobytes() == law.cpts[v.name].tobytes()
                        for v in g.vertices)
             sample = sample_dataset(law, sizes[n_idx], data_seed)
