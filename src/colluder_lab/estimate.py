@@ -23,9 +23,10 @@ dataset's plug-in start (:func:`plug_in`) is the identified law of its
 frequencies, read in float for a whole batch of datasets.  In a saturated
 model an interior plug-in is the maximum: a dataset whose climb from it
 reproduces its frequencies, which maximize the multinomial likelihood over
-every observed law, is certified and climbs no other start.  A simulation
-study passes each cell's plug-in; :func:`fit` passes none and climbs the
-uniform law and random laws only.
+every observed law, is certified (:func:`certify`); the others climb their
+plug-in and random starts (:func:`climb`).  A simulation study runs the two
+phases itself; :func:`fit` passes no plug-in and climbs the uniform law and
+random laws only.
 """
 
 from __future__ import annotations
@@ -770,33 +771,46 @@ def plug_in(model: LikelihoodModel, counts: np.ndarray) -> list:
     return starts
 
 
+def certify(model: LikelihoodModel, counts: np.ndarray, plug_ins, max_steps: int) -> dict:
+    """What :func:`maximize` returns for each dataset of observed-cell ``counts``
+    (C, n_obs) that the certificate settles, by index.  In a saturated model (one
+    parameter per free observed cell) the starts in ``plug_ins`` (a point or None)
+    climb alone, in one Newton batch; a dataset is certified when that climb
+    converged to observed-cell masses equal to its frequencies to rounding."""
+    alone = [i for i, p in enumerate(plug_ins) if p is not None]
+    if not alone or model.n_params != len(model._reachable) - 1:
+        return {}
+    climbed = maximize(model, counts[alone], [plug_ins[i][None] for i in alone], max_steps)
+    _, mass = model._masses(model._cpt_probs(climbed[0]))
+    freq = counts[alone] / counts[alone].sum(axis=1, keepdims=True)
+    settled = climbed[4] & np.all(np.abs(mass - freq) <= _CERTIFY_RTOL * freq, axis=1)
+    return {i: fitted for i, fitted, ok in zip(alone, zip(*climbed), settled) if ok}
+
+
+def climb(model: LikelihoodModel, counts: np.ndarray, plug_ins, seeds, restarts: int,
+          max_steps: int):
+    """Climb each dataset's observed-cell ``counts`` (C, n_obs) from its start in
+    ``plug_ins`` (a point or None) and ``restarts`` starts drawn from its seed in
+    ``seeds`` (see :func:`starting_points`), in one Newton batch.  Returns what
+    :func:`maximize` returns."""
+    starts = [starting_points(model, restarts, seed) for seed in seeds]
+    starts = [s if p is None else np.vstack([p, s]) for p, s in zip(plug_ins, starts)]
+    return maximize(model, counts, starts, max_steps)
+
+
 def fit_counts(model: LikelihoodModel, counts: np.ndarray, plug_ins, seeds, restarts: int,
                max_steps: int):
-    """Fit each dataset's observed-cell ``counts`` (C, n_obs) from its start in
-    ``plug_ins`` (a point or None) and ``restarts`` starts drawn from its seed in
-    ``seeds`` (see :func:`starting_points`).
-
-    In a saturated model (one parameter per free observed cell) the plug-ins
-    first climb alone, in one Newton batch; a dataset is certified, and done,
-    when that climb converged to observed-cell masses equal to its frequencies
-    to rounding.  Every other dataset climbs its plug-in and random starts in
-    one batch.  Returns what :func:`maximize` returns and whether the
-    certificate settled each dataset (C,).
-    """
-    fitted, certified = {}, np.zeros(len(counts), dtype=bool)  # maximize's fields by index
-    alone = [i for i, p in enumerate(plug_ins) if p is not None]
-    if alone and model.n_params == len(model._reachable) - 1:
-        climbed = maximize(model, counts[alone], [plug_ins[i][None] for i in alone], max_steps)
-        _, mass = model._masses(model._cpt_probs(climbed[0]))
-        freq = counts[alone] / counts[alone].sum(axis=1, keepdims=True)
-        certified[alone] = climbed[4] & np.all(np.abs(mass - freq) <= _CERTIFY_RTOL * freq, axis=1)
-        fitted.update(zip(alone, zip(*climbed)))
+    """Fit each dataset's observed-cell ``counts`` (C, n_obs): :func:`certify`
+    settles what it can, and every other dataset climbs its start in ``plug_ins``
+    and ``restarts`` starts drawn from its seed in ``seeds`` (:func:`climb`).
+    Returns what :func:`maximize` returns and whether the certificate settled
+    each dataset (C,)."""
+    fitted = certify(model, counts, plug_ins, max_steps)
+    certified = np.array([i in fitted for i in range(len(counts))])
     rest = np.flatnonzero(~certified)
     if len(rest):
-        starts = [starting_points(model, restarts, seeds[i]) for i in rest]
-        starts = [s if plug_ins[i] is None else np.vstack([plug_ins[i], s])
-                  for i, s in zip(rest, starts)]
-        fitted.update(zip(rest, zip(*maximize(model, counts[rest], starts, max_steps))))
+        fitted.update(zip(rest, zip(*climb(model, counts[rest], [plug_ins[i] for i in rest],
+                                           [seeds[i] for i in rest], restarts, max_steps))))
     *arrays, steps = zip(*(fitted[i] for i in range(len(counts))))
     return (*map(np.array, arrays), list(steps), certified)
 

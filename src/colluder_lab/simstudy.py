@@ -5,20 +5,22 @@ index, replication index), and a cell's fit does not depend on the other
 cells fitted in its batch, so results are reproducible under any scheduling;
 aggregation is a deterministic fold in replication order.
 
-Each cell is fitted by :func:`~colluder_lab.estimate.fit_counts` from its
-plug-in start (:func:`~colluder_lab.estimate.plug_in`), where the
-saturated-model certificate may settle it, and its random starts.  A batch of
-cells is handled at once at every stage: its laws are drawn by one
+The caller settles every cell it can: it draws the cell, reads its plug-in
+start (:func:`~colluder_lab.estimate.plug_in`) and runs the saturated-model
+certificate (:func:`~colluder_lab.estimate.certify`).  A batch of cells is
+handled at once at every stage: its laws are drawn by one
 :func:`~colluder_lab.lawtable.random_cpts` call, its samples binned by one
 ``bincount`` and its plug-ins read in one float pass.  Each cell keeps its own
-generators, so its law and sample do not depend on its batch.
+generators, so its law and sample do not depend on its batch.  The cells left
+climb their plug-in and random starts (:func:`~colluder_lab.estimate.climb`).
 
-A study on w > 1 processes forks w - 1 children, one per extra share of its
-cells.  A child fits its share and sends the results, or the exception its
-share raised, back through a one-way pipe; nothing is pickled to it.  The
-``fork`` start method is pinned: a forked child inherits the caller's BLAS
-cap and its module state, which a ``spawn`` or ``forkserver`` child (the
-Linux default from Python 3.14) would not.
+On w > 1 processes, and with two climbs left or more, the climbs are split
+into at most w shares and a child is forked per extra share.  It inherits
+the drawn counts, plug-ins and seeds, and sends its share's results, or the
+exception its share raised, back through a one-way pipe; nothing is pickled
+to it.  The ``fork`` start method is pinned: a forked child inherits the
+caller's BLAS cap and its module state, which a ``spawn`` or ``forkserver``
+child (the Linux default from Python 3.14) would not.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import ColluderLabError, LawError, check_integer, is_finite_real
 # ``fit`` and ``random_law`` are not called here, but perfbench's tracer wraps
 # ``simstudy.fit`` and ``simstudy.random_law``.
 from .estimate import (Dataset, FitConfig, LikelihoodModel, ParameterEstimate,  # noqa: F401
-                       fit, fit_counts, plug_in)
+                       certify, climb, fit, plug_in)
 from .fixtures import ccm_graph
 from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map,  # noqa: F401
                        cpt_subscripts, joint_from_cpts, observable_axes, random_cpts,
@@ -163,36 +165,50 @@ def _run_cell(scenario: SimScenario, n_idx: int, rep: int, graph: MissingDataGra
     return CategoricalLaw(graph, {name: cpt[0] for name, cpt in cpts.items()}), counts[0], seeds[0]
 
 
-#: The most cells one Newton batch holds.  A batch keeps about 70 kB per start of a
-#: CCM(4,4) cell, and a cell holds 1 start when the certificate settles it,
-#: ``restarts`` + 1 with a plug-in it does not settle and ``restarts`` without one,
-#: so the cap bounds a large study's memory; a cell's fit does not depend on its
-#: batch, so the cap does not change results.
+#: The most cells one batch holds, in either pass.  A climb keeps about 70 kB per
+#: start of a CCM(4,4) cell, ``restarts`` + 1 starts with a plug-in and
+#: ``restarts`` without, and the certificate 1 per cell with a plug-in, so the cap
+#: bounds a large study's memory; a cell's fit does not depend on its batch, so
+#: the cap does not change results.
 _BATCH_CELLS = 64
 
 
-def _run_cells(scenario: SimScenario, cells) -> list:
-    """Fit the (sample-size index, replication) ``cells`` in batches of at most
-    ``_BATCH_CELLS`` cells, each from its plug-in start and its random starts
-    (see :func:`~colluder_lab.estimate.fit_counts`).  A batch's laws, samples and
-    plug-ins are drawn and read together (see :func:`_draw_cells` and
-    :func:`~colluder_lab.estimate.plug_in`).  Each cell's result is its error
-    vector, or None where the fit did not converge, and whether the certificate
-    settled it."""
-    if len(cells) > _BATCH_CELLS:
-        return [r for i in range(0, len(cells), _BATCH_CELLS)
-                for r in _run_cells(scenario, cells[i:i + _BATCH_CELLS])]
-    graph = scenario.graph()
-    model = LikelihoodModel(graph)
-    cpts, counts, seeds = _draw_cells(scenario, graph, cells)
-    theta, *_, converged, _, certified = fit_counts(
-        model, counts, plug_in(model, counts), seeds, scenario.restarts,
-        FitConfig().max_iterations)
-    # A law's CPT entries of levels 1 and up, vertex by vertex, are in parameter order.
-    truth = np.concatenate([cpts[name][..., 1:].reshape(len(cells), -1)
-                            for name in model.names], axis=1)
-    return [(e - t if ok else None, bool(c))
-            for e, t, ok, c in zip(model.probabilities(theta), truth, converged, certified)]
+def _settle_cells(scenario: SimScenario, model: LikelihoodModel, cells) -> tuple[dict, list]:
+    """Draw the (sample-size index, replication) ``cells`` and read their plug-ins
+    (see :func:`_draw_cells`) in batches of at most ``_BATCH_CELLS`` cells, and
+    certify what can be.  Returns each settled cell's result, its error vector and
+    True, by cell, and the climbs left in cell order: ``(cell, counts, plug-in,
+    fit seed, true parameters)`` of each cell the certificate did not settle."""
+    settled, climbs = {}, []
+    for i in range(0, len(cells), _BATCH_CELLS):
+        batch = cells[i:i + _BATCH_CELLS]
+        cpts, counts, seeds = _draw_cells(scenario, model.graph, batch)
+        plug_ins = plug_in(model, counts)
+        fitted = certify(model, counts, plug_ins, FitConfig().max_iterations)
+        # A law's CPT entries of levels 1 and up, vertex by vertex, are in parameter order.
+        truth = np.concatenate([cpts[name][..., 1:].reshape(len(batch), -1)
+                                for name in model.names], axis=1)
+        if fitted:
+            errors = model.probabilities(np.array([f[0] for f in fitted.values()]))
+            settled.update((batch[j], (e - truth[j], True)) for j, e in zip(fitted, errors))
+        climbs += [(cell, counts[j], plug_ins[j], seeds[j], truth[j])
+                   for j, cell in enumerate(batch) if j not in fitted]
+    return settled, climbs
+
+
+def _climb_cells(scenario: SimScenario, model: LikelihoodModel, climbs) -> list:
+    """Fit each of ``climbs`` (see :func:`_settle_cells`) from its plug-in and random
+    starts (see :func:`~colluder_lab.estimate.climb`), in batches of at most
+    ``_BATCH_CELLS`` cells.  Each one's result is its error vector, or None where
+    the fit did not converge, and False: the certificate did not settle it."""
+    results = []
+    for i in range(0, len(climbs), _BATCH_CELLS):
+        _, counts, plug_ins, seeds, truth = zip(*climbs[i:i + _BATCH_CELLS])
+        theta, *_, converged, _ = climb(model, np.stack(counts), plug_ins, seeds,
+                                        scenario.restarts, FitConfig().max_iterations)
+        results += [(e - t if ok else None, False)
+                    for e, t, ok in zip(model.probabilities(theta), truth, converged)]
+    return results
 
 
 @dataclass(frozen=True)
@@ -313,13 +329,13 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _send_share(sender, scenario: SimScenario, cells) -> None:
-    """A child's share of a study: send ``(True, results)``, or ``(False, exception)``
-    if the share raised.  :func:`_run_cells` is looked up when the share runs, on
-    the one BLAS thread the child inherits from the caller's
-    :func:`_one_blas_thread` block."""
+def _send_share(sender, scenario: SimScenario, model: LikelihoodModel, climbs) -> None:
+    """A child's share of a study's climbs: send ``(True, results)``, or
+    ``(False, exception)`` if the share raised.  :func:`_climb_cells` is looked up
+    when the share runs, on the one BLAS thread the child inherits from the
+    caller's :func:`_one_blas_thread` block."""
     try:
-        message = (True, _run_cells(scenario, cells))
+        message = (True, _climb_cells(scenario, model, climbs))
     except Exception as exc:
         message = (False, exc)
     sender.send(message)
@@ -341,18 +357,18 @@ def _receive_share(number: int, child, receiver) -> list:
 def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     """Run every (sample size, replication) cell and aggregate bias and RMSE by group.
 
-    Each cell's law and sample are drawn from its own seed; the cells are
-    then fitted in batches of up to ``_BATCH_CELLS`` cells (see
-    :func:`_run_cells`).  ``threads`` must be at least 1.  With ``threads`` =
-    w > 1 the cells are split into w contiguous shares and the caller's BLAS
-    is limited to one thread; then one child per share after the first is
-    forked with the ``fork`` start method, so that it inherits that limit
-    and the module's state.  The caller fits the first share and reads each
-    child's results from its pipe in share order.  An exception a share
-    raised is raised in the caller, and a child that exits without sending
-    its results raises :class:`ColluderLabError`; the children still running
-    are then terminated.  Every child is joined before this returns or
-    raises.  The report is the same for any value.
+    The caller settles what the certificate can (see :func:`_settle_cells`), and
+    the other cells climb (see :func:`_climb_cells`).  ``threads`` must be at
+    least 1.  With ``threads`` = w > 1 and two climbs left or more, the climbs
+    are split into at most w contiguous shares and the caller's BLAS is limited
+    to one thread; then one child per share after the first is forked with the
+    ``fork`` start method, so that it inherits that limit, the climbs and the
+    module's state.  The caller fits the first share and reads each child's
+    results from its pipe in share order.  An exception a share raised is
+    raised in the caller, and a child that exits without sending its results
+    raises :class:`ColluderLabError`; the children still running are then
+    terminated.  Every child is joined before this returns or raises.  The
+    report is the same for any value.
     Non-convergent fits are excluded from the aggregates and counted; the
     scenario fails if more than ``max_failure_rate`` of the replications at
     any sample size did not converge, and a sample size at which none
@@ -367,9 +383,11 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
 
     cells = [(n_idx, rep) for n_idx in range(len(scenario.sample_sizes))
              for rep in range(scenario.replications)]
-    workers = min(threads, len(cells))
+    model = LikelihoodModel(graph)
+    results, climbs = _settle_cells(scenario, model, cells)
+    workers = min(threads, len(climbs))
     if workers > 1:
-        first, *others = [cells[len(cells) * i // workers:len(cells) * (i + 1) // workers]
+        first, *others = [climbs[len(climbs) * i // workers:len(climbs) * (i + 1) // workers]
                           for i in range(workers)]
         context = multiprocessing.get_context("fork")
         children = []
@@ -377,15 +395,16 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
             try:
                 for share in others:
                     receiver, sender = context.Pipe(duplex=False)
-                    child = context.Process(target=_send_share, args=(sender, scenario, share))
+                    child = context.Process(target=_send_share,
+                                            args=(sender, scenario, model, share))
                     child.start()
                     # Closed before the next fork, so that the pipe reads EOF once
                     # this child exits, also when it dies without sending.
                     sender.close()
                     children.append((child, receiver))
-                results = _run_cells(scenario, first)
+                climbed = _climb_cells(scenario, model, first)
                 for number, (child, receiver) in enumerate(children, start=2):
-                    results += _receive_share(number, child, receiver)
+                    climbed += _receive_share(number, child, receiver)
             except BaseException:
                 for child, _ in children:
                     child.terminate()
@@ -395,7 +414,8 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
                     child.join()
                     receiver.close()
     else:
-        results = _run_cells(scenario, cells)
+        climbed = _climb_cells(scenario, model, climbs)
+    results.update((cell, r) for (cell, *_), r in zip(climbs, climbed))
 
     summaries = []
     per_parameter: dict = {}
@@ -406,7 +426,7 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
         for g in ("colluder", "other")
     }
     for n_idx, n in enumerate(scenario.sample_sizes):
-        errs = [results[i] for i, (ni, _) in enumerate(cells) if ni == n_idx]
+        errs = [results[n_idx, rep] for rep in range(scenario.replications)]
         ok = [e for e, _ in errs if e is not None]
         failed = len(errs) - len(ok)
         failures[n] = failed

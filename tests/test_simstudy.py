@@ -204,6 +204,54 @@ class TestRunScenario:
                    for t in (1, 2, 3)}
         assert len(reports) == 1
 
+    def test_mixed_cells_give_identical_reports(self, monkeypatch, tmp_path):
+        # Five cells at n = 300 are left to climb, split unevenly over two and three
+        # processes; every process that climbs a share writes its id.
+        sc = SimScenario(m=2, q=2, sample_sizes=(300, 100_000), replications=8, seed=12,
+                         max_failure_rate=1.0)
+        climb_cells, pids = simstudy._climb_cells, tmp_path / "pids"
+
+        def recording(scenario, model, climbs):
+            with open(pids, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return climb_cells(scenario, model, climbs)
+
+        monkeypatch.setattr(simstudy, "_climb_cells", recording)
+        reports = set()
+        for threads in (1, 2, 3):
+            pids.write_text("")
+            report = run_scenario(sc, threads=threads)
+            assert report.certified == {300: 3, 100_000: 8}
+            climbed = set(pids.read_text().split())
+            assert str(os.getpid()) in climbed and len(climbed) == threads
+            reports.add(json.dumps(report.to_json(), sort_keys=True))
+        assert len(reports) == 1
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_settled_study_forks_nothing(self, monkeypatch):
+        # The certificate settles every cell of sim-ccm22-pool's operation, so a
+        # threads=2 study has no climb to share: it starts no child and sets no
+        # OpenBLAS thread count, which would rebuild the caller's BLAS pool.
+        sc = SimScenario.from_json({**_design("ccm22.json").to_json(),
+                                    "sample_sizes": [100_000], "replications": 16})
+        serial = run_scenario(sc)
+        assert serial.certified == {100_000: 16}
+
+        def no_child(*args, **kwargs):
+            raise AssertionError("a study with no climb left started a child")
+
+        calls = []
+        controls = tuple((lambda n, set_threads=set_threads: calls.append(n) or set_threads(n),
+                          get) for set_threads, get in simstudy._openblas_thread_controls())
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_child)
+        monkeypatch.setattr(simstudy, "_openblas_thread_controls", lambda: controls)
+        before = ([get() for _, get in controls], len(os.listdir("/proc/self/task")))
+        report = run_scenario(sc, threads=2)
+        assert ([get() for _, get in controls], len(os.listdir("/proc/self/task"))) == before
+        assert calls == []
+        assert json.dumps(report.to_json(), sort_keys=True) == \
+            json.dumps(serial.to_json(), sort_keys=True)
+
     def test_batch_cap_gives_identical_report(self, monkeypatch):
         sc = SimScenario(m=2, q=2, sample_sizes=(300, 500), replications=3, seed=13,
                          max_failure_rate=1.0)
@@ -214,8 +262,8 @@ class TestRunScenario:
     @pytest.mark.skipif(not simstudy._openblas_thread_controls(),
                         reason="no OpenBLAS thread control symbol is loaded")
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
-        monkeypatch.setattr(simstudy, "_run_cells", _cells_reporting_blas_threads)
-        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+        monkeypatch.setattr(simstudy, "_climb_cells", _cells_reporting_blas_threads)
+        sc = SimScenario(m=2, q=3, sample_sizes=(300,), replications=4, seed=9)
         rep = run_scenario(sc, threads=2)
         assert {v["bias"] for v in rep.per_parameter[300].values()} == {1.0}
 
@@ -230,9 +278,9 @@ class TestRunScenario:
         # One cell per sample size, so each share's bias is its process id.  Every
         # share waits until all are in flight, so no worker can take two of them.
         barrier = multiprocessing.get_context("fork").Barrier(threads)
-        monkeypatch.setattr(simstudy, "_run_cells", _cells_reporting(os.getpid, barrier))
+        monkeypatch.setattr(simstudy, "_climb_cells", _cells_reporting(os.getpid, barrier))
         sizes = tuple(range(300, 300 + threads))
-        sc = SimScenario(m=2, q=2, sample_sizes=sizes, replications=1, seed=9)
+        sc = SimScenario(m=2, q=3, sample_sizes=sizes, replications=1, seed=9)
         rep = run_scenario(sc, threads=threads)
         pids = [{v["bias"] for v in rep.per_parameter[n].values()} for n in sizes]
         assert all(len(p) == 1 for p in pids)
@@ -245,23 +293,23 @@ class TestRunScenario:
                         reason="needs OpenBLAS thread control and /proc/self/task")
     def test_forked_worker_starts_no_blas_threads(self, monkeypatch):
         # A set_num_threads call after a fork rebuilds OpenBLAS's spinning pool.
-        monkeypatch.setattr(simstudy, "_run_cells",
+        monkeypatch.setattr(simstudy, "_climb_cells",
                             _cells_reporting(lambda: len(os.listdir("/proc/self/task"))))
-        sc = SimScenario(m=2, q=2, sample_sizes=(300, 301), replications=1, seed=9)
+        sc = SimScenario(m=2, q=3, sample_sizes=(300, 301), replications=1, seed=9)
         rep = run_scenario(sc, threads=2)
         assert {v["bias"] for v in rep.per_parameter[301].values()} == {1.0}
 
     def test_caller_share_error_propagates(self, monkeypatch):
-        monkeypatch.setattr(simstudy, "_run_cells", _cells_failing_in(os.getpid()))
-        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+        monkeypatch.setattr(simstudy, "_climb_cells", _cells_failing_in(os.getpid()))
+        sc = SimScenario(m=2, q=3, sample_sizes=(300,), replications=4, seed=9)
         with pytest.raises(RuntimeError, match="share failed"):
             run_scenario(sc, threads=2)
 
     @pytest.mark.parametrize("threads, first_forked", [(2, (0, 2)), (3, (0, 1))])
     def test_worker_share_error_reaches_caller(self, monkeypatch, threads, first_forked):
         # Every forked share raises; the caller reads share 2 first.
-        monkeypatch.setattr(simstudy, "_run_cells", _cells_failing_outside(os.getpid()))
-        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+        monkeypatch.setattr(simstudy, "_climb_cells", _cells_failing_outside(os.getpid()))
+        sc = SimScenario(m=2, q=3, sample_sizes=(300,), replications=4, seed=9)
         with pytest.raises(LookupError, match=re.escape(f"share from {first_forked} failed")):
             run_scenario(sc, threads=threads)
 
@@ -270,15 +318,15 @@ class TestRunScenario:
     def test_no_child_outlives_the_study(self, monkeypatch, fail_in, error):
         if fail_in is not None:
             failing = _cells_failing_in if fail_in == "caller" else _cells_failing_outside
-            monkeypatch.setattr(simstudy, "_run_cells", failing(os.getpid()))
-        sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+            monkeypatch.setattr(simstudy, "_climb_cells", failing(os.getpid()))
+        sc = SimScenario(m=2, q=3, sample_sizes=(300,), replications=4, seed=9)
         with pytest.raises(error) if error else contextlib.nullcontext():
             run_scenario(sc, threads=3)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("share, status, stderr", [
         # A worker that dies without sending its results.
-        ("os._exit(3) if os.getpid() != caller else run_cells(scenario, cells)", "1",
+        ("os._exit(3) if os.getpid() != caller else climb_cells(scenario, model, climbs)", "1",
          "error: share 2 of the study: its worker process exited with code 3 "
          "before sending results\n"),
         # A caller share that raises while its worker is still fitting.
@@ -288,15 +336,15 @@ class TestRunScenario:
         # In a child interpreter with a deadline, so that a study waiting on its
         # workers fails the test instead of hanging the suite.
         scenario = tmp_path / "scenario.json"
-        scenario.write_text(json.dumps(SimScenario(m=2, q=2, sample_sizes=(300,),
+        scenario.write_text(json.dumps(SimScenario(m=2, q=3, sample_sizes=(300,),
                                                    replications=4, seed=9).to_json()))
         src = str(Path(simstudy.__file__).resolve().parents[1])
         code = textwrap.dedent(f"""\
             import multiprocessing, os, sys, time
             sys.path.insert(0, {src!r})
             from colluder_lab import cli, simstudy
-            caller, run_cells = os.getpid(), simstudy._run_cells
-            simstudy._run_cells = lambda scenario, cells: {share}
+            caller, climb_cells = os.getpid(), simstudy._climb_cells
+            simstudy._climb_cells = lambda scenario, model, climbs: {share}
             try:
                 status = cli.main(["simulate", {str(scenario)!r}, "--threads", "2",
                                    "--out", {str(tmp_path / "report")!r}])
@@ -313,14 +361,14 @@ class TestRunScenario:
     @pytest.mark.parametrize("fail", [False, True])
     def test_caller_blas_threads_restored(self, monkeypatch, fail):
         if fail:
-            monkeypatch.setattr(simstudy, "_run_cells", _cells_failing_in(os.getpid()))
+            monkeypatch.setattr(simstudy, "_climb_cells", _cells_failing_in(os.getpid()))
         controls = simstudy._openblas_thread_controls()
         original = [get() for _, get in controls]
         for set_threads, _ in controls:
             set_threads(2)
         try:
             before = [get() for _, get in controls]
-            sc = SimScenario(m=2, q=2, sample_sizes=(300,), replications=4, seed=9)
+            sc = SimScenario(m=2, q=3, sample_sizes=(300,), replications=4, seed=9)
             with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
                 run_scenario(sc, threads=2)
             assert [get() for _, get in controls] == before
@@ -329,17 +377,20 @@ class TestRunScenario:
                 set_threads(count)
 
     def test_non_converged_replications_counted_and_excluded(self, monkeypatch):
-        sc = SimScenario(m=2, q=2, sample_sizes=(300, 600), replications=4, seed=2,
+        sc = SimScenario(m=2, q=3, sample_sizes=(300, 600), replications=4, seed=2,
                          max_failure_rate=0.25)
         cells = [(n, r) for n in range(2) for r in range(4)]
-        errors = {c: e for c, (e, _) in zip(cells, simstudy._run_cells(sc, cells))}
-        run_cells = simstudy._run_cells
+        model = LikelihoodModel(sc.graph())
+        _, climbs = simstudy._settle_cells(sc, model, cells)
+        errors = {c: e for (c, *_), (e, _)
+                  in zip(climbs, simstudy._climb_cells(sc, model, climbs))}
+        climb_cells = simstudy._climb_cells
 
-        def one_failure(scenario, cells):
+        def one_failure(scenario, model, climbs):
             return [(None, False) if c == (0, 1) else r
-                    for c, r in zip(cells, run_cells(scenario, cells))]
+                    for (c, *_), r in zip(climbs, climb_cells(scenario, model, climbs))]
 
-        monkeypatch.setattr(simstudy, "_run_cells", one_failure)
+        monkeypatch.setattr(simstudy, "_climb_cells", one_failure)
         report = run_scenario(sc)
         assert report.failures == {300: 1, 600: 0}
         assert "n=300: 1, n=600: 0" in report.format_table()
@@ -348,15 +399,15 @@ class TestRunScenario:
             [float(b) for b in kept.mean(axis=0)]
 
     def test_sample_size_without_a_converged_replication(self, monkeypatch):
-        sc = SimScenario(m=2, q=2, sample_sizes=(300, 600), replications=3, seed=2,
+        sc = SimScenario(m=2, q=3, sample_sizes=(300, 600), replications=3, seed=2,
                          max_failure_rate=1.0)
-        run_cells = simstudy._run_cells
+        climb_cells = simstudy._climb_cells
 
-        def failing_at_300(scenario, cells):
+        def failing_at_300(scenario, model, climbs):
             return [(None, False) if c[0] == 0 else r
-                    for c, r in zip(cells, run_cells(scenario, cells))]
+                    for (c, *_), r in zip(climbs, climb_cells(scenario, model, climbs))]
 
-        monkeypatch.setattr(simstudy, "_run_cells", failing_at_300)
+        monkeypatch.setattr(simstudy, "_climb_cells", failing_at_300)
         report = run_scenario(sc)
         assert report.failures == {300: 3, 600: 0}
         assert report.per_parameter[300] is None and report.per_parameter[600]
@@ -366,15 +417,15 @@ class TestRunScenario:
             "\nno replication converged, so no bias or RMSE: n=300")
 
     def test_failures_above_the_rate_abort(self, monkeypatch):
-        sc = SimScenario(m=2, q=2, sample_sizes=(300, 600), replications=4, seed=2,
+        sc = SimScenario(m=2, q=3, sample_sizes=(300, 600), replications=4, seed=2,
                          max_failure_rate=0.25)
-        run_cells = simstudy._run_cells
+        climb_cells = simstudy._climb_cells
 
-        def two_failures(scenario, cells):
+        def two_failures(scenario, model, climbs):
             return [(None, False) if c in ((1, 0), (1, 3)) else r
-                    for c, r in zip(cells, run_cells(scenario, cells))]
+                    for (c, *_), r in zip(climbs, climb_cells(scenario, model, climbs))]
 
-        monkeypatch.setattr(simstudy, "_run_cells", two_failures)
+        monkeypatch.setattr(simstudy, "_climb_cells", two_failures)
         with pytest.raises(ColluderLabError,
                            match="2/4 replications did not converge at n=600"):
             run_scenario(sc)
@@ -393,10 +444,15 @@ class TestRunScenario:
             summary(rep, "other", 1000).rmse_mean
 
 
+def _design(name):
+    """The bundled simulation design in ``data/<name>``."""
+    return SimScenario.from_json(resources.files("colluder_lab").joinpath("data", name).read_text())
+
+
 def _design_cells(name, replications):
     """The model of a bundled design and the observed-cell counts and fit seeds of
     its first ``replications`` cells at every sample size."""
-    sc = SimScenario.from_json(resources.files("colluder_lab").joinpath("data", name).read_text())
+    sc = _design(name)
     draws = [simstudy._run_cell(sc, n_idx, rep, sc.graph())
              for n_idx in range(len(sc.sample_sizes))
              for rep in range(replications)]
@@ -599,8 +655,8 @@ def test_simstudy_leaves_fitting_to_estimate():
                            "ObservedLawTable"}
 
 
-def _cells_reporting_blas_threads(scenario, cells):
-    """Stands in for a worker's batch of simulation cells: every error entry
+def _cells_reporting_blas_threads(scenario, model, cells):
+    """Stands in for a worker's share of a study's climbs: every error entry
     is the worker's largest OpenBLAS thread count."""
     threads = max(get() for _, get in simstudy._openblas_thread_controls())
     n_params = len(simstudy._parameter_layout(scenario.graph()))
@@ -608,10 +664,10 @@ def _cells_reporting_blas_threads(scenario, cells):
 
 
 def _cells_reporting(measure, barrier=None):
-    """A stand-in for a share of simulation cells: every error entry is
+    """A stand-in for a share of a study's climbs: every error entry is
     ``measure()`` taken in the process that fits the share, after waiting at
     ``barrier`` when one is given."""
-    def run_cells(scenario, cells):
+    def run_cells(scenario, model, cells):
         if barrier is not None:
             barrier.wait(timeout=60)
         n_params = len(simstudy._parameter_layout(scenario.graph()))
@@ -620,24 +676,24 @@ def _cells_reporting(measure, barrier=None):
 
 
 def _cells_failing_in(pid):
-    """A stand-in for a share of simulation cells that raises in process ``pid``
+    """A stand-in for a share of a study's climbs that raises in process ``pid``
     and reports the process id elsewhere."""
     report = _cells_reporting(os.getpid)
 
-    def run_cells(scenario, cells):
+    def run_cells(scenario, model, cells):
         if os.getpid() == pid:
             raise RuntimeError("share failed")
-        return report(scenario, cells)
+        return report(scenario, model, cells)
     return run_cells
 
 
 def _cells_failing_outside(pid):
-    """A stand-in for a share of simulation cells that raises outside process ``pid``,
+    """A stand-in for a share of a study's climbs that raises outside process ``pid``,
     naming the share's first cell, and reports the process id in ``pid``."""
     report = _cells_reporting(os.getpid)
 
-    def run_cells(scenario, cells):
+    def run_cells(scenario, model, cells):
         if os.getpid() != pid:
-            raise LookupError(f"share from {cells[0]} failed")
-        return report(scenario, cells)
+            raise LookupError(f"share from {cells[0][0]} failed")
+        return report(scenario, model, cells)
     return run_cells
