@@ -15,8 +15,9 @@ The objective and its derivatives take a batch of parameter vectors, one per
 row, each with its own observed-cell weights, and a row's result does not
 depend on the other rows.  A fit climbs all of its starts as one batch, and a
 simulation study climbs every start of many datasets at once, with as many
-starts per dataset as it needs.  Each Newton step builds one posterior per
-row and takes the gradient and the Hessian from it.
+starts per dataset as it needs.  A climb evaluates each point it visits once,
+and each Newton step takes the gradient and the Hessian from one posterior per
+row, built from that evaluation.
 
 Datasets given as observed-cell counts are fitted by :func:`fit_counts`.  A
 dataset's plug-in start (:func:`plug_in`) is the identified law of its
@@ -42,7 +43,8 @@ import numpy as np
 
 from .errors import DataError, FitError, GraphQueryError, check_integer
 from .identify import count_cpts
-from .lawtable import Axis, coarsening_map, cpt_subscripts, joint_from_cpts, observable_axes
+from .lawtable import (Axis, coarsening_map, cpt_subscripts, joint_from_cpts, observable_axes,
+                       uniform_simplex)
 from .mdgraph import MissingDataGraph, VertexRole
 
 _THETA_BOUND = 40.0
@@ -446,17 +448,6 @@ class LikelihoodModel:
             raise FitError("empty dataset")
         return data
 
-    def _rows(self, theta: np.ndarray, weights):
-        """The CPT probabilities of ``theta`` as rows (B, ...), and each row's
-        observed-cell weights (B, n_obs).
-
-        ``weights`` is one vector of observed-cell weights (n_obs,), shared by
-        every row, or one row of them per row of ``theta``.
-        """
-        probs = np.atleast_2d(self._cpt_probs(theta))
-        return probs, np.broadcast_to(np.asarray(weights, dtype=float),
-                                      (len(probs), self._n_obs))
-
     # -- objective -------------------------------------------------------------
     #
     # Each method takes one parameter vector (k,) or a batch (B, k), and
@@ -472,6 +463,21 @@ class LikelihoodModel:
         _, mass = self._masses(np.atleast_2d(self._cpt_probs(theta)))
         return mass[:, np.asarray(weights) > 0.0].reshape(np.shape(theta)[:-1] + (-1,))
 
+    def _evaluate(self, theta: np.ndarray, weights):
+        """Each row's CPT probabilities (see :meth:`_cpt_probs`), flat joint and
+        observed-cell masses (see :meth:`_masses`), and log-likelihood (see
+        :meth:`log_likelihood`), as a batch (B, ...) also for one parameter vector.
+
+        Every other quantity at a point, the derivatives included, follows from
+        these and the weights, so a climb evaluates each point it visits once.
+        """
+        probs = np.atleast_2d(self._cpt_probs(theta))
+        weights = np.broadcast_to(np.asarray(weights, dtype=float), (len(probs), self._n_obs))
+        joint, mass = self._masses(probs)
+        ll = np.sum(weights * np.log(np.where(mass > 0.0, mass, 1.0)), axis=1)
+        ll[np.any((weights > 0.0) & (mass <= 0.0), axis=1)] = -np.inf
+        return probs, joint, mass, ll
+
     def log_likelihood(self, theta: np.ndarray, weights):
         """Weighted log-likelihood; -inf when a weighted record has probability zero.
 
@@ -479,17 +485,14 @@ class LikelihoodModel:
         line search rejects such points by their -inf value, while
         :meth:`gradient` and :meth:`hessian` raise :class:`FitError` there.
         """
-        probs, weights = self._rows(theta, weights)
-        _, mass = self._masses(probs)
-        ll = np.sum(weights * np.log(np.where(mass > 0.0, mass, 1.0)), axis=1)
-        ll[np.any((weights > 0.0) & (mass <= 0.0), axis=1)] = -np.inf
+        ll = self._evaluate(theta, weights)[3]
         return float(ll[0]) if np.ndim(theta) == 1 else ll
 
-    def _posterior(self, probs: np.ndarray, weights: np.ndarray):
+    def _posterior(self, probs: np.ndarray, joint: np.ndarray, mass: np.ndarray, weights):
         """Free-level probabilities, flat joints, observed-cell masses and the
-        expected count of every full cell given the data, for rows of
-        :meth:`_cpt_probs` with their observed-cell weights."""
-        joint, mass = self._masses(probs)
+        expected count of every full cell given the data, from rows of
+        :meth:`_evaluate` with their observed-cell weights."""
+        weights = np.asarray(weights, dtype=float)
         seen = weights > 0.0
         if np.any(seen & (mass <= 0.0)):
             raise FitError("derivatives undefined: a record has probability zero")
@@ -518,7 +521,7 @@ class LikelihoodModel:
 
         Raises :class:`FitError` when a weighted record has probability zero.
         """
-        p, _, _, expected = self._posterior(*self._rows(theta, weights))
+        p, _, _, expected = self._posterior(*self._evaluate(theta, weights)[:3], weights)
         return self._score(p, expected).reshape(np.shape(theta))
 
     def hessian(self, theta: np.ndarray, weights) -> np.ndarray:
@@ -529,7 +532,7 @@ class LikelihoodModel:
         both taken over the full cells' expected counts.  Raises
         :class:`FitError` when a weighted record has probability zero.
         """
-        post = self._posterior(*self._rows(theta, weights))
+        post = self._posterior(*self._evaluate(theta, weights)[:3], weights)
         return self._hessian(*post).reshape(np.shape(theta) + (self.n_params,))
 
     # -- labels ------------------------------------------------------------------
@@ -643,7 +646,7 @@ class FitResult:
 
 
 def _newton(model: LikelihoodModel, theta: np.ndarray, weights: np.ndarray,
-            max_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+            max_steps: int) -> tuple[np.ndarray, ...]:
     """Damped modified Newton ascent from every row of ``theta`` at once.
 
     Row i of ``theta`` (B, k) climbs the log-likelihood of the observed-cell
@@ -656,18 +659,26 @@ def _newton(model: LikelihoodModel, theta: np.ndarray, weights: np.ndarray,
     accepted when they clearly contract the gradient without losing
     likelihood beyond rounding.
 
-    Returns each row's final point, final gradient norm and number of steps,
-    and whether the step cap stopped it.
+    Each point is evaluated once (:meth:`LikelihoodModel._evaluate`): the starts
+    together, then each line search's candidates together.  A row's arithmetic
+    does not depend on its batch, so an accepted candidate's evaluation is kept
+    as its row's current one.  It gives the next step's posterior and the final
+    log-likelihood, and the score that decides a near acceptance comes from the
+    candidate's own evaluation.
+
+    Returns each row's final point, its log-likelihood, final gradient norm and
+    number of steps, and whether the step cap stopped it.
     """
     theta = np.array(theta, dtype=float)
-    best_ll = model.log_likelihood(theta, weights)
+    current = list(model._evaluate(theta, weights))  # probabilities, joints, masses, ll
+    best_ll = current[3].copy()
     ll_slack = np.maximum(1.0, np.abs(best_ll)) * 1e-12
     steps = np.zeros(len(theta), dtype=int)
     capped = np.zeros(len(theta), dtype=bool)
     grad_norm = np.zeros(len(theta))
     active = np.arange(len(theta))
     while len(active):
-        post = model._posterior(model._cpt_probs(theta[active]), weights[active])
+        post = model._posterior(*(a[active] for a in current[:3]), weights[active])
         g = model._score(post[0], post[3])
         grad_norm[active] = gn = np.linalg.norm(g, axis=1)
         done, at_cap = gn <= _GRAD_TOL * 1e-2, steps[active] == max_steps
@@ -695,29 +706,40 @@ def _newton(model: LikelihoodModel, theta: np.ndarray, weights: np.ndarray,
                 break
             rows = active[searching]
             cand = np.clip(theta[rows] + step[searching], -_THETA_BOUND, _THETA_BOUND)
-            ll = model.log_likelihood(cand, weights[rows])
+            evaluated = model._evaluate(cand, weights[rows])
+            ll = evaluated[3]
             accept = ll > best_ll[rows] + ll_slack[rows]
             near = ~accept & (ll >= best_ll[rows] - ll_slack[rows])
             if near.any():
-                g_near = model.gradient(cand[near], weights[rows[near]])
+                p, _, _, expected = model._posterior(*(a[near] for a in evaluated[:3]),
+                                                     weights[rows[near]])
+                g_near = model._score(p, expected)
                 accept[near] = np.linalg.norm(g_near, axis=1) < 0.97 * gn[searching[near]]
             moved = rows[accept]
             theta[moved] = cand[accept]
+            for kept, new in zip(current, evaluated):
+                kept[moved] = new[accept]
             best_ll[moved] = np.maximum(best_ll[moved], ll[accept])
             steps[moved] += 1
             searching = searching[~accept]
             step[searching] *= 0.5
         active = np.delete(active, searching)
-    return theta, grad_norm, steps, capped
+    return theta, current[3], grad_norm, steps, capped
 
 
 def starting_points(model: LikelihoodModel, restarts: int, seed) -> np.ndarray:
-    """A fit's starts, one per row: the uniform law, then random laws drawn from ``seed``."""
+    """A fit's starts, one per row: the uniform law, then random laws drawn from ``seed``.
+
+    A random law's CPTs are drawn in vertex order, each row uniform on the simplex,
+    by :func:`~colluder_lab.lawtable.uniform_simplex`: standard exponentials times
+    the reciprocal of their sum, added left to right, which are ``Generator.dirichlet``'s
+    rows bit for bit.
+    """
     rng = np.random.default_rng(seed)
     starts = [np.zeros(model.n_params)]
     while len(starts) < restarts:
         starts.append(model.cpts_to_theta({
-            name: rng.dirichlet(np.ones(L), size=n_rows).reshape(cpt_shape)
+            name: uniform_simplex([rng], cpt_shape)[0]
             for name, off, n_rows, L, cpt_shape in model._blocks}))
     return np.array(starts)
 
@@ -735,8 +757,7 @@ def maximize(model: LikelihoodModel, weights: np.ndarray, starts, max_steps: int
     sizes = np.array([len(s) for s in starts])
     first = np.cumsum(sizes) - sizes
     rows = np.repeat(weights, sizes, axis=0)
-    theta, grad_norm, steps, capped = _newton(model, np.concatenate(starts), rows, max_steps)
-    ll = model.log_likelihood(theta, rows)
+    theta, ll, grad_norm, steps, capped = _newton(model, np.concatenate(starts), rows, max_steps)
     pick = first + np.array([np.argmax(ll[i:i + r]) for i, r in zip(first, sizes)], dtype=int)
     # A best start stopped by its step cap has an unconfirmed optimum.
     converged = (grad_norm[pick] <= _GRAD_TOL) & ~capped[pick]

@@ -540,6 +540,24 @@ _BATCH_CELLS = 1 << 20
 _GRID = 2.0 ** -53
 
 
+def uniform_simplex(rngs: Sequence[np.random.Generator], shape) -> np.ndarray:
+    """For each generator in ``rngs``, rows uniform on the simplex (len(rngs), *shape),
+    the last axis of ``shape`` holding a row's levels.
+
+    Each generator draws what ``rng.dirichlet(np.ones(shape[-1]), shape[:-1])`` draws,
+    bit for bit, and is left in the same state.  A Dirichlet(1, ..., 1) row is
+    standard exponentials over their sum (Devroye, *Non-Uniform Random Variate
+    Generation*, 1986, ch. XI), and ``dirichlet`` draws them as
+    ``standard_gamma(1.0)``.  It then multiplies each by the reciprocal of the row's
+    sum, added left to right; ``np.cumsum`` adds in that order, while a row ``sum``
+    of 8 levels or more adds pairwise and may differ in the last bit.  The rows of
+    all the generators are normalized in one pass, so 16 generators' rows cost
+    about a quarter of 16 ``dirichlet`` calls.
+    """
+    gamma = np.array([rng.standard_gamma(1.0, shape) for rng in rngs])
+    return gamma * (1.0 / np.cumsum(gamma, axis=-1)[..., -1:])
+
+
 def _simplex_rows(rngs: Sequence[np.random.Generator], n_rows: int, levels: int,
                   c: SimConstraints, name: str) -> np.ndarray:
     """For each generator in ``rngs``, ``n_rows`` rows uniform on the simplex with every
@@ -547,16 +565,15 @@ def _simplex_rows(rngs: Sequence[np.random.Generator], n_rows: int, levels: int,
     variation (len(rngs), n_rows, levels).
 
     A uniform row with every entry at least ``a`` is ``a + (1 - levels * a)`` times a
-    uniform row, so only the dependency gap rejects.  Each generator draws blocks of
-    ``n_rows`` rows in batches of doubling size and keeps the first block that clears
-    the gap; a generator that has drawn ``max_tries`` blocks without one fails the
-    call.  The generators still drawing share each gap test, which holds at most
-    ``_BATCH_CELLS`` pairwise-difference cells, so a generator's draws do not depend
-    on the others.
+    uniform row (:func:`uniform_simplex`), so only the dependency gap rejects.  Each
+    generator draws blocks of ``n_rows`` rows in batches of doubling size and keeps
+    the first block that clears the gap; a generator that has drawn ``max_tries``
+    blocks without one fails the call.  The generators still drawing share each gap
+    test, which holds at most ``_BATCH_CELLS`` pairwise-difference cells, so a
+    generator's draws do not depend on the others.
     """
     floor = max(c.min_prob, 0.0)
     scale = 1.0 - levels * floor
-    ones = np.ones(levels)
     first, second = np.nonzero(~np.tri(n_rows, dtype=bool))  # the pairs of rows
     most = max(1, _BATCH_CELLS // max(1, first.size * levels))
     out = np.empty((len(rngs), n_rows, levels))
@@ -567,8 +584,8 @@ def _simplex_rows(rngs: Sequence[np.random.Generator], n_rows: int, levels: int,
         size = min(size, most, c.max_tries - tried)
         step, failed = most // size, []  # generators per gap test
         for group in (todo[i:i + step] for i in range(0, todo.size, step)):
-            rows = floor + scale * np.stack([rngs[i].dirichlet(ones, (size, n_rows))
-                                             for i in group])
+            rows = floor + scale * uniform_simplex([rngs[i] for i in group],
+                                                   (size, n_rows, levels))
             gap = 0.5 * np.abs(rows[:, :, first] - rows[:, :, second]).sum(axis=-1)
             passed = np.all(gap >= c.dependency_gap, axis=2)
             hit = passed.any(axis=1)

@@ -130,11 +130,12 @@ class SimScenario:
         return cls(**kwargs)
 
 
-def _parameter_layout(graph: MissingDataGraph) -> list[tuple[str, str, str]]:
-    """The probabilities a fit reports, in its order: (vertex, colluder/other group, label)."""
+def _parameter_layout(model: LikelihoodModel) -> list[tuple[str, str, str]]:
+    """The probabilities ``model``'s fit reports, in its order: (vertex,
+    colluder/other group, label)."""
     coords = []
-    for name, given, level, _, _ in LikelihoodModel(graph).parameter_coords():
-        indicator = graph.vertex(name).role is VertexRole.RESPONSE_INDICATOR
+    for name, given, level, _, _ in model.parameter_coords():
+        indicator = model.graph.vertex(name).role is VertexRole.RESPONSE_INDICATOR
         # Only the label is read; the estimate fields are placeholders.
         label = ParameterEstimate(name, given, level, np.nan, None, None, False, False).label()
         coords.append((name, "colluder" if indicator and given else "other", label))
@@ -146,10 +147,12 @@ def _draw_cells(scenario: SimScenario, graph: MissingDataGraph, cells):
     ``graph``: their laws' CPTs with a leading cell axis (see
     :func:`~colluder_lab.lawtable.random_cpts`), their samples' observed-cell counts
     (C, n_obs) and their fit seeds.  A cell's law, sample and fit seed come from
-    three seeds spawned from (scenario seed, sample-size index, replication), so
-    they do not depend on the cell's batch."""
-    seeds = [np.random.SeedSequence((scenario.seed, n_idx, rep)).spawn(3)
-             for n_idx, rep in cells]
+    the three children of the seed sequence (scenario seed, sample-size index,
+    replication), so they do not depend on the cell's batch.  Each child is built
+    as ``SeedSequence.spawn(3)`` builds it, from the parent's entropy and its own
+    spawn key, without mixing the parent's entropy pool first."""
+    seeds = [[np.random.SeedSequence((scenario.seed, n_idx, rep), spawn_key=(k,))
+              for k in range(3)] for n_idx, rep in cells]
     cpts = random_cpts(graph, scenario.constraints, [law for law, _, _ in seeds])
     joints = joint_from_cpts(cpt_subscripts(graph), [cpts[v.name] for v in graph.vertices])
     counts = _cell_counts(graph, joints, [scenario.sample_sizes[n_idx] for n_idx, _ in cells],
@@ -377,13 +380,13 @@ def run_scenario(scenario: SimScenario, threads: int = 1) -> SimReport:
     """
     check_integer("threads", threads, 1, ColluderLabError)
     graph = scenario.graph()
-    coords = _parameter_layout(graph)
+    model = LikelihoodModel(graph)
+    coords = _parameter_layout(model)
     groups = [c[1] for c in coords]
     labels = [c[2] for c in coords]
 
     cells = [(n_idx, rep) for n_idx in range(len(scenario.sample_sizes))
              for rep in range(scenario.replications)]
-    model = LikelihoodModel(graph)
     results, climbs = _settle_cells(scenario, model, cells)
     workers = min(threads, len(climbs))
     if workers > 1:

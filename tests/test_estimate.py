@@ -842,3 +842,44 @@ def test_batched_fit_equals_each_datasets_own_fit(graph, seed, n_data):
         assert np.array_equal(res.theta, theta[i])
         assert (res.log_likelihood, res.grad_norm, res.converged, res.best_restart,
                 res.iterations) == (ll[i], grad_norm[i], converged[i], best[i], steps[i].sum())
+
+
+def test_newton_evaluates_each_point_once(monkeypatch):
+    # One evaluation for the starts, then one per line search for its candidates:
+    # no point is evaluated twice, no mass is computed outside an evaluation, and
+    # maximize's log-likelihood is log_likelihood's at its point, bit for bit.
+    graph = ccm_graph(3, 3)
+    model = LikelihoodModel(graph)
+    counts = sample_dataset(random_law(graph, seed=3), 5000, seed=4).counts
+    starts = starting_points(model, 5, 6)
+    evaluated, counted = [], {"_masses": 0, "_score": 0, "_hessian": 0}
+
+    def spy(name):
+        method = getattr(LikelihoodModel, name)
+
+        def wrapper(self, *args):
+            counted[name] += 1
+            return method(self, *args)
+        return wrapper
+
+    evaluate = LikelihoodModel._evaluate
+
+    def spy_evaluate(self, theta, weights):
+        evaluated.append(np.atleast_2d(theta).copy())
+        return evaluate(self, theta, weights)
+
+    monkeypatch.setattr(LikelihoodModel, "_evaluate", spy_evaluate)
+    for name in counted:
+        monkeypatch.setattr(LikelihoodModel, name, spy(name))
+    theta, ll, _, _, converged, steps = maximize(model, counts[None], starts[None], 10_000)
+    monkeypatch.undo()
+
+    assert converged[0] and steps[0].sum() > 20
+    # Every pass but the last takes a Hessian, and a near acceptance scores its
+    # candidates, so the climb also took the near-acceptance path.
+    assert counted["_score"] > counted["_hessian"] + 1
+    assert np.array_equal(evaluated[0], starts)
+    assert counted["_masses"] == len(evaluated)
+    points = np.concatenate(evaluated)
+    assert len(np.unique(points, axis=0)) == len(points)
+    assert ll[0] == model.log_likelihood(theta[0], counts)

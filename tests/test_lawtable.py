@@ -464,6 +464,20 @@ class TestRandomLaw:
         assert [{name: cpt[i].tobytes() for name, cpt in cpts.items()}
                 for i in range(5)] == want
 
+    @pytest.mark.parametrize("levels", range(1, 13))
+    def test_uniform_simplex_draws_what_dirichlet_draws(self, levels):
+        # Bit for bit, and each generator is left where dirichlet leaves it.  From 8
+        # levels on, a pairwise row sum would differ in the last bit on these seeds.
+        seeds = range(8)
+        for shape in [(), (1,), (5,), (3, 4), (2, 3, 2)]:
+            ours = [np.random.default_rng(s) for s in seeds]
+            theirs = [np.random.default_rng(s) for s in seeds]
+            rows = lawtable.uniform_simplex(ours, shape + (levels,))
+            want = np.stack([rng.dirichlet(np.ones(levels), shape) for rng in theirs])
+            assert rows.shape == (len(seeds),) + shape + (levels,)
+            assert rows.tobytes() == want.tobytes()
+            assert [rng.random() for rng in ours] == [rng.random() for rng in theirs]
+
     def test_continuous_vertex_rejected(self):
         g = MissingDataGraph([Vertex("A", O, None)])
         with pytest.raises(LawError, match="continuous"):

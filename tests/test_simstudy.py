@@ -259,6 +259,23 @@ class TestRunScenario:
         monkeypatch.setattr(simstudy, "_BATCH_CELLS", 4)
         assert json.dumps(run_scenario(sc).to_json(), sort_keys=True) == whole
 
+    @pytest.mark.parametrize("sample_sizes, certified", [((100_000,), {100_000: 8}),
+                                                         ((300, 100_000), {300: 3, 100_000: 8})])
+    def test_one_likelihood_model_per_study(self, monkeypatch, sample_sizes, certified):
+        # The model that labels the report's parameters also fits every cell, in the
+        # caller and in a forked share; the second study leaves five climbs to share.
+        sc = SimScenario(m=2, q=2, sample_sizes=sample_sizes, replications=8, seed=12,
+                         max_failure_rate=1.0)
+        builds, init = [], LikelihoodModel.__init__
+
+        def counting(self, graph):
+            builds.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(LikelihoodModel, "__init__", counting)
+        assert run_scenario(sc, threads=2).certified == certified
+        assert len(builds) == 1
+
     @pytest.mark.skipif(not simstudy._openblas_thread_controls(),
                         reason="no OpenBLAS thread control symbol is loaded")
     def test_pool_workers_run_one_blas_thread(self, monkeypatch):
@@ -659,7 +676,7 @@ def _cells_reporting_blas_threads(scenario, model, cells):
     """Stands in for a worker's share of a study's climbs: every error entry
     is the worker's largest OpenBLAS thread count."""
     threads = max(get() for _, get in simstudy._openblas_thread_controls())
-    n_params = len(simstudy._parameter_layout(scenario.graph()))
+    n_params = len(simstudy._parameter_layout(model))
     return [(np.full(n_params, float(threads)), False) for _ in cells]
 
 
@@ -670,7 +687,7 @@ def _cells_reporting(measure, barrier=None):
     def run_cells(scenario, model, cells):
         if barrier is not None:
             barrier.wait(timeout=60)
-        n_params = len(simstudy._parameter_layout(scenario.graph()))
+        n_params = len(simstudy._parameter_layout(model))
         return [(np.full(n_params, float(measure())), False) for _ in cells]
     return run_cells
 
