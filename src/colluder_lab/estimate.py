@@ -667,7 +667,7 @@ def _newton(model: LikelihoodModel, theta: np.ndarray, weights: np.ndarray,
     candidate's own evaluation.
 
     Returns each row's final point, its log-likelihood, final gradient norm and
-    number of steps, and whether the step cap stopped it.
+    number of steps, whether the step cap stopped it, and its observed-cell masses.
     """
     theta = np.array(theta, dtype=float)
     current = list(model._evaluate(theta, weights))  # probabilities, joints, masses, ll
@@ -724,7 +724,7 @@ def _newton(model: LikelihoodModel, theta: np.ndarray, weights: np.ndarray,
             searching = searching[~accept]
             step[searching] *= 0.5
         active = np.delete(active, searching)
-    return theta, current[3], grad_norm, steps, capped
+    return theta, current[3], grad_norm, steps, capped, current[2]
 
 
 def starting_points(model: LikelihoodModel, restarts: int, seed) -> np.ndarray:
@@ -751,18 +751,20 @@ def maximize(model: LikelihoodModel, weights: np.ndarray, starts, max_steps: int
     ``starts`` its starts: C arrays (R_c, k), one per dataset, whose start
     counts may differ, or one array (C, R, k).  Returns per dataset the best
     start's point, log-likelihood and index (the first of the highest), its
-    final gradient norm and whether it converged, and the steps of every
-    start (C arrays (R_c,)).
+    final gradient norm and whether it converged, the steps of every start
+    (C arrays (R_c,)), and the best start's observed-cell masses (C, n_obs), as
+    :meth:`LikelihoodModel._evaluate` gave them at its point.
     """
     sizes = np.array([len(s) for s in starts])
     first = np.cumsum(sizes) - sizes
     rows = np.repeat(weights, sizes, axis=0)
-    theta, ll, grad_norm, steps, capped = _newton(model, np.concatenate(starts), rows, max_steps)
+    theta, ll, grad_norm, steps, capped, mass = _newton(model, np.concatenate(starts), rows,
+                                                        max_steps)
     pick = first + np.array([np.argmax(ll[i:i + r]) for i, r in zip(first, sizes)], dtype=int)
     # A best start stopped by its step cap has an unconfirmed optimum.
     converged = (grad_norm[pick] <= _GRAD_TOL) & ~capped[pick]
     return (theta[pick], ll[pick], pick - first, grad_norm[pick], converged,
-            np.split(steps, first[1:]))
+            np.split(steps, first[1:]), mass[pick])
 
 
 #: A fitted observed-cell mass equals a cell's frequency to rounding when it lies
@@ -802,9 +804,8 @@ def certify(model: LikelihoodModel, counts: np.ndarray, plug_ins, max_steps: int
     if not alone or model.n_params != len(model._reachable) - 1:
         return {}
     climbed = maximize(model, counts[alone], [plug_ins[i][None] for i in alone], max_steps)
-    _, mass = model._masses(model._cpt_probs(climbed[0]))
     freq = counts[alone] / counts[alone].sum(axis=1, keepdims=True)
-    settled = climbed[4] & np.all(np.abs(mass - freq) <= _CERTIFY_RTOL * freq, axis=1)
+    settled = climbed[4] & np.all(np.abs(climbed[6] - freq) <= _CERTIFY_RTOL * freq, axis=1)
     return {i: fitted for i, fitted, ok in zip(alone, zip(*climbed), settled) if ok}
 
 
@@ -824,15 +825,15 @@ def fit_counts(model: LikelihoodModel, counts: np.ndarray, plug_ins, seeds, rest
     """Fit each dataset's observed-cell ``counts`` (C, n_obs): :func:`certify`
     settles what it can, and every other dataset climbs its start in ``plug_ins``
     and ``restarts`` starts drawn from its seed in ``seeds`` (:func:`climb`).
-    Returns what :func:`maximize` returns and whether the certificate settled
-    each dataset (C,)."""
+    Returns what :func:`maximize` returns but the masses, and whether the
+    certificate settled each dataset (C,)."""
     fitted = certify(model, counts, plug_ins, max_steps)
     certified = np.array([i in fitted for i in range(len(counts))])
     rest = np.flatnonzero(~certified)
     if len(rest):
         fitted.update(zip(rest, zip(*climb(model, counts[rest], [plug_ins[i] for i in rest],
                                            [seeds[i] for i in rest], restarts, max_steps))))
-    *arrays, steps = zip(*(fitted[i] for i in range(len(counts))))
+    *arrays, steps, _ = zip(*(fitted[i] for i in range(len(counts))))
     return (*map(np.array, arrays), list(steps), certified)
 
 

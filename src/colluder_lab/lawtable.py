@@ -1,16 +1,17 @@
 """Categorical full laws, exact observed-data tables, and random law generation.
 
 Tables are dense multidimensional arrays in row-major level order; the NA
-state of a proxy is its last level.  An exact law's joint and observed
-tables are held as :class:`Rationals`, Python-int numerators over one common
-denominator, so their products and sums need no gcd; their ``Fraction``
-values are built only when read.  Every reduction of a table (its total, an
-event's probability, a marginal) adds the integer numerators of the table's
-exact value, float tables included, since a float is a dyadic rational.  An
-exact table returns the sum as a ``Fraction``, which the appendix
-constructions rely on; a float table rounds it once to float, so each float
-sum is correctly rounded and equals ``math.fsum`` of the same cells.  Laws
-and tables are immutable value objects.
+state of a proxy is its last level.  An exact law is held as
+:class:`Rationals`, Python-int numerators over one common denominator, from
+its CPTs (read from a JSON file's ``"p/q"`` entries straight into integers)
+through its joint and observed tables, so their products and sums need no
+gcd; their ``Fraction`` values are built only when read.  Every reduction of
+a table (its total, an event's probability, a marginal) adds the integer
+numerators of the table's exact value, float tables included, since a float
+is a dyadic rational.  An exact table returns the sum as a ``Fraction``,
+which the appendix constructions rely on; a float table rounds it once to
+float, so each float sum is correctly rounded and equals ``math.fsum`` of the
+same cells.  Laws and tables are immutable value objects.
 """
 
 from __future__ import annotations
@@ -49,13 +50,18 @@ class Rationals:
         equal ``math.fsum`` of the same cells.
         """
         values = np.asarray(values)
-        ratios = [x.as_integer_ratio() if isinstance(x, float)
-                  else (int(x.numerator), int(x.denominator))
-                  for x in values.reshape(-1).tolist()]
+        return cls.of_ratios(values.shape, [
+            x.as_integer_ratio() if isinstance(x, float)
+            else (int(x.numerator), int(x.denominator)) for x in values.reshape(-1).tolist()])
+
+    @classmethod
+    def of_ratios(cls, shape, ratios) -> "Rationals":
+        """The array of ``shape`` whose entries, in row-major order, are the
+        ``(numerator, denominator)`` pairs ``ratios``, over the lcm of their denominators."""
         den = math.lcm(*{d for _, d in ratios})
         nums = np.empty(len(ratios), dtype=object)
         nums[:] = [n * (den // d) for n, d in ratios]
-        return cls(nums.reshape(values.shape), den)
+        return cls(nums.reshape(shape), den)
 
     def fractions(self, numerators) -> np.ndarray:
         """Each of ``numerators`` (an array of ints) over this denominator, an object
@@ -233,10 +239,38 @@ class ObservedLawTable(ProbabilityTable):
         return abs(total - 1.0) <= _ROW_SUM_TOL and stray <= _ROW_SUM_TOL
 
 
-def _fraction(entry) -> Fraction:
-    """An exact CPT entry read from JSON: ``"p/q"``, a decimal string, or a number."""
+def _ratio(entry) -> tuple[int, int]:
+    """An exact CPT entry read from JSON, ``"p/q"``, a decimal string or a number, in
+    lowest terms with a positive denominator: the numerator and denominator of
+    ``Fraction(int(p), int(q))`` or of ``Fraction(str(entry))``, which raise the same
+    errors, but without building the ``Fraction`` for ``"p/q"``."""
     num, slash, den = str(entry).partition("/")
-    return Fraction(int(num), int(den)) if slash else Fraction(num)
+    if not slash:
+        x = Fraction(num)
+        return x.numerator, x.denominator
+    n, d = int(num), int(den)
+    if d == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    g = math.gcd(n, d) if d > 0 else -math.gcd(n, d)
+    return n // g, d // g
+
+
+def _exact_cpt(name: str, arr: np.ndarray) -> Rationals:
+    """The exact value of ``name``'s CPT ``arr`` (object dtype), read in one pass.
+
+    A boolean entry anywhere is refused first, then the first entry that is not a
+    ``numbers.Rational``.
+    """
+    flat = arr.reshape(-1).tolist()
+    ratios = []
+    for x in flat:
+        if isinstance(x, bool) or not isinstance(x, Rational):
+            if any(isinstance(y, bool) for y in flat):
+                raise LawError(f"CPT for {name!r} holds a boolean entry")
+            bad = next(y for y in flat if not isinstance(y, Rational))
+            raise LawError(f"exact CPT for {name!r} holds a non-rational entry {bad!r}")
+        ratios.append((int(x.numerator), int(x.denominator)))
+    return Rationals.of_ratios(arr.shape, ratios)
 
 
 def _check_rows(name: str, rows: np.ndarray, one=1.0) -> None:
@@ -249,13 +283,17 @@ def _check_rows(name: str, rows: np.ndarray, one=1.0) -> None:
     The error names the first bad row's sum before its range.
     """
     if rows.dtype == object:
-        sums = rows.sum(axis=1)
-        off_sum = sums != one
-    else:
-        if not np.isfinite(rows).all():
-            raise LawError(f"CPT for {name!r} holds a non-finite entry")
-        sums = np.array([math.fsum(row) for row in rows.tolist()])
-        off_sum = np.abs(sums - 1.0) > _ROW_SUM_TOL
+        for row in rows.tolist():
+            total = sum(row)
+            if total != one:
+                raise LawError(f"CPT row for {name!r} sums to {float(total / one)!r}, not 1")
+            if min(row) < 0 or max(row) > one:
+                raise LawError(f"CPT entry for {name!r} outside [0, 1]")
+        return
+    if not np.isfinite(rows).all():
+        raise LawError(f"CPT for {name!r} holds a non-finite entry")
+    sums = np.array([math.fsum(row) for row in rows.tolist()])
+    off_sum = np.abs(sums - 1.0) > _ROW_SUM_TOL
     bad = np.flatnonzero(off_sum | np.any((rows < 0) | (rows > one), axis=1))
     if bad.size and off_sum[bad[0]]:
         raise LawError(f"CPT row for {name!r} sums to {float(sums[bad[0]] / one)!r}, not 1")
@@ -267,55 +305,76 @@ class CategoricalLaw:
     """A full law factored into one CPT per vertex of the graph.
 
     ``cpts[v]`` has shape ``(*parent_levels, levels_of_v)`` with parents in
-    graph declaration order; every row is a probability vector.  Entries may
-    be floats or exact rationals (object dtype).  The factorization has no
-    term for a bidirected edge, so the graph must have none.
+    graph declaration order; every row is a probability vector.  A CPT is given
+    as floats, as exact rationals (an object array of ``numbers.Rational``), or
+    as :class:`Rationals`.  An exact CPT is held as :class:`Rationals`, Python-int
+    numerators over one denominator, from which its rows are checked and the
+    joint is multiplied; the ``Fraction`` array of a CPT given as
+    :class:`Rationals`, as :meth:`from_json` gives it, is built on first read of
+    :attr:`cpts`.  The factorization has no term for a bidirected edge, so the
+    graph must have none.
     """
 
-    def __init__(self, graph: MissingDataGraph, cpts: Mapping[str, np.ndarray]):
+    def __init__(self, graph: MissingDataGraph, cpts: Mapping[str, np.ndarray | Rationals]):
         if graph.bidirected_edges:
             edges = ", ".join(f"{u}<->{w}" for u, w in graph.bidirected_edges)
             raise LawError(f"a law factors over directed parents only and would drop the "
                            f"bidirected edges {edges}")
         self.graph = graph
         self._exact_cpts: dict[str, Rationals] = {}
-        clean: dict[str, np.ndarray] = {}
+        # Each vertex's CPT array in declaration order; None where it is built on read.
+        self._cpts: dict[str, np.ndarray | None] = {}
         for v in graph.vertices:
             if v.levels is None:
                 raise LawError(f"vertex {v.name!r} is continuous; categorical laws only")
             if v.name not in cpts:
                 raise LawError(f"missing CPT for vertex {v.name!r}")
             parents = graph.parents(v.name)
-            arr = np.asarray(cpts[v.name]).copy()
+            given = cpts[v.name]
+            arr = None if isinstance(given, Rationals) else np.asarray(given).copy()
+            shape = np.shape(given.numerators) if arr is None else arr.shape
             want = tuple(graph.vertex(p).levels for p in parents) + (v.levels,)
-            if arr.shape != want:
+            if shape != want:
                 raise LawError(
-                    f"CPT for {v.name!r} has shape {arr.shape}, expected {want} "
+                    f"CPT for {v.name!r} has shape {shape}, expected {want} "
                     f"(parents {parents} in declaration order)")
-            if arr.dtype == bool or (arr.dtype == object
-                                     and any(isinstance(x, bool) for x in arr.flat)):
+            if arr is None:
+                if given.denominator < 1:
+                    raise LawError(f"CPT denominator {given.denominator} for {v.name!r} is "
+                                   f"not positive")
+                exact = Rationals(np.array(given.numerators, dtype=object), given.denominator)
+            elif arr.dtype == bool:
                 raise LawError(f"CPT for {v.name!r} holds a boolean entry")
-            if arr.dtype == object:
-                bad = [x for x in arr.flat if not isinstance(x, Rational)]
-                if bad:
-                    raise LawError(f"exact CPT for {v.name!r} holds a non-rational entry "
-                                   f"{bad[0]!r}")
-                exact = self._exact_cpts[v.name] = Rationals.of(arr)
-                _check_rows(v.name, exact.numerators.reshape(-1, v.levels), exact.denominator)
             else:
+                exact = _exact_cpt(v.name, arr) if arr.dtype == object else None
+                arr.setflags(write=False)
+            if exact is None:
                 _check_rows(v.name, np.asarray(arr, dtype=float).reshape(-1, v.levels))
-            arr.setflags(write=False)
-            clean[v.name] = arr
-        extra = set(cpts) - set(clean)
+            else:
+                exact.numerators.setflags(write=False)
+                _check_rows(v.name, exact.numerators.reshape(-1, v.levels), exact.denominator)
+                self._exact_cpts[v.name] = exact
+            self._cpts[v.name] = arr
+        extra = set(cpts) - set(self._cpts)
         if extra:
             raise LawError(f"CPTs given for unknown vertices: {sorted(extra)}")
-        self.cpts = clean
+
+    @property
+    def cpts(self) -> dict[str, np.ndarray]:
+        """Each vertex's CPT as an array, in declaration order: floats, or for an
+        exact CPT the ``Fraction`` values (or the rationals it was given as)."""
+        for name, arr in self._cpts.items():
+            if arr is None:
+                exact = self._exact_cpts[name]
+                arr = self._cpts[name] = exact.fractions(exact.numerators)
+                arr.setflags(write=False)
+        return self._cpts
 
     #: :meth:`MissingDataGraph.parents`; ``perfbench/workloads.py`` still calls it.
     parent_order = staticmethod(MissingDataGraph.parents)
 
     def is_exact(self) -> bool:
-        return all(arr.dtype == object for arr in self.cpts.values())
+        return len(self._exact_cpts) == len(self._cpts)
 
     def joint_table(self) -> ProbabilityTable:
         """The full joint over the vertices, in declaration order.
@@ -377,19 +436,21 @@ class CategoricalLaw:
             if arr.ndim != len(canonical) + 1:
                 raise LawError(f"CPT table for {name!r} has {arr.ndim} axes, "
                                f"expected {len(canonical) + 1}")
-            if any(isinstance(x, bool) for x in arr.flat):
+            flat = arr.reshape(-1).tolist()
+            if any(isinstance(x, bool) for x in flat):
                 raise LawError(f"CPT for {name!r} holds a boolean entry")
             # One fraction string makes the whole table exact: its decimal
             # entries are read as the rationals they spell, not as floats.
-            exact = any(isinstance(x, str) and "/" in x for x in arr.flat)
+            exact = any(isinstance(x, str) and "/" in x for x in flat)
             try:
-                vals = np.frompyfunc(_fraction, 1, 1)(arr) if exact \
+                vals = Rationals.of_ratios(arr.shape, [_ratio(x) for x in flat]) if exact \
                     else np.frompyfunc(float, 1, 1)(arr).astype(float)
             except (ValueError, TypeError, ZeroDivisionError) as e:
                 raise LawError(f"CPT for {name!r} holds an unreadable entry: {e}") from None
             if declared != canonical:
                 perm = [declared.index(p) for p in canonical] + [len(declared)]
-                vals = np.transpose(vals, perm)
+                vals = Rationals(np.transpose(vals.numerators, perm), vals.denominator) \
+                    if exact else np.transpose(vals, perm)
             cpts[name] = vals
         return cls(graph, cpts)
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import LawError
 from .fixtures import ccm_graph, cross_censoring_graph
-from .lawtable import CategoricalLaw, ObservedLawTable, observed_law
+from .lawtable import CategoricalLaw, ObservedLawTable, ProbabilityTable, observed_law
 from .mdgraph import MissingDataGraph, find_colluders
 
 
@@ -47,16 +47,23 @@ class ConstructionPair:
     witness_cells: tuple[dict, ...]
 
 
+def _equal_cells(table1: ProbabilityTable, table2: ProbabilityTable) -> np.ndarray:
+    """Whether each cell of two exact tables of one shape holds the same value: their
+    integer numerators, each times the other table's denominator, are equal."""
+    exact1, exact2 = table1.rationals(), table2.rationals()
+    return exact1.numerators * exact2.denominator == exact2.numerators * exact1.denominator
+
+
 def _verify_pair(law1: CategoricalLaw, law2: CategoricalLaw
                  ) -> tuple[ConstructionPair, ObservedLawTable]:
     """The pair, checked to agree on the observed law and differ on the full law, and
     that shared observed law."""
     obs1, obs2 = observed_law(law1), observed_law(law2)
-    if not np.array_equal(obs1.values, obs2.values):
+    if not _equal_cells(obs1, obs2).all():
         raise LawError("construction failed: observed laws differ")
     j1, j2 = law1.joint_table(), law2.joint_table()
     witnesses = tuple(dict(zip(j1.names, map(int, idx)))
-                      for idx in np.argwhere(j1.values != j2.values))
+                      for idx in np.argwhere(~_equal_cells(j1, j2)))
     if not witnesses:
         raise LawError("construction failed: full laws agree everywhere")
     return ConstructionPair(law1, law2, witnesses), obs1
@@ -155,8 +162,11 @@ _APPENDIX_C_PARAMS = (
 )
 
 
-def _cross_censoring_law(a, b, c, d, e, f, g, h, i) -> CategoricalLaw:
-    graph = cross_censoring_graph(2, 2)
+def _cross_censoring_law(a, b, c, d, e, f, g, h, i,
+                         graph: MissingDataGraph | None = None) -> CategoricalLaw:
+    """The cross-censoring law of parameters ``a``..``i`` on ``graph``, by default
+    ``cross_censoring_graph(2, 2)``."""
+    graph = cross_censoring_graph(2, 2) if graph is None else graph
     one = Fraction(1)
     cpts = {
         "X": _object_array([b, one - b]),
@@ -176,8 +186,9 @@ def appendix_c_pair() -> ConstructionPair:
     Their shared observed law is :data:`APPENDIX_C_OBSERVED` exactly, and the
     full laws differ already at (X=0, Y=0, R_X=0, R_Y=0).
     """
-    pair, obs = _verify_pair(_cross_censoring_law(*_APPENDIX_C_PARAMS[0]),
-                             _cross_censoring_law(*_APPENDIX_C_PARAMS[1]))
+    graph = cross_censoring_graph(2, 2)
+    pair, obs = _verify_pair(_cross_censoring_law(*_APPENDIX_C_PARAMS[0], graph=graph),
+                             _cross_censoring_law(*_APPENDIX_C_PARAMS[1], graph=graph))
     for (x, y), expected in APPENDIX_C_OBSERVED.items():
         rx = 1 if x != 2 else 0
         ry = 1 if y != 2 else 0

@@ -47,8 +47,19 @@ from .lawtable import (CategoricalLaw, SimConstraints, coarsening_map,  # noqa: 
 from .mdgraph import MissingDataGraph, VertexRole, json_object, load_json_source
 
 
+#: The largest sample ``Generator.multinomial`` draws: it counts records in an int64.
+_MAX_SAMPLE = 2**63 - 1
+
+
+def _check_drawable(n: int) -> None:
+    """Raise :class:`LawError` for a sample size ``n`` above :data:`_MAX_SAMPLE`."""
+    if n > _MAX_SAMPLE:
+        raise LawError(f"sample size {n} exceeds {_MAX_SAMPLE}, the most records "
+                       f"numpy's multinomial draws")
+
+
 def sample_dataset(law: CategoricalLaw, n: int, seed=None) -> Dataset:
-    """Draw ``n`` i.i.d. records by forward sampling and masking the proxies.
+    """Draw ``n`` i.i.d. records of ``law``'s observed data.
 
     The dataset holds the records as observed-cell counts, drawn by
     :func:`_cell_counts` from the law's joint; an exact law's joint is exact
@@ -68,6 +79,7 @@ def _cell_counts(graph: MissingDataGraph, joints: np.ndarray, sizes, seeds) -> n
     """
     if min(sizes) < 1:
         raise LawError("sample size must be positive")
+    _check_drawable(max(sizes))
     probs = joints.reshape(len(joints), -1)
     probs = probs / probs.sum(axis=1, keepdims=True)
     counts = np.stack([np.random.default_rng(seed).multinomial(n, p)
@@ -99,6 +111,7 @@ class SimScenario:
             raise LawError("sample_sizes must not be empty")
         for n in self.sample_sizes:
             check_integer("sample size", n, 1, LawError)
+            _check_drawable(n)
         if len(set(self.sample_sizes)) < len(self.sample_sizes):
             raise LawError(f"sample_sizes must be distinct, got {list(self.sample_sizes)}")
         rate = self.max_failure_rate
@@ -207,8 +220,8 @@ def _climb_cells(scenario: SimScenario, model: LikelihoodModel, climbs) -> list:
     results = []
     for i in range(0, len(climbs), _BATCH_CELLS):
         _, counts, plug_ins, seeds, truth = zip(*climbs[i:i + _BATCH_CELLS])
-        theta, *_, converged, _ = climb(model, np.stack(counts), plug_ins, seeds,
-                                        scenario.restarts, FitConfig().max_iterations)
+        theta, *_, converged, _, _ = climb(model, np.stack(counts), plug_ins, seeds,
+                                           scenario.restarts, FitConfig().max_iterations)
         results += [(e - t if ok else None, False)
                     for e, t, ok in zip(model.probabilities(theta), truth, converged)]
     return results

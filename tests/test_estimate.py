@@ -835,7 +835,7 @@ def test_batched_fit_equals_each_datasets_own_fit(graph, seed, n_data):
             assert np.array_equal(got[i:i + 1], want)
         assert batch_ll[i] == model.log_likelihood(alone[0][0], row_weights[i])
 
-    theta, ll, best, grad_norm, converged, steps = maximize(model, weights, starts, 40)
+    theta, ll, best, grad_norm, converged, steps, _ = maximize(model, weights, starts, 40)
     for i, (d, s) in enumerate(zip(data, fit_seeds)):
         res = fit(d, graph, FitConfig(restarts=2, seed=s, max_iterations=40,
                                       allow_nonidentifiable=True))
@@ -871,7 +871,7 @@ def test_newton_evaluates_each_point_once(monkeypatch):
     monkeypatch.setattr(LikelihoodModel, "_evaluate", spy_evaluate)
     for name in counted:
         monkeypatch.setattr(LikelihoodModel, name, spy(name))
-    theta, ll, _, _, converged, steps = maximize(model, counts[None], starts[None], 10_000)
+    theta, ll, _, _, converged, steps, _ = maximize(model, counts[None], starts[None], 10_000)
     monkeypatch.undo()
 
     assert converged[0] and steps[0].sum() > 20

@@ -292,6 +292,10 @@ REFUSALS = {
                      "latin1.json is not UTF-8 text (byte 11)"),
     "scenario-not-utf8": (read_latin1_json(SimScenario.from_json), LawError,
                           "latin1.json is not UTF-8 text (byte 11)"),
+    "law-denominator": (lambda _: CategoricalLaw(
+        MissingDataGraph([Vertex("A", VertexRole.FULLY_OBSERVED, 2)]),
+        {"A": Rationals(np.array([1, -1], dtype=object), -1)}), LawError,
+        "CPT denominator -1 for 'A' is not positive"),
     "law-continuous": (lambda _: CategoricalLaw(continuous_vertex(), {}), LawError,
                        "vertex 'X' is continuous; categorical laws only"),
     "law-unknown-cpt": (lambda _: CategoricalLaw(CCM, {**CCM_LAW.cpts, "Z": [1.0]}),
@@ -325,6 +329,13 @@ REFUSALS = {
                       "positivity violated: X=0 has no mass at stratum {}"),
     "sample-size": (lambda _: sample_dataset(CCM_LAW, 0), LawError,
                     "sample size must be positive"),
+    "sample-size-drawable": (lambda _: sample_dataset(CCM_LAW, 2**63), LawError,
+                             "sample size 9223372036854775808 exceeds 9223372036854775807, "
+                             "the most records numpy's multinomial draws"),
+    "scenario-sample-size-drawable": (lambda _: SimScenario(sample_sizes=(10, 2**64)), LawError,
+                                      "sample size 18446744073709551616 exceeds "
+                                      "9223372036854775807, the most records numpy's "
+                                      "multinomial draws"),
 }
 
 

@@ -634,6 +634,29 @@ class TestSerialization:
         law2 = CategoricalLaw.from_json(json.loads(json.dumps(doc)))
         assert json.dumps(law2.to_json()) == json.dumps(doc)
 
+    @pytest.mark.parametrize("table, message", [
+        (["1/0", "1/2"], "CPT for 'X' holds an unreadable entry: Fraction(1, 0)"),
+        (["1/x", "1/2"], "CPT for 'X' holds an unreadable entry: invalid literal for int() "
+                         "with base 10: 'x'"),
+        (["x", "1/2"], "CPT for 'X' holds an unreadable entry: Invalid literal for "
+                       "Fraction: 'x'"),
+        (["1/2/3", "1/2"], "CPT for 'X' holds an unreadable entry: invalid literal for "
+                           "int() with base 10: '2/3'"),
+        (["-1/2", "3/2"], "CPT entry for 'X' outside [0, 1]"),
+        (["1/-2", "3/2"], "CPT entry for 'X' outside [0, 1]"),
+        (["-1/2", "1/2"], "CPT row for 'X' sums to 0.0, not 1"),
+        ([True, "1/2"], "CPT for 'X' holds a boolean entry"),
+        (["0.6", "1/2"], "CPT row for 'X' sums to 1.1, not 1"),
+        ([0.6, "1/2"], "CPT row for 'X' sums to 1.1, not 1"),
+    ], ids=["zero-denominator", "bad-denominator", "bad-decimal", "two-slashes",
+            "negative-numerator", "negative-denominator", "negative-sum", "boolean",
+            "decimal-string", "decimal-number"])
+    def test_exact_entry_refusals(self, table, message):
+        doc = appendix_a_law(*A_PARAMS).to_json()
+        doc["cpts"]["X"]["table"] = table
+        with pytest.raises(LawError, match=f"^{re.escape(message)}$"):
+            CategoricalLaw.from_json(json.dumps(doc))
+
     def test_unreadable_entry_names_vertex(self):
         doc = appendix_a_law(*A_PARAMS).to_json()
         doc["cpts"]["Y"]["table"][0][0] = "3/x"
@@ -701,6 +724,62 @@ class TestSerialization:
         law2 = CategoricalLaw.from_json(doc)
         assert np.allclose(np.asarray(law2.cpts["R_Y"], float),
                            np.asarray(law.cpts["R_Y"], float))
+
+
+@st.composite
+def exact_law_documents(draw):
+    """A law document of ``random_law`` on a small graph, its CPT rows rounded
+    down to multiples of 1/den, a random den per CPT.  Each entry is written in lowest
+    terms, unreduced, or unreduced with both signs negated, and each CPT's parents are
+    declared in a random order.  Returns the graph, the document and each CPT's
+    ``Fraction`` array in declaration order."""
+    graph = draw(small_graphs())
+    law = random_law(graph, SimConstraints(dependency_gap=0.0),
+                     seed=draw(st.integers(0, 2**32 - 1)))
+    doc, want = {"graph": graph.to_json(), "cpts": {}}, {}
+    for name, cpt in law.cpts.items():
+        den = draw(st.integers(1, 10**6))
+        fracs, texts = [], []
+        for row in cpt.reshape(-1, cpt.shape[-1]).tolist():
+            ticks = [math.floor(p * den) for p in row[:-1]]
+            for t in ticks + [den - sum(ticks)]:
+                f, k = Fraction(t, den), draw(st.integers(1, 50))
+                fracs.append(f)
+                texts.append(draw(st.sampled_from([f"{f.numerator}/{f.denominator}",
+                                                   f"{t * k}/{den * k}",
+                                                   f"{-t * k}/{-den * k}"])))
+        want[name] = np.array(fracs, dtype=object).reshape(cpt.shape)
+        parents = list(graph.parents(name))
+        order = draw(st.permutations(range(len(parents))))
+        table = np.array(texts, dtype=object).reshape(cpt.shape)
+        doc["cpts"][name] = {"parents": [parents[i] for i in order],
+                             "table": np.transpose(table, [*order, len(parents)]).tolist()}
+    return graph, doc, want
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_law_documents())
+def test_exact_law_read_from_json_is_the_law_it_spells(drawn):
+    # Each entry is read in lowest terms with a positive denominator, and each CPT's
+    # integers are those of Rationals.of of its Fractions.
+    graph, doc, want = drawn
+    for cpt in doc["cpts"].values():
+        for text in np.ravel(cpt["table"]).tolist():
+            num, den = map(int, text.split("/"))
+            f = Fraction(num, den)
+            assert lawtable._ratio(text) == (f.numerator, f.denominator)
+    law = CategoricalLaw.from_json(json.dumps(doc))
+    observed = observed_law(law)
+    # Reading the law, its joint and its observed table builds no Fraction array.
+    assert law.is_exact() and all(arr is None for arr in law._cpts.values())
+    for name, fracs in want.items():
+        exact, expected = law._exact_cpts[name], Rationals.of(fracs)
+        assert exact.denominator == expected.denominator
+        assert np.array_equal(exact.numerators, expected.numerators)
+        assert np.array_equal(law.cpts[name], fracs)
+    reference = CategoricalLaw(graph, want)
+    assert np.array_equal(observed.values, observed_law(reference).values)
+    assert law.to_json() == reference.to_json()
 
 
 def test_table_total_beats_naive():

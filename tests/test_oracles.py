@@ -11,6 +11,8 @@ from colluder_lab import (APPENDIX_C_OBSERVED, LawError, MissingDataGraph, Verte
                           quantities_from_observed)
 from colluder_lab.errors import (ConditionalIndependenceError,
                                  RankDeficiencyError)
+from colluder_lab.lawtable import CategoricalLaw
+from colluder_lab.oracles import _verify_pair
 from conftest import failure_signature
 
 F = Fraction
@@ -84,6 +86,36 @@ class TestIdentifiableBinaryLaw:
             appendix_a_law(0, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.25)
         with pytest.raises(LawError, match="dependency"):
             appendix_a_law(0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
+
+
+def hidden_mass_law(p_x, p_r1):
+    """A law on X -> R_X with p(X) = ``p_x`` and p(R_X=1 | X) = ``p_r1``."""
+    graph = MissingDataGraph([Vertex("X", VertexRole.TRUE_VARIABLE, 2),
+                              Vertex("R_X", VertexRole.RESPONSE_INDICATOR, 2)],
+                             [("X", "R_X")], pairs=[("X", "R_X")])
+    r = np.array([[1 - p, p] for p in p_r1], dtype=object)
+    return CategoricalLaw(graph, {"X": np.array(p_x, dtype=object), "R_X": r})
+
+
+class TestVerifyPair:
+    # Both full laws sum to 1, so two that differ differ in two cells at least.  Here
+    # 1/12 of the mass moves from (X=1, R_X=0) to (X=0, R_X=0), where X is hidden,
+    # and the joints' denominators differ (4 against 420).
+    HALF = (F(1, 2), F(1, 2))
+
+    def test_the_cells_that_differ_are_the_witnesses(self):
+        law1 = hidden_mass_law(self.HALF, self.HALF)
+        law2 = hidden_mass_law((F(7, 12), F(5, 12)), (F(3, 7), F(3, 5)))
+        pair, obs = _verify_pair(law1, law2)
+        assert pair.witness_cells == ({"X": 0, "R_X": 0}, {"X": 1, "R_X": 0})
+        assert obs.values.tolist() == [[F(0), F(1, 4)], [F(0), F(1, 4)], [F(1, 2), F(0)]]
+        assert [joint_probability(law2, w) for w in pair.witness_cells] == [F(1, 3), F(1, 6)]
+
+    def test_observed_laws_that_differ_raise(self):
+        law1 = hidden_mass_law(self.HALF, self.HALF)
+        law2 = hidden_mass_law((F(1, 3), F(2, 3)), self.HALF)
+        with pytest.raises(LawError, match="^construction failed: observed laws differ$"):
+            _verify_pair(law1, law2)
 
 
 class TestTernaryPair:

@@ -570,6 +570,24 @@ class TestCertificate:
             starts = 1 if certified[i] else restarts + (plug_ins[i] is not None)
             assert len(fitted[5][i]) == starts
 
+    def test_certificate_reuses_the_climbs_masses(self, monkeypatch):
+        # Plug-ins inside settle in 0 Newton steps, so the climb's one evaluation of
+        # its starts computes the only observed-cell masses of the certificate.
+        model, counts, _, _ = _design_cells("ccm22.json", 4)
+        plug_ins = plug_in(model, counts)
+        batches, masses = [], LikelihoodModel._masses
+
+        def spy(self, probs):
+            batches.append(len(probs))
+            return masses(self, probs)
+
+        monkeypatch.setattr(LikelihoodModel, "_masses", spy)
+        fitted = estimate.certify(model, counts, plug_ins, 10_000)
+        monkeypatch.undo()
+        climbed = sum(p is not None for p in plug_ins)
+        assert fitted and all(f[5].sum() == 0 for f in fitted.values())
+        assert batches == [climbed]
+
     def test_no_certificate_with_an_empty_reachable_cell(self):
         model, counts, seeds, restarts = _design_cells("ccm22.json", 1)
         cell = counts[-1]
@@ -593,7 +611,7 @@ class TestCertificate:
         model, counts, seeds, restarts = _design_cells(design, 30)
         theta, converged, certified = _fit_cells(model, counts, seeds, restarts)
         starts = np.stack([starting_points(model, restarts, s) for s in seeds])
-        base, base_ll, _, _, base_converged, _ = maximize(model, counts, starts, 10_000)
+        base, base_ll, _, _, base_converged, _, _ = maximize(model, counts, starts, 10_000)
         ll = model.log_likelihood(theta, counts)
         assert np.all(ll >= base_ll - 1e-9 * np.abs(base_ll))
         both = converged & base_converged
